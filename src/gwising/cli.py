@@ -226,3 +226,7 @@ def _run_prune_demo(args, say) -> int:
 
 def main() -> None:
     sys.exit(parse_and_dispatch())
+
+
+if __name__ == "__main__":
+    main()

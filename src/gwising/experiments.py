@@ -1,10 +1,12 @@
 """Deterministic Monte Carlo harness for the phase-transition experiments.
 
-Each replica owns an independent random stream derived from (master seed,
-experiment id, depth index, replica index), so results are bit-identical for
-a given configuration no matter how replicas are distributed over workers.
-Scans return plain row dicts; CSV rendering lives here so that the byte
-output is deterministic too (17 significant digits for floats).
+Replicas are sampled and swept in blocks: one forest of R(n) trees per
+block, drawn from one random stream derived from (master seed, experiment id,
+depth index, block index).  R(n) depends on the configuration alone, so
+results are bit-identical for a given configuration no matter how blocks are
+distributed over workers.  Scans return plain row dicts; CSV rendering lives
+here so that the byte output is deterministic too (17 significant digits for
+floats).
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
 from .tree import Tree, sample_gw
 
 EXPERIMENT_IDS = {"magnetization": 1, "gamma": 2, "capacity": 3, "tv": 4, "validate": 5}
+SCHEDULE_KINDS = ("constant", "geometric", "threshold", "threshold_geometric")
+# expected vertices per sampled forest; sets the replicas per block
+BLOCK_VERTICES = 2**16
 
 
 class ConfigError(ValueError):
@@ -91,36 +96,81 @@ class ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.mode not in EXPERIMENT_IDS:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
+    if not cfg.pmf.satisfies_supercritical_assumption():
+        raise ConfigError("offspring law must put no mass at 0 and not all of it at 1")
+    if not cfg.beta >= 0.0:
+        raise ConfigError("beta must be nonnegative")
     if cfg.replicas < 1:
         raise ConfigError("need at least one replica")
     if not (0.0 < cfg.epsilon < 1.0):
         raise ConfigError("epsilon must lie in (0, 1)")
+    if not cfg.capacity_p > 1.0:
+        raise ConfigError("capacity_p must exceed 1")
+    if not (1.0 < cfg.q <= 2.0):
+        raise ConfigError("q must lie in (1, 2]")
     if cfg.method not in ("direct", "pruned"):
         raise ConfigError(f"unknown method {cfg.method!r}")
     if cfg.method == "pruned" and cfg.field_mode is not FieldMode.LEAVES_ONLY:
         raise ConfigError("the pruned fast path models leaf fields only")
+    kind = cfg.schedule.kind
+    if kind not in SCHEDULE_KINDS:
+        raise ConfigError(f"unknown schedule kind {kind!r}")
+    if kind.endswith("geometric") and cfg.schedule.lam is None:
+        raise ConfigError(f"schedule {kind!r} needs lam")
+    if cfg.beta == 0.0 and kind.startswith("threshold"):
+        raise ConfigError(f"schedule {kind!r} needs beta > 0")
+    if cfg.beta == 0.0 and cfg.mode == "capacity":
+        raise ConfigError("capacity scans need beta > 0 for resistances tanh(beta)^k")
     if not cfg.n_grid:
         raise ConfigError("empty depth grid")
     for n in cfg.n_grid:
-        p = cfg.p_n(n)
+        if n < 1:
+            raise ConfigError(f"depth {n} is below 1")
+        try:
+            p = cfg.p_n(n)
+        except OverflowError:
+            raise ConfigError(f"schedule overflows at depth {n}")
         if not (0.0 < p <= 1.0):
             raise ConfigError(f"schedule gives p_{n} = {p}, outside (0, 1]")
 
 
 def replica_rng(master_seed: int, experiment_id: int, n_index: int,
-                replica: int) -> np.random.Generator:
-    """Independent stream per (experiment, depth point, replica)."""
+                block: int) -> np.random.Generator:
+    """Independent stream per (experiment, depth point, block of replicas)."""
     seq = np.random.SeedSequence(master_seed,
-                                 spawn_key=(experiment_id, n_index, replica))
+                                 spawn_key=(experiment_id, n_index, block))
     return np.random.default_rng(seq)
 
 
-def _map_replicas(fn, arg_tuples, workers: int):
+def block_replicas(pmf: OffspringPmf, n: int, profile: GammaProfile | None = None) -> int:
+    """Replicas per block at depth ``n``: as many as fit BLOCK_VERTICES
+    expected vertices.
+
+    A direct depth-n tree has sum_{k<=n} nu^k vertices on average.  A pruned
+    draw (``profile`` given) has its root plus (1 - gamma_0) sum_{k>=1} M*_{0,k},
+    since the empty outcome is a childless root.
+    """
+    if profile is None:
+        expected = sum(pmf.mean() ** k for k in range(n + 1))
+    else:
+        expected = 1.0 + float(profile.one_minus_gamma[0]) * sum(
+            profile.mean_generation_size(0, k) for k in range(1, n + 1))
+    return max(1, int(BLOCK_VERTICES // expected))
+
+
+def _block_tasks(replicas: int, size: int, *head) -> list[tuple]:
+    """One task per block: ``(*head, block index, roots)``; the last block
+    takes the remainder."""
+    return [(*head, block, min(size, replicas - start))
+            for block, start in enumerate(range(0, replicas, size))]
+
+
+def _map_blocks(fn, tasks, workers: int) -> list[np.ndarray]:
     if workers <= 1:
-        return [fn(a) for a in arg_tuples]
-    chunk = max(1, len(arg_tuples) // (4 * workers))
+        return [fn(t) for t in tasks]
+    chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, arg_tuples, chunksize=chunk))
+        return list(pool.map(fn, tasks, chunksize=chunk))
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -136,19 +186,19 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 # -- magnetization ----------------------------------------------------------
 
 
-def _magnetization_replica(args) -> float:
-    cfg, n, n_index, replica, sampler = args
-    rng = replica_rng(cfg.master_seed, EXPERIMENT_IDS["magnetization"], n_index, replica)
+def _magnetization_block(args) -> np.ndarray:
+    cfg, n, sampler, n_index, block, roots = args
+    rng = replica_rng(cfg.master_seed, EXPERIMENT_IDS["magnetization"], n_index, block)
     if cfg.method == "pruned":
-        pruned = sampler.sample(rng)
-        if pruned is None:
-            return 0.0
-        return float(ising.lyons_field(pruned, plus_boundary_field(pruned), cfg.beta)[0])
-    tree = sample_gw(cfg.pmf, n, rng)
-    fld = sample_field(tree, cfg.field_mode, cfg.p_n(n), rng)
+        forest = sampler.sample(rng, roots=roots)
+        if forest is None:
+            return np.zeros(roots)
+        return ising.lyons_field(forest, plus_boundary_field(forest), cfg.beta)[:roots].copy()
+    forest = sample_gw(cfg.pmf, n, rng, roots=roots)
+    fld = sample_field(forest, cfg.field_mode, cfg.p_n(n), rng)
     if cfg.coupling_off:
-        return 2.0 * cfg.beta * float(fld.h[0])
-    return float(ising.lyons_field(tree, fld, cfg.beta)[0])
+        return 2.0 * cfg.beta * fld.h[:roots].astype(float)
+    return ising.lyons_field(forest, fld, cfg.beta)[:roots].copy()
 
 
 def run_magnetization_scan(cfg: ExperimentConfig) -> list[dict]:
@@ -159,14 +209,18 @@ def run_magnetization_scan(cfg: ExperimentConfig) -> list[dict]:
     analytic mean bound as a reference column.
     """
     validate_config(cfg)
-    rows = []
+    tasks = []
     for n_index, n in enumerate(cfg.n_grid):
-        p_n = cfg.p_n(n)
-        sampler = None
+        sampler = profile = None
         if cfg.method == "pruned":
-            sampler = PrunedLawSampler(gamma_profile(cfg.pmf, p_n, n))
-        args = [(cfg, n, n_index, rep, sampler) for rep in range(cfg.replicas)]
-        r_values = np.array(_map_replicas(_magnetization_replica, args, cfg.workers))
+            profile = gamma_profile(cfg.pmf, cfg.p_n(n), n)
+            sampler = PrunedLawSampler(profile)
+        size = block_replicas(cfg.pmf, n, profile)
+        tasks += _block_tasks(cfg.replicas, size, cfg, n, sampler, n_index)
+    r_by_n = np.concatenate(_map_blocks(_magnetization_block, tasks, cfg.workers))
+    rows = []
+    for n, r_values in zip(cfg.n_grid, r_by_n.reshape(len(cfg.n_grid), cfg.replicas)):
+        p_n = cfg.p_n(n)
         m_values = ising.magnetization(r_values)
         mean_r = float(r_values.mean())
         se_r = float(r_values.std(ddof=1) / math.sqrt(cfg.replicas)) if cfg.replicas > 1 else 0.0
@@ -263,13 +317,14 @@ def transition_bound_checks(profile: GammaProfile, constants: dict,
 # -- capacity ---------------------------------------------------------------
 
 
-def _capacity_replica(args) -> float:
-    cfg, n_index, replica, sampler, resistances = args
-    rng = replica_rng(cfg.master_seed, EXPERIMENT_IDS["capacity"], n_index, replica)
-    tree = sampler.sample(rng)
-    if tree is None:
-        return 0.0
-    return cap.capacity_recursion(tree, resistances, cfg.capacity_p).capacity
+def _capacity_block(args) -> np.ndarray:
+    cfg, sampler, resistances, n_index, block, roots = args
+    rng = replica_rng(cfg.master_seed, EXPERIMENT_IDS["capacity"], n_index, block)
+    forest = sampler.sample(rng, roots=roots)
+    if forest is None:
+        return np.zeros(roots)
+    phi = cap.capacity_recursion(forest, resistances, cfg.capacity_p).phi[:roots]
+    return np.where(forest.num_children[:roots] > 0, phi, 0.0)
 
 
 def run_capacity_scan(cfg: ExperimentConfig) -> dict:
@@ -282,14 +337,19 @@ def run_capacity_scan(cfg: ExperimentConfig) -> dict:
     validate_config(cfg)
     resistances = cap.ResistanceProfile.geometric(math.tanh(cfg.beta))
     nu = cfg.pmf.mean()
-    rows, summary = [], []
+    profiles, tasks = [], []
     for n_index, n in enumerate(cfg.n_grid):
-        p_n = cfg.p_n(n)
-        profile = gamma_profile(cfg.pmf, p_n, n)
-        sampler = PrunedLawSampler(profile)
+        profile = gamma_profile(cfg.pmf, cfg.p_n(n), n)
+        profiles.append(profile)
+        size = block_replicas(cfg.pmf, n, profile)
+        tasks += _block_tasks(cfg.replicas, size, cfg, PrunedLawSampler(profile),
+                              resistances, n_index)
+    values_by_n = np.concatenate(_map_blocks(_capacity_block, tasks, cfg.workers))
+    rows, summary = [], []
+    for n, profile, values in zip(cfg.n_grid, profiles,
+                                  values_by_n.reshape(len(cfg.n_grid), cfg.replicas)):
+        p_n = profile.p_n
         a_n = cap.alpha_n(cfg.beta, nu, p_n, n, cfg.capacity_p)
-        args = [(cfg, n_index, rep, sampler, resistances) for rep in range(cfg.replicas)]
-        values = np.array(_map_replicas(_capacity_replica, args, cfg.workers))
         for rep, value in enumerate(values):
             rows.append({"n": n, "p_n": p_n, "replica": rep,
                          "capacity_p": float(value), "alpha_n": a_n,

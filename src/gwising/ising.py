@@ -21,27 +21,33 @@ BRUTEFORCE_MAX_FREE_SPINS = 24
 
 
 def g_beta(beta: float, x):
-    """g(x) = log((e^{2b} e^x + 1) / (e^{2b} + e^x)), the edge transfer map.
+    """g(x) = log((e^{2b} e^x + 1) / (e^{2b} + e^x)), the edge transfer map,
+    for x >= 0 (g(inf) = 2*beta exactly).
 
-    Stable for any x >= 0 via logaddexp; g(inf) = 2*beta exactly.  Increasing,
-    concave, g(0) = 0, slope tanh(beta) at 0.
+    Evaluated as 2 atanh(tanh(beta) tanh(x/2)) written over e = e^{-x}:
+    g = log1p(2 tanh(beta) (1 - e) / ((1 - tanh(beta)) (1 + e) + 2 tanh(beta) e)),
+    with 1 - e = -expm1(-x) and 1 - tanh(beta) = 2e^{-2b} / (1 + e^{-2b}).
+    Every term is a product or a sum of positives, so g keeps full relative
+    precision at small x, where a difference of logarithms would cancel, and
+    at large beta and x, where atanh of a rounded tanh(beta) tanh(x/2) would
+    lose digits.  Increasing, concave, g(0) = 0, slope tanh(beta) at 0.
     """
     if beta < 0:
         raise ValueError("inverse temperature must be nonnegative")
     x = np.asarray(x, dtype=float)
-    finite = np.isfinite(x)
-    out = np.full(x.shape, 2.0 * beta)
-    xf = x[finite]
-    out[finite] = np.logaddexp(2.0 * beta + xf, 0.0) - np.logaddexp(2.0 * beta, xf)
-    return float(out) if out.ndim == 0 else out
-
-
-def g_beta_tanh_form(beta: float, x):
-    """Algebraically identical g via 2 atanh(tanh(beta) tanh(x/2)); used as an
-    independent cross-check of the logaddexp form."""
-    x = np.asarray(x, dtype=float)
-    out = 2.0 * np.arctanh(np.tanh(beta) * np.tanh(x / 2.0))
-    return float(out) if out.ndim == 0 else out
+    tb = math.tanh(beta)
+    eb = math.exp(-2.0 * beta)
+    one_minus_tb = 2.0 * eb / (1.0 + eb)
+    neg_x = -np.atleast_1d(x)
+    den = np.exp(neg_x)
+    num = np.expm1(neg_x, out=neg_x)
+    den *= one_minus_tb + 2.0 * tb
+    den += one_minus_tb
+    num *= -2.0 * tb
+    num /= den
+    out = np.log1p(num, out=num)
+    np.copyto(out, 2.0 * beta, where=x == math.inf)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def magnetization(r):

@@ -213,22 +213,23 @@ def moments(profile: GammaProfile, q: float, cross_check: bool = True) -> Pruned
 
 class PrunedLawSampler:
     """Caches the per-generation offspring laws of a profile for repeated
-    direct sampling of the pruned tree."""
+    direct sampling of the pruned tree: the root law tilde_mu0, whose atom at
+    0 is the empty outcome, then mu*_1, ..., mu*_{n-1}."""
 
     def __init__(self, profile: GammaProfile):
         self.profile = profile
-        self.root_law = tilde_mu0(profile)
-        self.inner_laws = [mu_star(profile, k) for k in range(1, profile.n)]
-        self._root_diracs = {int(d): OffspringPmf.dirac(int(d))
-                             for d in self.root_law.degrees if d > 0}
+        self.laws = [tilde_mu0(profile)] + [mu_star(profile, k) for k in range(1, profile.n)]
 
     def sample(self, rng: np.random.Generator,
-               max_vertices: int = DEFAULT_POPULATION_CAP) -> Tree | None:
-        root_degree = self.root_law.sample(rng)
-        if root_degree == 0:
-            return None
-        laws = [self._root_diracs[root_degree]] + self.inner_laws
-        return sample_inhomogeneous_bp(laws, rng, max_vertices)
+               max_vertices: int = DEFAULT_POPULATION_CAP, roots: int = 1) -> Tree | None:
+        """A forest of ``roots`` independent pruned trees, one
+        ``sample_many`` per generation for all of them.
+
+        Replica i is root i; an empty outcome is a childless root.  Returns
+        None when every replica is empty, so one root gives a tree or None.
+        """
+        forest = sample_inhomogeneous_bp(self.laws, rng, max_vertices, roots)
+        return forest if forest.n > 0 else None
 
 
 def sample_pruned_direct(pmf: OffspringPmf, p_n: float, n: int,

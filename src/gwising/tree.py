@@ -9,7 +9,8 @@ per-parent aggregation reduces to segment sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,22 +63,42 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """Immutable rooted tree of depth ``n`` stored breadth-first.
+    """Immutable rooted tree (or forest) of depth ``n`` stored breadth-first.
 
-    ``parent[v]`` is the parent id (-1 for the root), ``gen_offsets[k]`` the
-    first id of generation k (length n+2, last entry = vertex count),
-    ``num_children[v]`` and ``child_start[v]`` describe the contiguous block
-    of v's children.
+    ``gen_offsets[k]`` is the first id of generation k (length n+2, last
+    entry = vertex count) and ``num_children[v]`` the child count of v; v's
+    children form the contiguous block starting at ``child_start[v]``, and
+    ``parent[v]`` is v's parent id (-1 for a root).  Both are derived on
+    first use, since the leaf-to-root sweeps need only the generation slices
+    and the child counts.  A forest holds its roots as generation 0; every
+    sweep then runs over all of its trees at once, one generation slice at a
+    time, and reads the root values ``[:num_roots]``.
     """
 
-    parent: np.ndarray
     gen_offsets: np.ndarray
     num_children: np.ndarray
-    child_start: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.parent, self.gen_offsets, self.num_children, self.child_start):
+        for arr in (self.gen_offsets, self.num_children):
             arr.setflags(write=False)
+
+    @cached_property
+    def child_start(self) -> np.ndarray:
+        # breadth-first order keeps the children of consecutive vertices
+        # consecutive across generation boundaries too: v's block starts after
+        # the roots and the children of every earlier vertex (for the bottom
+        # generation, at the vertex count)
+        start = self.num_roots + np.cumsum(self.num_children) - self.num_children
+        start.setflags(write=False)
+        return start
+
+    @cached_property
+    def parent(self) -> np.ndarray:
+        parent = np.concatenate([
+            np.full(self.num_roots, -1, dtype=np.int64),
+            np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.num_children)])
+        parent.setflags(write=False)
+        return parent
 
     @property
     def n(self) -> int:
@@ -87,6 +108,10 @@ class Tree:
     @property
     def num_vertices(self) -> int:
         return int(self.gen_offsets[-1])
+
+    @property
+    def num_roots(self) -> int:
+        return int(self.gen_offsets[1])
 
     def generation(self, k: int) -> np.ndarray:
         return np.arange(self.gen_offsets[k], self.gen_offsets[k + 1])
@@ -120,41 +145,32 @@ class Tree:
 
     @classmethod
     def from_offspring_counts(cls, counts_per_gen: list[np.ndarray]) -> "Tree":
-        """Build from per-generation child counts (generation 0 is the root).
+        """Build from per-generation child counts; generation 0 holds the roots.
 
-        Trailing generations of size zero are trimmed, so a line that dies out
-        early produces a tree of smaller depth.
+        One root gives a tree; R roots give a forest of R trees sharing one
+        arena, interleaved generation by generation, with root i at id i.
+        Trailing generations of size zero are trimmed, so lines that die out
+        early produce an arena of smaller depth.  The arena takes a fixed
+        number of array operations whatever its depth.
         """
         counts = [np.asarray(c, dtype=np.int64) for c in counts_per_gen]
-        if not counts or len(counts[0]) != 1:
-            raise ValueError("generation 0 must hold exactly the root")
-        sizes = [1]
-        kept = []
-        for c in counts:
-            if len(c) != sizes[-1]:
-                raise ValueError("offspring array length does not match generation size")
-            if np.any(c < 0):
-                raise ValueError("negative child count")
-            nxt = int(c.sum())
-            if nxt == 0:
-                break  # whole generation is childless: this is the bottom
-            kept.append(c)
-            sizes.append(nxt)
-        num_children = np.concatenate(kept + [np.zeros(sizes[-1], dtype=np.int64)])
+        if not counts or len(counts[0]) == 0:
+            raise ValueError("generation 0 must hold at least one root")
+        flat = np.concatenate(counts)
+        if np.any(flat < 0):
+            raise ValueError("negative child count")
+        lengths = np.array([len(c) for c in counts])
+        totals = segment_sums(flat, lengths)
+        if np.any(lengths[1:] != totals[:-1]):
+            raise ValueError("offspring array length does not match generation size")
+        dead = np.flatnonzero(totals == 0)
+        depth = int(dead[0]) if dead.size else len(counts)
+        sizes = np.concatenate([lengths[:1], totals[:depth]])
         gen_offsets = np.concatenate([[0], np.cumsum(sizes)])
-        total = int(gen_offsets[-1])
-        parent = np.full(total, -1, dtype=np.int64)
-        child_start = np.zeros(total, dtype=np.int64)
-        for k in range(len(sizes) - 1):
-            lo, hi = gen_offsets[k], gen_offsets[k + 1]
-            c = num_children[lo:hi]
-            starts = gen_offsets[k + 1] + np.concatenate([[0], np.cumsum(c[:-1])])
-            child_start[lo:hi] = starts
-            parent[gen_offsets[k + 1]:gen_offsets[k + 2]] = np.repeat(np.arange(lo, hi), c)
-        # leaves: child_start points past their (empty) block for consistency
-        lo = gen_offsets[-2]
-        child_start[lo:] = gen_offsets[-1]
-        return cls(parent, gen_offsets, num_children, child_start)
+        num_children = np.zeros(int(gen_offsets[-1]), dtype=np.int64)
+        internal = int(gen_offsets[-2])
+        num_children[:internal] = flat[:internal]
+        return cls(gen_offsets, num_children)
 
     @classmethod
     def from_parent_array(cls, parent, n: int) -> "Tree":
@@ -203,40 +219,33 @@ class Tree:
 
 
 def sample_gw(pmf: OffspringPmf, n: int, rng: np.random.Generator,
-              max_vertices: int = DEFAULT_POPULATION_CAP) -> Tree:
-    """Galton-Watson tree of depth exactly ``n``.
+              max_vertices: int = DEFAULT_POPULATION_CAP, roots: int = 1) -> Tree:
+    """Galton-Watson tree of depth exactly ``n``, or a forest of ``roots``
+    independent ones.
 
     Requires a pmf with no mass at 0, so that every vertex above the bottom
-    generation has at least one child and the tree reaches depth ``n`` surely.
+    generation has at least one child and every tree reaches depth ``n``
+    surely.
     """
     if not pmf.no_zero:
         raise PmfError("offspring law must put no mass at 0")
-    counts = []
-    size, total = 1, 1
-    sizes = [1]
-    for _ in range(n):
-        c = pmf.sample_many(rng, size)
-        counts.append(c)
-        size = int(c.sum())
-        total += size
-        sizes.append(size)
-        if total > max_vertices:
-            raise PopulationCapError(max_vertices, sizes)
-    if n == 0:
-        counts = [np.zeros(1, dtype=np.int64)]
-    return Tree.from_offspring_counts(counts)
+    return sample_inhomogeneous_bp([pmf] * n, rng, max_vertices, roots)
 
 
 def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
-                            max_vertices: int = DEFAULT_POPULATION_CAP) -> Tree:
-    """Branching process where ``pmfs[k]`` governs vertices at depth k.
+                            max_vertices: int = DEFAULT_POPULATION_CAP,
+                            roots: int = 1) -> Tree:
+    """Branching process where ``pmfs[k]`` governs vertices at depth k, started
+    from ``roots`` independent roots.
 
-    The tree has depth at most ``len(pmfs)``; it is shallower only if some law
-    permits zero children and the whole generation dies out.
+    Each generation is one ``sample_many`` call for all of its vertices, in
+    arena order.  The arena has depth at most ``len(pmfs)``; it is shallower
+    only if some law permits zero children and a whole generation dies out.
+    ``max_vertices`` caps the whole arena.
     """
     counts = []
-    size, total = 1, 1
-    sizes = [1]
+    size = total = roots
+    sizes = [roots]
     for pmf in pmfs:
         c = pmf.sample_many(rng, size)
         counts.append(c)
@@ -248,7 +257,7 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
         if size == 0:
             break
     if not counts:
-        counts = [np.zeros(1, dtype=np.int64)]
+        counts = [np.zeros(roots, dtype=np.int64)]
     return Tree.from_offspring_counts(counts)
 
 

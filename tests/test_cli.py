@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gwising
 from gwising.cli import atomic_write_text, load_config, parse_and_dispatch, parse_pmf_spec
 from gwising.experiments import ConfigError
 
@@ -67,6 +70,39 @@ def test_missing_config_exits_2(tmp_path, capsys):
                                str(tmp_path / "absent.json")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("magnetization-scan", {"p_schedule": {"kind": "geometric", "c": 0.5}}),
+    ("magnetization-scan", {"pmf": {"entries": [[0, 0.2], [2, 0.8]]}}),
+    ("magnetization-scan", {"beta": -0.5}),
+    ("magnetization-scan", {"n_grid": [3, -1]}),
+    ("magnetization-scan", {"n_grid": [0]}),
+    ("capacity-scan", {"mode": "capacity", "capacity_p": 1.0}),
+    ("gamma-profile", {"mode": "gamma", "pmf": {"entries": [[1, 1.0]]}}),
+    ("gamma-profile", {"mode": "gamma", "q": 2.5}),
+    ("magnetization-scan", {"beta": 0.0, "p_schedule": {"kind": "threshold"}}),
+    ("capacity-scan", {"mode": "capacity", "beta": 0.0}),
+    ("magnetization-scan", {"p_schedule": {"kind": "threshold", "c": 1.0},
+                            "beta": 0.1, "n_grid": [2000]}),
+])
+def test_bad_config_exits_2(tmp_path, capsys, command, overrides):
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    code = parse_and_dispatch(["--quiet", command, "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_prints_usage():
+    src = os.path.dirname(os.path.dirname(gwising.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "gwising.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: gwising")
+    assert "magnetization-scan" in done.stdout
 
 
 def test_magnetization_scan_writes_csv(tmp_path, capsys):

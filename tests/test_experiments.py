@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import pytest
 import gwising.ising
 from gwising import FieldMode, OffspringPmf
 from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
-                                 replica_rng, rows_to_csv, run_capacity_scan,
+                                 block_replicas, replica_rng, rows_to_csv,
+                                 run_capacity_scan,
                                  run_gamma_scan, run_magnetization_scan,
                                  run_tv_scan, run_validation, validate_config,
                                  wilson_interval)
+from gwising.pruned_law import gamma_profile
 
 
 def base_config(**overrides):
@@ -60,6 +63,37 @@ def test_scan_is_deterministic_and_worker_independent():
     rows2 = run_magnetization_scan(base_config())
     rows3 = run_magnetization_scan(base_config(workers=2))
     assert rows_to_csv(rows1) == rows_to_csv(rows2) == rows_to_csv(rows3)
+
+
+@pytest.mark.parametrize("mode,method", [("magnetization", "direct"),
+                                         ("magnetization", "pruned"),
+                                         ("capacity", "direct")])
+def test_block_scans_are_byte_identical_across_workers(mode, method):
+    cfg = base_config(mode=mode, method=method, n_grid=(18, 20), replicas=40)
+    pruned = method == "pruned" or mode == "capacity"
+    for n in cfg.n_grid:
+        size = block_replicas(cfg.pmf, n,
+                              gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None)
+        assert 1 < size < cfg.replicas and cfg.replicas % size  # a short last block
+
+    def csv_bytes(workers):
+        run_cfg = replace(cfg, workers=workers)
+        if mode == "magnetization":
+            return rows_to_csv(run_magnetization_scan(run_cfg))
+        out = run_capacity_scan(run_cfg)
+        return rows_to_csv(out["rows"]) + rows_to_csv(out["summary"])
+
+    outputs = [csv_bytes(workers) for workers in (1, 2, 3)]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_block_replicas_examples():
+    half12 = base_config().pmf
+    assert block_replicas(half12, 20) == 6       # 2^16 // sum_{k<=20} 1.5^k
+    assert block_replicas(half12, 0) == 2**16
+    assert block_replicas(half12, 20, gamma_profile(half12, 0.5, 20)) == 9
+    # gamma_0 = 1: every draw is a lone root
+    assert block_replicas(half12, 6, gamma_profile(half12, 1e-300, 6)) == 2**16
 
 
 def test_constant_field_keeps_root_magnetized():

@@ -8,7 +8,14 @@ from gwising import (FieldAssignment, FieldMode, Tree, g_beta,
                      plus_boundary_field, sample_field, sample_gw,
                      upper_bound_mean_r)
 from gwising.experiments import random_small_tree
-from gwising.ising import critical_fixed_point, g_beta_tanh_form
+from gwising.ising import critical_fixed_point
+
+
+def g_beta_logaddexp_form(beta, x):
+    """Algebraically identical g as a difference of two logaddexp terms: an
+    independent oracle for finite x away from 0, where it cancels."""
+    x = np.asarray(x, dtype=float)
+    return np.logaddexp(2.0 * beta + x, 0.0) - np.logaddexp(2.0 * beta, x)
 
 
 def single_vertex():
@@ -26,10 +33,28 @@ def test_g_beta_fixed_points():
         assert g_beta(beta, math.inf) == 2 * beta
 
 
-def test_g_beta_matches_tanh_form():
+def test_g_beta_matches_logaddexp_form():
     x = np.linspace(0.01, 40, 400)
     for beta in (0.2, 0.8, 1.5):
-        assert np.allclose(g_beta(beta, x), g_beta_tanh_form(beta, x), atol=1e-12)
+        assert np.allclose(g_beta(beta, x), g_beta_logaddexp_form(beta, x), atol=1e-12)
+
+
+def test_g_beta_keeps_relative_precision_at_small_x():
+    # g(x) = tanh(beta) x (1 + O(x^2)): the O(x^2) term is below 1e-16 here
+    x = 10.0 ** -np.arange(8.0, 300.0, 0.5)
+    for beta in (0.05, 0.8, math.atanh(0.8), 3.0):
+        rel = g_beta(beta, x) / (math.tanh(beta) * x) - 1.0
+        assert np.all(np.abs(rel) <= 1e-15)
+
+
+def test_g_beta_stays_accurate_at_large_beta():
+    # tanh(beta) rounds to 1 for beta above ~19; g must still approach 2 beta
+    # from below, as the logaddexp form (accurate at x >= 1) does
+    x = np.linspace(1.0, 120.0, 500)
+    for beta in (8.0, 19.0, 25.0):
+        g = g_beta(beta, x)
+        assert np.all(np.isfinite(g)) and np.all(g <= 2 * beta)
+        assert np.allclose(g, g_beta_logaddexp_form(beta, x), rtol=1e-14, atol=0)
 
 
 def test_g_beta_increasing_concave_and_sandwiched():
