@@ -8,9 +8,8 @@ pruned tree looks like the original, above k* it thins to near-paths.
 
 import numpy as np
 
-from gwising import (OffspringPmf, gamma_profile, moments, mu_star,
-                     pruned_tree_probability, sample_pruned_direct,
-                     tilde_mu0, tv_profile)
+from gwising import (OffspringPmf, PrunedLawSampler, gamma_profile, moments,
+                     mu_star, pruned_tree_probability, tilde_mu0, tv_profile)
 
 rng = np.random.default_rng(11)
 mu = OffspringPmf.dirac(2)
@@ -43,9 +42,10 @@ print("\nroot law at (n=1, p=1/2):",
 print("P(empty) =", pruned_tree_probability(None, mu, 0.5, 1))
 
 # Direct sampling draws the pruned tree without ever building the big tree.
+sampler = PrunedLawSampler(profile)
 sizes = []
 for _ in range(200):
-    t = sample_pruned_direct(mu, p_n, n, rng, profile=profile)
+    t = sampler.sample(rng)
     sizes.append(0 if t is None else t.num_vertices)
 print("\ndirect-sampled pruned sizes: mean", np.mean(sizes),
       "(the unpruned tree would have", 2 ** (n + 1) - 1, "vertices)")

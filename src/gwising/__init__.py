@@ -26,8 +26,8 @@ from .ising import (g_beta, gibbs_bruteforce, lyons_field, lyons_plus,
                     magnetization, upper_bound_mean_r)
 from .pruned_law import (GammaProfile, PrunedLawSampler, PrunedMoments,
                          calibrate_constants, gamma_profile, moments, mu_star,
-                         pruned_tree_probability, sample_pruned_direct,
-                         tilde_mu0, tv_distance, tv_profile)
+                         pruned_tree_probability, tilde_mu0, tv_distance,
+                         tv_profile)
 from .capacity import (CapacityResult, Flow, ResistanceProfile, alpha_n,
                        capacity_bruteforce, capacity_recursion,
                        capacity_spherical, expected_capacity_upper,

@@ -78,15 +78,8 @@ class Flow:
     def conservation_residuals(self) -> np.ndarray:
         """theta(u) - sum_children theta(v) over internal vertices."""
         tree = self.tree
-        res = []
-        for k in range(tree.n):
-            lo, hi = tree.gen_offsets[k], tree.gen_offsets[k + 1]
-            internal = tree.num_children[lo:hi] > 0
-            child_sum = segment_sums(
-                self.theta[tree.gen_offsets[k + 1]:tree.gen_offsets[k + 2]],
-                tree.num_children[lo:hi])
-            res.append((self.theta[lo:hi] - child_sum)[internal])
-        return np.concatenate(res) if res else np.zeros(0)
+        child_sum = segment_sums(self.theta[tree.num_roots:], tree.num_children)
+        return (self.theta - child_sum)[tree.num_children > 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,21 +116,18 @@ def capacity_recursion(tree: Tree, res: ResistanceProfile, p: float) -> Capacity
     if tree.num_vertices == 1:
         return CapacityResult(1.0, np.ones(1), None, p)
     r_vertex = res.vertex_resistances(tree)
-    r_gen = res.generation_values(tree.n)
     phi = np.zeros(tree.num_vertices)
     phi[tree.num_children == 0] = math.inf
     sentinel = res.kind == "geometric" and res.base < 1.0
-    for k in range(tree.n - 1, -1, -1):
-        lo, hi = tree.gen_offsets[k], tree.gen_offsets[k + 1]
-        nxt = slice(int(tree.gen_offsets[k + 1]), int(tree.gen_offsets[k + 2]))
-        contrib = _contraction(phi[nxt], s) / r_vertex[nxt]
-        sums = segment_sums(contrib, tree.num_children[lo:hi])
-        vals = r_gen[k] * sums
-        internal = tree.num_children[lo:hi] > 0
-        phi[lo:hi][internal] = vals[internal]
-        if sentinel and np.any(vals[internal] >
-                               res.base * tree.num_children[lo:hi][internal] * (1 + 1e-9)):
+
+    def combine(sums: np.ndarray, cur: slice) -> np.ndarray:
+        degree = tree.num_children[cur]
+        vals = r_vertex[cur] * sums
+        if sentinel and np.any(vals > res.base * degree * (1 + 1e-9)):
             raise FloatingPointError("phi exceeded the R * degree envelope")
+        return np.where(degree > 0, vals, phi[cur])
+
+    tree.sweep_up(phi, lambda child, nxt: _contraction(child, s) / r_vertex[nxt], combine)
     return CapacityResult(float(phi[0]), phi, None, p)
 
 
@@ -262,10 +252,8 @@ def capacity_bruteforce(tree: Tree, res: ResistanceProfile, p: float,
         # h(v) = cost_v theta_v^{q-1} + sum_children a_w h(w); grad wrt a_v is
         # q * theta(parent) * h(v), finite even as theta -> 0 (q > 1).
         h = cost * theta ** (q - 1.0)
-        for k in range(tree.n - 1, -1, -1):
-            lo, hi = tree.gen_offsets[k], tree.gen_offsets[k + 1]
-            nxt = slice(int(tree.gen_offsets[k + 1]), int(tree.gen_offsets[k + 2]))
-            h[lo:hi] += segment_sums(a_vec[nxt] * h[nxt], counts[lo:hi])
+        tree.sweep_up(h, lambda child, nxt: a_vec[nxt] * child,
+                      lambda sums, cur: h[cur] + sums)
         grad = np.zeros_like(a_vec)
         grad[1:] = q * theta[parent[1:]] * h[1:]
         return grad

@@ -11,11 +11,13 @@ Exit codes: 0 success, 1 validation failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
 import sys
 import tempfile
+import typing
 
 import numpy as np
 
@@ -27,11 +29,20 @@ from .fields import FieldMode, sample_field, survival, to_dot, prune
 from .pruned_law import gamma_profile
 from .tree import sample_gw
 
-_CONFIG_KEYS = {
-    "schema_version", "pmf", "beta", "p_schedule", "n_grid", "replicas",
-    "epsilon", "epsilon_sweep", "mode", "field_mode", "method",
-    "capacity_p", "q", "master_seed", "coupling_off", "workers",
-}
+# the config keys are schema_version plus the ExperimentConfig fields, each
+# under its own name except the schedule
+_RENAMED = {"schedule": "p_schedule"}
+_KEY_FIELDS = {_RENAMED.get(f.name, f.name): f for f in dataclasses.fields(ExperimentConfig)}
+_REQUIRED_KEYS = {key for key, f in _KEY_FIELDS.items() if f.default is dataclasses.MISSING}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _from_json(kind, value):
+    if hasattr(kind, "from_json_dict"):
+        return kind.from_json_dict(value)
+    if typing.get_origin(kind) is tuple:
+        return tuple(typing.get_args(kind)[0](v) for v in value)
+    return kind(value)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -59,36 +70,24 @@ def load_config(path: str, seed_override: int | None = None,
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_KEY_FIELDS) - {"schema_version"}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    if data.get("schema_version") != 1:
+    if data.pop("schema_version", None) != 1:
         raise ConfigError("config must declare schema_version 1")
-    missing = {"pmf", "beta", "p_schedule", "n_grid", "replicas", "mode"} - set(data)
+    missing = _REQUIRED_KEYS - set(data)
     if missing:
         raise ConfigError(f"missing config keys {sorted(missing)}")
+    if workers is not None:
+        data["workers"] = workers
+    values = {_KEY_FIELDS[key].name: value for key, value in data.items()}
     try:
-        cfg = ExperimentConfig(
-            pmf=OffspringPmf.from_json_dict(data["pmf"]),
-            beta=float(data["beta"]),
-            schedule=PSchedule.from_json_dict(data["p_schedule"]),
-            n_grid=tuple(int(n) for n in data["n_grid"]),
-            replicas=int(data["replicas"]),
-            mode=str(data["mode"]),
-            master_seed=int(data.get("master_seed", 1)),
-            epsilon=float(data.get("epsilon", 0.05)),
-            epsilon_sweep=tuple(float(e) for e in data.get("epsilon_sweep", (0.01, 0.05, 0.2))),
-            field_mode=FieldMode(data.get("field_mode", "leaves_only")),
-            method=str(data.get("method", "direct")),
-            capacity_p=float(data.get("capacity_p", 1.5)),
-            q=float(data.get("q", 2.0)),
-            coupling_off=bool(data.get("coupling_off", False)),
-            workers=int(workers if workers is not None else data.get("workers", 1)),
-        )
+        cfg = ExperimentConfig(**{name: _from_json(_FIELD_TYPES[name], value)
+                                  for name, value in values.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config field: {exc}")
     if seed_override is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "master_seed": seed_override})
+        cfg = dataclasses.replace(cfg, master_seed=seed_override)
     return cfg
 
 

@@ -222,16 +222,14 @@ def ztb_mixture(pmf: OffspringPmf, p: float) -> OffspringPmf:
 
     This is the offspring law of a surviving vertex whose children are kept
     independently with probability ``p``, conditioned on at least one child
-    surviving.  The result is computed along two independent routes and the
-    two are required to agree pointwise to ``MIXTURE_CONSISTENCY_TOL``:
+    surviving.  The masses are the explicit double sum over the number l of
+    removed children,
 
-    (a) the explicit double sum
         mu*(d) = (1 - G(1-p))^{-1} sum_l mu(d+l) C(d+l, l) (1-p)^l p^d,
-    (b) mixing ``zero_truncated_binomial(D, p)`` over D ~ pmf with weights
-        proportional to the per-D survival probabilities.
 
-    A disagreement raises :class:`ConsistencyError`.  This is the one place
-    where masses are renormalized defensively after the check.
+    renormalized to sum to one.  ``gwising validate`` checks them against the
+    survival-weighted mixture of ``zero_truncated_binomial(D, p)`` over
+    D ~ ``pmf`` to ``MIXTURE_CONSISTENCY_TOL``.
     """
     if not pmf.no_zero:
         raise PmfError("mixture requires a trial-count law with no mass at 0")
@@ -241,34 +239,13 @@ def ztb_mixture(pmf: OffspringPmf, p: float) -> OffspringPmf:
     dmax = pmf.max_degree
     d_out = np.arange(1, dmax + 1)
     survival_norm = float(pmf.one_minus_gf_at_one_minus(p))  # 1 - G(1-p)
-
-    # route (a): literal double sum over the number of removed children l
-    via_formula = np.zeros(dmax)
+    raw = np.zeros(dmax)
     for big_d, mass in zip(pmf.degrees, pmf.probs):
         big_d = int(big_d)
         for d in range(1, big_d + 1):
             ell = big_d - d
-            via_formula[d - 1] += (
-                mass * comb(big_d, ell) * (1.0 - p) ** ell * p**d
-            )
-    via_formula /= survival_norm
-
-    # route (b): survival-weighted mixture of zero-truncated binomials
-    via_mixture = np.zeros(dmax)
-    for big_d, mass in zip(pmf.degrees, pmf.probs):
-        big_d = int(big_d)
-        surv_d = -math.expm1(big_d * math.log1p(-p)) if p < 1.0 else 1.0
-        weight = mass * surv_d / survival_norm
-        ztb = zero_truncated_binomial(big_d, p)
-        via_mixture[ztb.degrees - 1] += weight * ztb.probs
-
-    err = float(np.max(np.abs(via_formula - via_mixture)))
-    if err > MIXTURE_CONSISTENCY_TOL:
-        raise ConsistencyError(
-            f"zero-truncated mixture routes disagree by {err:.3e} "
-            f"(tolerance {MIXTURE_CONSISTENCY_TOL})"
-        )
-
-    masses = via_formula / via_formula.sum()
+            raw[d - 1] += mass * comb(big_d, ell) * (1.0 - p) ** ell * p**d
+    raw /= survival_norm
+    masses = raw / raw.sum()
     nz = masses > 0
     return OffspringPmf(d_out[nz], masses[nz])

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import capacity as cap
 from . import ising
-from .distributions import OffspringPmf
+from .distributions import (MIXTURE_CONSISTENCY_TOL, OffspringPmf,
+                            zero_truncated_binomial, ztb_mixture)
 from .fields import FieldMode, plus_boundary_field, sample_field
 from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
                          gamma_profile, k1_bar_star, moments, tv_crossing,
@@ -523,6 +524,42 @@ def suite_capacity_oracle(instances: int = 50, seed: int = 0,
             "pass": bool(max_rel_gap <= 1e-6 and min_slack >= -1e-10)}
 
 
+def ztb_mixture_by_truncated_binomials(pmf: OffspringPmf, p: float) -> np.ndarray:
+    """Oracle for ``ztb_mixture``: its masses on degrees 1..max_degree, as the
+    mix of ``zero_truncated_binomial(D, p)`` over D ~ ``pmf`` with weights
+    proportional to the per-D survival probabilities 1 - (1-p)^D."""
+    survival_norm = float(pmf.one_minus_gf_at_one_minus(p))  # 1 - G(1-p)
+    masses = np.zeros(pmf.max_degree)
+    for big_d, mass in zip(pmf.degrees, pmf.probs):
+        big_d = int(big_d)
+        surv_d = -math.expm1(big_d * math.log1p(-p)) if p < 1.0 else 1.0
+        ztb = zero_truncated_binomial(big_d, p)
+        masses[ztb.degrees - 1] += mass * surv_d / survival_norm * ztb.probs
+    return masses
+
+
+def suite_ztb_mixture_routes(instances: int, seed: int = 0) -> dict:
+    """``ztb_mixture`` (the double sum) against the survival-weighted mixture
+    of zero-truncated binomials, on random laws over degrees 1..12 with
+    p = 1 or log-uniform in [1e-12, 1]."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(104,)))
+    max_err = 0.0
+    for i in range(instances):
+        degrees = np.sort(rng.choice(np.arange(1, 13), size=int(rng.integers(1, 7)),
+                                     replace=False))
+        weights = rng.uniform(1e-3, 1.0, size=len(degrees))
+        pmf = OffspringPmf(degrees, weights / weights.sum())
+        p = 1.0 if i % 10 == 0 else float(10.0 ** rng.uniform(-12.0, 0.0))
+        law = ztb_mixture(pmf, p)
+        masses = np.zeros(pmf.max_degree)
+        masses[law.degrees - 1] = law.probs
+        err = np.abs(masses - ztb_mixture_by_truncated_binomials(pmf, p)).max()
+        max_err = max(max_err, float(err))
+    return {"suite": "ztb_mixture_routes", "instances": instances,
+            "max_error": max_err, "tolerance": MIXTURE_CONSISTENCY_TOL,
+            "pass": bool(max_err <= MIXTURE_CONSISTENCY_TOL)}
+
+
 def run_validation(cfg: ExperimentConfig, instances: int = 500,
                    oracle_instances: int = 50) -> dict:
     """All oracle-equivalence suites; machine-readable, failures enumerated."""
@@ -533,6 +570,7 @@ def run_validation(cfg: ExperimentConfig, instances: int = 500,
         suite_pruning_equivalence(instances, seed),
         suite_pruned_law_exact(seed),
         suite_capacity_oracle(oracle_instances, seed),
+        suite_ztb_mixture_routes(instances, seed),
     ]
     return {"suites": suites, "pass": all(s["pass"] for s in suites)}
 

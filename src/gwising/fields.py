@@ -89,13 +89,9 @@ def survival(tree: Tree, fld: FieldAssignment) -> SurvivalMap:
     """Bottom-up OR: a leaf survives iff its bit is set, an internal vertex
     iff some child survives.  Only the bottom-generation bits are read."""
     y = np.zeros(tree.num_vertices, dtype=np.uint8)
-    n = tree.n
-    lo, hi = tree.gen_offsets[n], tree.gen_offsets[n + 1]
-    y[lo:hi] = fld.h[lo:hi]
-    for k in range(n - 1, -1, -1):
-        lo, hi = tree.gen_offsets[k], tree.gen_offsets[k + 1]
-        nxt = y[tree.gen_offsets[k + 1]:tree.gen_offsets[k + 2]]
-        y[lo:hi] = segment_sums(nxt.astype(np.int64), tree.num_children[lo:hi]) > 0
+    bottom = slice(int(tree.gen_offsets[tree.n]), tree.num_vertices)
+    y[bottom] = fld.h[bottom]
+    tree.sweep_up(y, lambda child, _: child.astype(np.int64), lambda sums, _: sums > 0)
     return SurvivalMap(tree, y)
 
 
@@ -116,18 +112,12 @@ def prune(tree: Tree, fld: FieldAssignment) -> tuple[Tree, np.ndarray] | None:
     keep = surv.y.astype(bool)
     mapping = np.full(tree.num_vertices, -1, dtype=np.int64)
     mapping[keep] = np.arange(int(keep.sum()))
-    counts_per_gen = []
-    for k in range(tree.n):
-        lo, hi = tree.gen_offsets[k], tree.gen_offsets[k + 1]
-        kept_parents = keep[lo:hi]
-        if not kept_parents.any():
-            break
-        child_surv = surv.y[tree.gen_offsets[k + 1]:tree.gen_offsets[k + 2]]
-        surviving_children = segment_sums(child_surv.astype(np.int64),
-                                          tree.num_children[lo:hi])
-        counts_per_gen.append(surviving_children[kept_parents])
-    if not counts_per_gen:
-        counts_per_gen = [np.zeros(1, dtype=np.int64)]
+    # children of all vertices are the ids num_roots..V-1, in parent order
+    surviving_children = segment_sums(surv.y[tree.num_roots:].astype(np.int64),
+                                      tree.num_children)[keep]
+    kept_per_gen = segment_sums(keep.astype(np.int64), tree.generation_sizes())
+    # the bottom generation's all-zero counts end the arena at depth n
+    counts_per_gen = np.split(surviving_children, np.cumsum(kept_per_gen)[:-1])
     return Tree.from_offspring_counts(counts_per_gen), mapping
 
 

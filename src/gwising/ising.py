@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .fields import FieldAssignment
-from .tree import Tree, segment_sums
+from .tree import Tree
 
 BRUTEFORCE_MAX_FREE_SPINS = 24
 
@@ -58,12 +58,8 @@ def magnetization(r):
 
 
 def _backward_sweep(tree: Tree, r: np.ndarray, bias: np.ndarray, beta: float) -> np.ndarray:
-    for k in range(tree.n - 1, -1, -1):
-        lo, hi = tree.gen_offsets[k], tree.gen_offsets[k + 1]
-        child_vals = g_beta(beta, r[tree.gen_offsets[k + 1]:tree.gen_offsets[k + 2]])
-        r[lo:hi] = bias[lo:hi] + segment_sums(np.atleast_1d(child_vals),
-                                              tree.num_children[lo:hi])
-    return r
+    return tree.sweep_up(r, lambda child, _: g_beta(beta, child),
+                         lambda sums, cur: bias[cur] + sums)
 
 
 def lyons_plus(tree: Tree, beta: float) -> np.ndarray:

@@ -188,18 +188,17 @@ class PrunedMoments:
         return self.profile.mean_generation_size(i, j)
 
 
-def moments(profile: GammaProfile, q: float, cross_check: bool = True) -> PrunedMoments:
+def moments(profile: GammaProfile, q: float) -> PrunedMoments:
     """Assemble nu*_k, sigma*_{q,k}, M*_{0,k} and v*_{k,n}.
 
-    ``cross_check`` additionally builds every mu*_k pmf and verifies its mean
-    against the closed form (mu_star does this internally).
+    Every mu*_k pmf is built by ``mu_star``, which checks its mean against
+    the closed form.
     """
     n = profile.n
     nu_star_arr = np.array([profile.nu_star(k) for k in range(n)])
     sigma = np.empty(n)
     for k in range(n):
-        law = mu_star(profile, k) if cross_check else ztb_mixture(
-            profile.pmf, float(profile.one_minus_gamma[k + 1]))
+        law = mu_star(profile, k)
         sigma[k] = law.q_moment(q) - law.mean() ** q
     m_0k = np.array([profile.mean_generation_size(0, k) for k in range(n + 1)])
     v_kn = np.empty(n)
@@ -230,19 +229,6 @@ class PrunedLawSampler:
         """
         forest = sample_inhomogeneous_bp(self.laws, rng, max_vertices, roots)
         return forest if forest.n > 0 else None
-
-
-def sample_pruned_direct(pmf: OffspringPmf, p_n: float, n: int,
-                         rng: np.random.Generator,
-                         profile: GammaProfile | None = None) -> Tree | None:
-    """One draw from the pruned-tree law, sampled directly as the
-    inhomogeneous branching process rather than by prune(sample(tree), field).
-
-    Returns None for the empty outcome (probability gamma_0).
-    """
-    if profile is None:
-        profile = gamma_profile(pmf, p_n, n)
-    return PrunedLawSampler(profile).sample(rng)
 
 
 def pruned_tree_probability(shape: Tree | None, pmf: OffspringPmf, p_n: float,

@@ -1,10 +1,11 @@
 """Rooted trees in a flat breadth-first arena, plus branching-process samplers.
 
 Vertices are integer ids in breadth-first order, so each generation occupies a
-contiguous slice and every leaf-to-root recursion in the package becomes a
+contiguous slice.  Children of consecutive vertices are themselves
+consecutive, so per-parent aggregation reduces to segment sums, and every
+leaf-to-root recursion in the package is one call of ``Tree.sweep_up``: a
 linear sweep over generation slices (no call stack, depths up to 10^4 are
-fine).  Children of consecutive vertices are themselves consecutive, so
-per-parent aggregation reduces to segment sums.
+fine).
 """
 
 from __future__ import annotations
@@ -45,20 +46,20 @@ class TreeFormatError(ValueError):
 def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum ``values`` over consecutive segments of the given lengths.
 
-    Zero-length segments yield exactly 0.0 (``np.add.reduceat`` gets this
-    wrong, so it is only used on the all-positive fast path).
+    One ``np.add.reduceat`` over the nonempty segments, with zeros written
+    for the empty ones (plain ``reduceat`` gets those wrong).  The sum of a
+    segment therefore depends on its own values alone, not on where it sits.
     """
     values = np.asarray(values)
     counts = np.asarray(counts)
-    if counts.size == 0:
-        return np.zeros(0, dtype=values.dtype)
-    if np.all(counts > 0):
-        starts = np.zeros(len(counts), dtype=np.int64)
-        starts[1:] = np.cumsum(counts[:-1])
+    starts = np.cumsum(counts) - counts
+    nonempty = counts > 0
+    if nonempty.all():  # the same sums, without the masking copies
         return np.add.reduceat(values, starts)
-    ends = np.cumsum(counts)
-    cs = np.concatenate([[values.dtype.type(0)], np.cumsum(values)])
-    return cs[ends] - cs[ends - counts]
+    out = np.zeros(len(counts), dtype=values.dtype)
+    if values.size:
+        out[nonempty] = np.add.reduceat(values, starts[nonempty])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +136,23 @@ class Tree:
     def offspring_of_generation(self, k: int) -> np.ndarray:
         """Child counts of generation-k vertices, in arena order."""
         return self.num_children[self.gen_offsets[k]:self.gen_offsets[k + 1]]
+
+    def sweep_up(self, values: np.ndarray, lift, combine) -> np.ndarray:
+        """The leaf-to-root sweep: fill ``values`` in place, one generation
+        at a time from generation n-1 up to the roots, and return it.
+
+        With ``cur`` the slice of generation k and ``nxt`` that of k+1, each
+        step sets ``values[cur] = combine(segment_sums(lift(values[nxt], nxt),
+        num_children[cur]), cur)``.  The bottom generation keeps the values
+        it came with; a childless vertex above it gets ``combine`` of a zero
+        child sum.
+        """
+        for k in range(self.n - 1, -1, -1):
+            lo, mid, hi = (int(x) for x in self.gen_offsets[k:k + 3])
+            cur, nxt = slice(lo, mid), slice(mid, hi)
+            values[cur] = combine(segment_sums(lift(values[nxt], nxt),
+                                               self.num_children[cur]), cur)
+        return values
 
     @property
     def leaves_only_at_bottom(self) -> bool:
@@ -275,26 +293,17 @@ def subtree(tree: Tree, v: int) -> Tree:
     return Tree.from_offspring_counts(counts_per_gen)
 
 
-def leaf_counts(tree: Tree, at_depth: int | None = None) -> np.ndarray:
-    """Per-vertex count of depth-``at_depth`` descendants (self included at that depth).
-
-    Computed by one reverse breadth-first sweep; this is the numerator of the
-    uniform flow.
-    """
-    n = tree.n if at_depth is None else at_depth
+def leaf_counts(tree: Tree) -> np.ndarray:
+    """Per-vertex count of bottom-generation descendants (self included at
+    the bottom); the numerator of the uniform flow."""
     counts = np.zeros(tree.num_vertices, dtype=np.int64)
-    lo, hi = tree.gen_offsets[n], tree.gen_offsets[n + 1]
-    counts[lo:hi] = 1
-    for k in range(n - 1, -1, -1):
-        lo, hi = tree.gen_offsets[k], tree.gen_offsets[k + 1]
-        nxt_lo, nxt_hi = tree.gen_offsets[k + 1], tree.gen_offsets[k + 2]
-        counts[lo:hi] = segment_sums(counts[nxt_lo:nxt_hi], tree.num_children[lo:hi])
-    return counts
+    counts[tree.gen_offsets[tree.n]:] = 1
+    return tree.sweep_up(counts, lambda child, _: child, lambda sums, _: sums)
 
 
-def leaves_under(tree: Tree, v: int, at_depth: int | None = None) -> int:
-    """Number of depth-``at_depth`` descendants of v (defaults to the bottom)."""
-    return int(leaf_counts(tree, at_depth)[v])
+def leaves_under(tree: Tree, v: int) -> int:
+    """Number of bottom-generation descendants of v."""
+    return int(leaf_counts(tree)[v])
 
 
 def count_trees(pmf: OffspringPmf, depth: int) -> int:

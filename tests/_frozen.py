@@ -10,6 +10,14 @@ by 10% of its width.
 
 Regenerate with ``python tests/generate_frozen.py`` after any algorithmic
 change, and review the diff.
+
+``OUTPUT_DIGESTS`` holds the sha256 of every output file of the small fixed
+CLI runs in ``generate_frozen.OUTPUT_RUNS``, so a refactor that changes any
+output byte shows up.  Regenerate with
+``python tests/generate_frozen.py --outputs`` only for a change that is meant
+to alter outputs, and say which values moved and by how much.  The float
+digits come from numpy's elementwise math on x86-64 Linux; a numpy build
+with other exp/log kernels may round some values differently.
 """
 
 CALIBRATED = {
@@ -35,3 +43,32 @@ CALIBRATED = {
 # {0.8, 1.2}, depths 3..6, resistances tanh(beta)^{-depth}).
 RATIO_CORPUS_SEED = 12345
 RATIO_INTERVAL = (2.634736085279476, 3.7568764664108887)
+
+OUTPUT_DIGESTS = {
+    "magnetization_direct_leaves_only": {
+        "magnetization.csv": "0b54804cd271a3b99417ee1a32694ed652f0172d7441366ef19d4a7ca5d4a2bf"
+    },
+    "magnetization_direct_whole_tree": {
+        "magnetization.csv": "93b8b4ebd42f2d0097211d74de3b016a0dcb14f49d52e36c6369bb954d199950"
+    },
+    "magnetization_pruned": {
+        "magnetization.csv": "aab4d8b53981aec1b4f3cb35abc4ffcc43a6555520918634b4ad5cb6436a93f9"
+    },
+    "capacity": {
+        "capacity.csv": "e46a78c0204413df7975b338e92e32b1b112091fb2ed2096a4a5b7d9c2021c00",
+        "capacity_summary.csv": "9aa79ba407950afbdfecc801aedf9cc0465c42f0e71606672fc177ba1f6c46a6"
+    },
+    "gamma": {
+        "gamma_bounds.csv": "73d8e4bd696df67a895a6daf0bdfd7849a93e77333351b6c076c746883a350ab",
+        "gamma_profile.csv": "f85a64dbfd0741d00a429d9fea006e1209b19b6e608ab1445bdbf7baabc56aa6"
+    },
+    "tv": {
+        "tv.csv": "bbeb039362435ac765aeee30187e7b4e41679862602a46cab99b0e687d0c636d",
+        "tv_summary.csv": "b9c0a86a2d47f5e699ee34fa9484d19c160efeb5a2cae71e6c10846050c2af29"
+    },
+    "prune_demo": {
+        "overlay.dot": "1c28914686437aef79404137577aeb8d6e7dcdef0dd3b4d62f7e15b7a72f4909",
+        "pruned.json": "8c0b5d77a78f3c42b624f91cd875cf3329dfa91d64ecc239e8f794561ade3aea",
+        "tree.json": "955249e9e9b3fe5d290068bc961916a837489a2378ec12603e7c59458a09745f"
+    }
+}

@@ -1,11 +1,66 @@
-"""Regenerate the frozen fixtures in tests/_frozen.py (prints to stdout)."""
+"""Regenerate the frozen fixtures in tests/_frozen.py (prints to stdout).
 
+``python tests/generate_frozen.py`` prints the calibration constants and the
+ratio interval; ``python tests/generate_frozen.py --outputs`` prints the
+output digests of the fixed CLI runs.
+"""
+
+import hashlib
 import json
 import math
+import os
+import sys
+import tempfile
 
 import numpy as np
 
 import gwising as g
+from gwising.cli import parse_and_dispatch
+
+# small fixed CLI runs whose output bytes are frozen: (subcommand, config
+# fields over OUTPUT_BASE_CONFIG) or, for prune-demo, its argument list
+OUTPUT_BASE_CONFIG = {
+    "schema_version": 1,
+    "pmf": {"entries": [[1, 0.5], [2, 0.5]]},
+    "beta": 0.9,
+    "p_schedule": {"kind": "constant", "c": 0.3},
+    "n_grid": [4, 8],
+    "replicas": 60,
+    "mode": "magnetization",
+    "master_seed": 7,
+}
+OUTPUT_RUNS = {
+    "magnetization_direct_leaves_only": (
+        "magnetization-scan", {"method": "direct", "field_mode": "leaves_only"}),
+    "magnetization_direct_whole_tree": (
+        "magnetization-scan", {"method": "direct", "field_mode": "whole_tree"}),
+    "magnetization_pruned": ("magnetization-scan", {"method": "pruned"}),
+    "capacity": ("capacity-scan", {"mode": "capacity", "beta": 0.8, "replicas": 30}),
+    "gamma": ("gamma-profile", {"mode": "gamma", "n_grid": [6, 12], "replicas": 1}),
+    "tv": ("tv-scan", {"mode": "tv", "n_grid": [6, 12], "replicas": 1}),
+    "prune_demo": ("prune-demo", ["--pmf", "1:0.5,2:0.5", "--n", "6",
+                                  "--p", "0.3", "--seed", "5"]),
+}
+
+
+def output_digests(name: str, workdir: str) -> dict[str, str]:
+    """Run one entry of OUTPUT_RUNS in ``workdir``; sha256 of each output file."""
+    command, spec = OUTPUT_RUNS[name]
+    out = os.path.join(workdir, name)
+    if command == "prune-demo":
+        argv = [command, *spec]
+    else:
+        config = os.path.join(workdir, f"{name}.json")
+        with open(config, "w") as handle:
+            json.dump({**OUTPUT_BASE_CONFIG, **spec}, handle)
+        argv = [command, "--config", config]
+    if parse_and_dispatch(["--quiet", *argv, "--out", out]) != 0:
+        raise RuntimeError(f"{name}: {command} failed")
+    digests = {}
+    for file in sorted(os.listdir(out)):
+        with open(os.path.join(out, file), "rb") as handle:
+            digests[file] = hashlib.sha256(handle.read()).hexdigest()
+    return digests
 
 
 def ratio_corpus(seed: int, reps: int) -> np.ndarray:
@@ -23,7 +78,11 @@ def ratio_corpus(seed: int, reps: int) -> np.ndarray:
     return np.array(ratios)
 
 
-if __name__ == "__main__":
+if __name__ == "__main__" and sys.argv[1:] == ["--outputs"]:
+    with tempfile.TemporaryDirectory() as workdir:
+        digests = {name: output_digests(name, workdir) for name in OUTPUT_RUNS}
+    print("OUTPUT_DIGESTS =", json.dumps(digests, indent=4))
+elif __name__ == "__main__":
     for name, pmf in (("dirac2", g.OffspringPmf.dirac(2)),
                       ("half13", g.OffspringPmf.from_dict({1: 0.5, 3: 0.5}))):
         print(name, json.dumps(g.calibrate_constants(pmf, 2.0), indent=2))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,8 +7,12 @@ import sys
 import pytest
 
 import gwising
+from gwising import OffspringPmf
 from gwising.cli import atomic_write_text, load_config, parse_and_dispatch, parse_pmf_spec
-from gwising.experiments import ConfigError
+from gwising.experiments import ConfigError, ExperimentConfig, PSchedule
+
+from _frozen import OUTPUT_DIGESTS
+from generate_frozen import OUTPUT_RUNS, output_digests
 
 
 def write_config(path, **overrides):
@@ -30,6 +35,29 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path / "c.json", typo_key=1)
     with pytest.raises(ConfigError, match="typo_key"):
         load_config(path)
+
+
+def test_load_config_with_required_keys_only_takes_dataclass_defaults(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "pmf": {"entries": [[1, 0.5], [2, 0.5]]}, "beta": 0.9,
+        "p_schedule": {"kind": "constant", "c": 0.4}, "n_grid": [3, 5],
+        "replicas": 12, "mode": "gamma"}))
+    cfg = load_config(str(path))
+    assert cfg == ExperimentConfig(
+        pmf=OffspringPmf.from_dict({1: 0.5, 2: 0.5}), beta=0.9,
+        schedule=PSchedule("constant", 0.4), n_grid=(3, 5), replicas=12, mode="gamma")
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.default is not dataclasses.MISSING:
+            assert getattr(cfg, field.name) == field.default, field.name
+
+
+def test_load_config_names_missing_keys(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"schema_version": 1, "beta": 0.9, "replicas": 3}))
+    with pytest.raises(ConfigError,
+                       match=r"missing config keys \['mode', 'n_grid', 'p_schedule', 'pmf'\]"):
+        load_config(str(path))
 
 
 def test_load_config_requires_schema_version(tmp_path):
@@ -162,7 +190,7 @@ def test_validate_writes_report_and_exit_zero(tmp_path, capsys):
     assert code == 0
     report = json.loads((out / "validation.json").read_text())
     assert report["pass"] is True
-    assert len(report["suites"]) == 4
+    assert len(report["suites"]) == 5
     capsys.readouterr()
 
 
@@ -180,6 +208,11 @@ def test_prune_demo_outputs_and_round_trip(tmp_path, capsys):
     assert (out / "pruned.json").exists()
     assert (out / "overlay.dot").read_text().startswith("digraph")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_RUNS))
+def test_outputs_match_frozen_digests(tmp_path, name):
+    assert output_digests(name, str(tmp_path)) == OUTPUT_DIGESTS[name]
 
 
 def test_atomic_write_replaces_not_appends(tmp_path):

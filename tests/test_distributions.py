@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwising import OffspringPmf, PmfError, zero_truncated_binomial, ztb_mixture
+from gwising.distributions import MIXTURE_CONSISTENCY_TOL
+from gwising.experiments import ztb_mixture_by_truncated_binomials
 
 
 def test_constructor_rejects_bad_input():
@@ -216,6 +218,21 @@ def test_ztb_mixture_properties(masses, p):
     assert mix.max_degree <= pmf.max_degree
     expected = pmf.mean() * p / (1.0 - pmf.gf(1.0 - p))
     assert mix.mean() == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(min_value=1, max_value=12),
+                       st.floats(min_value=1e-3, max_value=1.0),
+                       min_size=1, max_size=6),
+       st.floats(min_value=1e-12, max_value=1.0))
+def test_ztb_mixture_matches_truncated_binomial_mixture(masses, p):
+    total = sum(masses.values())
+    pmf = OffspringPmf.from_dict({d: w / total for d, w in masses.items()})
+    mix = ztb_mixture(pmf, p)
+    dense = np.zeros(pmf.max_degree)
+    dense[mix.degrees - 1] = mix.probs
+    oracle = ztb_mixture_by_truncated_binomials(pmf, p)
+    assert np.abs(dense - oracle).max() <= MIXTURE_CONSISTENCY_TOL
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,13 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gwising.experiments
 import gwising.ising
 from gwising import FieldMode, OffspringPmf
 from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
                                  block_replicas, replica_rng, rows_to_csv,
                                  run_capacity_scan,
                                  run_gamma_scan, run_magnetization_scan,
-                                 run_tv_scan, run_validation, validate_config,
+                                 run_tv_scan, run_validation,
+                                 suite_ztb_mixture_routes, validate_config,
                                  wilson_interval)
 from gwising.pruned_law import gamma_profile
 
@@ -244,7 +246,7 @@ def test_validation_bundle_passes_and_detects_faults(monkeypatch):
     assert report["pass"]
     assert {s["suite"] for s in report["suites"]} == {
         "lyons_vs_bruteforce", "pruning_equivalence", "pruned_law_exact",
-        "capacity_recursion_vs_oracle"}
+        "capacity_recursion_vs_oracle", "ztb_mixture_routes"}
     # sentinel: a corrupted transfer map must trip the recursion-vs-oracle suite
     true_g = gwising.ising.g_beta
     monkeypatch.setattr(gwising.ising, "g_beta",
@@ -252,6 +254,17 @@ def test_validation_bundle_passes_and_detects_faults(monkeypatch):
     broken = run_validation(cfg, instances=10, oracle_instances=1)
     assert not broken["suites"][0]["pass"]
     assert not broken["pass"]
+
+
+def test_ztb_mixture_suite_detects_a_perturbed_route(monkeypatch):
+    assert suite_ztb_mixture_routes(40, seed=3)["pass"]
+    # sentinel: masses computed at a slightly wrong survival probability
+    true_mix = gwising.experiments.ztb_mixture
+    monkeypatch.setattr(gwising.experiments, "ztb_mixture",
+                        lambda pmf, p: true_mix(pmf, p * (1 - 1e-6)))
+    broken = suite_ztb_mixture_routes(40, seed=3)
+    assert not broken["pass"]
+    assert broken["max_error"] > 1e3 * broken["tolerance"]
 
 
 def test_wilson_interval_behaviour():

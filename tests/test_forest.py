@@ -157,9 +157,4 @@ def test_forest_sweeps_equal_per_tree_sweeps(seed, num_trees, same_depth,
             want_phi.append(capacity_recursion(t, res, p).phi)
     got = np.concatenate(got_r + got_phi)
     want = np.concatenate(want_r + want_phi)
-    # a childless vertex above the bottom sends its whole generation down the
-    # cumulative-sum branch of segment_sums, which rounds differently
-    if forest.leaves_only_at_bottom:
-        np.testing.assert_array_equal(got, want)
-    else:
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got, want)

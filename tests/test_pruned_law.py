@@ -7,9 +7,8 @@ from scipy import stats
 
 from gwising import (FieldMode, OffspringPmf, PmfError, Tree,
                      calibrate_constants, gamma_profile, moments, mu_star,
-                     prune, pruned_tree_probability, sample_pruned_direct,
-                     sample_gw, sample_field, tilde_mu0, tv_distance,
-                     tv_profile)
+                     prune, pruned_tree_probability, sample_gw, sample_field,
+                     tilde_mu0, tv_distance, tv_profile)
 from gwising.pruned_law import (PrunedLawSampler, fit_g_upper_constant,
                                 k1_bar_star, tv_crossing)
 from gwising.tree import enumerate_trees
@@ -164,8 +163,9 @@ def test_sigma_bound_by_survival_power(half13):
 
 
 def test_sampler_never_empty_at_p_one(rng, half12):
+    sampler = PrunedLawSampler(gamma_profile(half12, 1.0, 5))
     for _ in range(40):
-        tree = sample_pruned_direct(half12, 1.0, 5, rng)
+        tree = sampler.sample(rng)
         assert tree is not None
         assert tree.n == 5
         assert tree.leaves_only_at_bottom

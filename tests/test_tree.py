@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwising import (OffspringPmf, PopulationCapError, Tree, enumerate_trees,
                      gw_probability, leaves_under, sample_gw,
@@ -20,6 +22,21 @@ def test_segment_sums_handles_zero_segments():
     assert segment_sums(values, counts).tolist() == [3.0, 0.0, 3.0]
     assert segment_sums(np.array([1.0, 1.0]), np.array([1, 1])).tolist() == [1.0, 1.0]
     assert segment_sums(np.zeros(0), np.zeros(0, dtype=int)).size == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(head=st.lists(st.integers(0, 6), max_size=8),
+       tail=st.lists(st.integers(0, 6), max_size=8), seed=st.integers(0, 2**32 - 1))
+def test_segment_sums_equal_each_segment_summed_alone(head, tail, seed):
+    # empty segments first, in the middle and last
+    counts = np.array([0, *head, 0, *tail, 0], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    size = int(counts.sum())
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size=size)
+    ends = np.cumsum(counts)
+    want = [np.add.reduceat(values[end - c:end], [0])[0] if c else 0.0
+            for c, end in zip(counts, ends)]
+    np.testing.assert_array_equal(segment_sums(values, counts), want)
 
 
 def test_arena_layout():
