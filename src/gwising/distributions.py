@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.special import comb, logsumexp
 
 NORMALIZATION_TOL = 1e-12
 MIXTURE_CONSISTENCY_TOL = 1e-12
@@ -154,8 +152,10 @@ class OffspringPmf:
         if log_s == -math.inf:
             m0 = self.mass(0)
             return math.log(m0) if m0 > 0 else -math.inf
-        return float(logsumexp(np.log(self.probs[self.probs > 0])
-                               + self.degrees[self.probs > 0] * log_s))
+        nz = self.probs > 0
+        terms = np.log(self.probs[nz]) + self.degrees[nz] * log_s
+        top = terms.max()
+        return float(top + math.log(np.exp(terms - top).sum()))
 
     def one_minus_gf_at_one_minus(self, t) -> float | np.ndarray:
         """F(t) = 1 - G(1 - t), computed stably for small t.
@@ -210,11 +210,11 @@ def zero_truncated_binomial(n: int, p: float) -> OffspringPmf:
         raise ValueError("need at least one trial")
     if not (0.0 < p <= 1.0):
         raise ValueError("success probability must lie in (0, 1]")
-    k = np.arange(1, n + 1)
     # 1 - (1-p)^n without cancellation
     denom = -math.expm1(n * math.log1p(-p)) if p < 1.0 else 1.0
-    masses = stats.binom.pmf(k, n, p) / denom
-    return OffspringPmf(k, masses)
+    masses = [math.comb(n, n - d) * (1.0 - p) ** (n - d) * p**d / denom
+              for d in range(1, n + 1)]
+    return OffspringPmf(np.arange(1, n + 1), np.array(masses))
 
 
 def ztb_mixture(pmf: OffspringPmf, p: float) -> OffspringPmf:
@@ -244,7 +244,7 @@ def ztb_mixture(pmf: OffspringPmf, p: float) -> OffspringPmf:
         big_d = int(big_d)
         for d in range(1, big_d + 1):
             ell = big_d - d
-            raw[d - 1] += mass * comb(big_d, ell) * (1.0 - p) ** ell * p**d
+            raw[d - 1] += mass * math.comb(big_d, ell) * (1.0 - p) ** ell * p**d
     raw /= survival_norm
     masses = raw / raw.sum()
     nz = masses > 0

@@ -25,7 +25,7 @@ from .fields import FieldMode, plus_boundary_field, sample_field
 from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
                          gamma_profile, k1_bar_star, moments, tv_crossing,
                          tv_profile)
-from .tree import Tree, sample_gw
+from .tree import PopulationCapError, Tree, sample_gw
 
 EXPERIMENT_IDS = {"magnetization": 1, "gamma": 2, "capacity": 3, "tv": 4, "validate": 5}
 SCHEDULE_KINDS = ("constant", "geometric", "threshold", "threshold_geometric")
@@ -401,20 +401,16 @@ def run_tv_scan(cfg: ExperimentConfig, crossing_window: float = 5.0) -> dict:
 
 def random_small_tree(rng: np.random.Generator, max_vertices: int = 14,
                       max_degree: int = 3, max_depth: int = 4) -> Tree:
-    """Rejection-sample a tree with bounded size, degrees and depth."""
+    """Rejection-sample a Galton-Watson tree with uniform offspring on
+    1..max_degree, a uniform depth in 1..max_depth and at most
+    ``max_vertices`` vertices."""
+    law = OffspringPmf(np.arange(1, max_degree + 1), np.full(max_degree, 1.0 / max_degree))
     while True:
         depth = int(rng.integers(1, max_depth + 1))
-        counts = []
-        size, total = 1, 1
-        for _ in range(depth):
-            c = rng.integers(1, max_degree + 1, size=size)
-            counts.append(c.astype(np.int64))
-            size = int(c.sum())
-            total += size
-            if total > max_vertices:
-                break
-        else:
-            return Tree.from_offspring_counts(counts)
+        try:
+            return sample_gw(law, depth, rng, max_vertices)
+        except PopulationCapError:
+            pass
 
 
 def suite_lyons_vs_bruteforce(instances: int, seed: int = 0,

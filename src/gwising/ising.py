@@ -3,9 +3,9 @@ recursion, a brute-force Gibbs enumeration oracle, and the analytic mean
 upper bounds.
 
 Log-likelihood ratios r are extended reals: finite nonnegative values plus
-``math.inf``, which tags the plus-boundary-condition initialization.  The
-infinity is always routed through an explicit branch (g maps it to exactly
-2*beta), so no arithmetic on infinities and no NaN can occur.
+``math.inf``, the ratio of a leaf pinned by the plus boundary condition.  g
+maps the infinity to exactly 2*beta through an explicit branch, and the only
+arithmetic on it is a childless vertex's inf + 0, so no NaN can occur.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ def _backward_sweep(tree: Tree, r: np.ndarray, bias: np.ndarray, beta: float) ->
 
 
 def lyons_plus(tree: Tree, beta: float) -> np.ndarray:
-    """Per-vertex ratios with plus boundary condition: leaves start at +inf,
-    internal vertices accumulate r(u) = sum_children g(r(child))."""
-    r = np.zeros(tree.num_vertices)
-    r[tree.num_children == 0] = math.inf
-    return _backward_sweep(tree, r, np.zeros(tree.num_vertices), beta)
+    """Per-vertex ratios with plus boundary condition: every leaf, at any
+    depth, is +inf, and internal vertices accumulate
+    r(u) = sum_children g(r(child))."""
+    bias = np.where(tree.num_children == 0, math.inf, 0.0)
+    return _backward_sweep(tree, bias.copy(), bias, beta)
 
 
 def lyons_field(tree: Tree, fld: FieldAssignment, beta: float) -> np.ndarray:

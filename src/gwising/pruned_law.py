@@ -82,11 +82,7 @@ class GammaProfile:
     def nu_star(self, k: int) -> float:
         """Mean offspring of generation k in the pruned tree:
         nu (1 - gamma_{k+1}) / (1 - gamma_k)."""
-        nu = self.pmf.mean()
-        num, den = self.one_minus_gamma[k + 1], self.one_minus_gamma[k]
-        if num > 0 and den > 0:
-            return nu * num / den
-        return nu * math.exp(self.log_one_minus_gamma[k + 1] - self.log_one_minus_gamma[k])
+        return self.mean_generation_size(k, k + 1)
 
     def mean_generation_size(self, i: int, j: int) -> float:
         """M*_{i,j} = prod_{k=i}^{j-1} nu*_k, via the telescoped closed form

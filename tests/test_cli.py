@@ -133,6 +133,17 @@ def test_module_entry_point_prints_usage():
     assert "magnetization-scan" in done.stdout
 
 
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(gwising.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, gwising.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_magnetization_scan_writes_csv(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "out"

@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import comb, logsumexp
 
 from gwising import OffspringPmf, PmfError, zero_truncated_binomial, ztb_mixture
 from gwising.distributions import MIXTURE_CONSISTENCY_TOL
@@ -249,3 +252,74 @@ def test_random_pmf_invariants(masses):
     grid = np.linspace(0, 1, 33)
     g = pmf.gf(grid)
     assert np.all((g >= -1e-15) & (g <= 1 + 1e-12))
+
+
+# The scipy formulas that distributions.py used before it dropped scipy, kept
+# here as oracles for the numpy-only replacements.
+
+def ztb_mixture_scipy(pmf, p):
+    dmax = pmf.max_degree
+    raw = np.zeros(dmax)
+    for big_d, mass in zip(pmf.degrees, pmf.probs):
+        big_d = int(big_d)
+        for d in range(1, big_d + 1):
+            ell = big_d - d
+            raw[d - 1] += mass * comb(big_d, ell) * (1.0 - p) ** ell * p**d
+    raw /= float(pmf.one_minus_gf_at_one_minus(p))
+    masses = raw / raw.sum()
+    nz = masses > 0
+    return np.arange(1, dmax + 1)[nz], masses[nz]
+
+
+def zero_truncated_binomial_scipy(n, p):
+    denom = -math.expm1(n * math.log1p(-p)) if p < 1.0 else 1.0
+    return stats.binom.pmf(np.arange(1, n + 1), n, p) / denom
+
+
+trial_laws = st.dictionaries(st.integers(min_value=1, max_value=30),
+                             st.floats(min_value=1e-3, max_value=1.0),
+                             min_size=1, max_size=6)
+log_uniform_p = st.one_of(st.just(1.0), st.floats(min_value=-12.0, max_value=0.0).map(
+    lambda e: 10.0**e))
+
+
+@settings(max_examples=80, deadline=None)
+@given(trial_laws, log_uniform_p)
+def test_ztb_mixture_matches_scipy_comb_bitwise(masses, p):
+    total = sum(masses.values())
+    pmf = OffspringPmf.from_dict({d: w / total for d, w in masses.items()})
+    degrees, probs = ztb_mixture_scipy(pmf, p)
+    law = ztb_mixture(pmf, p)
+    assert np.array_equal(law.degrees, degrees)
+    assert np.array_equal(law.probs, probs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.integers(min_value=0, max_value=30),
+                       st.floats(min_value=1e-3, max_value=1.0),
+                       min_size=1, max_size=6),
+       st.floats(min_value=-8.0, max_value=3.0))
+def test_log_gf_matches_scipy_logsumexp(masses, log10_minus_log_s):
+    total = sum(masses.values())
+    pmf = OffspringPmf.from_dict({d: w / total for d, w in masses.items()})
+    log_s = -(10.0**log10_minus_log_s)
+    expected = float(logsumexp(np.log(pmf.probs) + pmf.degrees * log_s))
+    # log-sum-exp errs by a few ulps of max(1, |result|): the log of a sum
+    # near 1 is accurate in absolute, not relative, terms
+    assert abs(pmf.log_gf(log_s) - expected) <= 4 * math.ulp(max(1.0, abs(expected)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=30), log_uniform_p)
+def test_zero_truncated_binomial_matches_scipy_and_exact(n, p):
+    probs = zero_truncated_binomial(n, p).probs
+    exact_p = Fraction(p)
+    exact_denom = 1 - (1 - exact_p) ** n
+    exact = np.array([float(math.comb(n, d) * exact_p**d * (1 - exact_p) ** (n - d)
+                            / exact_denom) for d in range(1, n + 1)])
+    normal = exact > 1e-290  # relative accuracy is lost among subnormals
+    np.testing.assert_allclose(probs[normal], exact[normal], rtol=1e-14, atol=0)
+    # scipy's binom.pmf is itself off by up to about 1e-13 for p below 1e-4
+    if p >= 1e-4:
+        oracle = zero_truncated_binomial_scipy(n, p)
+        np.testing.assert_allclose(probs[normal], oracle[normal], rtol=1e-14, atol=0)

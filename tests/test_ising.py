@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gwising import (FieldAssignment, FieldMode, Tree, g_beta,
+from gwising import (FieldAssignment, FieldMode, OffspringPmf, Tree, g_beta,
                      gibbs_bruteforce, lyons_field, lyons_plus, magnetization,
                      plus_boundary_field, sample_field, sample_gw,
-                     upper_bound_mean_r)
+                     sample_inhomogeneous_bp, upper_bound_mean_r)
 from gwising.experiments import random_small_tree
 from gwising.ising import critical_fixed_point
 
@@ -121,14 +121,24 @@ def test_bruteforce_size_guard():
 
 
 def test_bruteforce_plus_boundary_condition_matches_lyons_plus(rng, half12):
-    for _ in range(25):
-        t = sample_gw(half12, int(rng.integers(1, 4)), rng)
+    # sample_gw trees have their leaves at the bottom only; a law with mass
+    # at 0 also gives leaves above it, which the boundary pins to +1 as well
+    with_early_leaves = OffspringPmf.from_dict({0: 0.3, 1: 0.3, 2: 0.4})
+    early_leaf_trees = 0
+    for i in range(50):
+        depth = int(rng.integers(1, 4))
+        if i % 2:
+            t = sample_inhomogeneous_bp([with_early_leaves] * depth, rng)
+        else:
+            t = sample_gw(half12, depth, rng)
         if t.num_vertices > 16:
             continue
+        early_leaf_trees += not t.leaves_only_at_bottom
         beta = float(rng.uniform(0.2, 1.2))
         r_rec = lyons_plus(t, beta)[0]
         _, r_brute = gibbs_bruteforce(t, None, beta, plus_boundary_condition=True)
         assert r_rec == pytest.approx(r_brute, abs=1e-10)
+    assert early_leaf_trees >= 5
 
 
 def test_oracle_equivalence_sweep(rng):
