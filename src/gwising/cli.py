@@ -115,8 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("GWISING_WORKERS", 0)) or None)
+        p.add_argument("--workers", type=int, default=None)
 
     for name in ("gamma-profile", "magnetization-scan", "capacity-scan", "tv-scan"):
         common(sub.add_parser(name))

@@ -153,9 +153,7 @@ class OffspringPmf:
             m0 = self.mass(0)
             return math.log(m0) if m0 > 0 else -math.inf
         nz = self.probs > 0
-        terms = np.log(self.probs[nz]) + self.degrees[nz] * log_s
-        top = terms.max()
-        return float(top + math.log(np.exp(terms - top).sum()))
+        return logsumexp(np.log(self.probs[nz]) + self.degrees[nz] * log_s)
 
     def one_minus_gf_at_one_minus(self, t) -> float | np.ndarray:
         """F(t) = 1 - G(1 - t), computed stably for small t.
@@ -194,6 +192,15 @@ class OffspringPmf:
         entries = data["entries"]
         return cls(np.array([e[0] for e in entries], dtype=np.int64),
                    np.array([e[1] for e in entries], dtype=np.float64))
+
+
+def logsumexp(values) -> float:
+    """log sum_i exp(values[i]), shifted by the largest value so that no exp
+    overflows; -inf for an empty input or when every value is -inf."""
+    top = np.max(values, initial=-math.inf)
+    if top == -math.inf:
+        return -math.inf
+    return float(top + math.log(np.exp(np.subtract(values, top)).sum()))
 
 
 def _check_q(q: float) -> None:

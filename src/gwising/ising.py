@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .distributions import logsumexp
 from .fields import FieldAssignment
 from .tree import Tree
 
@@ -118,23 +119,10 @@ def gibbs_bruteforce(tree: Tree, fld: FieldAssignment | None, beta: float,
             s[:, v] = (((idx >> np.uint64(slot)) & np.uint64(1)).astype(float) * 2.0) - 1.0
         energy = beta * ((s[:, edges_u] * s[:, edges_v]).sum(axis=1) + s @ h)
         is_plus = s[:, 0] > 0
-        if np.any(is_plus):
-            m = energy[is_plus].max()
-            log_terms_plus.append(m + math.log(np.exp(energy[is_plus] - m).sum()))
-        if np.any(~is_plus):
-            m = energy[~is_plus].max()
-            log_terms_minus.append(m + math.log(np.exp(energy[~is_plus] - m).sum()))
-    log_zp = _logsumexp_list(log_terms_plus)
-    log_zm = _logsumexp_list(log_terms_minus)
-    r = log_zp - log_zm
+        log_terms_plus.append(logsumexp(energy[is_plus]))
+        log_terms_minus.append(logsumexp(energy[~is_plus]))
+    r = logsumexp(log_terms_plus) - logsumexp(log_terms_minus)
     return math.tanh(r / 2.0), r
-
-
-def _logsumexp_list(values: list[float]) -> float:
-    if not values:
-        return -math.inf
-    m = max(values)
-    return m + math.log(sum(math.exp(v - m) for v in values))
 
 
 def critical_fixed_point(beta: float, nu: float, p_n: float, tol: float = 1e-12) -> float:

@@ -8,9 +8,10 @@ binomial mixtures), their means, fractional variances and growth factors, the
 transition generation k*, direct samplers, exact tree probabilities, and
 total-variation diagnostics.
 
-Profiles carry both linear and log-space tracks so that quantities stay
-meaningful when survival probabilities underflow (doubly-exponential decay of
-gamma_bar, or p_n below the smallest normal double).
+A profile iterates one recursion per generation, on whichever of gamma_bar
+and 1 - gamma_bar is small, and takes the other as the complement.  Both are
+held in linear and in log space; a side below the linear underflow threshold
+(doubly-exponential decay of gamma_bar, or a tiny p_n) is carried by its log.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .distributions import ConsistencyError, OffspringPmf, PmfError, ztb_mixture
 from .tree import DEFAULT_POPULATION_CAP, Tree, sample_inhomogeneous_bp
 
 LINEAR_UNDERFLOW = 1e-300
+_LOG_MAX = math.log(np.finfo(float).max)
 MEAN_CONSISTENCY_TOL = 1e-12
 
 
@@ -37,7 +39,7 @@ class GammaProfile:
     ``gamma_bar[k] = gamma[n-k]`` is the same indexed by distance to the
     leaves and satisfies gamma_bar_0 = 1 - p_n, gamma_bar_k = G(gamma_bar_{k-1}).
     ``log_gamma_bar`` and ``log_one_minus_gamma_bar`` stay finite past the
-    linear underflow threshold.
+    linear underflow threshold, where the linear values are their exp.
     """
 
     pmf: OffspringPmf
@@ -85,25 +87,29 @@ class GammaProfile:
         return self.mean_generation_size(k, k + 1)
 
     def mean_generation_size(self, i: int, j: int) -> float:
-        """M*_{i,j} = prod_{k=i}^{j-1} nu*_k, via the telescoped closed form
-        nu^{j-i} (1 - gamma_j) / (1 - gamma_i)."""
+        """M*_{i,j} = prod_{k=i}^{j-1} nu*_k = nu^{j-i} (1 - gamma_j) / (1 - gamma_i),
+        in log space when a factor is below ``LINEAR_UNDERFLOW`` or nu^{j-i}
+        overflows; inf only when M*_{i,j} itself exceeds the double range."""
         if not 0 <= i <= j <= self.n:
             raise ValueError("need 0 <= i <= j <= n")
         nu = self.pmf.mean()
-        num, den = self.one_minus_gamma[j], self.one_minus_gamma[i]
-        if num > 0 and den > 0:
+        num, den = float(self.one_minus_gamma[j]), float(self.one_minus_gamma[i])
+        if min(num, den) >= LINEAR_UNDERFLOW and (j - i) * math.log(nu) < _LOG_MAX:
             return nu ** (j - i) * num / den
-        return math.exp((j - i) * math.log(nu)
-                        + self.log_one_minus_gamma[j] - self.log_one_minus_gamma[i])
+        log_m = (j - i) * math.log(nu) + self.log_one_minus_gamma[j] - self.log_one_minus_gamma[i]
+        return math.exp(log_m) if log_m < _LOG_MAX else math.inf
 
 
 def gamma_profile(pmf: OffspringPmf, p_n: float, n: int) -> GammaProfile:
-    """Iterate gamma_bar_0 = 1 - p_n, gamma_bar_k = G(gamma_bar_{k-1}).
+    """Iterate t = 1 - gamma_bar from p_n by t <- F(t) = 1 - G(1 - t) while
+    nu t < 1/2 (so t stays below 1/2), then gamma_bar by G; the other side is
+    the complement, its log from log1p.  A gamma_bar near 1 holds t only to an
+    ulp of 1, so G would lose t there; past the switch t >= 1/(2 nu).  A side
+    that is, or may step, below ``LINEAR_UNDERFLOW`` is carried by its log
+    (log t + log nu, as F(t) = nu t there; or log G), its linear value by exp.
 
     Rejects p_n = 0, where the pruned law degenerates (conditioning on a null
-    event).  The log tracks are propagated through log G (a logsumexp over the
-    support) and through log F(t) ~ log(nu t) once 1 - gamma_bar drops below
-    the linear underflow threshold.
+    event).
     """
     if not (0.0 < p_n <= 1.0):
         raise ValueError("leaf mark probability must lie in (0, 1]")
@@ -111,26 +117,30 @@ def gamma_profile(pmf: OffspringPmf, p_n: float, n: int) -> GammaProfile:
         raise PmfError("pruning a tree with internal extinction is not supported")
     nu = pmf.mean()
     log_nu = math.log(nu)
-
-    g = np.empty(n + 1)        # gamma_bar
-    t = np.empty(n + 1)        # 1 - gamma_bar
-    lg = np.empty(n + 1)       # log gamma_bar
-    lt = np.empty(n + 1)       # log(1 - gamma_bar)
-    g[0] = 1.0 - p_n
-    t[0] = p_n
+    log_floor = math.log(LINEAR_UNDERFLOW)
+    # gamma_bar, 1 - gamma_bar, and their logs
+    g, t, lg, lt = np.empty((4, n + 1))
+    g[0], t[0] = 1.0 - p_n, p_n
     lg[0] = math.log1p(-p_n) if p_n < 1.0 else -math.inf
     lt[0] = math.log(p_n)
     for k in range(1, n + 1):
-        g[k] = pmf.gf(g[k - 1]) if g[k - 1] > 0.0 else 0.0
-        lg[k] = pmf.log_gf(lg[k - 1])
-        t[k] = pmf.one_minus_gf_at_one_minus(t[k - 1])
-        if t[k - 1] >= LINEAR_UNDERFLOW and t[k] > 0.0:
-            lt[k] = math.log(t[k]) if t[k] < 0.5 else math.log1p(-g[k])
+        if nu * t[k - 1] < 0.5:
+            if lt[k - 1] < log_floor:
+                lt[k] = lt[k - 1] + log_nu
+                t[k] = math.exp(lt[k])
+            else:
+                t[k] = pmf.one_minus_gf_at_one_minus(t[k - 1])
+                lt[k] = math.log(t[k])
+            g[k], lg[k] = 1.0 - t[k], math.log1p(-t[k])
         else:
-            # below underflow F(t) = nu t to full double precision
-            lt[k] = lt[k - 1] + log_nu
-        if t[k] > 1.0:
-            t[k] = 1.0
+            # G(s) >= s^max_degree, so the linear step cannot underflow
+            if pmf.max_degree * lg[k - 1] < log_floor:
+                lg[k] = pmf.log_gf(lg[k - 1])
+                g[k] = math.exp(lg[k])
+            else:
+                g[k] = pmf.gf(g[k - 1])
+                lg[k] = math.log(g[k])
+            t[k], lt[k] = 1.0 - g[k], math.log1p(-g[k])
     return GammaProfile(pmf, n, p_n, g, t, lg, lt)
 
 
@@ -188,21 +198,18 @@ def moments(profile: GammaProfile, q: float) -> PrunedMoments:
     """Assemble nu*_k, sigma*_{q,k}, M*_{0,k} and v*_{k,n}.
 
     Every mu*_k pmf is built by ``mu_star``, which checks its mean against
-    the closed form.
+    the closed form.  Since M*_{k,i} = nu*_k M*_{k+1,i}, v*_{k,n} = 1 + S_k
+    with S_k = sigma*_{q,k} + nu*_k^{-(q-1)} S_{k+1} and S_n = 0.
     """
     n = profile.n
     nu_star_arr = np.array([profile.nu_star(k) for k in range(n)])
-    sigma = np.empty(n)
-    for k in range(n):
-        law = mu_star(profile, k)
-        sigma[k] = law.q_moment(q) - law.mean() ** q
+    sigma = np.array([mu_star(profile, k).q_variance(q) for k in range(n)])
     m_0k = np.array([profile.mean_generation_size(0, k) for k in range(n + 1)])
     v_kn = np.empty(n)
-    for k in range(n):
-        acc = 1.0
-        for i in range(k, n):
-            acc += sigma[i] * profile.mean_generation_size(k, i) ** (-(q - 1.0))
-        v_kn[k] = acc
+    tail = 0.0
+    for k in range(n - 1, -1, -1):
+        tail = sigma[k] + nu_star_arr[k] ** (-(q - 1.0)) * tail
+        v_kn[k] = 1.0 + tail
     return PrunedMoments(profile, q, nu_star_arr, sigma, m_0k, v_kn)
 
 
@@ -297,8 +304,6 @@ def k1_bar_star(profile: GammaProfile, q: float, c_mu: float) -> int:
     acc = 0.0
     for k in range(profile.n + 1):
         t = float(profile.one_minus_gamma_bar[k])
-        if t <= 0.0:
-            t = math.exp(profile.log_one_minus_gamma_bar[k])
         acc += c_mu * t ** (q - 1.0)
         if acc > 0.5:
             return k

@@ -60,11 +60,11 @@ OUTPUT_DIGESTS = {
     },
     "gamma": {
         "gamma_bounds.csv": "73d8e4bd696df67a895a6daf0bdfd7849a93e77333351b6c076c746883a350ab",
-        "gamma_profile.csv": "f85a64dbfd0741d00a429d9fea006e1209b19b6e608ab1445bdbf7baabc56aa6"
+        "gamma_profile.csv": "81bb9fccf52508ec349507d1fb74a4d671ea361857447f434b68138407521a18"
     },
     "tv": {
-        "tv.csv": "bbeb039362435ac765aeee30187e7b4e41679862602a46cab99b0e687d0c636d",
-        "tv_summary.csv": "b9c0a86a2d47f5e699ee34fa9484d19c160efeb5a2cae71e6c10846050c2af29"
+        "tv.csv": "e1166e31e412dcc65dc101e6b373d1bbef4379c79dcc043b044b253a6cf9f947",
+        "tv_summary.csv": "9e70e51206925c3a9418a89ac1654d25d340da28dddf099a8805d9438dd192e6"
     },
     "prune_demo": {
         "overlay.dot": "1c28914686437aef79404137577aeb8d6e7dcdef0dd3b4d62f7e15b7a72f4909",

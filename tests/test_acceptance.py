@@ -73,11 +73,19 @@ def test_criterion_04_gamma_iteration_identities():
     worst = 0.0
     for name in ("dirac2", "half12", "half13"):
         pmf = PMFS[name]
-        for p_n in (0.25, 0.6):
+        nu = pmf.mean()
+        for p_n in (0.25, 0.6, 0.1):
             profile = g.gamma_profile(pmf, p_n, 12)
-            assert profile.gamma_bar[0] == 1.0 - p_n
+            g_bar, t_bar = profile.gamma_bar, profile.one_minus_gamma_bar
+            assert g_bar[0] == 1.0 - p_n and t_bar[0] == p_n
+            # the recursion that runs: F on 1 - gamma_bar while nu (1 - gamma_bar)
+            # < 1/2, then G on gamma_bar; the other side is the complement
             for k in range(1, 13):
-                assert profile.gamma_bar[k] == pmf.gf(profile.gamma_bar[k - 1])
+                if nu * t_bar[k - 1] < 0.5:
+                    assert t_bar[k] == pmf.one_minus_gf_at_one_minus(t_bar[k - 1])
+                else:
+                    assert g_bar[k] == pmf.gf(g_bar[k - 1])
+                assert abs(g_bar[k] + t_bar[k] - 1.0) <= math.ulp(1.0)
     # Dirac-2 closed form (1-p)^(2^k), compared in log space below underflow
     for p_n in (0.3, 0.5):
         profile = g.gamma_profile(PMFS["dirac2"], p_n, 20)

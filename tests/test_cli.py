@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -178,6 +180,30 @@ def test_gamma_profile_columns(tmp_path, capsys):
     assert header == ("n,p_n,k,gamma_k,one_minus_gamma_k,nu_star_k,"
                       "sigma_q_star_k,M_star_0k,k_star")
     assert (out / "gamma_bounds.csv").exists()
+    capsys.readouterr()
+
+
+def test_gamma_profile_where_nu_power_overflows(tmp_path, capsys):
+    # uniform on 1..8 at the threshold schedule, n = 480: nu^480 = 4.5^480
+    # passes the double range while log M*_{0,480} is about 107
+    cfg = write_config(tmp_path / "c.json", mode="gamma", replicas=1, n_grid=[480],
+                       pmf={"entries": [[d, 0.125] for d in range(1, 9)]},
+                       beta=math.atanh(0.8), p_schedule={"kind": "threshold", "c": 1.0})
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["--quiet", "gamma-profile", "--config", cfg,
+                               "--out", str(out)]) == 0
+    with open(out / "gamma_profile.csv") as handle:
+        m_star = [float(row["M_star_0k"]) for row in csv.DictReader(handle)]
+    assert len(m_star) == 481 and all(math.isfinite(m) for m in m_star)
+    assert math.log(m_star[-1]) == pytest.approx(107.1, abs=0.05)
+    capsys.readouterr()
+
+
+def test_workers_environment_variable_is_ignored(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GWISING_WORKERS", "two")
+    cfg = write_config(tmp_path / "c.json", mode="gamma", replicas=1, n_grid=[4])
+    assert parse_and_dispatch(["--quiet", "gamma-profile", "--config", cfg,
+                               "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
 
 

@@ -9,7 +9,7 @@ from scipy import stats
 from scipy.special import comb, logsumexp
 
 from gwising import OffspringPmf, PmfError, zero_truncated_binomial, ztb_mixture
-from gwising.distributions import MIXTURE_CONSISTENCY_TOL
+from gwising.distributions import MIXTURE_CONSISTENCY_TOL, logsumexp as gw_logsumexp
 from gwising.experiments import ztb_mixture_by_truncated_binomials
 
 
@@ -307,6 +307,14 @@ def test_log_gf_matches_scipy_logsumexp(masses, log10_minus_log_s):
     # log-sum-exp errs by a few ulps of max(1, |result|): the log of a sum
     # near 1 is accurate in absolute, not relative, terms
     assert abs(pmf.log_gf(log_s) - expected) <= 4 * math.ulp(max(1.0, abs(expected)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=-800.0, max_value=800.0), max_size=8))
+def test_logsumexp_matches_scipy(values):
+    expected = float(logsumexp(values)) if values else -math.inf
+    assert gw_logsumexp(values) == pytest.approx(expected, rel=4e-16, abs=4e-16)
+    assert gw_logsumexp(values + [-math.inf]) == gw_logsumexp(values)
 
 
 @settings(max_examples=80, deadline=None)

@@ -155,6 +155,17 @@ def test_oracle_equivalence_sweep(rng):
         assert abs(magnetization(r) - m_brute) <= 1e-10
 
 
+def test_bruteforce_chunks_combine_to_one_pass(rng):
+    # chunk 1 leaves one root sign out of every chunk; chunk 3 splits both
+    for _ in range(10):
+        t = random_small_tree(rng, max_vertices=9)
+        fld = sample_field(t, FieldMode.WHOLE_TREE, 0.4, rng)
+        _, r = gibbs_bruteforce(t, fld, 0.9)
+        for chunk in (1, 3):
+            _, r_c = gibbs_bruteforce(t, fld, 0.9, chunk=chunk)
+            assert r_c == pytest.approx(r, rel=1e-13, abs=1e-13)
+
+
 def test_gks_ordering(rng, half12):
     for _ in range(20):
         t = sample_gw(half12, 4, rng)

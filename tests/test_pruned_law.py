@@ -1,8 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gwising import (FieldMode, OffspringPmf, PmfError, Tree,
@@ -68,6 +71,88 @@ def test_profile_log_one_minus_track_below_underflow(half12):
     for k in range(9):
         assert profile.log_one_minus_gamma_bar[k] == pytest.approx(
             math.log(1e-320) + k * math.log(nu), rel=1e-12)
+
+
+def test_sampler_builds_below_linear_underflow(half12):
+    # 1 - gamma_bar below LINEAR_UNDERFLOW: nu*_k comes from the log track,
+    # not from a ratio of subnormals
+    sampler = PrunedLawSampler(gamma_profile(half12, 1e-320, 12))
+    assert all(law.mean() == pytest.approx(1.0, abs=1e-12) for law in sampler.laws[1:])
+
+
+def _round_bits(x: Fraction, bits: int = 400) -> Fraction:
+    """x rounded to ``bits`` significant bits."""
+    shift = bits - (x.numerator.bit_length() - x.denominator.bit_length())
+    if shift >= 0:
+        return Fraction(round(x * (1 << shift)), 1 << shift)
+    return Fraction(round(x / (1 << -shift)) << -shift)
+
+
+def _log_fraction(x: Fraction) -> float:
+    if x > Fraction(1, 2):
+        return math.log1p(-float(1 - x))
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    return math.log(float(x / Fraction(2) ** e)) + e * math.log(2.0)
+
+
+def gamma_bar_oracle(pmf, p_n, n):
+    """gamma_bar_k = G(gamma_bar_{k-1}) from 1 - p_n in rational arithmetic,
+    rounded to 400 significant bits per step.  1 - gamma_bar loses at most
+    log2(1/p_n) + n log2(nu) of them, which leaves over 200 bits in the cases
+    below."""
+    terms = [(int(d), Fraction(float(q))) for d, q in zip(pmf.degrees, pmf.probs)]
+    g_bar = [1 - Fraction(p_n)]
+    for _ in range(n):
+        g_bar.append(_round_bits(sum(q * g_bar[-1] ** d for d, q in terms)))
+    return g_bar
+
+
+@pytest.mark.parametrize("law, p_n, n", [
+    ("half12", 1.2**-100, 100),
+    ("half12", 1.2**-200, 200),
+    ("dirac2", 1.6**-50, 50),
+])
+def test_profile_matches_rational_oracle(law, p_n, n):
+    pmf = {"half12": OffspringPmf.from_dict({1: 0.5, 2: 0.5}),
+           "dirac2": OffspringPmf.dirac(2)}[law]
+    profile = gamma_profile(pmf, p_n, n)
+    for k, g_bar in enumerate(gamma_bar_oracle(pmf, p_n, n)):
+        t = float(1 - g_bar)
+        assert abs(profile.one_minus_gamma_bar[k] - t) <= 1e-14 * t, k
+        # gamma_bar is doubly-exponentially small for dirac2; its log carries
+        # it, and an error of the log is a relative error of gamma_bar
+        log_g = _log_fraction(g_bar)
+        tol = 1e-14 * max(1.0, abs(log_g))
+        assert abs(profile.log_gamma_bar[k] - log_g) <= tol, k
+        if g_bar >= Fraction(np.finfo(float).tiny):
+            assert abs(profile.gamma_bar[k] - float(g_bar)) <= tol * float(g_bar), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(min_value=1, max_value=64),
+                       st.floats(min_value=1e-3, max_value=1.0),
+                       min_size=1, max_size=5),
+       st.floats(min_value=-1000.0, max_value=0.0),
+       st.integers(min_value=1, max_value=1000))
+# a Dirac-60 law with t near 1/2 after one F step, where F(t) rounds to 1
+@example({60: 1.0}, math.log2(1.0 - 0.51 ** (1 / 60)), 4)
+def test_profile_property_over_small_mark_probabilities(masses, log2_p, n):
+    total = sum(masses.values())
+    pmf = OffspringPmf.from_dict({d: w / total for d, w in masses.items()})
+    p_n = 2.0**log2_p
+    profile = gamma_profile(pmf, p_n, n)
+    g_bar, t_bar = profile.gamma_bar, profile.one_minus_gamma_bar
+    log_g = profile.log_gamma_bar
+    assert np.all(np.isfinite(profile.log_one_minus_gamma_bar))
+    # log gamma_bar >= d_max^k log(1 - p_n) stays finite for d_max <= 2 and
+    # n <= 1000; beyond that it may pass the double range, and is then -inf
+    # with gamma_bar == 0
+    assert not np.any(np.isnan(log_g))
+    assert np.all(g_bar[log_g == -math.inf] == 0.0)
+    if pmf.max_degree <= 2 and p_n < 1.0:
+        assert np.all(np.isfinite(log_g))
+    normal = (g_bar >= np.finfo(float).tiny) & (t_bar >= np.finfo(float).tiny)
+    assert np.all(np.abs(g_bar[normal] + t_bar[normal] - 1.0) <= math.ulp(1.0))
 
 
 def test_gamma_bar_equals_mark_free_generating_function(half12):
@@ -149,6 +234,30 @@ def test_moment_identities_and_bounds(half13, dirac2):
         # telescoping consistency of the pairwise accessor
         assert mom.m_star(3, 7) == pytest.approx(
             np.prod(mom.nu_star[3:7]), rel=1e-12)
+
+
+def v_kn_double_sum(profile, q, sigma):
+    """v*_{k,n} = 1 + sum_{i=k}^{n-1} sigma*_{q,i} (M*_{k,i})^{-(q-1)}, term by term."""
+    v_kn = np.empty(profile.n)
+    for k in range(profile.n):
+        acc = 1.0
+        for i in range(k, profile.n):
+            acc += sigma[i] * profile.mean_generation_size(k, i) ** (-(q - 1.0))
+        v_kn[k] = acc
+    return v_kn
+
+
+@pytest.mark.parametrize("law, n, q", [
+    ("dirac2", 100, 2.0), ("half13", 200, 2.0), ("half12", 200, 1.5), ("half13", 30, 1.3),
+])
+def test_v_kn_backward_pass_matches_double_sum(law, n, q):
+    pmf = {"dirac2": OffspringPmf.dirac(2), "half12": OffspringPmf.from_dict({1: 0.5, 2: 0.5}),
+           "half13": OffspringPmf.from_dict({1: 0.5, 3: 0.5})}[law]
+    p_n = (pmf.mean() * 0.8) ** -n  # the threshold schedule at tanh(beta) = 0.8
+    profile = gamma_profile(pmf, p_n, n)
+    mom = moments(profile, q)
+    np.testing.assert_allclose(mom.v_kn, v_kn_double_sum(profile, q, mom.sigma_q_star),
+                               rtol=1e-13, atol=0)
 
 
 def test_sigma_bound_by_survival_power(half13):
