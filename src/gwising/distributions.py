@@ -224,7 +224,7 @@ def zero_truncated_binomial(n: int, p: float) -> OffspringPmf:
     return OffspringPmf(np.arange(1, n + 1), np.array(masses))
 
 
-def ztb_mixture(pmf: OffspringPmf, p: float) -> OffspringPmf:
+def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | tuple[OffspringPmf, ...]:
     """Zero-truncated binomial with random trial count X ~ ``pmf``.
 
     This is the offspring law of a surviving vertex whose children are kept
@@ -237,22 +237,31 @@ def ztb_mixture(pmf: OffspringPmf, p: float) -> OffspringPmf:
     renormalized to sum to one.  ``gwising validate`` checks them against the
     survival-weighted mixture of ``zero_truncated_binomial(D, p)`` over
     D ~ ``pmf`` to ``MIXTURE_CONSISTENCY_TOL``.
+
+    A float ``p`` gives one law; a 1-d array gives a tuple of laws, one per
+    entry, bit for bit equal to the float calls: powers and normalisers are
+    taken per entry on Python floats, and numpy only multiplies and adds.
     """
     if not pmf.no_zero:
         raise PmfError("mixture requires a trial-count law with no mass at 0")
-    if not (0.0 < p <= 1.0):
+    ps = np.asarray(p, dtype=float)
+    if not np.all((ps > 0.0) & (ps <= 1.0)):
         raise ValueError("survival probability must lie in (0, 1]")
 
     dmax = pmf.max_degree
     d_out = np.arange(1, dmax + 1)
-    survival_norm = float(pmf.one_minus_gf_at_one_minus(p))  # 1 - G(1-p)
-    raw = np.zeros(dmax)
-    for big_d, mass in zip(pmf.degrees, pmf.probs):
-        big_d = int(big_d)
-        for d in range(1, big_d + 1):
-            ell = big_d - d
-            raw[d - 1] += mass * math.comb(big_d, ell) * (1.0 - p) ** ell * p**d
-    raw /= survival_norm
-    masses = raw / raw.sum()
-    nz = masses > 0
-    return OffspringPmf(d_out[nz], masses[nz])
+    rows = np.atleast_1d(ps).tolist()
+    # (1 - p)^l for l < dmax and p^d for 1 <= d <= dmax, one row per entry
+    keep_pow = np.reshape([[(1.0 - s) ** ell for ell in range(dmax)] for s in rows], (-1, dmax))
+    surv_pow = np.reshape([[s**d for d in range(1, dmax + 1)] for s in rows], (-1, dmax))
+    raw = np.zeros((len(rows), dmax))
+    for big_d, mass in zip(pmf.degrees.tolist(), pmf.probs):
+        coef = np.array([mass * math.comb(big_d, big_d - d) for d in range(1, big_d + 1)])
+        raw[:, :big_d] += coef * keep_pow[:, big_d - 1::-1] * surv_pow[:, :big_d]
+    laws = []
+    for s, row in zip(rows, raw):
+        row = row / float(pmf.one_minus_gf_at_one_minus(s))  # 1 - G(1-p)
+        masses = row / row.sum()
+        nz = masses > 0
+        laws.append(OffspringPmf(d_out[nz], masses[nz]))
+    return laws[0] if ps.ndim == 0 else tuple(laws)

@@ -11,6 +11,7 @@ floats).
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,11 +22,11 @@ from . import capacity as cap
 from . import ising
 from .distributions import (MIXTURE_CONSISTENCY_TOL, OffspringPmf,
                             zero_truncated_binomial, ztb_mixture)
-from .fields import FieldMode, plus_boundary_field, sample_field
+from .fields import FieldAssignment, FieldMode, plus_boundary_field, prune, sample_field
 from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
-                         gamma_profile, k1_bar_star, moments, tv_crossing,
-                         tv_profile)
-from .tree import PopulationCapError, Tree, sample_gw
+                         gamma_profile, k1_bar_star, moments, pruned_tree_probability,
+                         tv_crossing, tv_profile)
+from .tree import PopulationCapError, Tree, enumerate_trees, sample_gw
 
 EXPERIMENT_IDS = {"magnetization": 1, "gamma": 2, "capacity": 3, "tv": 4, "validate": 5}
 SCHEDULE_KINDS = ("constant", "geometric", "threshold", "threshold_geometric")
@@ -154,8 +155,7 @@ def block_replicas(pmf: OffspringPmf, n: int, profile: GammaProfile | None = Non
     if profile is None:
         expected = sum(pmf.mean() ** k for k in range(n + 1))
     else:
-        expected = 1.0 + float(profile.one_minus_gamma[0]) * sum(
-            profile.mean_generation_size(0, k) for k in range(1, n + 1))
+        expected = 1.0 + float(profile.one_minus_gamma[0]) * sum(profile.m_0k[1:].tolist())
     return max(1, int(BLOCK_VERTICES // expected))
 
 
@@ -355,8 +355,8 @@ def run_capacity_scan(cfg: ExperimentConfig) -> dict:
             rows.append({"n": n, "p_n": p_n, "replica": rep,
                          "capacity_p": float(value), "alpha_n": a_n,
                          "ratio": float(value) / a_n})
-        m_0k = [profile.mean_generation_size(0, k) for k in range(1, n + 1)]
-        bound = cap.expected_capacity_upper(m_0k, math.tanh(cfg.beta), cfg.capacity_p)
+        bound = cap.expected_capacity_upper(profile.m_0k[1:], math.tanh(cfg.beta),
+                                            cfg.capacity_p)
         summary.append({
             "n": n, "p_n": p_n, "replicas": cfg.replicas,
             "mean_capacity": float(values.mean()),
@@ -437,7 +437,6 @@ def suite_pruning_equivalence(instances: int, seed: int = 0,
                               betas=(0.3, 0.7, 1.2)) -> dict:
     """Field-on-leaves ratios equal plus-field ratios on the pruned tree,
     vertex by vertex, with exact zeros on pruned-away vertices."""
-    from .fields import prune
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(102,)))
     max_err = 0.0
     exact_zero_off_tree = True
@@ -464,11 +463,6 @@ def suite_pruning_equivalence(instances: int, seed: int = 0,
 def suite_pruned_law_exact(seed: int = 0) -> dict:
     """Exhaustive (tree, field) enumeration against the product-law formula
     for small depths, including the empty-tree atom."""
-    from .fields import FieldAssignment, prune
-    from .pruned_law import pruned_tree_probability
-    from .tree import enumerate_trees
-    import itertools
-
     base_laws = [OffspringPmf.dirac(2), OffspringPmf.from_dict({1: 0.5, 2: 0.5})]
     max_err = 0.0
     count = 0
@@ -476,6 +470,7 @@ def suite_pruned_law_exact(seed: int = 0) -> dict:
         for p in (0.3, 0.5, 0.8):
             for n in (1, 2):
                 exact: dict = {}
+                profile = gamma_profile(pmf, p, n)
                 for tree, tree_prob in enumerate_trees(pmf, n):
                     leaves = tree.generation_size(n)
                     for bits in itertools.product((0, 1), repeat=leaves):
@@ -487,7 +482,7 @@ def suite_pruned_law_exact(seed: int = 0) -> dict:
                         key = None if outcome is None else outcome[0]
                         exact[key] = exact.get(key, 0.0) + tree_prob * f_prob
                 for shape, prob in exact.items():
-                    formula = pruned_tree_probability(shape, pmf, p, n)
+                    formula = pruned_tree_probability(shape, pmf, p, n, profile=profile)
                     max_err = max(max_err, abs(prob - formula))
                     count += 1
                 max_err = max(max_err, abs(sum(exact.values()) - 1.0))

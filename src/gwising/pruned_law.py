@@ -8,6 +8,9 @@ binomial mixtures), their means, fractional variances and growth factors, the
 transition generation k*, direct samplers, exact tree probabilities, and
 total-variation diagnostics.
 
+A profile builds its laws mu*_0, ..., mu*_{n-1} once, in one array call of
+``ztb_mixture`` (``GammaProfile.laws``); every consumer reads that table.
+
 A profile iterates one recursion per generation, on whichever of gamma_bar
 and 1 - gamma_bar is small, and takes the other as the complement.  Both are
 held in linear and in log space; a side below the linear underflow threshold
@@ -70,6 +73,27 @@ class GammaProfile:
     @cached_property
     def log_gamma(self) -> np.ndarray:
         return self.log_gamma_bar[::-1].copy()
+
+    @cached_property
+    def laws(self) -> tuple[OffspringPmf, ...]:
+        """mu*_0, ..., mu*_{n-1}: the offspring laws of the pruned tree, the
+        zero-truncated binomial mixtures with survival probability
+        1 - gamma_{k+1}.  Each mean is checked against the closed form
+        nu*_k; disagreement raises ConsistencyError."""
+        laws = ztb_mixture(self.pmf, self.one_minus_gamma[1:])
+        for k, law in enumerate(laws):
+            expected = self.nu_star(k)
+            if abs(law.mean() - expected) > MEAN_CONSISTENCY_TOL * max(1.0, expected):
+                raise ConsistencyError(
+                    f"mu*_{k} mean {law.mean()!r} disagrees with closed form {expected!r}")
+        return laws
+
+    @cached_property
+    def m_0k(self) -> np.ndarray:
+        """M*_{0,k} for k = 0..n."""
+        m_0k = np.array([self.mean_generation_size(0, k) for k in range(self.n + 1)])
+        m_0k.setflags(write=False)
+        return m_0k
 
     @property
     def k_star(self) -> float:
@@ -145,33 +169,17 @@ def gamma_profile(pmf: OffspringPmf, p_n: float, n: int) -> GammaProfile:
 
 
 def mu_star(profile: GammaProfile, k: int) -> OffspringPmf:
-    """Offspring law of generation k < n of the pruned tree: the
-    zero-truncated binomial mixture with survival probability 1 - gamma_{k+1}.
-
-    The mean of the constructed pmf is checked against the closed form
-    nu (1-gamma_{k+1})/(1-gamma_k); disagreement raises ConsistencyError.
-    """
+    """Offspring law of generation k < n of the pruned tree: ``profile.laws[k]``."""
     if not 0 <= k <= profile.n - 1:
         raise ValueError("generation index must lie in [0, n-1]")
-    p_surv = float(profile.one_minus_gamma[k + 1])
-    if p_surv <= 0.0:
-        raise ValueError(
-            "survival probability underflowed; offspring law not representable"
-        )
-    law = ztb_mixture(profile.pmf, p_surv)
-    expected = profile.nu_star(k)
-    if abs(law.mean() - expected) > MEAN_CONSISTENCY_TOL * max(1.0, expected):
-        raise ConsistencyError(
-            f"mu*_{k} mean {law.mean()!r} disagrees with closed form {expected!r}"
-        )
-    return law
+    return profile.laws[k]
 
 
 def tilde_mu0(profile: GammaProfile) -> OffspringPmf:
     """Root offspring law: an atom gamma_0 at 0 (whole tree pruned) plus
     (1 - gamma_0) mu*_0."""
     gamma0 = float(profile.gamma[0])
-    base = mu_star(profile, 0)
+    base = profile.laws[0]
     if gamma0 == 0.0:
         return base
     degrees = np.concatenate([[0], base.degrees])
@@ -197,20 +205,19 @@ class PrunedMoments:
 def moments(profile: GammaProfile, q: float) -> PrunedMoments:
     """Assemble nu*_k, sigma*_{q,k}, M*_{0,k} and v*_{k,n}.
 
-    Every mu*_k pmf is built by ``mu_star``, which checks its mean against
-    the closed form.  Since M*_{k,i} = nu*_k M*_{k+1,i}, v*_{k,n} = 1 + S_k
-    with S_k = sigma*_{q,k} + nu*_k^{-(q-1)} S_{k+1} and S_n = 0.
+    The q-variances are those of ``profile.laws``.  Since M*_{k,i} =
+    nu*_k M*_{k+1,i}, v*_{k,n} = 1 + S_k with S_k = sigma*_{q,k} +
+    nu*_k^{-(q-1)} S_{k+1} and S_n = 0.
     """
     n = profile.n
     nu_star_arr = np.array([profile.nu_star(k) for k in range(n)])
-    sigma = np.array([mu_star(profile, k).q_variance(q) for k in range(n)])
-    m_0k = np.array([profile.mean_generation_size(0, k) for k in range(n + 1)])
+    sigma = np.array([law.q_variance(q) for law in profile.laws])
     v_kn = np.empty(n)
     tail = 0.0
     for k in range(n - 1, -1, -1):
         tail = sigma[k] + nu_star_arr[k] ** (-(q - 1.0)) * tail
         v_kn[k] = 1.0 + tail
-    return PrunedMoments(profile, q, nu_star_arr, sigma, m_0k, v_kn)
+    return PrunedMoments(profile, q, nu_star_arr, sigma, profile.m_0k, v_kn)
 
 
 class PrunedLawSampler:
@@ -220,7 +227,7 @@ class PrunedLawSampler:
 
     def __init__(self, profile: GammaProfile):
         self.profile = profile
-        self.laws = [tilde_mu0(profile)] + [mu_star(profile, k) for k in range(1, profile.n)]
+        self.laws = (tilde_mu0(profile), *profile.laws[1:])
 
     def sample(self, rng: np.random.Generator,
                max_vertices: int = DEFAULT_POPULATION_CAP, roots: int = 1) -> Tree | None:
@@ -250,8 +257,7 @@ def pruned_tree_probability(shape: Tree | None, pmf: OffspringPmf, p_n: float,
     if shape.n != n or (n > 0 and not shape.leaves_only_at_bottom):
         return 0.0
     prob = tilde_mu0(profile).mass(int(shape.num_children[0])) if n > 0 else 1.0 - profile.gamma[0]
-    for k in range(1, n):
-        law = mu_star(profile, k)
+    for k, law in enumerate(profile.laws[1:], start=1):
         for d in shape.offspring_of_generation(k):
             prob *= law.mass(int(d))
     return float(prob)
@@ -259,10 +265,10 @@ def pruned_tree_probability(shape: Tree | None, pmf: OffspringPmf, p_n: float,
 
 def tv_distance(a: OffspringPmf, b: OffspringPmf) -> float:
     """Total variation distance: half the L1 distance between the mass lists."""
-    degrees = np.union1d(a.degrees, b.degrees)
-    mass_a = np.array([a.mass(int(d)) for d in degrees])
-    mass_b = np.array([b.mass(int(d)) for d in degrees])
-    return 0.5 * float(np.abs(mass_a - mass_b).sum())
+    diff = np.zeros(max(a.max_degree, b.max_degree) + 1)
+    diff[a.degrees] += a.probs
+    diff[b.degrees] -= b.probs
+    return 0.5 * float(np.abs(diff).sum())
 
 
 def tv_profile(profile: GammaProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -270,15 +276,9 @@ def tv_profile(profile: GammaProfile) -> tuple[np.ndarray, np.ndarray]:
 
     The first is small deep below k* (the pruned tree still looks like the
     original), the second small far above k* (thin branches)."""
-    base = profile.pmf
     dirac1 = OffspringPmf.dirac(1)
-    to_mu = np.empty(profile.n)
-    to_dirac = np.empty(profile.n)
-    for k in range(profile.n):
-        law = mu_star(profile, k)
-        to_mu[k] = tv_distance(law, base)
-        to_dirac[k] = tv_distance(law, dirac1)
-    return to_mu, to_dirac
+    return (np.array([tv_distance(law, profile.pmf) for law in profile.laws]),
+            np.array([tv_distance(law, dirac1) for law in profile.laws]))
 
 
 def tv_crossing(to_mu: np.ndarray, to_dirac: np.ndarray) -> float:
@@ -352,23 +352,14 @@ def calibrate_constants(pmf: OffspringPmf, q: float, n: int = 30,
     c_q = fit_g_upper_constant(pmf, q)
     c_mu = c_q * pmf.q_moment(q) / nu
 
-    c4 = math.inf
-    for k in below:
-        lg = float(profile.log_gamma[k])
-        if lg == -math.inf:
-            continue
-        c4 = min(c4, -lg / (ks - k))
+    log_gamma = profile.log_gamma.tolist()
+    c4 = min((-log_gamma[k] / (ks - k) for k in below if log_gamma[k] > -math.inf),
+             default=math.inf)
     c4 = (1.0 - margin) * c4 if math.isfinite(c4) else 1.0
-
-    c5 = 0.0
-    for k in below:
-        c5 = max(c5, (nu - mom.nu_star[k]) * math.exp(c4 * (ks - k)))
-    for k in above:
-        c5 = max(c5, (mom.nu_star[k] - 1.0) * math.exp((k - ks) * log_nu))
-
-    c6 = 0.0
-    for k in above:
-        c6 = max(c6, mom.sigma_q_star[k] * math.exp((q - 1.0) * (k - ks) * log_nu))
+    c5 = max([0.0] + [(nu - mom.nu_star[k]) * math.exp(c4 * (ks - k)) for k in below]
+             + [(mom.nu_star[k] - 1.0) * math.exp((k - ks) * log_nu) for k in above])
+    c6 = max([0.0] + [mom.sigma_q_star[k] * math.exp((q - 1.0) * (k - ks) * log_nu)
+                      for k in above])
 
     growth_ratio = mom.m_0k / nu ** np.minimum(np.arange(n + 1), ks)
 

@@ -284,14 +284,23 @@ log_uniform_p = st.one_of(st.just(1.0), st.floats(min_value=-12.0, max_value=0.0
 
 
 @settings(max_examples=80, deadline=None)
-@given(trial_laws, log_uniform_p)
-def test_ztb_mixture_matches_scipy_comb_bitwise(masses, p):
+@given(trial_laws, log_uniform_p,
+       st.lists(st.one_of(log_uniform_p, st.just(1e-320)), max_size=4))
+def test_ztb_mixture_matches_scipy_comb_bitwise(masses, p, more_p):
     total = sum(masses.values())
     pmf = OffspringPmf.from_dict({d: w / total for d, w in masses.items()})
     degrees, probs = ztb_mixture_scipy(pmf, p)
     law = ztb_mixture(pmf, p)
     assert np.array_equal(law.degrees, degrees)
     assert np.array_equal(law.probs, probs)
+    # the array form gives, entry by entry, the scalar call's law bit for bit
+    ps = [p, *more_p]
+    table = ztb_mixture(pmf, np.array(ps))
+    assert isinstance(table, tuple) and len(table) == len(ps)
+    for s, row in zip(ps, table):
+        scalar = ztb_mixture(pmf, s)
+        assert np.array_equal(row.degrees, scalar.degrees)
+        assert np.array_equal(row.probs, scalar.probs)
 
 
 @settings(max_examples=80, deadline=None)

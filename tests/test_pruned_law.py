@@ -11,7 +11,7 @@ from scipy import stats
 from gwising import (FieldMode, OffspringPmf, PmfError, Tree,
                      calibrate_constants, gamma_profile, moments, mu_star,
                      prune, pruned_tree_probability, sample_gw, sample_field,
-                     tilde_mu0, tv_distance, tv_profile)
+                     tilde_mu0, tv_distance, tv_profile, ztb_mixture)
 from gwising.pruned_law import (PrunedLawSampler, fit_g_upper_constant,
                                 k1_bar_star, tv_crossing)
 from gwising.tree import enumerate_trees
@@ -180,6 +180,22 @@ def test_mu_star_examples(dirac2, half12):
     prof2 = gamma_profile(dirac2, 0.5, 1)
     law = mu_star(prof2, 0)
     assert np.allclose(law.probs, [2 / 3, 1 / 3], atol=1e-15)
+
+
+@pytest.mark.parametrize("p_n", [1.0, 0.5, 2.0**-15, 1e-320])
+@pytest.mark.parametrize("masses", [{1: 0.5, 2: 0.5}, {1: 0.5, 3: 0.5}, {2: 1.0},
+                                    {d: 0.125 for d in range(1, 9)}],
+                         ids=["half12", "half13", "dirac2", "uniform8"])
+def test_one_law_table_per_profile(masses, p_n):
+    pmf = OffspringPmf.from_dict(masses)
+    profile = gamma_profile(pmf, p_n, 12)
+    assert len(profile.laws) == 12
+    for k, law in enumerate(profile.laws):
+        assert mu_star(profile, k) is law
+        assert law == ztb_mixture(pmf, float(profile.one_minus_gamma[k + 1]))
+    sampler = PrunedLawSampler(profile)
+    assert len(sampler.laws) == 12
+    assert all(a is b for a, b in zip(sampler.laws[1:], profile.laws[1:]))
 
 
 def test_mu_star_mean_matches_ratio_formula(half12):
@@ -492,11 +508,13 @@ def test_growth_bracket_with_frozen_constants():
 
 
 def test_frozen_constants_reproduce():
-    # guard against silent drift of the calibration pass
+    # guard against silent drift of the calibration pass and against a stale
+    # fixture: rounding-level gaps (at most 2.5e-13 relative) pass, anything
+    # larger means CALIBRATED must be regenerated
     for name, pmf in (("dirac2", OffspringPmf.dirac(2)),
                       ("half13", OffspringPmf.from_dict({1: 0.5, 3: 0.5}))):
         fresh = calibrate_constants(pmf, 2.0)
         frozen = CALIBRATED[name]
         assert set(fresh) == set(frozen)
         for key, value in frozen.items():
-            assert fresh[key] == pytest.approx(value, rel=1e-9), (name, key)
+            assert fresh[key] == pytest.approx(value, rel=1e-12, abs=0), (name, key)
