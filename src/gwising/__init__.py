@@ -33,7 +33,7 @@ from .capacity import (CapacityResult, Flow, ResistanceProfile, alpha_n,
                        capacity_spherical, expected_capacity_upper,
                        flow_energy, uniform_flow)
 from .tree import (PopulationCapError, Tree, enumerate_trees, gw_probability,
-                   leaves_under, sample_gw, sample_inhomogeneous_bp, subtree)
+                   leaf_counts, sample_gw, sample_inhomogeneous_bp, subtree)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

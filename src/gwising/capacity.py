@@ -1,4 +1,4 @@
-"""Nonlinear p-capacity of resistance-weighted trees.
+"""Nonlinear p-capacity of trees with geometric resistances R_u = R^{-|u|}.
 
 The p-resistance between root and leaves is the Thomson variational value
 inf over unit flows of sum_u R_u^s theta(u)^q (u over non-root vertices,
@@ -21,39 +21,20 @@ from .tree import Tree, leaf_counts, segment_sums
 
 @dataclass(frozen=True)
 class ResistanceProfile:
-    """Edge resistances, assigned to the child endpoint.
+    """Geometric edge resistances R_u = base^{-depth(u)}, assigned to the
+    child endpoint (the root keeps the conventional R = 1)."""
 
-    ``geometric(R)`` puts R_u = R^{-depth(u)} (the root keeps the conventional
-    R = 1); ``per_generation`` takes an explicit table indexed by depth, with
-    entry 0 equal to 1.
-    """
-
-    kind: str
-    base: float | None = None
-    table: tuple[float, ...] | None = None
+    base: float
 
     @classmethod
     def geometric(cls, base: float) -> "ResistanceProfile":
         if base <= 0:
             raise ValueError("geometric base must be positive")
-        return cls("geometric", base=base)
-
-    @classmethod
-    def per_generation(cls, values) -> "ResistanceProfile":
-        values = tuple(float(v) for v in values)
-        if not values or values[0] != 1.0:
-            raise ValueError("generation table must start with the root convention R=1")
-        if any(v <= 0 for v in values):
-            raise ValueError("resistances must be strictly positive")
-        return cls("per_generation", table=values)
+        return cls(base)
 
     def generation_values(self, n: int) -> np.ndarray:
         """R at depths 0..n."""
-        if self.kind == "geometric":
-            return float(self.base) ** -np.arange(n + 1, dtype=float)
-        if n + 1 > len(self.table):
-            raise ValueError("generation table too short for this depth")
-        return np.asarray(self.table[: n + 1])
+        return float(self.base) ** -np.arange(n + 1, dtype=float)
 
     def vertex_resistances(self, tree: Tree) -> np.ndarray:
         return np.repeat(self.generation_values(tree.n), tree.generation_sizes())
@@ -118,7 +99,7 @@ def capacity_recursion(tree: Tree, res: ResistanceProfile, p: float) -> Capacity
     r_vertex = res.vertex_resistances(tree)
     phi = np.zeros(tree.num_vertices)
     phi[tree.num_children == 0] = math.inf
-    sentinel = res.kind == "geometric" and res.base < 1.0
+    sentinel = res.base < 1.0
 
     def combine(sums: np.ndarray, cur: slice) -> np.ndarray:
         degree = tree.num_children[cur]
@@ -165,17 +146,6 @@ def flow_energy(tree: Tree, flow: Flow, res: ResistanceProfile, p: float) -> flo
     r_vertex = res.vertex_resistances(tree)
     energy = float(np.sum(r_vertex[1:] ** s * flow.theta[1:] ** q))
     return energy ** (p - 1.0)
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
 
 
 def _project_sibling_simplices(x: np.ndarray, block_ids: np.ndarray,

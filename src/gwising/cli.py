@@ -22,8 +22,8 @@ import typing
 import numpy as np
 
 from .distributions import OffspringPmf
-from .experiments import (ConfigError, ExperimentConfig, PSchedule,
-                          rows_to_csv, run_capacity_scan, run_gamma_scan,
+from .experiments import (ConfigError, ExperimentConfig, rows_to_csv,
+                          run_capacity_scan, run_gamma_scan,
                           run_magnetization_scan, run_tv_scan, run_validation)
 from .fields import FieldMode, sample_field, survival, to_dot, prune
 from .pruned_law import gamma_profile
@@ -35,6 +35,9 @@ _RENAMED = {"schedule": "p_schedule"}
 _KEY_FIELDS = {_RENAMED.get(f.name, f.name): f for f in dataclasses.fields(ExperimentConfig)}
 _REQUIRED_KEYS = {key for key, f in _KEY_FIELDS.items() if f.default is dataclasses.MISSING}
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+# the config mode each scan subcommand runs
+_SCAN_MODES = {"gamma-profile": "gamma", "magnetization-scan": "magnetization",
+               "capacity-scan": "capacity", "tv-scan": "tv"}
 
 
 def _from_json(kind, value):
@@ -117,12 +120,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
 
-    for name in ("gamma-profile", "magnetization-scan", "capacity-scan", "tv-scan"):
+    for name in _SCAN_MODES:
         common(sub.add_parser(name))
     validate = sub.add_parser("validate")
-    validate.add_argument("--config", default=None)
     validate.add_argument("--out", default=".")
-    validate.add_argument("--seed", type=int, default=None)
+    validate.add_argument("--seed", type=int, default=1)
     validate.add_argument("--instances", type=int, default=500)
     validate.add_argument("--oracle-instances", type=int, default=50)
 
@@ -133,14 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--out", default=".")
     demo.add_argument("--seed", type=int, default=1)
     return parser
-
-
-def _default_validation_config(seed: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        pmf=OffspringPmf.dirac(2), beta=0.8,
-        schedule=PSchedule("constant", 0.5), n_grid=(2,), replicas=1,
-        mode="validate", master_seed=seed,
-    )
 
 
 def parse_and_dispatch(argv=None) -> int:
@@ -159,11 +153,7 @@ def parse_and_dispatch(argv=None) -> int:
         if args.command == "prune-demo":
             return _run_prune_demo(args, say)
         if args.command == "validate":
-            if args.config is not None:
-                cfg = load_config(args.config, args.seed)
-            else:
-                cfg = _default_validation_config(args.seed if args.seed is not None else 1)
-            report = run_validation(cfg, args.instances, args.oracle_instances)
+            report = run_validation(args.seed, args.instances, args.oracle_instances)
             path = os.path.join(args.out, "validation.json")
             atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
             say(f"wrote {path}")
@@ -173,6 +163,9 @@ def parse_and_dispatch(argv=None) -> int:
             return 0 if report["pass"] else 1
 
         cfg = load_config(args.config, args.seed, args.workers)
+        if cfg.mode != _SCAN_MODES[args.command]:
+            raise ConfigError(f"{args.command} runs mode {_SCAN_MODES[args.command]!r}, "
+                              f"not {cfg.mode!r}")
         if args.command == "magnetization-scan":
             rows = run_magnetization_scan(cfg)
             outputs = {"magnetization.csv": rows_to_csv(rows)}

@@ -173,12 +173,9 @@ class OffspringPmf:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """One draw by cumulative inversion; consumes exactly one uniform."""
-        return int(self.degrees[np.searchsorted(self._cum, rng.random(), side="right")])
-
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` i.i.d. draws; consumes exactly ``size`` uniforms."""
+        """``size`` i.i.d. draws by cumulative inversion; consumes exactly
+        ``size`` uniforms."""
         u = rng.random(size)
         return self.degrees[np.searchsorted(self._cum, u, side="right")]
 

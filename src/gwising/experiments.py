@@ -28,10 +28,14 @@ from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
                          tv_crossing, tv_profile)
 from .tree import PopulationCapError, Tree, enumerate_trees, sample_gw
 
-EXPERIMENT_IDS = {"magnetization": 1, "gamma": 2, "capacity": 3, "tv": 4, "validate": 5}
+EXPERIMENT_IDS = {"magnetization": 1, "gamma": 2, "capacity": 3, "tv": 4}
 SCHEDULE_KINDS = ("constant", "geometric", "threshold", "threshold_geometric")
 # expected vertices per sampled forest; sets the replicas per block
 BLOCK_VERTICES = 2**16
+# largest |crossing - k*| for which a tv scan reports crossing_ok
+TV_CROSSING_WINDOW = 5.0
+# relative slack of every transition-bound comparison
+BOUND_REL_SLACK = 1e-9
 
 
 class ConfigError(ValueError):
@@ -88,7 +92,7 @@ class ExperimentConfig:
     method: str = "direct"          # or "pruned": exact fast path, leaf fields only
     capacity_p: float = 1.5
     q: float = 2.0
-    coupling_off: bool = False      # sanity mode: drop the bond term, keep 2*beta*h
+    coupling_off: bool = False      # direct sanity mode: drop the bond term, keep 2*beta*h
     workers: int = 1
 
     def p_n(self, n: int) -> float:
@@ -104,8 +108,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("beta must be nonnegative")
     if cfg.replicas < 1:
         raise ConfigError("need at least one replica")
-    if not (0.0 < cfg.epsilon < 1.0):
-        raise ConfigError("epsilon must lie in (0, 1)")
+    if not all(0.0 < eps < 1.0 for eps in (cfg.epsilon, *cfg.epsilon_sweep)):
+        raise ConfigError("epsilon and every epsilon_sweep value must lie in (0, 1)")
     if not cfg.capacity_p > 1.0:
         raise ConfigError("capacity_p must exceed 1")
     if not (1.0 < cfg.q <= 2.0):
@@ -114,6 +118,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown method {cfg.method!r}")
     if cfg.method == "pruned" and cfg.field_mode is not FieldMode.LEAVES_ONLY:
         raise ConfigError("the pruned fast path models leaf fields only")
+    if cfg.method == "pruned" and cfg.coupling_off:
+        raise ConfigError("coupling_off applies to the direct method only")
     kind = cfg.schedule.kind
     if kind not in SCHEDULE_KINDS:
         raise ConfigError(f"unknown schedule kind {kind!r}")
@@ -181,7 +187,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return center - half, center + half
+    return max(0.0, center - half), min(1.0, center + half)
 
 
 # -- magnetization ----------------------------------------------------------
@@ -243,7 +249,7 @@ def run_magnetization_scan(cfg: ExperimentConfig) -> list[dict]:
 # -- gamma profiles ---------------------------------------------------------
 
 
-def run_gamma_scan(cfg: ExperimentConfig, constants: dict | None = None) -> dict:
+def run_gamma_scan(cfg: ExperimentConfig) -> dict:
     """Exact gamma profiles plus the transition-bound report.
 
     No sampling: emits the per-generation table (gamma_k, nu*_k, sigma*_{q,k},
@@ -251,8 +257,7 @@ def run_gamma_scan(cfg: ExperimentConfig, constants: dict | None = None) -> dict
     inequality evaluated with the frozen calibration constants.
     """
     validate_config(cfg)
-    if constants is None:
-        constants = calibrate_constants(cfg.pmf, cfg.q)
+    constants = calibrate_constants(cfg.pmf, cfg.q)
     rows, bound_rows = [], []
     for n in cfg.n_grid:
         p_n = cfg.p_n(n)
@@ -276,12 +281,11 @@ def run_gamma_scan(cfg: ExperimentConfig, constants: dict | None = None) -> dict
     return {"rows": rows, "bounds": bound_rows, "constants": constants}
 
 
-def transition_bound_checks(profile: GammaProfile, constants: dict,
-                            k1: int | None = None, rel_slack: float = 1e-9) -> dict:
+def transition_bound_checks(profile: GammaProfile, constants: dict, k1: int) -> dict:
     """Evaluate the frozen-constant transition inequalities on one profile.
 
     Upper bounds on 1 - gamma_bar hold for every k; the sandwich lower bound
-    is claimed on the pre-transition window k <= k1_bar_star only.  Bounds
+    is claimed on the pre-transition window k <= k1 (k1_bar_star) only.  Bounds
     around k* use floor/ceil conservatively per direction and compare in log
     space so underflowed values stay meaningful.
     """
@@ -289,9 +293,7 @@ def transition_bound_checks(profile: GammaProfile, constants: dict,
     nu = profile.pmf.mean()
     log_nu = math.log(nu)
     ks = profile.k_star
-    if k1 is None:
-        k1 = k1_bar_star(profile, constants["q"], constants["C_mu"])
-    slack = math.log1p(rel_slack)
+    slack = math.log1p(BOUND_REL_SLACK)
 
     log_t_bar = profile.log_one_minus_gamma_bar
     log_p = math.log(profile.p_n)
@@ -374,7 +376,7 @@ def run_capacity_scan(cfg: ExperimentConfig) -> dict:
 # -- total variation --------------------------------------------------------
 
 
-def run_tv_scan(cfg: ExperimentConfig, crossing_window: float = 5.0) -> dict:
+def run_tv_scan(cfg: ExperimentConfig) -> dict:
     """Exact total-variation curves d(mu*_k, mu) and d(mu*_k, dirac_1) per
     generation, with the crossing generation against k*."""
     validate_config(cfg)
@@ -391,7 +393,7 @@ def run_tv_scan(cfg: ExperimentConfig, crossing_window: float = 5.0) -> dict:
         summary.append({
             "n": n, "p_n": p_n, "k_star": profile.k_star,
             "crossing": crossing,
-            "crossing_ok": bool(abs(crossing - profile.k_star) <= crossing_window),
+            "crossing_ok": bool(abs(crossing - profile.k_star) <= TV_CROSSING_WINDOW),
         })
     return {"rows": rows, "summary": summary}
 
@@ -460,7 +462,7 @@ def suite_pruning_equivalence(instances: int, seed: int = 0,
             "pass": bool(max_err <= 1e-12 and exact_zero_off_tree)}
 
 
-def suite_pruned_law_exact(seed: int = 0) -> dict:
+def suite_pruned_law_exact() -> dict:
     """Exhaustive (tree, field) enumeration against the product-law formula
     for small depths, including the empty-tree atom."""
     base_laws = [OffspringPmf.dirac(2), OffspringPmf.from_dict({1: 0.5, 2: 0.5})]
@@ -551,15 +553,12 @@ def suite_ztb_mixture_routes(instances: int, seed: int = 0) -> dict:
             "pass": bool(max_err <= MIXTURE_CONSISTENCY_TOL)}
 
 
-def run_validation(cfg: ExperimentConfig, instances: int = 500,
-                   oracle_instances: int = 50) -> dict:
+def run_validation(seed: int, instances: int, oracle_instances: int) -> dict:
     """All oracle-equivalence suites; machine-readable, failures enumerated."""
-    validate_config(cfg)
-    seed = cfg.master_seed
     suites = [
         suite_lyons_vs_bruteforce(instances, seed),
         suite_pruning_equivalence(instances, seed),
-        suite_pruned_law_exact(seed),
+        suite_pruned_law_exact(),
         suite_capacity_oracle(oracle_instances, seed),
         suite_ztb_mixture_routes(instances, seed),
     ]

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import ConsistencyError, OffspringPmf, PmfError, ztb_mixture
-from .tree import DEFAULT_POPULATION_CAP, Tree, sample_inhomogeneous_bp
+from .tree import Tree, sample_inhomogeneous_bp
 
 LINEAR_UNDERFLOW = 1e-300
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -100,10 +100,6 @@ class GammaProfile:
         """Transition generation log_nu(p_n nu^n), kept as a real number."""
         nu = self.pmf.mean()
         return self.n + math.log(self.p_n) / math.log(nu)
-
-    @property
-    def k_bar_star(self) -> float:
-        return self.n - self.k_star
 
     def nu_star(self, k: int) -> float:
         """Mean offspring of generation k in the pruned tree:
@@ -198,9 +194,6 @@ class PrunedMoments:
     m_0k: np.ndarray          # length n+1, M*_{0,k}
     v_kn: np.ndarray          # length n, v*_{k,n}
 
-    def m_star(self, i: int, j: int) -> float:
-        return self.profile.mean_generation_size(i, j)
-
 
 def moments(profile: GammaProfile, q: float) -> PrunedMoments:
     """Assemble nu*_k, sigma*_{q,k}, M*_{0,k} and v*_{k,n}.
@@ -229,15 +222,14 @@ class PrunedLawSampler:
         self.profile = profile
         self.laws = (tilde_mu0(profile), *profile.laws[1:])
 
-    def sample(self, rng: np.random.Generator,
-               max_vertices: int = DEFAULT_POPULATION_CAP, roots: int = 1) -> Tree | None:
+    def sample(self, rng: np.random.Generator, roots: int = 1) -> Tree | None:
         """A forest of ``roots`` independent pruned trees, one
         ``sample_many`` per generation for all of them.
 
         Replica i is root i; an empty outcome is a childless root.  Returns
         None when every replica is empty, so one root gives a tree or None.
         """
-        forest = sample_inhomogeneous_bp(self.laws, rng, max_vertices, roots)
+        forest = sample_inhomogeneous_bp(self.laws, rng, roots=roots)
         return forest if forest.n > 0 else None
 
 

@@ -10,6 +10,7 @@ fine).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -122,9 +123,6 @@ class Tree:
 
     def generation_sizes(self) -> np.ndarray:
         return np.diff(self.gen_offsets)
-
-    def depth_of(self, v: int) -> int:
-        return int(np.searchsorted(self.gen_offsets, v, side="right") - 1)
 
     def depths(self) -> np.ndarray:
         return np.repeat(np.arange(self.n + 1), self.generation_sizes())
@@ -301,11 +299,6 @@ def leaf_counts(tree: Tree) -> np.ndarray:
     return tree.sweep_up(counts, lambda child, _: child, lambda sums, _: sums)
 
 
-def leaves_under(tree: Tree, v: int) -> int:
-    """Number of bottom-generation descendants of v."""
-    return int(leaf_counts(tree)[v])
-
-
 def count_trees(pmf: OffspringPmf, depth: int) -> int:
     """Number of depth-``depth`` trees with out-degrees in the pmf's support."""
     count = 1
@@ -332,20 +325,9 @@ def enumerate_trees(pmf: OffspringPmf, depth: int, max_count: int = 10**6):
         if d == 0:
             yield ()
             return
+        below = list(shapes(d - 1))
         for root_deg in degrees:
-            children_choices = list(shapes(d - 1))
-            idx = [0] * root_deg
-            while True:
-                yield tuple(children_choices[i] for i in idx)
-                j = root_deg - 1
-                while j >= 0:
-                    idx[j] += 1
-                    if idx[j] < len(children_choices):
-                        break
-                    idx[j] = 0
-                    j -= 1
-                if j < 0:
-                    break
+            yield from itertools.product(below, repeat=root_deg)
 
     for shape in shapes(depth):
         tree = tree_from_shape(shape)

@@ -27,13 +27,10 @@ def path_tree(edges):
 def test_resistance_profiles():
     geo = ResistanceProfile.geometric(0.5)
     assert geo.generation_values(3).tolist() == [1.0, 2.0, 4.0, 8.0]
-    table = ResistanceProfile.per_generation([1.0, 3.0, 9.0])
     t = regular_tree(2, 2)
-    assert table.vertex_resistances(t).tolist() == [1.0, 3.0, 3.0] + [9.0] * 4
+    assert geo.vertex_resistances(t).tolist() == [1.0, 2.0, 2.0] + [4.0] * 4
     with pytest.raises(ValueError):
         ResistanceProfile.geometric(0.0)
-    with pytest.raises(ValueError):
-        ResistanceProfile.per_generation([2.0, 1.0])  # root must be 1
 
 
 def test_recursion_single_vertex_convention():

@@ -115,6 +115,10 @@ def test_missing_config_exits_2(tmp_path, capsys):
     ("capacity-scan", {"mode": "capacity", "beta": 0.0}),
     ("magnetization-scan", {"p_schedule": {"kind": "threshold", "c": 1.0},
                             "beta": 0.1, "n_grid": [2000]}),
+    ("capacity-scan", {"mode": "magnetization", "beta": 0.0}),
+    ("tv-scan", {"mode": "validate"}),
+    ("magnetization-scan", {"epsilon_sweep": [-1.0, 1.5]}),
+    ("magnetization-scan", {"method": "pruned", "coupling_off": True}),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, overrides):
     cfg = write_config(tmp_path / "c.json", **overrides)

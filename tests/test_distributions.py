@@ -82,8 +82,8 @@ def test_generating_function_convex_nondecreasing(half13):
 
 
 def test_sampling_examples(rng):
-    assert OffspringPmf.dirac(3).sample(rng) == 3
-    assert OffspringPmf.from_dict({1: 1.0}).sample(rng) == 1
+    assert OffspringPmf.dirac(3).sample_many(rng, 1).tolist() == [3]
+    assert OffspringPmf.from_dict({1: 1.0}).sample_many(rng, 1).tolist() == [1]
     draws = OffspringPmf.from_dict({1: 0.5, 2: 0.5}).sample_many(rng, 10**6)
     assert abs((draws == 1).mean() - 0.5) < 0.002
 

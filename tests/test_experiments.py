@@ -241,8 +241,7 @@ def test_magnetization_envelope_decay_at_half(dirac2):
 
 
 def test_validation_bundle_passes_and_detects_faults(monkeypatch):
-    cfg = base_config(mode="validate")
-    report = run_validation(cfg, instances=40, oracle_instances=4)
+    report = run_validation(11, instances=40, oracle_instances=4)
     assert report["pass"]
     assert {s["suite"] for s in report["suites"]} == {
         "lyons_vs_bruteforce", "pruning_equivalence", "pruned_law_exact",
@@ -251,7 +250,7 @@ def test_validation_bundle_passes_and_detects_faults(monkeypatch):
     true_g = gwising.ising.g_beta
     monkeypatch.setattr(gwising.ising, "g_beta",
                         lambda beta, x: true_g(beta, x) * 1.001)
-    broken = run_validation(cfg, instances=10, oracle_instances=1)
+    broken = run_validation(11, instances=10, oracle_instances=1)
     assert not broken["suites"][0]["pass"]
     assert not broken["pass"]
 
@@ -274,6 +273,11 @@ def test_wilson_interval_behaviour():
     lo0, hi0 = wilson_interval(0, 40)
     assert lo0 == pytest.approx(0.0, abs=1e-12)
     assert hi0 < 0.2
+    # no hits or all hits: the closed form rounds past 0 or 1 on some t
+    for trials in range(1, 3001):
+        for hits in (0, trials):
+            lo, hi = wilson_interval(hits, trials)
+            assert 0.0 <= lo <= hi <= 1.0, (hits, trials, lo, hi)
 
 
 def test_csv_rendering_round_trips_floats():

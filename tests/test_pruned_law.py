@@ -168,7 +168,6 @@ def test_gamma_bar_equals_mark_free_generating_function(half12):
 def test_k_star_value(dirac2):
     profile = gamma_profile(dirac2, 2.0**-6, 10)
     assert profile.k_star == pytest.approx(4.0)
-    assert profile.k_bar_star == pytest.approx(6.0)
 
 
 def test_mu_star_examples(dirac2, half12):
@@ -248,7 +247,7 @@ def test_moment_identities_and_bounds(half13, dirac2):
             expected = nu**k * profile.one_minus_gamma[k] / profile.one_minus_gamma[0]
             assert mom.m_0k[k] == pytest.approx(expected, rel=1e-12)
         # telescoping consistency of the pairwise accessor
-        assert mom.m_star(3, 7) == pytest.approx(
+        assert profile.mean_generation_size(3, 7) == pytest.approx(
             np.prod(mom.nu_star[3:7]), rel=1e-12)
 
 

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwising import (OffspringPmf, PopulationCapError, Tree, enumerate_trees,
-                     gw_probability, leaves_under, sample_gw,
+                     gw_probability, leaf_counts, sample_gw,
                      sample_inhomogeneous_bp, subtree)
 from gwising.distributions import PmfError
 from gwising.tree import (ExplosionGuardError, TreeFormatError, count_trees,
-                          leaf_counts, segment_sums)
+                          segment_sums)
 
 
 def binary_tree(depth):
@@ -46,7 +46,6 @@ def test_arena_layout():
     assert t.generation_sizes().tolist() == [1, 2, 4]
     assert t.parent.tolist() == [-1, 0, 0, 1, 2, 2, 2]
     assert t.children(2).tolist() == [4, 5, 6]
-    assert t.depth_of(5) == 2
     assert t.depths().tolist() == [0, 1, 1, 2, 2, 2, 2]
     assert t.leaves_only_at_bottom
 
@@ -131,10 +130,10 @@ def test_subtree_composition(rng, half12):
 
 def test_leaves_under_examples():
     t = binary_tree(3)
-    assert leaves_under(t, 0) == 8
-    assert leaves_under(t, t.num_vertices - 1) == 1
+    assert leaf_counts(t)[0] == 8
+    assert leaf_counts(t)[t.num_vertices - 1] == 1
     path = Tree.from_offspring_counts([np.array([1]), np.array([1])])
-    assert leaves_under(path, 0) == 1
+    assert leaf_counts(path)[0] == 1
 
 
 def test_leaf_counts_conservation(rng, half13):
@@ -195,7 +194,7 @@ def test_deep_recursions_have_no_stack_limit():
     deep = path_depth = 10**4
     path = Tree.from_offspring_counts([np.ones(1, dtype=np.int64)] * deep)
     assert path.n == path_depth
-    assert leaves_under(path, 0) == 1
+    assert leaf_counts(path)[0] == 1
     r = gwising.lyons_plus(path, 0.9)
     assert np.isfinite(r[0]) and r[0] > 0
     res = gwising.ResistanceProfile.geometric(1.0)
