@@ -66,6 +66,22 @@ OUTPUT_DIGESTS = {
         "tv.csv": "e1166e31e412dcc65dc101e6b373d1bbef4379c79dcc043b044b253a6cf9f947",
         "tv_summary.csv": "9e70e51206925c3a9418a89ac1654d25d340da28dddf099a8805d9438dd192e6"
     },
+    "gamma_uniform8": {
+        "gamma_bounds.csv": "e68aefeefa53d954527a20a305a88c0dc803726aba42bfb435aa7654ad981184",
+        "gamma_profile.csv": "e050677ee22670a5655e77b70fddc34be239648060fe0cc9c6bd8881169a92b9"
+    },
+    "tv_uniform8": {
+        "tv.csv": "66f37dd5bf9169dad33a9cd27ee9ff256ea1f71d2453c5f8fab0f5d45ddf317c",
+        "tv_summary.csv": "57189810599df050e871f9c71aa7a490fe114df8532a1dd3ac7ba3565412f098"
+    },
+    "gamma_half13": {
+        "gamma_bounds.csv": "768cbc12d80b760c5f5fea4196073502139ce7243aab1e9e45cca91bd3148d69",
+        "gamma_profile.csv": "8ce2f1cc0269922e48d2ebc5eed1e1646dd9e040856b72cd47a4cbfd18b3482b"
+    },
+    "tv_half13": {
+        "tv.csv": "3f6e1211f575e9a45a29b725a60e1c18949c43568b8d5cbbdbcc28a70cdc7828",
+        "tv_summary.csv": "e10948c909b122455183d3fe2b305cc472c213273f5094b169f3544faf5ca95b"
+    },
     "prune_demo": {
         "overlay.dot": "1c28914686437aef79404137577aeb8d6e7dcdef0dd3b4d62f7e15b7a72f4909",
         "pruned.json": "8c0b5d77a78f3c42b624f91cd875cf3329dfa91d64ecc239e8f794561ade3aea",

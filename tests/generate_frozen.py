@@ -29,6 +29,12 @@ OUTPUT_BASE_CONFIG = {
     "mode": "magnetization",
     "master_seed": 7,
 }
+WIDE_UNIFORM8 = {"pmf": {"entries": [[d, 0.125] for d in range(1, 9)]},
+                 "p_schedule": {"kind": "constant", "c": 1e-3},
+                 "n_grid": [25, 100], "replicas": 1}
+WIDE_HALF13 = {"pmf": {"entries": [[1, 0.5], [3, 0.5]]},
+               "p_schedule": {"kind": "threshold", "c": 1.0},
+               "n_grid": [25, 100], "replicas": 1}
 OUTPUT_RUNS = {
     "magnetization_direct_leaves_only": (
         "magnetization-scan", {"method": "direct", "field_mode": "leaves_only"}),
@@ -38,6 +44,12 @@ OUTPUT_RUNS = {
     "capacity": ("capacity-scan", {"mode": "capacity", "beta": 0.8, "replicas": 30}),
     "gamma": ("gamma-profile", {"mode": "gamma", "n_grid": [6, 12], "replicas": 1}),
     "tv": ("tv-scan", {"mode": "tv", "n_grid": [6, 12], "replicas": 1}),
+    # wide supports: eight-entry normalisers and row sums (uniform on 1..8),
+    # and a gap in the support (half-{1,3}) down to p_n ~ 1e-16
+    "gamma_uniform8": ("gamma-profile", {**WIDE_UNIFORM8, "mode": "gamma"}),
+    "tv_uniform8": ("tv-scan", {**WIDE_UNIFORM8, "mode": "tv"}),
+    "gamma_half13": ("gamma-profile", {**WIDE_HALF13, "mode": "gamma"}),
+    "tv_half13": ("tv-scan", {**WIDE_HALF13, "mode": "tv"}),
     "prune_demo": ("prune-demo", ["--pmf", "1:0.5,2:0.5", "--n", "6",
                                   "--p", "0.3", "--seed", "5"]),
 }
