@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ising import CRITICALITY_TOL
 from .tree import Tree, leaf_counts, segment_sums
+
+# capacity_bruteforce stops once the relative energy change stays below
+# BRUTEFORCE_REL_TOL for BRUTEFORCE_PATIENCE iterations in a row, or after
+# BRUTEFORCE_MAX_ITER iterations, unconverged
+BRUTEFORCE_REL_TOL = 1e-12
+BRUTEFORCE_PATIENCE = 50
+BRUTEFORCE_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -171,18 +179,17 @@ def _project_sibling_simplices(x: np.ndarray, block_ids: np.ndarray,
     return out
 
 
-def capacity_bruteforce(tree: Tree, res: ResistanceProfile, p: float,
-                        rel_tol: float = 1e-12, patience: int = 50,
-                        max_iter: int = 100_000) -> CapacityResult:
+def capacity_bruteforce(tree: Tree, res: ResistanceProfile, p: float) -> CapacityResult:
     """Direct minimization of the Thomson energy over unit flows.
 
     The flow is parameterized by splitting fractions on each internal
     vertex's child simplex, which makes conservation structural; projected
     gradient descent with a backtracking (and adaptively grown) step then
     converges to the optimum of the underlying convex problem.  Stops when
-    the relative objective change stays below ``rel_tol`` for ``patience``
-    consecutive iterations; hitting ``max_iter`` first returns the best value
-    with ``converged=False``.
+    the relative objective change stays below ``BRUTEFORCE_REL_TOL`` for
+    ``BRUTEFORCE_PATIENCE`` consecutive iterations; hitting
+    ``BRUTEFORCE_MAX_ITER`` first returns the best value with
+    ``converged=False``.
     """
     if p <= 1:
         raise ValueError("capacity order p must exceed 1")
@@ -239,7 +246,7 @@ def capacity_bruteforce(tree: Tree, res: ResistanceProfile, p: float,
     step = 1.0
     quiet = 0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(BRUTEFORCE_MAX_ITER):
         grad = gradient(a, theta)
         moved = False
         while step >= 1e-18:
@@ -278,8 +285,8 @@ def capacity_bruteforce(tree: Tree, res: ResistanceProfile, p: float,
         previous = a
         a, theta, energy = trial, trial_theta, trial_energy
         step *= 1.25
-        quiet = quiet + 1 if change <= rel_tol * max(energy, 1e-300) else 0
-        if quiet >= patience:
+        quiet = quiet + 1 if change <= BRUTEFORCE_REL_TOL * max(energy, 1e-300) else 0
+        if quiet >= BRUTEFORCE_PATIENCE:
             converged = True
             break
     capacity = energy ** -(p - 1.0) if energy > 0 else math.inf
@@ -298,13 +305,12 @@ def expected_capacity_upper(m_0k, resistance_base: float, p: float) -> float:
     return float(np.sum((resistance_base ** k * m) ** -s) ** (-1.0 / s))
 
 
-def alpha_n(beta: float, nu: float, p_n: float, n: int, p: float,
-            criticality_tol: float = 1e-12) -> float:
+def alpha_n(beta: float, nu: float, p_n: float, n: int, p: float) -> float:
     """Benchmark scale for capa_p of the pruned tree: p_n (nu tanh beta)^n off
     criticality, min(n^{-1/(q-1)}, p_n) at criticality."""
     q = p / (p - 1.0)
     t = nu * math.tanh(beta)
-    if abs(t - 1.0) < criticality_tol:
+    if abs(t - 1.0) < CRITICALITY_TOL:
         return min(float(n) ** (-1.0 / (q - 1.0)), p_n)
     return p_n * t ** n
 

@@ -5,13 +5,16 @@ A thin single-threaded dispatcher: parses flags, loads the JSON config
 and writes outputs atomically (temp file + rename, so an interrupted run
 never leaves a partial file under the final name).
 
-Exit codes: 0 success, 1 validation failure, 2 usage or config error.
+Exit codes: 0 success, 1 validation failure, 2 usage or config error,
+3 internal error (any other exception, reported on one stderr line), so a
+crash never reads as a failed validation.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -109,7 +112,9 @@ def parse_pmf_spec(spec: str) -> OffspringPmf:
         raise ConfigError(f"cannot parse pmf spec {spec!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(prog="gwising")
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -189,6 +194,9 @@ def parse_and_dispatch(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 def _run_prune_demo(args, say) -> int:

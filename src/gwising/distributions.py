@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,23 +58,25 @@ class OffspringPmf:
         probs = np.asarray(self.probs, dtype=np.float64)
         if degrees.ndim != 1 or probs.shape != degrees.shape or degrees.size == 0:
             raise PmfError("degrees and probs must be matching non-empty 1-d arrays")
-        if degrees[0] < 0 or np.any(np.diff(degrees) <= 0):
-            raise PmfError("degrees must be nonnegative and strictly increasing")
-        if np.any(probs < 0):
-            raise PmfError("negative probability mass")
-        total = float(probs.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise PmfError(f"masses sum to {total!r}, outside 1 +/- {NORMALIZATION_TOL}")
-        degrees.setflags(write=False)
-        probs.setflags(write=False)
+        _check_masses(degrees, probs)
         cum = np.cumsum(probs)
         cum[-1] = 1.0  # guard searchsorted against rounding at the top end
-        cum.setflags(write=False)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_cum", cum)
+        self._set_arrays(degrees, probs, cum)
+
+    def _set_arrays(self, degrees, probs, cum) -> None:
+        for arr in (degrees, probs, cum):
+            arr.setflags(write=False)
+        self.__dict__.update(degrees=degrees, probs=probs, _cum=cum)
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _from_checked(cls, degrees, probs, cum) -> "OffspringPmf":
+        """A law from arrays that already satisfy the invariants, ``cum``
+        being the cumulative masses topped at 1; nothing is checked again."""
+        law = object.__new__(cls)
+        law._set_arrays(degrees, probs, cum)
+        return law
 
     @classmethod
     def from_dict(cls, masses: dict[int, float]) -> "OffspringPmf":
@@ -127,6 +130,10 @@ class OffspringPmf:
         return self.no_zero and self.mass(1) < 1.0
 
     def mean(self) -> float:
+        return self._mean
+
+    @cached_property
+    def _mean(self) -> float:
         return float(np.dot(self.degrees, self.probs))
 
     def q_moment(self, q: float) -> float:
@@ -153,7 +160,8 @@ class OffspringPmf:
             m0 = self.mass(0)
             return math.log(m0) if m0 > 0 else -math.inf
         nz = self.probs > 0
-        return logsumexp(np.log(self.probs[nz]) + self.degrees[nz] * log_s)
+        with np.errstate(over="ignore"):  # d log s below -max float is -inf: s^d = 0
+            return logsumexp(np.log(self.probs[nz]) + self.degrees[nz] * log_s)
 
     def one_minus_gf_at_one_minus(self, t) -> float | np.ndarray:
         """F(t) = 1 - G(1 - t), computed stably for small t.
@@ -200,6 +208,23 @@ def logsumexp(values) -> float:
     return float(top + math.log(np.exp(np.subtract(values, top)).sum()))
 
 
+def _check_masses(degrees: np.ndarray, probs: np.ndarray) -> None:
+    """The invariants of OffspringPmf, for one law (``probs`` 1-d) or for a
+    table of laws on common ``degrees`` (one law per row of ``probs``):
+    degrees nonnegative and strictly increasing, masses nonnegative, and each
+    law's masses summing to one within ``NORMALIZATION_TOL`` (a NaN sum
+    fails)."""
+    if degrees[0] < 0 or np.any(np.diff(degrees) <= 0):
+        raise PmfError("degrees must be nonnegative and strictly increasing")
+    if np.any(probs < 0):
+        raise PmfError("negative probability mass")
+    totals = np.atleast_1d(probs.sum(axis=-1))
+    off = ~(np.abs(totals - 1.0) <= NORMALIZATION_TOL)
+    if off.any():
+        raise PmfError(f"masses sum to {float(totals[off][0])!r}, "
+                       f"outside 1 +/- {NORMALIZATION_TOL}")
+
+
 def _check_q(q: float) -> None:
     if not (1.0 < q <= 2.0):
         raise ValueError(f"fractional moment order must lie in (1, 2], got {q}")
@@ -221,7 +246,20 @@ def zero_truncated_binomial(n: int, p: float) -> OffspringPmf:
     return OffspringPmf(np.arange(1, n + 1), np.array(masses))
 
 
-def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | tuple[OffspringPmf, ...]:
+class LawTable(tuple):
+    """A tuple of laws on the degrees 1..m together with their mass matrix:
+    row i of ``masses`` holds law i's mass at degree d in column d - 1."""
+
+    def __new__(cls, laws, masses: np.ndarray):
+        table = super().__new__(cls, laws)
+        table.masses = masses
+        return table
+
+    def __reduce__(self):
+        return LawTable, (tuple(self), self.masses)
+
+
+def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
     """Zero-truncated binomial with random trial count X ~ ``pmf``.
 
     This is the offspring law of a surviving vertex whose children are kept
@@ -235,9 +273,11 @@ def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | tuple[OffspringPmf, ...]
     survival-weighted mixture of ``zero_truncated_binomial(D, p)`` over
     D ~ ``pmf`` to ``MIXTURE_CONSISTENCY_TOL``.
 
-    A float ``p`` gives one law; a 1-d array gives a tuple of laws, one per
-    entry, bit for bit equal to the float calls: powers and normalisers are
-    taken per entry on Python floats, and numpy only multiplies and adds.
+    A float ``p`` gives one law; a 1-d array gives a ``LawTable``, one law
+    per entry, bit for bit equal to the float calls.  The powers are taken
+    per entry on Python floats; numpy builds, normalises and checks the
+    (entries x max_degree) mass matrix as one, each row in the order of the
+    float call.  A law keeps the degrees of its row with positive mass.
     """
     if not pmf.no_zero:
         raise PmfError("mixture requires a trial-count law with no mass at 0")
@@ -246,19 +286,27 @@ def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | tuple[OffspringPmf, ...]
         raise ValueError("survival probability must lie in (0, 1]")
 
     dmax = pmf.max_degree
-    d_out = np.arange(1, dmax + 1)
-    rows = np.atleast_1d(ps).tolist()
+    rows = np.atleast_1d(ps)
+    entries = rows.tolist()
     # (1 - p)^l for l < dmax and p^d for 1 <= d <= dmax, one row per entry
-    keep_pow = np.reshape([[(1.0 - s) ** ell for ell in range(dmax)] for s in rows], (-1, dmax))
-    surv_pow = np.reshape([[s**d for d in range(1, dmax + 1)] for s in rows], (-1, dmax))
-    raw = np.zeros((len(rows), dmax))
+    keep_pow = np.reshape([[(1.0 - s) ** ell for ell in range(dmax)] for s in entries],
+                          (-1, dmax))
+    surv_pow = np.reshape([[s**d for d in range(1, dmax + 1)] for s in entries], (-1, dmax))
+    masses = np.zeros((len(entries), dmax))
     for big_d, mass in zip(pmf.degrees.tolist(), pmf.probs):
         coef = np.array([mass * math.comb(big_d, big_d - d) for d in range(1, big_d + 1)])
-        raw[:, :big_d] += coef * keep_pow[:, big_d - 1::-1] * surv_pow[:, :big_d]
-    laws = []
-    for s, row in zip(rows, raw):
-        row = row / float(pmf.one_minus_gf_at_one_minus(s))  # 1 - G(1-p)
-        masses = row / row.sum()
-        nz = masses > 0
-        laws.append(OffspringPmf(d_out[nz], masses[nz]))
-    return laws[0] if ps.ndim == 0 else tuple(laws)
+        masses[:, :big_d] += coef * keep_pow[:, big_d - 1::-1] * surv_pow[:, :big_d]
+    masses /= pmf.one_minus_gf_at_one_minus(rows)[:, None]  # 1 - G(1-p)
+    masses /= masses.sum(axis=1, keepdims=True)
+    degrees = np.arange(1, dmax + 1)
+    _check_masses(degrees, masses)
+    masses.setflags(write=False)
+    positive = masses > 0
+    cum = np.cumsum(masses, axis=1)
+    # top each row at its last positive degree, as the constructor does
+    cum[np.arange(len(entries)), dmax - 1 - np.argmax(positive[:, ::-1], axis=1)] = 1.0
+    laws = LawTable([OffspringPmf._from_checked(degrees, row, top) if whole else
+                     OffspringPmf._from_checked(degrees[keep], row[keep], top[keep])
+                     for whole, keep, row, top
+                     in zip(positive.all(axis=1).tolist(), positive, masses, cum)], masses)
+    return laws[0] if ps.ndim == 0 else laws

@@ -36,6 +36,10 @@ BLOCK_VERTICES = 2**16
 TV_CROSSING_WINDOW = 5.0
 # relative slack of every transition-bound comparison
 BOUND_REL_SLACK = 1e-9
+# the couplings the Lyons and pruning suites cycle through, and the capacity
+# orders of the capacity oracle suite
+SUITE_BETAS = (0.3, 0.7, 1.2)
+SUITE_CAPACITY_ORDERS = (1.5, 2.0, 3.0)
 
 
 class ConfigError(ValueError):
@@ -415,16 +419,15 @@ def random_small_tree(rng: np.random.Generator, max_vertices: int = 14,
             pass
 
 
-def suite_lyons_vs_bruteforce(instances: int, seed: int = 0,
-                              betas=(0.3, 0.7, 1.2)) -> dict:
+def suite_lyons_vs_bruteforce(instances: int, seed: int = 0) -> dict:
     """Recursion against exhaustive Gibbs enumeration on random instances."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
     max_err = 0.0
     for i in range(instances):
         tree = random_small_tree(rng)
-        beta = betas[i % len(betas)]
+        beta = SUITE_BETAS[i % len(SUITE_BETAS)]
         mode = (FieldMode.WHOLE_TREE, FieldMode.LEAVES_ONLY,
-                FieldMode.PLUS_BOUNDARY)[(i // len(betas)) % 3]
+                FieldMode.PLUS_BOUNDARY)[(i // len(SUITE_BETAS)) % 3]
         fld = sample_field(tree, mode, float(rng.uniform(0.1, 0.9)), rng)
         r_rec = float(ising.lyons_field(tree, fld, beta)[0])
         m_brute, r_brute = ising.gibbs_bruteforce(tree, fld, beta)
@@ -435,8 +438,7 @@ def suite_lyons_vs_bruteforce(instances: int, seed: int = 0,
             "pass": bool(max_err <= 1e-10)}
 
 
-def suite_pruning_equivalence(instances: int, seed: int = 0,
-                              betas=(0.3, 0.7, 1.2)) -> dict:
+def suite_pruning_equivalence(instances: int, seed: int = 0) -> dict:
     """Field-on-leaves ratios equal plus-field ratios on the pruned tree,
     vertex by vertex, with exact zeros on pruned-away vertices."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(102,)))
@@ -444,7 +446,7 @@ def suite_pruning_equivalence(instances: int, seed: int = 0,
     exact_zero_off_tree = True
     for i in range(instances):
         tree = random_small_tree(rng, max_vertices=40, max_degree=3, max_depth=5)
-        beta = betas[i % len(betas)]
+        beta = SUITE_BETAS[i % len(SUITE_BETAS)]
         fld = sample_field(tree, FieldMode.LEAVES_ONLY, float(rng.uniform(0.1, 0.7)), rng)
         r_full = ising.lyons_field(tree, fld, beta)
         outcome = prune(tree, fld)
@@ -493,8 +495,7 @@ def suite_pruned_law_exact() -> dict:
             "pass": bool(max_err <= 1e-12)}
 
 
-def suite_capacity_oracle(instances: int = 50, seed: int = 0,
-                          orders=(1.5, 2.0, 3.0)) -> dict:
+def suite_capacity_oracle(instances: int = 50, seed: int = 0) -> dict:
     """Capacity recursion against the flow-minimization oracle, plus Thomson
     dominance of the uniform flow, on random weighted trees."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(103,)))
@@ -504,7 +505,7 @@ def suite_capacity_oracle(instances: int = 50, seed: int = 0,
         tree = random_small_tree(rng, max_vertices=200, max_degree=3, max_depth=5)
         base = float(rng.uniform(0.5, 1.5))
         res = cap.ResistanceProfile.geometric(base)
-        for p in orders:
+        for p in SUITE_CAPACITY_ORDERS:
             exact = cap.capacity_recursion(tree, res, p).capacity
             oracle = cap.capacity_bruteforce(tree, res, p)
             max_rel_gap = max(max_rel_gap, abs(oracle.capacity - exact) / exact)

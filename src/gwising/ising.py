@@ -19,6 +19,8 @@ from .fields import FieldAssignment
 from .tree import Tree
 
 BRUTEFORCE_MAX_FREE_SPINS = 24
+# nu tanh(beta) within this of 1 counts as critical
+CRITICALITY_TOL = 1e-12
 
 
 def g_beta(beta: float, x):
@@ -146,19 +148,18 @@ def critical_fixed_point(beta: float, nu: float, p_n: float, tol: float = 1e-12)
     return 0.5 * (lo + hi)
 
 
-def upper_bound_mean_r(beta: float, nu: float, p_n: float, n: int,
-                       criticality_tol: float = 1e-12) -> float:
+def upper_bound_mean_r(beta: float, nu: float, p_n: float, n: int) -> float:
     """Analytic upper bound on the mean root ratio under a whole-tree
     Bernoulli(p_n) field.
 
     Off criticality this is the linearized sum 2 beta p_n sum_k (nu tanh b)^k;
-    at criticality (nu tanh(beta) within ``criticality_tol`` of 1) it is
+    at criticality (nu tanh(beta) within ``CRITICALITY_TOL`` of 1) it is
     max(2 beta p_n, x_n) with x_n the critical fixed point.
     """
     if p_n == 0.0:
         return 0.0
     t = nu * math.tanh(beta)
-    if abs(t - 1.0) < criticality_tol:
+    if abs(t - 1.0) < CRITICALITY_TOL:
         return max(2.0 * beta * p_n, critical_fixed_point(beta, nu, p_n))
     powers = t ** np.arange(n + 1)
     return 2.0 * beta * p_n * float(powers.sum())

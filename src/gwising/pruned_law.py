@@ -25,12 +25,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import ConsistencyError, OffspringPmf, PmfError, ztb_mixture
+from .distributions import ConsistencyError, LawTable, OffspringPmf, PmfError, ztb_mixture
 from .tree import Tree, sample_inhomogeneous_bp
 
 LINEAR_UNDERFLOW = 1e-300
 _LOG_MAX = math.log(np.finfo(float).max)
 MEAN_CONSISTENCY_TOL = 1e-12
+# fit_g_upper_constant fits on this many points of [0, 1) and rejects a
+# constant above G_FIT_CAP as a sign that the input law is wrong
+G_FIT_GRID_POINTS = 4001
+G_FIT_CAP = 10.0
+# calibrate_constants fits at depth CALIBRATION_N and leaf-mark probability
+# CALIBRATION_P_N, loosening each fit by the fraction CALIBRATION_MARGIN
+CALIBRATION_N = 30
+CALIBRATION_P_N = 2.0**-15
+CALIBRATION_MARGIN = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,36 +84,37 @@ class GammaProfile:
         return self.log_gamma_bar[::-1].copy()
 
     @cached_property
-    def laws(self) -> tuple[OffspringPmf, ...]:
+    def laws(self) -> LawTable:
         """mu*_0, ..., mu*_{n-1}: the offspring laws of the pruned tree, the
         zero-truncated binomial mixtures with survival probability
-        1 - gamma_{k+1}.  Each mean is checked against the closed form
-        nu*_k; disagreement raises ConsistencyError."""
+        1 - gamma_{k+1}.  The mean of each row of the mass matrix is checked
+        against the closed form nu*_k; disagreement raises ConsistencyError."""
         laws = ztb_mixture(self.pmf, self.one_minus_gamma[1:])
-        for k, law in enumerate(laws):
-            expected = self.nu_star(k)
-            if abs(law.mean() - expected) > MEAN_CONSISTENCY_TOL * max(1.0, expected):
-                raise ConsistencyError(
-                    f"mu*_{k} mean {law.mean()!r} disagrees with closed form {expected!r}")
+        means = laws.masses @ np.arange(1.0, laws.masses.shape[1] + 1)
+        off = np.flatnonzero(np.abs(means - self.nu_star)
+                             > MEAN_CONSISTENCY_TOL * np.maximum(1.0, self.nu_star))
+        if off.size:
+            k = int(off[0])
+            raise ConsistencyError(f"mu*_{k} mean {means[k]!r} disagrees with "
+                                   f"closed form {self.nu_star[k]!r}")
         return laws
+
+    @cached_property
+    def nu_star(self) -> np.ndarray:
+        """nu*_k = M*_{k,k+1} = nu (1 - gamma_{k+1}) / (1 - gamma_k), the mean
+        offspring of generation k of the pruned tree, for k = 0..n-1."""
+        return _read_only([self.mean_generation_size(k, k + 1) for k in range(self.n)])
 
     @cached_property
     def m_0k(self) -> np.ndarray:
         """M*_{0,k} for k = 0..n."""
-        m_0k = np.array([self.mean_generation_size(0, k) for k in range(self.n + 1)])
-        m_0k.setflags(write=False)
-        return m_0k
+        return _read_only([self.mean_generation_size(0, k) for k in range(self.n + 1)])
 
     @property
     def k_star(self) -> float:
         """Transition generation log_nu(p_n nu^n), kept as a real number."""
         nu = self.pmf.mean()
         return self.n + math.log(self.p_n) / math.log(nu)
-
-    def nu_star(self, k: int) -> float:
-        """Mean offspring of generation k in the pruned tree:
-        nu (1 - gamma_{k+1}) / (1 - gamma_k)."""
-        return self.mean_generation_size(k, k + 1)
 
     def mean_generation_size(self, i: int, j: int) -> float:
         """M*_{i,j} = prod_{k=i}^{j-1} nu*_k = nu^{j-i} (1 - gamma_j) / (1 - gamma_i),
@@ -118,6 +128,12 @@ class GammaProfile:
             return nu ** (j - i) * num / den
         log_m = (j - i) * math.log(nu) + self.log_one_minus_gamma[j] - self.log_one_minus_gamma[i]
         return math.exp(log_m) if log_m < _LOG_MAX else math.inf
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def gamma_profile(pmf: OffspringPmf, p_n: float, n: int) -> GammaProfile:
@@ -153,8 +169,10 @@ def gamma_profile(pmf: OffspringPmf, p_n: float, n: int) -> GammaProfile:
                 lt[k] = math.log(t[k])
             g[k], lg[k] = 1.0 - t[k], math.log1p(-t[k])
         else:
-            # G(s) >= s^max_degree, so the linear step cannot underflow
-            if pmf.max_degree * lg[k - 1] < log_floor:
+            # G(s) >= s^max_degree, so the linear step cannot underflow; the
+            # product is taken on a Python float, which overflows to -inf
+            # without a warning
+            if pmf.max_degree * float(lg[k - 1]) < log_floor:
                 lg[k] = pmf.log_gf(lg[k - 1])
                 g[k] = math.exp(lg[k])
             else:
@@ -203,14 +221,13 @@ def moments(profile: GammaProfile, q: float) -> PrunedMoments:
     nu*_k^{-(q-1)} S_{k+1} and S_n = 0.
     """
     n = profile.n
-    nu_star_arr = np.array([profile.nu_star(k) for k in range(n)])
     sigma = np.array([law.q_variance(q) for law in profile.laws])
     v_kn = np.empty(n)
     tail = 0.0
     for k in range(n - 1, -1, -1):
-        tail = sigma[k] + nu_star_arr[k] ** (-(q - 1.0)) * tail
+        tail = sigma[k] + profile.nu_star[k] ** (-(q - 1.0)) * tail
         v_kn[k] = 1.0 + tail
-    return PrunedMoments(profile, q, nu_star_arr, sigma, profile.m_0k, v_kn)
+    return PrunedMoments(profile, q, profile.nu_star, sigma, profile.m_0k, v_kn)
 
 
 class PrunedLawSampler:
@@ -267,10 +284,23 @@ def tv_profile(profile: GammaProfile) -> tuple[np.ndarray, np.ndarray]:
     """Per-generation distances d_TV(mu*_k, mu) and d_TV(mu*_k, dirac_1).
 
     The first is small deep below k* (the pruned tree still looks like the
-    original), the second small far above k* (thin branches)."""
-    dirac1 = OffspringPmf.dirac(1)
-    return (np.array([tv_distance(law, profile.pmf) for law in profile.laws]),
-            np.array([tv_distance(law, dirac1) for law in profile.laws]))
+    original), the second small far above k* (thin branches).  Both are
+    row-wise L1 distances over the mass matrix of ``profile.laws``, each row
+    summed over the degrees up to the larger of the two supports, as
+    ``tv_distance`` does."""
+    masses = profile.laws.masses
+    diff = np.zeros((len(masses), masses.shape[1] + 1))
+    diff[:, 1:] = masses
+    to_dirac_diff = diff.copy()
+    diff[:, profile.pmf.degrees] -= profile.pmf.probs
+    to_mu = 0.5 * np.abs(diff).sum(axis=1)
+    to_dirac_diff[:, 1] -= 1.0
+    to_dirac = np.empty(len(masses))
+    top = masses.shape[1] - np.argmax(masses[:, ::-1] > 0, axis=1)  # largest degree of each law
+    for width in np.unique(top):
+        rows = top == width
+        to_dirac[rows] = 0.5 * np.abs(to_dirac_diff[rows, :width + 1]).sum(axis=1)
+    return to_mu, to_dirac
 
 
 def tv_crossing(to_mu: np.ndarray, to_dirac: np.ndarray) -> float:
@@ -302,37 +332,36 @@ def k1_bar_star(profile: GammaProfile, q: float, c_mu: float) -> int:
     return profile.n
 
 
-def fit_g_upper_constant(pmf: OffspringPmf, q: float, grid_points: int = 4001,
-                         cap: float = 10.0) -> float:
+def fit_g_upper_constant(pmf: OffspringPmf, q: float) -> float:
     """Smallest c with G(s) <= 1 + nu (s-1) + c m_q (1-s)^q on a dense grid.
 
-    The paper's constant is existential; fits above ``cap`` are rejected as a
-    sign something is wrong with the input law.
+    The paper's constant is existential; fits above ``G_FIT_CAP`` are
+    rejected as a sign something is wrong with the input law.
     """
     nu = pmf.mean()
     m_q = pmf.q_moment(q)
-    s = np.linspace(0.0, 1.0, grid_points)[:-1]
+    s = np.linspace(0.0, 1.0, G_FIT_GRID_POINTS)[:-1]
     gap = pmf.gf(s) - (1.0 + nu * (s - 1.0))
     ratio = gap / (m_q * (1.0 - s) ** q)
     c = float(np.max(ratio))
-    if c > cap:
-        raise ConsistencyError(f"fitted G-bound constant {c} exceeds cap {cap}")
+    if c > G_FIT_CAP:
+        raise ConsistencyError(f"fitted G-bound constant {c} exceeds cap {G_FIT_CAP}")
     return max(c, 0.0)
 
 
-def calibrate_constants(pmf: OffspringPmf, q: float, n: int = 30,
-                        p_n: float = 2.0 ** -15, margin: float = 0.1) -> dict:
+def calibrate_constants(pmf: OffspringPmf, q: float) -> dict:
     """One-off calibration of the existential constants of the transition
-    bounds, at a moderate (n, p_n); the results are frozen into fixtures and
-    asserted unchanged on larger grids.
+    bounds, at the moderate (n, p_n) = (CALIBRATION_N, CALIBRATION_P_N); the
+    results are frozen into fixtures and asserted unchanged on larger grids.
 
     Keys: c_q and C_mu (generating-function bounds), c4 (gamma decay below
     k*), c5 (mean gaps), c6 (q-variance decay), c7_prime / c8 (growth factor
-    bracket), C_v (uniform bound on v*_{k,n}).  ``margin`` loosens each fit
-    by the given fraction: the raw min/max ratio is exactly tight at the
-    calibration point, and profiles at other (n, p_n) sit at a different
-    phase of the transition window, drifting by a few percent.
+    bracket), C_v (uniform bound on v*_{k,n}).  ``CALIBRATION_MARGIN``
+    loosens each fit by that fraction: the raw min/max ratio is exactly
+    tight at the calibration point, and profiles at other (n, p_n) sit at a
+    different phase of the transition window, drifting by a few percent.
     """
+    n, p_n, margin = CALIBRATION_N, CALIBRATION_P_N, CALIBRATION_MARGIN
     profile = gamma_profile(pmf, p_n, n)
     mom = moments(profile, q)
     nu = pmf.mean()

@@ -19,6 +19,8 @@ import numpy as np
 from .distributions import OffspringPmf, PmfError
 
 DEFAULT_POPULATION_CAP = 10**8
+# enumerate_trees refuses a (law, depth) with more trees than this
+MAX_ENUMERATED_TREES = 10**6
 
 
 class PopulationCapError(RuntimeError):
@@ -307,16 +309,16 @@ def count_trees(pmf: OffspringPmf, depth: int) -> int:
     return count
 
 
-def enumerate_trees(pmf: OffspringPmf, depth: int, max_count: int = 10**6):
+def enumerate_trees(pmf: OffspringPmf, depth: int):
     """Yield every depth-``depth`` tree with degrees in the support, with its
     exact Galton-Watson probability prod_u mu(d_u) over internal vertices.
 
     Probabilities sum to 1 whenever the support has no mass at 0.  Guarded by
-    ``max_count`` to keep the enumeration from exploding.
+    ``MAX_ENUMERATED_TREES`` to keep the enumeration from exploding.
     """
-    if count_trees(pmf, depth) > max_count:
+    if count_trees(pmf, depth) > MAX_ENUMERATED_TREES:
         raise ExplosionGuardError(
-            f"more than {max_count} trees of depth {depth} for this support"
+            f"more than {MAX_ENUMERATED_TREES} trees of depth {depth} for this support"
         )
     degrees = [int(d) for d in pmf.degrees if d > 0]
 

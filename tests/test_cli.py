@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -221,6 +222,31 @@ def test_capacity_scan_columns(tmp_path, capsys):
     header = (out / "capacity.csv").read_text().splitlines()[0]
     assert header == "n,p_n,replica,capacity_p,alpha_n,ratio"
     capsys.readouterr()
+
+
+def _too_small_cap(monkeypatch):
+    monkeypatch.setattr(gwising.experiments, "sample_gw",
+                        functools.partial(gwising.tree.sample_gw, max_vertices=10))
+
+
+def _no_mean_tolerance(monkeypatch):
+    monkeypatch.setattr(gwising.pruned_law, "MEAN_CONSISTENCY_TOL", -1.0)
+
+
+@pytest.mark.parametrize("command,mode,inject,error", [
+    ("magnetization-scan", "magnetization", _too_small_cap, "PopulationCapError"),
+    ("tv-scan", "tv", _no_mean_tolerance, "ConsistencyError"),
+])
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, command, mode, inject,
+                                error):
+    inject(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", mode=mode)
+    code = parse_and_dispatch(["--quiet", command, "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {error}(") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_writes_report_and_exit_zero(tmp_path, capsys):

@@ -21,6 +21,8 @@ def test_constructor_rejects_bad_input():
     with pytest.raises(PmfError):
         OffspringPmf(np.array([1, 2]), np.array([1.5, -0.5]))  # negative mass
     with pytest.raises(PmfError):
+        OffspringPmf(np.array([1, 2]), np.array([0.5, np.nan]))  # sum is NaN
+    with pytest.raises(PmfError):
         OffspringPmf(np.array([-1]), np.array([1.0]))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +156,18 @@ def test_profile_property_over_small_mark_probabilities(masses, log2_p, n):
     assert np.all(np.abs(g_bar[normal] + t_bar[normal] - 1.0) <= math.ulp(1.0))
 
 
+def test_profile_past_the_log_range_raises_no_warning():
+    # log gamma_bar grows 30-fold a generation and passes -max float at the
+    # last generation; it is then the documented -inf, with gamma_bar = 0
+    pmf = OffspringPmf.dirac(30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = gamma_profile(pmf, 0.5, 209)
+        assert pmf.log_gf(-1e307) == -math.inf
+    assert np.isfinite(profile.log_gamma_bar[-2])
+    assert profile.log_gamma_bar[-1] == -math.inf and profile.gamma_bar[-1] == 0.0
+
+
 def test_gamma_bar_equals_mark_free_generating_function(half12):
     # independent oracle: gamma_bar_k = E[(1-p)^{|T_k|}] with |T_k| from the
     # exhaustive tree enumeration
@@ -195,6 +208,11 @@ def test_one_law_table_per_profile(masses, p_n):
     sampler = PrunedLawSampler(profile)
     assert len(sampler.laws) == 12
     assert all(a is b for a, b in zip(sampler.laws[1:], profile.laws[1:]))
+    # the row-wise distances over the mass matrix are the per-law ones, bit for bit
+    to_mu, to_dirac = tv_profile(profile)
+    assert to_mu.tolist() == [tv_distance(law, pmf) for law in profile.laws]
+    assert to_dirac.tolist() == [tv_distance(law, OffspringPmf.dirac(1))
+                                 for law in profile.laws]
 
 
 def test_mu_star_mean_matches_ratio_formula(half12):
