@@ -90,7 +90,7 @@ class GammaProfile:
         1 - gamma_{k+1}.  The mean of each row of the mass matrix is checked
         against the closed form nu*_k; disagreement raises ConsistencyError."""
         laws = ztb_mixture(self.pmf, self.one_minus_gamma[1:])
-        means = laws.masses @ np.arange(1.0, laws.masses.shape[1] + 1)
+        means = (laws.masses * np.arange(1.0, laws.masses.shape[1] + 1)).sum(axis=1)
         off = np.flatnonzero(np.abs(means - self.nu_star)
                              > MEAN_CONSISTENCY_TOL * np.maximum(1.0, self.nu_star))
         if off.size:
@@ -297,7 +297,7 @@ def tv_profile(profile: GammaProfile) -> tuple[np.ndarray, np.ndarray]:
     to_dirac_diff[:, 1] -= 1.0
     to_dirac = np.empty(len(masses))
     top = masses.shape[1] - np.argmax(masses[:, ::-1] > 0, axis=1)  # largest degree of each law
-    for width in np.unique(top):
+    for width in set(top.tolist()):
         rows = top == width
         to_dirac[rows] = 0.5 * np.abs(to_dirac_diff[rows, :width + 1]).sum(axis=1)
     return to_mu, to_dirac
