@@ -64,18 +64,18 @@ class OffspringPmf:
         self._set_arrays(degrees, probs, cum)
 
     def _set_arrays(self, degrees, probs, cum) -> None:
-        for arr in (degrees, probs, cum):
-            arr.setflags(write=False)
+        _freeze(degrees, probs, cum)
         self.__dict__.update(degrees=degrees, probs=probs, _cum=cum)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def _from_checked(cls, degrees, probs, cum) -> "OffspringPmf":
-        """A law from arrays that already satisfy the invariants, ``cum``
-        being the cumulative masses topped at 1; nothing is checked again."""
+        """A law from read-only arrays that already satisfy the invariants,
+        ``cum`` being the cumulative masses topped at 1; nothing is checked
+        or flagged again."""
         law = object.__new__(cls)
-        law._set_arrays(degrees, probs, cum)
+        law.__dict__.update(degrees=degrees, probs=probs, _cum=cum)
         return law
 
     @classmethod
@@ -147,7 +147,19 @@ class OffspringPmf:
         return self.q_moment(q) - self.mean() ** q
 
     def gf(self, s) -> float | np.ndarray:
-        """Generating function G(s) = sum_d mu(d) s^d, for s in [0, 1]."""
+        """Generating function G(s) = sum_d mu(d) s^d, for s in [0, 1].
+
+        A float ``s`` takes one ``np.power`` over the support (the square as
+        ``s * s``, as numpy's 0-d ``s ** 2`` does) and sums the terms on
+        Python floats in support order, bit for bit equal to the array path.
+        """
+        if isinstance(s, (float, int)):
+            s = float(s)
+            powers = np.power(s, self.degrees).tolist()
+            acc = 0.0
+            for (d, p), power in zip(self._terms, powers):
+                acc += p * (s * s if d == 2 else power)
+            return acc
         s = np.asarray(s, dtype=float)
         out = np.zeros(s.shape)
         for d, p in zip(self.degrees, self.probs):
@@ -155,20 +167,36 @@ class OffspringPmf:
         return float(out) if out.ndim == 0 else out
 
     def log_gf(self, log_s: float) -> float:
-        """log G(s) from log s; stays finite when s itself underflows."""
+        """log G(s) from log s; stays finite when s itself underflows.
+
+        Each d log s is a Python float product, which overflows to -inf
+        (s^d = 0) without a warning."""
         if log_s == -math.inf:
             m0 = self.mass(0)
             return math.log(m0) if m0 > 0 else -math.inf
-        nz = self.probs > 0
-        with np.errstate(over="ignore"):  # d log s below -max float is -inf: s^d = 0
-            return logsumexp(np.log(self.probs[nz]) + self.degrees[nz] * log_s)
+        log_s = float(log_s)
+        return logsumexp([lp + d * log_s for d, lp in self._log_terms])
 
     def one_minus_gf_at_one_minus(self, t) -> float | np.ndarray:
         """F(t) = 1 - G(1 - t), computed stably for small t.
 
         Uses 1 - (1-t)^d = -expm1(d log1p(-t)) termwise, so F(t) keeps full
-        relative accuracy down to t near the underflow threshold.
+        relative accuracy down to t near the underflow threshold.  A float
+        ``t`` takes one ``np.expm1`` over the nonzero degrees and sums on
+        Python floats in support order, bit for bit equal to the array path;
+        at t = 1 every term is its mass.
         """
+        if isinstance(t, (float, int)):
+            degrees, probs = self._positive_terms
+            if t == 1.0:
+                terms = probs
+            else:
+                minus = np.expm1(degrees * np.log1p(-float(t))).tolist()
+                terms = [p * -e for p, e in zip(probs, minus)]
+            acc = 0.0
+            for term in terms:
+                acc += term
+            return acc
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape)
         with np.errstate(divide="ignore"):
@@ -178,6 +206,25 @@ class OffspringPmf:
                 continue
             out += p * (-np.expm1(int(d) * log1m))
         return float(out) if out.ndim == 0 else out
+
+    # the support as Python lists, for the scalar paths above
+
+    @cached_property
+    def _terms(self) -> list[tuple[int, float]]:
+        """(d, mu(d)) over the support."""
+        return list(zip(self.degrees.tolist(), self.probs.tolist()))
+
+    @cached_property
+    def _positive_terms(self) -> tuple[np.ndarray, list[float]]:
+        """The degrees above 0 as floats, and their masses."""
+        keep = self.degrees > 0
+        return self.degrees[keep].astype(float), self.probs[keep].tolist()
+
+    @cached_property
+    def _log_terms(self) -> list[tuple[int, float]]:
+        """(d, log mu(d)) over the degrees with positive mass."""
+        nz = self.probs > 0
+        return list(zip(self.degrees[nz].tolist(), np.log(self.probs[nz]).tolist()))
 
     # -- sampling -----------------------------------------------------------
 
@@ -225,6 +272,11 @@ def _check_masses(degrees: np.ndarray, probs: np.ndarray) -> None:
                        f"outside 1 +/- {NORMALIZATION_TOL}")
 
 
+def _freeze(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
 def _check_q(q: float) -> None:
     if not (1.0 < q <= 2.0):
         raise ValueError(f"fractional moment order must lie in (1, 2], got {q}")
@@ -257,6 +309,16 @@ class LawTable(tuple):
 
     def __reduce__(self):
         return LawTable, (tuple(self), self.masses)
+
+    def q_variances(self, q: float) -> np.ndarray:
+        """Each law's ``q_variance(q)``, bit for bit: the powers d^q are taken
+        once for the table, each law's moment is still its own ``np.dot``."""
+        _check_q(q)
+        powers = np.power(np.arange(1.0, self.masses.shape[1] + 1), q)
+        return np.array([
+            float(np.dot(powers if law.degrees.size == powers.size
+                         else powers[law.degrees - 1], law.probs)) - law.mean() ** q
+            for law in self])
 
 
 def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
@@ -300,13 +362,19 @@ def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
     masses /= masses.sum(axis=1, keepdims=True)
     degrees = np.arange(1, dmax + 1)
     _check_masses(degrees, masses)
-    masses.setflags(write=False)
     positive = masses > 0
     cum = np.cumsum(masses, axis=1)
     # top each row at its last positive degree, as the constructor does
     cum[np.arange(len(entries)), dmax - 1 - np.argmax(positive[:, ::-1], axis=1)] = 1.0
+    # a whole row's arrays are views of these, read-only already
+    _freeze(degrees, masses, cum)
     laws = LawTable([OffspringPmf._from_checked(degrees, row, top) if whole else
-                     OffspringPmf._from_checked(degrees[keep], row[keep], top[keep])
+                     _law_on(degrees[keep], row[keep], top[keep])
                      for whole, keep, row, top
                      in zip(positive.all(axis=1).tolist(), positive, masses, cum)], masses)
     return laws[0] if ps.ndim == 0 else laws
+
+
+def _law_on(degrees, probs, cum) -> OffspringPmf:
+    _freeze(degrees, probs, cum)
+    return OffspringPmf._from_checked(degrees, probs, cum)

@@ -26,12 +26,17 @@ from .fields import FieldAssignment, FieldMode, plus_boundary_field, prune, samp
 from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
                          gamma_profile, k1_bar_star, moments, pruned_tree_probability,
                          tv_crossing, tv_profile)
-from .tree import PopulationCapError, Tree, enumerate_trees, sample_gw
+from .tree import (DEFAULT_POPULATION_CAP, PopulationCapError, Tree, enumerate_trees,
+                   sample_gw)
 
 EXPERIMENT_IDS = {"magnetization": 1, "gamma": 2, "capacity": 3, "tv": 4}
 SCHEDULE_KINDS = ("constant", "geometric", "threshold", "threshold_geometric")
 # expected vertices per sampled forest; sets the replicas per block
 BLOCK_VERTICES = 2**16
+# a depth whose replica is expected to have more than this fraction of the
+# population cap in vertices is rejected before any sampling, since one
+# replica ten times its mean would reach the cap
+PREFLIGHT_CAP_FRACTION = 0.1
 # largest |crossing - k*| for which a tv scan reports crossing_ok
 TV_CROSSING_WINDOW = 5.0
 # relative slack of every transition-bound comparison
@@ -112,6 +117,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("beta must be nonnegative")
     if cfg.replicas < 1:
         raise ConfigError("need at least one replica")
+    if cfg.workers < 1:
+        raise ConfigError(f"need at least one worker, got {cfg.workers}")
     if not all(0.0 < eps < 1.0 for eps in (cfg.epsilon, *cfg.epsilon_sweep)):
         raise ConfigError("epsilon and every epsilon_sweep value must lie in (0, 1)")
     if not cfg.capacity_p > 1.0:
@@ -160,12 +167,20 @@ def block_replicas(pmf: OffspringPmf, n: int, profile: GammaProfile | None = Non
 
     A direct depth-n tree has sum_{k<=n} nu^k vertices on average.  A pruned
     draw (``profile`` given) has its root plus (1 - gamma_0) sum_{k>=1} M*_{0,k},
-    since the empty outcome is a childless root.
+    since the empty outcome is a childless root.  Raises ConfigError when that
+    expected size exceeds ``PREFLIGHT_CAP_FRACTION`` of the population cap.
     """
     if profile is None:
-        expected = sum(pmf.mean() ** k for k in range(n + 1))
+        try:
+            expected = sum(pmf.mean() ** k for k in range(n + 1))
+        except OverflowError:
+            expected = math.inf
     else:
         expected = 1.0 + float(profile.one_minus_gamma[0]) * sum(profile.m_0k[1:].tolist())
+    if expected > PREFLIGHT_CAP_FRACTION * DEFAULT_POPULATION_CAP:
+        raise ConfigError(f"depth {n}: a replica is expected to have {expected:.3g} "
+                          f"vertices, above {PREFLIGHT_CAP_FRACTION} of the population "
+                          f"cap {DEFAULT_POPULATION_CAP}")
     return max(1, int(BLOCK_VERTICES // expected))
 
 
@@ -268,15 +283,16 @@ def run_gamma_scan(cfg: ExperimentConfig) -> dict:
         profile = gamma_profile(cfg.pmf, p_n, n)
         mom = moments(profile, cfg.q)
         ks = profile.k_star
-        for k in range(n + 1):
+        # nu*_k and sigma*_{q,k} stop at k = n - 1; row n reads nan
+        columns = zip(profile.gamma.tolist(), profile.one_minus_gamma.tolist(),
+                      mom.nu_star.tolist() + [math.nan],
+                      mom.sigma_q_star.tolist() + [math.nan], mom.m_0k.tolist())
+        for k, (gamma_k, one_minus, nu_k, sigma_k, m_0k) in enumerate(columns):
             rows.append({
                 "n": n, "p_n": p_n, "k": k,
-                "gamma_k": float(profile.gamma[k]),
-                "one_minus_gamma_k": float(profile.one_minus_gamma[k]),
-                "nu_star_k": float(mom.nu_star[k]) if k < n else float("nan"),
-                "sigma_q_star_k": float(mom.sigma_q_star[k]) if k < n else float("nan"),
-                "M_star_0k": float(mom.m_0k[k]),
-                "k_star": ks,
+                "gamma_k": gamma_k, "one_minus_gamma_k": one_minus,
+                "nu_star_k": nu_k, "sigma_q_star_k": sigma_k,
+                "M_star_0k": m_0k, "k_star": ks,
             })
         k1 = k1_bar_star(profile, cfg.q, constants["C_mu"])
         checks = transition_bound_checks(profile, constants, k1)
@@ -299,18 +315,20 @@ def transition_bound_checks(profile: GammaProfile, constants: dict, k1: int) -> 
     ks = profile.k_star
     slack = math.log1p(BOUND_REL_SLACK)
 
-    log_t_bar = profile.log_one_minus_gamma_bar
+    log_t_bar = profile.log_one_minus_gamma_bar.tolist()
+    log_gamma = profile.log_gamma.tolist()
+    log_one_minus_gamma = profile.log_one_minus_gamma.tolist()
     log_p = math.log(profile.p_n)
     upper_all = all(log_t_bar[k] <= k * log_nu + log_p + slack for k in range(n + 1))
     lower_window = all(log_t_bar[k] >= math.log(0.5) + k * log_nu + log_p - slack
                        for k in range(min(k1, n) + 1))
 
     gamma_decay = all(
-        profile.log_gamma[k] <= -constants["c4"] * (ks - k) + slack
+        log_gamma[k] <= -constants["c4"] * (ks - k) + slack
         for k in range(0, max(math.floor(ks), -1) + 1) if ks - k > 0
     )
     tail_decay = all(
-        profile.log_one_minus_gamma[k] <= -(k - ks) * log_nu + slack
+        log_one_minus_gamma[k] <= -(k - ks) * log_nu + slack
         for k in range(max(math.ceil(ks), 0), n + 1)
     )
     return {
@@ -389,10 +407,9 @@ def run_tv_scan(cfg: ExperimentConfig) -> dict:
         p_n = cfg.p_n(n)
         profile = gamma_profile(cfg.pmf, p_n, n)
         to_mu, to_dirac = tv_profile(profile)
-        for k in range(n):
+        for k, (tv_to_mu, tv_to_dirac1) in enumerate(zip(to_mu.tolist(), to_dirac.tolist())):
             rows.append({"n": n, "p_n": p_n, "k": k,
-                         "tv_to_mu": float(to_mu[k]),
-                         "tv_to_dirac1": float(to_dirac[k])})
+                         "tv_to_mu": tv_to_mu, "tv_to_dirac1": tv_to_dirac1})
         crossing = tv_crossing(to_mu, to_dirac)
         summary.append({
             "n": n, "p_n": p_n, "k_star": profile.k_star,
@@ -555,7 +572,13 @@ def suite_ztb_mixture_routes(instances: int, seed: int = 0) -> dict:
 
 
 def run_validation(seed: int, instances: int, oracle_instances: int) -> dict:
-    """All oracle-equivalence suites; machine-readable, failures enumerated."""
+    """All oracle-equivalence suites; machine-readable, failures enumerated.
+
+    Rejects an instance count below 1: a suite that checks nothing cannot
+    pass."""
+    if instances < 1 or oracle_instances < 1:
+        raise ConfigError(f"validation needs at least one instance per suite, got "
+                          f"instances={instances}, oracle_instances={oracle_instances}")
     suites = [
         suite_lyons_vs_bruteforce(instances, seed),
         suite_pruning_equivalence(instances, seed),
@@ -578,11 +601,19 @@ def _format_cell(value) -> str:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    """Render rows (uniform keys) as CSV with round-trippable floats."""
+    """Render rows (uniform keys) as CSV with round-trippable floats.
+
+    Formats column by column: a column of floats alone by ``"%.17g"``, which
+    gives the bytes of ``_format_cell``, any other column cell by cell."""
     if not rows:
         return "\n"
     header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[key]) for key in header))
+    columns = []
+    for key in header:
+        values = [row[key] for row in rows]
+        if all(isinstance(value, float) for value in values):
+            columns.append(["%.17g" % value for value in values])
+        else:
+            columns.append([_format_cell(value) for value in values])
+    lines = [",".join(header)] + [",".join(cells) for cells in zip(*columns)]
     return "\n".join(lines) + "\n"

@@ -21,6 +21,8 @@ from .tree import Tree
 BRUTEFORCE_MAX_FREE_SPINS = 24
 # nu tanh(beta) within this of 1 counts as critical
 CRITICALITY_TOL = 1e-12
+# critical_fixed_point bisects until its bracket is this narrow
+FIXED_POINT_TOL = 1e-12
 
 
 def g_beta(beta: float, x):
@@ -127,8 +129,9 @@ def gibbs_bruteforce(tree: Tree, fld: FieldAssignment | None, beta: float,
     return math.tanh(r / 2.0), r
 
 
-def critical_fixed_point(beta: float, nu: float, p_n: float, tol: float = 1e-12) -> float:
-    """Unique positive fixed point of f(x) = 2 beta p_n + nu g(x), by bisection.
+def critical_fixed_point(beta: float, nu: float, p_n: float) -> float:
+    """Unique positive fixed point of f(x) = 2 beta p_n + nu g(x), by bisection
+    to a bracket of width ``FIXED_POINT_TOL``.
 
     The bracket starts at [0, 1 + 2 beta p_n] and is widened until f(hi) < hi;
     since g <= 2 beta, hi = 2 beta (p_n + nu) + 1 always suffices.
@@ -139,7 +142,7 @@ def critical_fixed_point(beta: float, nu: float, p_n: float, tol: float = 1e-12)
     lo, hi = 0.0, 1.0 + 2.0 * beta * p_n
     while f(hi) >= hi:
         hi = 2.0 * hi + 1.0
-    while hi - lo > tol:
+    while hi - lo > FIXED_POINT_TOL:
         mid = 0.5 * (lo + hi)
         if f(mid) > mid:
             lo = mid

@@ -103,12 +103,30 @@ class GammaProfile:
     def nu_star(self) -> np.ndarray:
         """nu*_k = M*_{k,k+1} = nu (1 - gamma_{k+1}) / (1 - gamma_k), the mean
         offspring of generation k of the pruned tree, for k = 0..n-1."""
-        return _read_only([self.mean_generation_size(k, k + 1) for k in range(self.n)])
+        ks = np.arange(self.n)
+        return self._mean_generation_sizes(ks, ks + 1)
 
     @cached_property
     def m_0k(self) -> np.ndarray:
         """M*_{0,k} for k = 0..n."""
-        return _read_only([self.mean_generation_size(0, k) for k in range(self.n + 1)])
+        return self._mean_generation_sizes(np.zeros(self.n + 1, dtype=np.int64),
+                                           np.arange(self.n + 1))
+
+    def _mean_generation_sizes(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``mean_generation_size`` over the index pairs (i, j), bit for bit:
+        the linear entries as one array expression with Python-float powers
+        nu^{j-i}, the others one call each."""
+        nu = self.pmf.mean()
+        num, den = self.one_minus_gamma[j], self.one_minus_gamma[i]
+        linear = ((np.minimum(num, den) >= LINEAR_UNDERFLOW)
+                  & ((j - i) * math.log(nu) < _LOG_MAX))
+        powers = np.array([nu**e if ok else 1.0
+                           for e, ok in zip((j - i).tolist(), linear.tolist())])
+        out = powers * num / np.where(linear, den, 1.0)  # no 0/0 off the linear range
+        for idx in np.flatnonzero(~linear).tolist():
+            out[idx] = self.mean_generation_size(int(i[idx]), int(j[idx]))
+        out.setflags(write=False)
+        return out
 
     @property
     def k_star(self) -> float:
@@ -130,12 +148,6 @@ class GammaProfile:
         return math.exp(log_m) if log_m < _LOG_MAX else math.inf
 
 
-def _read_only(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 def gamma_profile(pmf: OffspringPmf, p_n: float, n: int) -> GammaProfile:
     """Iterate t = 1 - gamma_bar from p_n by t <- F(t) = 1 - G(1 - t) while
     nu t < 1/2 (so t stays below 1/2), then gamma_bar by G; the other side is
@@ -154,31 +166,33 @@ def gamma_profile(pmf: OffspringPmf, p_n: float, n: int) -> GammaProfile:
     nu = pmf.mean()
     log_nu = math.log(nu)
     log_floor = math.log(LINEAR_UNDERFLOW)
-    # gamma_bar, 1 - gamma_bar, and their logs
-    g, t, lg, lt = np.empty((4, n + 1))
-    g[0], t[0] = 1.0 - p_n, p_n
-    lg[0] = math.log1p(-p_n) if p_n < 1.0 else -math.inf
-    lt[0] = math.log(p_n)
-    for k in range(1, n + 1):
-        if nu * t[k - 1] < 0.5:
-            if lt[k - 1] < log_floor:
-                lt[k] = lt[k - 1] + log_nu
-                t[k] = math.exp(lt[k])
+    max_degree = pmf.max_degree
+    # gamma_bar, 1 - gamma_bar, and their logs, as Python floats
+    g, t = 1.0 - p_n, p_n
+    lg = math.log1p(-p_n) if p_n < 1.0 else -math.inf
+    lt = math.log(p_n)
+    rows = [(g, t, lg, lt)]
+    for _ in range(n):
+        if nu * t < 0.5:
+            if lt < log_floor:
+                lt += log_nu
+                t = math.exp(lt)
             else:
-                t[k] = pmf.one_minus_gf_at_one_minus(t[k - 1])
-                lt[k] = math.log(t[k])
-            g[k], lg[k] = 1.0 - t[k], math.log1p(-t[k])
+                t = pmf.one_minus_gf_at_one_minus(t)
+                lt = math.log(t)
+            g, lg = 1.0 - t, math.log1p(-t)
         else:
             # G(s) >= s^max_degree, so the linear step cannot underflow; the
-            # product is taken on a Python float, which overflows to -inf
-            # without a warning
-            if pmf.max_degree * float(lg[k - 1]) < log_floor:
-                lg[k] = pmf.log_gf(lg[k - 1])
-                g[k] = math.exp(lg[k])
+            # product of Python floats overflows to -inf without a warning
+            if max_degree * lg < log_floor:
+                lg = pmf.log_gf(lg)
+                g = math.exp(lg)
             else:
-                g[k] = pmf.gf(g[k - 1])
-                lg[k] = math.log(g[k])
-            t[k], lt[k] = 1.0 - g[k], math.log1p(-g[k])
+                g = pmf.gf(g)
+                lg = math.log(g)
+            t, lt = 1.0 - g, math.log1p(-g)
+        rows.append((g, t, lg, lt))
+    g, t, lg, lt = np.array(rows).T.copy()
     return GammaProfile(pmf, n, p_n, g, t, lg, lt)
 
 
@@ -221,7 +235,7 @@ def moments(profile: GammaProfile, q: float) -> PrunedMoments:
     nu*_k^{-(q-1)} S_{k+1} and S_n = 0.
     """
     n = profile.n
-    sigma = np.array([law.q_variance(q) for law in profile.laws])
+    sigma = profile.laws.q_variances(q)
     v_kn = np.empty(n)
     tail = 0.0
     for k in range(n - 1, -1, -1):
@@ -324,8 +338,7 @@ def k1_bar_star(profile: GammaProfile, q: float, c_mu: float) -> int:
     """min{ k : sum_{i<=k} C_mu (1 - gamma_bar_i)^{q-1} > 1/2 }, or n when the
     running sum never exceeds 1/2 (the pre-window then covers every k)."""
     acc = 0.0
-    for k in range(profile.n + 1):
-        t = float(profile.one_minus_gamma_bar[k])
+    for k, t in enumerate(profile.one_minus_gamma_bar.tolist()):
         acc += c_mu * t ** (q - 1.0)
         if acc > 0.5:
             return k

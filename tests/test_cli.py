@@ -120,6 +120,11 @@ def test_missing_config_exits_2(tmp_path, capsys):
     ("tv-scan", {"mode": "validate"}),
     ("magnetization-scan", {"epsilon_sweep": [-1.0, 1.5]}),
     ("magnetization-scan", {"method": "pruned", "coupling_off": True}),
+    ("magnetization-scan", {"workers": 0}),
+    ("magnetization-scan", {"workers": -2}),
+    # one replica is expected to have 1.98e8 vertices, past the cap's pre-flight
+    ("magnetization-scan", {"beta": math.atanh(0.8), "n_grid": [70], "method": "pruned",
+                            "p_schedule": {"kind": "threshold", "c": 1.0}}),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, overrides):
     cfg = write_config(tmp_path / "c.json", **overrides)
@@ -127,6 +132,27 @@ def test_bad_config_exits_2(tmp_path, capsys, command, overrides):
                                "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_flag_below_one_exits_2(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path / "c.json")
+    code = parse_and_dispatch(["--quiet", "magnetization-scan", "--config", cfg,
+                               "--out", str(tmp_path / "out"), "--workers", workers])
+    assert code == 2
+    assert "need at least one worker" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("counts", [["--instances", "-3", "--oracle-instances", "-1"],
+                                    ["--instances", "0"], ["--oracle-instances", "0"]])
+def test_validate_with_no_instances_exits_2(tmp_path, capsys, counts):
+    code = parse_and_dispatch(["--quiet", "validate", "--out", str(tmp_path / "out"),
+                               *counts])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -342,3 +343,54 @@ def test_zero_truncated_binomial_matches_scipy_and_exact(n, p):
     if p >= 1e-4:
         oracle = zero_truncated_binomial_scipy(n, p)
         np.testing.assert_allclose(probs[normal], oracle[normal], rtol=1e-14, atol=0)
+
+
+# The float paths of gf, one_minus_gf_at_one_minus and log_gf take one numpy
+# kernel call over the support and sum on Python floats.  The 0-d array path,
+# and for log_gf the array expression it replaced, are the oracles: equal bit
+# for bit, sign of zero included.
+
+def log_gf_by_arrays(pmf, log_s):
+    if log_s == -math.inf:
+        m0 = pmf.mass(0)
+        return math.log(m0) if m0 > 0 else -math.inf
+    nz = pmf.probs > 0
+    with np.errstate(over="ignore"):  # d log s below -max float is -inf: s^d = 0
+        return gw_logsumexp(np.log(pmf.probs[nz]) + pmf.degrees[nz] * log_s)
+
+
+laws_on_0_to_30 = st.dictionaries(st.integers(min_value=0, max_value=30),
+                                  st.floats(min_value=1e-3, max_value=1.0),
+                                  min_size=1, max_size=8)
+unit_points = st.one_of(st.sampled_from([0.0, 1.0, 2.0**-1074]),
+                        st.floats(min_value=0.0, max_value=1.0))
+# uniform points, on which np.power(s, 2) and s * s differ in about 6% of cases
+UNIFORM_POINTS = np.random.default_rng(7).random(32).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(laws_on_0_to_30, unit_points,
+       st.one_of(st.just(-1.7e308), st.floats(min_value=-1e6, max_value=0.0)))
+def test_scalar_generating_functions_match_array_path_bitwise(masses, x, log_s):
+    total = sum(masses.values())
+    pmf = OffspringPmf.from_dict({d: w / total for d, w in masses.items()})
+    for fn in (pmf.gf, pmf.one_minus_gf_at_one_minus):
+        for point in (x, *UNIFORM_POINTS):
+            got, want = fn(point), fn(np.asarray(point))
+            assert type(got) is float
+            assert got.hex() == want.hex(), (fn.__name__, point)
+    for ls in (math.log(x) if x > 0 else -math.inf, log_s):
+        assert pmf.log_gf(ls).hex() == float(log_gf_by_arrays(pmf, ls)).hex(), ls
+        assert pmf.log_gf(np.float64(ls)) == pmf.log_gf(ls)
+
+
+def test_scalar_paths_raise_no_warning_at_the_edges():
+    pmf = OffspringPmf.from_dict({0: 0.2, 1: 0.3, 30: 0.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # log1p(-1) = -inf; the degree-0 term is left out of F
+        assert pmf.one_minus_gf_at_one_minus(1.0) == 0.3 + 0.5
+        assert pmf.one_minus_gf_at_one_minus(0.0) == 0.0
+        assert pmf.gf(0.0) == 0.2 and pmf.gf(1.0) == 0.2 + 0.3 + 0.5
+        # 30 * -1e307 overflows to -inf: only the mass at 0 is left
+        assert pmf.log_gf(np.float64(-1e307)) == math.log(0.2)

@@ -40,6 +40,9 @@ def test_config_validation_errors():
                                     field_mode=FieldMode.WHOLE_TREE))
     with pytest.raises(ConfigError):
         validate_config(base_config(epsilon=0.0))
+    for workers in (0, -2):
+        with pytest.raises(ConfigError, match="worker"):
+            validate_config(base_config(workers=workers))
     validate_config(base_config())
 
 
@@ -96,6 +99,28 @@ def test_block_replicas_examples():
     assert block_replicas(half12, 20, gamma_profile(half12, 0.5, 20)) == 9
     # gamma_0 = 1: every draw is a lone root
     assert block_replicas(half12, 6, gamma_profile(half12, 1e-300, 6)) == 2**16
+
+
+@pytest.mark.parametrize("method, n, expected", [("pruned", 70, 1.98e8),
+                                                 ("direct", 50, 1.91e9)])
+def test_preflight_rejects_depths_past_the_population_cap(monkeypatch, method, n, expected):
+    # half12 at nu tanh(beta) = 1.2 on the threshold schedule: one replica is
+    # expected to have more vertices than the cap allows for; the scan stops
+    # before anything is sampled
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a replica")
+
+    monkeypatch.setattr(gwising.experiments, "_map_blocks", no_sampling)
+    cfg = base_config(beta=math.atanh(0.8), schedule=PSchedule("threshold", 1.0),
+                      n_grid=(n,), method=method)
+    with pytest.raises(ConfigError, match=f"depth {n}: ") as caught:
+        run_magnetization_scan(cfg)
+    assert f"{expected:.3g} vertices" in str(caught.value)
+    # half12 on this schedule at the depths of the sampling benchmarks
+    assert block_replicas(cfg.pmf, 22) >= 1
+    assert block_replicas(cfg.pmf, 45, gamma_profile(cfg.pmf, cfg.p_n(45), 45)) >= 1
+    with pytest.raises(ConfigError, match="depth 3000: .* inf vertices"):
+        block_replicas(cfg.pmf, 3000)
 
 
 def test_constant_field_keeps_root_magnetized():
@@ -255,6 +280,12 @@ def test_validation_bundle_passes_and_detects_faults(monkeypatch):
     assert not broken["pass"]
 
 
+@pytest.mark.parametrize("instances, oracle_instances", [(0, 5), (-3, -1), (5, 0)])
+def test_validation_rejects_empty_suites(instances, oracle_instances):
+    with pytest.raises(ConfigError, match="at least one instance"):
+        run_validation(1, instances, oracle_instances)
+
+
 def test_ztb_mixture_suite_detects_a_perturbed_route(monkeypatch):
     assert suite_ztb_mixture_routes(40, seed=3)["pass"]
     # sentinel: masses computed at a slightly wrong survival probability
@@ -287,3 +318,42 @@ def test_csv_rendering_round_trips_floats():
     value = text.splitlines()[1].split(",")[1]
     assert float(value) == 0.1 + 0.2
     assert text.splitlines()[1].split(",")[2] == "true"
+
+
+# The per-cell renderer that rows_to_csv replaced, kept as its oracle.
+
+def format_cell_by_type(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def rows_to_csv_by_cell(rows):
+    if not rows:
+        return "\n"
+    header = list(rows[0].keys())
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format_cell_by_type(row[key]) for key in header))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1e-310,
+               1.7976931348623157e308, 0.1, -1.0 / 3.0, 1e16, 12345678901234567.0]
+
+
+@pytest.mark.parametrize("column", [
+    EDGE_FLOATS,
+    [np.float64(v) for v in EDGE_FLOATS],
+    [True, False, True] * 4 + [False],
+    list(range(-6, 7)),
+    [np.int64(3), np.int64(-4)] * 6 + [np.int64(0)],
+    [1, 2.5, True, "x", np.float64(-0.0), None, math.nan, np.int64(7), False,
+     -math.inf, 5e-324, "y,z", 0],
+], ids=["floats", "float64", "bools", "ints", "int64", "mixed"])
+def test_rows_to_csv_matches_per_cell_bytes(column):
+    rows = [{"a": value, "b": float(i) / 7.0, "c": i} for i, value in enumerate(column)]
+    assert rows_to_csv(rows) == rows_to_csv_by_cell(rows)
+    assert rows_to_csv([]) == rows_to_csv_by_cell([]) == "\n"

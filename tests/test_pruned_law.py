@@ -13,11 +13,12 @@ from gwising import (FieldMode, OffspringPmf, PmfError, Tree,
                      calibrate_constants, gamma_profile, moments, mu_star,
                      prune, pruned_tree_probability, sample_gw, sample_field,
                      tilde_mu0, tv_distance, tv_profile, ztb_mixture)
-from gwising.pruned_law import (PrunedLawSampler, fit_g_upper_constant,
-                                k1_bar_star, tv_crossing)
+from gwising.pruned_law import (LINEAR_UNDERFLOW, PrunedLawSampler,
+                                fit_g_upper_constant, k1_bar_star, tv_crossing)
 from gwising.tree import enumerate_trees
 
 from _frozen import CALIBRATED
+from test_distributions import log_gf_by_arrays
 
 
 def test_profile_rejects_degenerate_mark_probability(dirac2):
@@ -166,6 +167,63 @@ def test_profile_past_the_log_range_raises_no_warning():
         assert pmf.log_gf(-1e307) == -math.inf
     assert np.isfinite(profile.log_gamma_bar[-2])
     assert profile.log_gamma_bar[-1] == -math.inf and profile.gamma_bar[-1] == 0.0
+
+
+def gamma_profile_per_step(pmf, p_n, n):
+    """The recursion of ``gamma_profile`` as numpy arrays indexed at every
+    step, each F, G and log G step on the 0-d array path."""
+    nu = pmf.mean()
+    log_nu = math.log(nu)
+    log_floor = math.log(LINEAR_UNDERFLOW)
+    g, t, lg, lt = np.empty((4, n + 1))
+    g[0], t[0] = 1.0 - p_n, p_n
+    lg[0] = math.log1p(-p_n) if p_n < 1.0 else -math.inf
+    lt[0] = math.log(p_n)
+    for k in range(1, n + 1):
+        if nu * t[k - 1] < 0.5:
+            if lt[k - 1] < log_floor:
+                lt[k] = lt[k - 1] + log_nu
+                t[k] = math.exp(lt[k])
+            else:
+                t[k] = pmf.one_minus_gf_at_one_minus(np.asarray(t[k - 1]))
+                lt[k] = math.log(t[k])
+            g[k], lg[k] = 1.0 - t[k], math.log1p(-t[k])
+        else:
+            if pmf.max_degree * float(lg[k - 1]) < log_floor:
+                lg[k] = log_gf_by_arrays(pmf, float(lg[k - 1]))
+                g[k] = math.exp(lg[k])
+            else:
+                g[k] = pmf.gf(np.asarray(g[k - 1]))
+                lg[k] = math.log(g[k])
+            t[k], lt[k] = 1.0 - g[k], math.log1p(-g[k])
+    return g, t, lg, lt
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.integers(min_value=1, max_value=30),
+                       st.floats(min_value=1e-3, max_value=1.0),
+                       min_size=1, max_size=6),
+       st.one_of(st.sampled_from([1.0, 0.5, 2.0**-15, 1e-300, 2.0**-1074]),
+                 st.floats(min_value=-1074.0, max_value=0.0).map(lambda e: 2.0**e)),
+       st.integers(min_value=1, max_value=400))
+def test_profile_and_means_match_per_step_forms_bitwise(masses, p_n, n):
+    total = sum(masses.values())
+    pmf = OffspringPmf.from_dict({d: w / total for d, w in masses.items()})
+    profile = gamma_profile(pmf, p_n, n)
+    expected = gamma_profile_per_step(pmf, p_n, n)
+    got = (profile.gamma_bar, profile.one_minus_gamma_bar, profile.log_gamma_bar,
+           profile.log_one_minus_gamma_bar)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+    # the array forms of nu*_k and M*_{0,k} are the per-entry accessor's values
+    assert profile.nu_star.tolist() == [profile.mean_generation_size(k, k + 1)
+                                        for k in range(n)]
+    assert profile.m_0k.tolist() == [profile.mean_generation_size(0, k)
+                                     for k in range(n + 1)]
+    if n <= 60 and pmf.max_degree <= 12:
+        for q in (1.5, 2.0):
+            assert moments(profile, q).sigma_q_star.tolist() == [
+                law.q_variance(q) for law in profile.laws]
 
 
 def test_gamma_bar_equals_mark_free_generating_function(half12):
