@@ -60,7 +60,7 @@ class OffspringPmf:
             raise PmfError("degrees and probs must be matching non-empty 1-d arrays")
         _check_masses(degrees, probs)
         cum = np.cumsum(probs)
-        cum[-1] = 1.0  # guard searchsorted against rounding at the top end
+        cum[-1] = 1.0  # a distribution function whatever the rounding; draws count cum[:-1]
         self._set_arrays(degrees, probs, cum)
 
     def _set_arrays(self, degrees, probs, cum) -> None:
@@ -229,10 +229,32 @@ class OffspringPmf:
     # -- sampling -----------------------------------------------------------
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` i.i.d. draws by cumulative inversion; consumes exactly
-        ``size`` uniforms."""
+        """``size`` i.i.d. draws by inversion with a sequential search: draw i
+        takes the degree whose index is the number of cut points
+        cum_0 <= ... <= cum_{m-2} at or below its uniform u_i.
+
+        That is the index a binary search ``searchsorted(cum, u, side="right")``
+        finds, so the draws are the same; counting costs one pass over the
+        draws per cut point, which is cheaper on small supports.  Consumes
+        exactly ``size`` uniforms, one per draw, before anything else.
+        """
         u = rng.random(size)
-        return self.degrees[np.searchsorted(self._cum, u, side="right")]
+        cuts = self._cuts
+        if not cuts:
+            return np.full(size, self.degrees[0])
+        # a uint8 count, when it fits, keeps the temporaries small
+        idx = np.greater_equal(u, cuts[0])
+        idx = idx.view(np.uint8) if len(cuts) < 254 else idx.astype(np.intp)
+        if len(cuts) > 1:
+            above = np.empty(size, dtype=bool)
+            for cut in cuts[1:]:
+                idx += np.greater_equal(u, cut, out=above)
+        return self.degrees[idx]
+
+    @cached_property
+    def _cuts(self) -> list[float]:
+        """The cut points: every cumulative mass but the top one."""
+        return self._cum[:-1].tolist()
 
     # -- serialization ------------------------------------------------------
 
@@ -351,9 +373,8 @@ def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
     rows = np.atleast_1d(ps)
     entries = rows.tolist()
     # (1 - p)^l for l < dmax and p^d for 1 <= d <= dmax, one row per entry
-    keep_pow = np.reshape([[(1.0 - s) ** ell for ell in range(dmax)] for s in entries],
-                          (-1, dmax))
-    surv_pow = np.reshape([[s**d for d in range(1, dmax + 1)] for s in entries], (-1, dmax))
+    keep_pow = _powers([1.0 - s for s in entries], range(dmax))
+    surv_pow = _powers(entries, range(1, dmax + 1))
     masses = np.zeros((len(entries), dmax))
     for big_d, mass in zip(pmf.degrees.tolist(), pmf.probs):
         coef = np.array([mass * math.comb(big_d, big_d - d) for d in range(1, big_d + 1)])
@@ -373,6 +394,14 @@ def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
                      for whole, keep, row, top
                      in zip(positive.all(axis=1).tolist(), positive, masses, cum)], masses)
     return laws[0] if ps.ndim == 0 else laws
+
+
+def _powers(bases: list[float], exponents: range) -> np.ndarray:
+    """The matrix of ``base ** exponent``, one row per base, each entry one
+    Python float power (C ``pow``; numpy's ``power`` rounds differently)."""
+    size = len(bases) * len(exponents)
+    flat = map(pow, np.repeat(bases, len(exponents)).tolist(), list(exponents) * len(bases))
+    return np.fromiter(flat, float, size).reshape(len(bases), len(exponents))
 
 
 def _law_on(degrees, probs, cum) -> OffspringPmf:

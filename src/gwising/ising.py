@@ -78,11 +78,10 @@ def lyons_plus(tree: Tree, beta: float) -> np.ndarray:
 def lyons_field(tree: Tree, fld: FieldAssignment, beta: float) -> np.ndarray:
     """Per-vertex ratios with a {0,1} external field:
     r(u) = 2 beta h_u + sum_children g(r(child)), leaves r = 2 beta h_u."""
-    bias = 2.0 * beta * fld.h.astype(float)
-    r = np.zeros(tree.num_vertices)
-    leaves = tree.num_children == 0
-    r[leaves] = bias[leaves]
-    return _backward_sweep(tree, r, bias, beta)
+    bias = np.multiply(fld.h, 2.0 * beta, dtype=float)
+    # the sweep reads each vertex's bias before it overwrites it, and the
+    # leaves keep theirs: the bias array itself holds the ratios
+    return _backward_sweep(tree, bias, bias, beta)
 
 
 def gibbs_bruteforce(tree: Tree, fld: FieldAssignment | None, beta: float,

@@ -174,20 +174,20 @@ class Tree:
         counts = [np.asarray(c, dtype=np.int64) for c in counts_per_gen]
         if not counts or len(counts[0]) == 0:
             raise ValueError("generation 0 must hold at least one root")
-        flat = np.concatenate(counts)
-        if np.any(flat < 0):
+        # the arena holds the given counts, then one zero per child of the last
+        # generation (none when the lines died out); the counts are written
+        # straight into it, and its zeros are never copied
+        lengths = [len(c) for c in counts]
+        given = sum(lengths)
+        num_children = np.zeros(given + max(int(counts[-1].sum()), 0), dtype=np.int64)
+        flat = np.concatenate(counts, out=num_children[:given])
+        if flat.min() < 0:
             raise ValueError("negative child count")
-        lengths = np.array([len(c) for c in counts])
-        totals = segment_sums(flat, lengths)
-        if np.any(lengths[1:] != totals[:-1]):
+        totals = segment_sums(flat, lengths).tolist()
+        if lengths[1:] != totals[:-1]:
             raise ValueError("offspring array length does not match generation size")
-        dead = np.flatnonzero(totals == 0)
-        depth = int(dead[0]) if dead.size else len(counts)
-        sizes = np.concatenate([lengths[:1], totals[:depth]])
-        gen_offsets = np.concatenate([[0], np.cumsum(sizes)])
-        num_children = np.zeros(int(gen_offsets[-1]), dtype=np.int64)
-        internal = int(gen_offsets[-2])
-        num_children[:internal] = flat[:internal]
+        depth = totals.index(0) if 0 in totals else len(counts)
+        gen_offsets = np.cumsum([0, lengths[0], *totals[:depth]])
         return cls(gen_offsets, num_children)
 
     @classmethod

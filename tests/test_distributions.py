@@ -12,6 +12,7 @@ from scipy.special import comb, logsumexp
 from gwising import OffspringPmf, PmfError, zero_truncated_binomial, ztb_mixture
 from gwising.distributions import MIXTURE_CONSISTENCY_TOL, logsumexp as gw_logsumexp
 from gwising.experiments import ztb_mixture_by_truncated_binomials
+from gwising.pruned_law import gamma_profile, tilde_mu0
 
 
 def test_constructor_rejects_bad_input():
@@ -98,12 +99,82 @@ def test_sampling_skips_zero_mass_degrees(rng):
 
 
 def test_sampling_consumes_one_uniform_per_draw():
-    pmf = OffspringPmf.from_dict({1: 0.3, 2: 0.7})
-    a = np.random.default_rng(5)
-    b = np.random.default_rng(5)
-    pmf.sample_many(a, 7)
-    b.random(7)
-    assert a.random() == b.random()
+    for pmf in (OffspringPmf.from_dict({1: 0.3, 2: 0.7}), OffspringPmf.dirac(3),
+                OffspringPmf(np.arange(1, 31), np.full(30, 1 / 30))):
+        a = np.random.default_rng(5)
+        b = np.random.default_rng(5)
+        pmf.sample_many(a, 7)
+        b.random(7)
+        assert a.random() == b.random()
+
+
+# sample_many counts the cut points at or below each uniform; the binary
+# search it replaced is the oracle, over random uniforms and uniforms placed
+# on and next to every cut point
+
+def sample_many_by_binary_search(pmf, u):
+    return pmf.degrees[np.searchsorted(pmf._cum, u, side="right")]
+
+
+class FixedUniforms:
+    """A stand-in stream whose ``random(size)`` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+def uniforms_at_cut_points(pmf):
+    cuts = pmf._cum
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cuts,
+                        np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)])
+    return u[u < 1.0]  # the range of Generator.random
+
+
+def assert_draws_match_binary_search(pmf, seed):
+    for u in (uniforms_at_cut_points(pmf), np.random.default_rng(seed).random(500)):
+        got = pmf.sample_many(FixedUniforms(u), len(u))
+        want = sample_many_by_binary_search(pmf, u)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    got = pmf.sample_many(np.random.default_rng(seed), 300)
+    assert np.array_equal(got, sample_many_by_binary_search(
+        pmf, np.random.default_rng(seed).random(300)))
+
+
+@pytest.mark.parametrize("atoms", [254, 255, 256, 300])
+def test_sample_many_matches_binary_search_on_wide_supports(atoms):
+    # past 254 atoms the count no longer fits the small index type
+    weights = np.random.default_rng(atoms).random(atoms)
+    pmf = OffspringPmf(np.arange(atoms), weights / weights.sum())
+    assert_draws_match_binary_search(pmf, atoms)
+
+
+law_weights = st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
+                       min_size=1, max_size=30).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(law_weights, st.lists(st.integers(1, 3), min_size=30, max_size=30),
+       st.integers(0, 2), st.sampled_from([1.0, 0.3, 1e-6, 1e-320]),
+       st.integers(0, 2**32 - 1))
+def test_sample_many_matches_binary_search_bitwise(weights, gaps, low, p, seed):
+    # plain laws of 1 to 30 atoms, zero masses wherever the weights put them
+    degrees = low + np.cumsum(gaps[:len(weights)]) - gaps[0]
+    total = sum(weights)
+    pmf = OffspringPmf(degrees, np.array(weights) / total)
+    assert_draws_match_binary_search(pmf, seed)
+    # the rows of a mixture table, whose cumulative masses are topped at 1
+    # at their last positive degree, and the root law with its atom at 0
+    trial = OffspringPmf(degrees + (1 - low), pmf.probs)
+    for law in ztb_mixture(trial, np.array([p, 0.5, 1.0])):
+        assert_draws_match_binary_search(law, seed)
+    if trial.mass(1) < 1.0:
+        profile = gamma_profile(trial, p, 3)
+        root = tilde_mu0(profile)
+        assert_draws_match_binary_search(root, seed)
 
 
 def test_zero_truncated_binomial_examples():

@@ -103,6 +103,9 @@ def test_arena_builder_rejects_bad_counts():
         Tree.from_offspring_counts([np.array([2]), np.array([1])])
     with pytest.raises(ValueError):
         Tree.from_offspring_counts([np.array([1, -1])])
+    # the generation sums to 0, but the negative count is not a dead line
+    with pytest.raises(ValueError):
+        Tree.from_offspring_counts([np.array([2]), np.array([1, -1])])
 
 
 def test_one_root_samplers_reproduce_the_per_generation_loop():

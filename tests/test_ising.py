@@ -8,7 +8,7 @@ from gwising import (FieldAssignment, FieldMode, OffspringPmf, Tree, g_beta,
                      plus_boundary_field, sample_field, sample_gw,
                      sample_inhomogeneous_bp, upper_bound_mean_r)
 from gwising.experiments import random_small_tree
-from gwising.ising import critical_fixed_point
+from gwising.ising import _backward_sweep, critical_fixed_point
 
 
 def g_beta_logaddexp_form(beta, x):
@@ -97,6 +97,30 @@ def test_lyons_field_examples():
     assert lyons_field(path, fld, 0.8)[0] == pytest.approx(g_beta(0.8, 1.6))
     _, r_brute = gibbs_bruteforce(path, fld, 0.8)
     assert lyons_field(path, fld, 0.8)[0] == pytest.approx(r_brute, abs=1e-10)
+
+
+def lyons_field_zero_then_mask(tree, fld, beta):
+    """The set-up lyons_field had before it started from a copy of the bias:
+    zeros, with the bias copied onto the childless vertices."""
+    bias = 2.0 * beta * fld.h.astype(float)
+    r = np.zeros(tree.num_vertices)
+    leaves = tree.num_children == 0
+    r[leaves] = bias[leaves]
+    return _backward_sweep(tree, r, bias, beta)
+
+
+@pytest.mark.parametrize("mode", [FieldMode.LEAVES_ONLY, FieldMode.WHOLE_TREE])
+@pytest.mark.parametrize("seed", range(6))
+def test_lyons_field_matches_zero_then_mask_setup_bitwise(mode, seed):
+    # mass at 0 leaves childless vertices above the bottom generation
+    dying = OffspringPmf.from_dict({0: 0.25, 1: 0.25, 2: 0.3, 3: 0.2})
+    rng = np.random.default_rng(seed)
+    forest = sample_inhomogeneous_bp([dying] * 7, rng, roots=40)
+    assert not forest.leaves_only_at_bottom
+    beta = float(rng.uniform(0.1, 2.0))
+    fld = sample_field(forest, mode, 0.3, rng)
+    got = lyons_field(forest, fld, beta)
+    assert got.tobytes() == lyons_field_zero_then_mask(forest, fld, beta).tobytes()
 
 
 def test_magnetization_examples():
