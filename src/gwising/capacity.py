@@ -64,12 +64,6 @@ class Flow:
         children = self.tree.children(0)
         return float(self.theta[children].sum()) if len(children) else float(self.theta[0])
 
-    def conservation_residuals(self) -> np.ndarray:
-        """theta(u) - sum_children theta(v) over internal vertices."""
-        tree = self.tree
-        child_sum = segment_sums(self.theta[tree.num_roots:], tree.num_children)
-        return (self.theta - child_sum)[tree.num_children > 0]
-
 
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
@@ -314,11 +308,3 @@ def alpha_n(beta: float, nu: float, p_n: float, n: int, p: float) -> float:
         return min(float(n) ** (-1.0 / (q - 1.0)), p_n)
     return p_n * t ** n
 
-
-def kn_sum(resistance_base: float, nu: float, k_star: float, n: int, p: float) -> float:
-    """K_n = sum_{k=1}^n R^{-ks} nu^{-(k ^ k*) s}, the comparison series for
-    the mean-capacity bound."""
-    s = 1.0 / (p - 1.0)
-    k = np.arange(1, n + 1, dtype=float)
-    return float(np.sum(resistance_base ** (-k * s)
-                        * nu ** (-np.minimum(k, k_star) * s)))

@@ -116,12 +116,6 @@ class OffspringPmf:
         return self.mass(0) == 0.0
 
     @property
-    def min_degree(self) -> int:
-        """Smallest degree carrying positive mass."""
-        nz = self.probs > 0
-        return int(self.degrees[nz][0])
-
-    @property
     def max_degree(self) -> int:
         return int(self.degrees[-1])
 

@@ -113,16 +113,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if not cfg.pmf.satisfies_supercritical_assumption():
         raise ConfigError("offspring law must put no mass at 0 and not all of it at 1")
-    if not cfg.beta >= 0.0:
-        raise ConfigError("beta must be nonnegative")
+    if not 0.0 <= cfg.beta < math.inf:
+        raise ConfigError("beta must be finite and nonnegative")
     if cfg.replicas < 1:
         raise ConfigError("need at least one replica")
     if cfg.workers < 1:
         raise ConfigError(f"need at least one worker, got {cfg.workers}")
     if not all(0.0 < eps < 1.0 for eps in (cfg.epsilon, *cfg.epsilon_sweep)):
         raise ConfigError("epsilon and every epsilon_sweep value must lie in (0, 1)")
-    if not cfg.capacity_p > 1.0:
-        raise ConfigError("capacity_p must exceed 1")
+    if not 1.0 < cfg.capacity_p < math.inf:
+        raise ConfigError("capacity_p must be finite and exceed 1")
     if not (1.0 < cfg.q <= 2.0):
         raise ConfigError("q must lie in (1, 2]")
     if cfg.method not in ("direct", "pruned"):

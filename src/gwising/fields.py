@@ -102,10 +102,13 @@ def prune(tree: Tree, fld: FieldAssignment) -> tuple[Tree, np.ndarray] | None:
     old vertex v (-1 if pruned away), or ``None`` when the root itself dies.
     The empty outcome is a value, not an error.  Requires a leaf-supported
     field; with internal field bits the survival indicators would not describe
-    the model's zero-ratio set.
+    the model's zero-ratio set.  Requires a single tree: a forest raises
+    ValueError, since one root cannot stand for the survival of the others.
     """
     if fld.mode is FieldMode.WHOLE_TREE:
         raise ValueError("pruning is defined for leaf-supported fields only")
+    if tree.num_roots > 1:
+        raise ValueError("pruning is defined for a single tree, not a forest")
     surv = survival(tree, fld)
     if not surv.root_survives:
         return None

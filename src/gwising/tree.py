@@ -6,6 +6,14 @@ consecutive, so per-parent aggregation reduces to segment sums, and every
 leaf-to-root recursion in the package is one call of ``Tree.sweep_up``: a
 linear sweep over generation slices (no call stack, depths up to 10^4 are
 fine).
+
+The sweep skips the children that hold exactly 0 while fewer than half of
+their generation hold anything else, with the dense sweep's result bit for
+bit.  That asks two things of every caller: ``lift(0) == 0``, and a vertex
+whose children all hold 0 already holds ``combine`` of a zero sum.  With a
+sparse field most ratios are 0 (r(u) != 0 exactly when a field-carrying
+vertex sits below u), so the lifts and child sums run mostly on the vertices
+of the pruned tree.
 """
 
 from __future__ import annotations
@@ -146,12 +154,60 @@ class Tree:
         num_children[cur]), cur)``.  The bottom generation keeps the values
         it came with; a childless vertex above it gets ``combine`` of a zero
         child sum.
+
+        Skip rule: while fewer than half of generation k+1 hold a nonzero
+        value, only those live children are lifted, and ``combine`` runs only
+        on their parents (``lift`` and ``combine`` then get index arrays
+        instead of slices).  A parent with one or two live children takes
+        their plain sum, which is the bits ``segment_sums`` gives with zeros
+        around them; one with three or more is summed over its whole child
+        segment by ``segment_sums``.  The first generation with at least half
+        of it live takes the dense step, and so does every one above it.  The
+        result is bit for bit the dense sweep's, provided the caller meets
+        the contract: ``lift`` maps 0 to 0, and a vertex whose children all
+        hold 0 already holds ``combine`` of a zero sum.  ``lyons_field``,
+        ``lyons_plus``, ``survival``, ``leaf_counts``, ``capacity_recursion``
+        and the gradient of ``capacity_bruteforce`` meet it.
         """
+        offsets = self.gen_offsets.tolist()
+        bottom = offsets[-2]
+        live = values[bottom:] != 0
+        nonzero = None  # sorted ids of the nonzero values above the bottom; None once dense
+        if 2 * np.count_nonzero(live) < len(live):
+            nonzero = np.flatnonzero(values[:bottom] != 0)
+            bounds = nonzero.searchsorted(offsets).tolist()
+            live = np.flatnonzero(live) + bottom
         for k in range(self.n - 1, -1, -1):
-            lo, mid, hi = (int(x) for x in self.gen_offsets[k:k + 3])
-            cur, nxt = slice(lo, mid), slice(mid, hi)
-            values[cur] = combine(segment_sums(lift(values[nxt], nxt),
-                                               self.num_children[cur]), cur)
+            lo, mid, hi = offsets[k:k + 3]
+            cur = slice(lo, mid)
+            counts = self.num_children[cur]
+            if nonzero is None or 2 * len(live) >= hi - mid:
+                nonzero = None
+                nxt = slice(mid, hi)
+                values[cur] = combine(segment_sums(lift(values[nxt], nxt), counts), cur)
+                continue
+            if len(live):
+                ends = np.cumsum(counts)
+                parent = ends.searchsorted(live - mid, side="right")
+                lifted = lift(values[live], live)
+                first = np.empty(len(live), dtype=bool)
+                first[0] = True
+                np.not_equal(parent[1:], parent[:-1], out=first[1:])
+                first = np.flatnonzero(first)
+                sums = np.add.reduceat(lifted, first)
+                if (parent[2:] == parent[:-2]).any():
+                    # three or more live children: the dense step's sum
+                    # needs the zeros in their places
+                    wide = np.append(first[1:], len(live)) - first > 2
+                    j = parent[first[wide]]
+                    seg = counts[j]
+                    idx = np.repeat(mid + ends[j] - np.cumsum(seg), seg) + np.arange(seg.sum())
+                    sums[wide] = segment_sums(lift(values[idx], idx), seg)
+                live = parent[first] + lo
+                values[live] = combine(sums, live)
+            incoming = nonzero[bounds[k]:bounds[k + 1]]
+            if len(incoming):
+                live = np.union1d(live, incoming)
         return values
 
     @property

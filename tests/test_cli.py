@@ -125,6 +125,9 @@ def test_missing_config_exits_2(tmp_path, capsys):
     # one replica is expected to have 1.98e8 vertices, past the cap's pre-flight
     ("magnetization-scan", {"beta": math.atanh(0.8), "n_grid": [70], "method": "pruned",
                             "p_schedule": {"kind": "threshold", "c": 1.0}}),
+    # json writes and reads these as Infinity
+    ("magnetization-scan", {"beta": math.inf}),
+    ("capacity-scan", {"mode": "capacity", "capacity_p": math.inf}),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, overrides):
     cfg = write_config(tmp_path / "c.json", **overrides)

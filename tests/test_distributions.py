@@ -248,7 +248,7 @@ def test_g_bounds_at_minimal_degree(half13, dirac2):
     # mu(d0) s^d0 <= G(s) <= mu(d0) s^d0 + s^{d0+1}
     s = np.linspace(0, 1, 301)
     for pmf in (half13, dirac2):
-        d0 = pmf.min_degree
+        d0 = int(pmf.degrees[pmf.probs > 0][0])
         m0 = pmf.mass(d0)
         g = pmf.gf(s)
         assert np.all(g >= m0 * s**d0 - 1e-15)

@@ -92,6 +92,15 @@ def test_prune_rejects_whole_tree_fields(rng):
         prune(t, fld)
 
 
+def test_prune_rejects_forests():
+    # the only marked leaf sits under root 1, which root 0 cannot speak for
+    t = Tree.from_offspring_counts([np.array([1, 1]), np.array([0, 0])])
+    h = np.zeros(t.num_vertices, dtype=np.uint8)
+    h[3] = 1
+    with pytest.raises(ValueError, match="forest"):
+        prune(t, FieldAssignment(t, FieldMode.LEAVES_ONLY, h))
+
+
 def test_pruned_vertex_set_matches_definitional_scan(rng, half12):
     # kept vertices = those with at least one marked bottom leaf below
     for _ in range(30):

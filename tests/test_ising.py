@@ -10,6 +10,8 @@ from gwising import (FieldAssignment, FieldMode, OffspringPmf, Tree, g_beta,
 from gwising.experiments import random_small_tree
 from gwising.ising import _backward_sweep, critical_fixed_point
 
+from test_sweep import dense_sweep
+
 
 def g_beta_logaddexp_form(beta, x):
     """Algebraically identical g as a difference of two logaddexp terms: an
@@ -101,12 +103,15 @@ def test_lyons_field_examples():
 
 def lyons_field_zero_then_mask(tree, fld, beta):
     """The set-up lyons_field had before it started from a copy of the bias:
-    zeros, with the bias copied onto the childless vertices."""
+    zeros, with the bias copied onto the childless vertices, swept densely.
+    Its internal vertices start at 0 rather than at their bias, which the
+    sweep that skips zero children does not allow."""
     bias = 2.0 * beta * fld.h.astype(float)
     r = np.zeros(tree.num_vertices)
     leaves = tree.num_children == 0
     r[leaves] = bias[leaves]
-    return _backward_sweep(tree, r, bias, beta)
+    with dense_sweep():
+        return _backward_sweep(tree, r, bias, beta)
 
 
 @pytest.mark.parametrize("mode", [FieldMode.LEAVES_ONLY, FieldMode.WHOLE_TREE])

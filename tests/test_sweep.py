@@ -1,0 +1,180 @@
+"""The leaf-to-root sweep skips children that hold 0, bit for bit.
+
+``Tree.sweep_up`` lifts only the nonzero children of a generation while they
+are fewer than half of it.  Every caller's output is checked here against the
+dense sweep it replaced, kept below verbatim as the oracle, byte for byte.
+"""
+
+import math
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gwising import (FieldAssignment, FieldMode, ResistanceProfile, Tree,
+                     capacity_recursion, leaf_counts, lyons_field, lyons_plus,
+                     survival)
+from gwising.tree import segment_sums
+
+BETAS = (0.0, 0.05, 0.9, 3.0, 20.0)
+CAPACITY_ORDERS = (1.5, 2.0, 3.0)
+# forests are kept below this many expected vertices
+MAX_EXPECTED_VERTICES = 3000
+
+
+def dense_sweep_up(self, values, lift, combine):
+    for k in range(self.n - 1, -1, -1):
+        lo, mid, hi = (int(x) for x in self.gen_offsets[k:k + 3])
+        cur, nxt = slice(lo, mid), slice(mid, hi)
+        values[cur] = combine(segment_sums(lift(values[nxt], nxt),
+                                           self.num_children[cur]), cur)
+    return values
+
+
+@contextmanager
+def dense_sweep():
+    with mock.patch.object(Tree, "sweep_up", dense_sweep_up):
+        yield
+
+
+def bottom_slice(tree):
+    return slice(int(tree.gen_offsets[tree.n]), tree.num_vertices)
+
+
+def fields_of(tree, p, rng):
+    """One field per mode: Bernoulli(p) bits on every vertex, on the bottom
+    generation only, and ones on the bottom generation."""
+    whole = (rng.random(tree.num_vertices) < p).astype(np.uint8)
+    leaves = np.zeros(tree.num_vertices, dtype=np.uint8)
+    leaves[bottom_slice(tree)] = whole[bottom_slice(tree)]
+    plus = np.zeros(tree.num_vertices, dtype=np.uint8)
+    plus[bottom_slice(tree)] = 1
+    return [FieldAssignment(tree, FieldMode.WHOLE_TREE, whole),
+            FieldAssignment(tree, FieldMode.LEAVES_ONLY, leaves),
+            FieldAssignment(tree, FieldMode.PLUS_BOUNDARY, plus)]
+
+
+def capacity_phi(tree, beta, p):
+    base = math.tanh(beta) if beta > 0 else 0.5
+    return capacity_recursion(tree, ResistanceProfile.geometric(base), p).phi
+
+
+def outputs(tree, beta, p, rng):
+    """Every sweep caller's per-vertex output on one forest."""
+    flds = fields_of(tree, p, rng)
+    out = [lyons_field(tree, fld, beta) for fld in flds]
+    out += [lyons_plus(tree, beta), survival(tree, flds[1]).y, leaf_counts(tree)]
+    out += [capacity_phi(tree, beta, q) for q in CAPACITY_ORDERS]
+    return out
+
+
+def assert_same_bytes(tree, beta, p, seed):
+    got = outputs(tree, beta, p, np.random.default_rng(seed))
+    with dense_sweep():
+        want = outputs(tree, beta, p, np.random.default_rng(seed))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def random_forest(rng, width, zero_mass, roots, depth):
+    """A forest whose laws put mass on 1..width (and on 0 when asked), one
+    law per generation, cut at the depth where it would grow too large."""
+    degrees = np.arange(0 if zero_mass else 1, width + 1)
+    counts, size, expected = [], roots, roots
+    for _ in range(depth):
+        probs = rng.dirichlet(np.full(len(degrees), 0.3))
+        mean = float(degrees @ probs)
+        if expected * (1 + mean) > MAX_EXPECTED_VERTICES and counts:
+            break
+        c = rng.choice(degrees, p=probs, size=size)
+        counts.append(c)
+        size = int(c.sum())
+        expected *= max(mean, 1.0)
+        if size == 0:
+            break
+    return Tree.from_offspring_counts(counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 12), zero_mass=st.booleans(),
+       roots=st.integers(1, 40), depth=st.integers(1, 9),
+       log10_p=st.floats(-6.0, 0.0), beta=st.sampled_from(BETAS))
+def test_sweep_matches_dense_sweep_bitwise(seed, width, zero_mass, roots, depth,
+                                           log10_p, beta):
+    rng = np.random.default_rng(seed)
+    tree = random_forest(rng, width, zero_mass, roots, depth)
+    assert_same_bytes(tree, beta, 10.0 ** log10_p, seed)
+
+
+def wide_parent_forest(rng, width, live, first_live, others):
+    """Root 0 has ``width`` leaf children, ``live`` of them marked (the
+    first one among them when ``first_live``); ``others`` roots with one
+    unmarked leaf child each keep the bottom generation mostly zero."""
+    tree = Tree.from_offspring_counts([np.array([width] + [1] * others)])
+    marked = rng.choice(np.arange(1, width) if first_live else np.arange(width),
+                        size=live - first_live, replace=False)
+    h = np.zeros(tree.num_vertices, dtype=np.uint8)
+    h[tree.num_roots + marked] = 1
+    if first_live:
+        h[tree.num_roots] = 1
+    return tree, h
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(3, 30), data=st.data(),
+       beta=st.sampled_from(BETAS[1:]), first_live=st.booleans())
+def test_parents_with_many_live_children_keep_dense_sums(seed, width, data, beta,
+                                                         first_live):
+    # three or more live children, whose plain sum would differ from the
+    # dense one, or two among more than 8, where reduceat sums pairwise
+    live = data.draw(st.integers(2 if width > 8 else 3, width))
+    rng = np.random.default_rng(seed)
+    tree, h = wide_parent_forest(rng, width, live, first_live, others=2 * width + 1)
+    fld = FieldAssignment(tree, FieldMode.LEAVES_ONLY, h)
+    # leaf values spread over many binades, so that the order of the sum shows
+    x = rng.random(tree.num_vertices) * 10.0 ** rng.integers(-6, 3, size=tree.num_vertices)
+    got = lyons_field(tree, fld, beta)
+    got_sweep = tree.sweep_up(x * h, lambda child, _: child * 1.0, lambda sums, _: sums)
+    with dense_sweep():
+        want = lyons_field(tree, fld, beta)
+        want_sweep = tree.sweep_up(x * h, lambda child, _: child * 1.0, lambda sums, _: sums)
+    assert got.tobytes() == want.tobytes()
+    assert got_sweep.tobytes() == want_sweep.tobytes()
+
+
+def test_plain_sum_of_three_live_children_differs_from_the_dense_sum():
+    # the reason the sweep sums such parents over their whole segment
+    a, b, c = 0.1, 0.2, 0.3
+    tree = Tree.from_offspring_counts([np.array([3] + [1] * 7)])
+    values = np.zeros(tree.num_vertices)
+    values[8:11] = a, b, c
+    got = tree.sweep_up(values.copy(), lambda child, _: child, lambda sums, _: sums)
+    assert got[0] == a + (b + c) != (a + b) + c
+
+
+def test_sweep_lifts_only_live_children_until_half_are_live():
+    # one marked leaf under a deep path among many unmarked ones: every step
+    # lifts at most the one live child, given as an index array
+    others = 50
+    counts = [np.ones(others + 1, dtype=np.int64)] * 4
+    tree = Tree.from_offspring_counts(counts)
+    values = np.zeros(tree.num_vertices)
+    values[tree.num_vertices - 1] = 1.0
+    seen = []
+
+    def lift(child, nxt):
+        seen.append((len(child), isinstance(nxt, slice)))
+        return child
+
+    tree.sweep_up(values, lift, lambda sums, _: sums)
+    assert seen == [(1, False)] * 4
+    assert values[others] == 1.0 and values[:others].sum() == 0.0
+    # a generation at least half live goes dense, and so does every one above
+    values = np.zeros(tree.num_vertices)
+    values[-(others + 1):] = 1.0
+    seen.clear()
+    tree.sweep_up(values, lift, lambda sums, _: sums)
+    assert seen == [(others + 1, True)] * 4
