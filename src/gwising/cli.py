@@ -24,7 +24,7 @@ import typing
 
 import numpy as np
 
-from .distributions import OffspringPmf
+from .distributions import OffspringPmf, json_number
 from .experiments import (ConfigError, ExperimentConfig, rows_to_csv,
                           run_capacity_scan, run_gamma_scan,
                           run_magnetization_scan, run_tv_scan, run_validation)
@@ -47,7 +47,9 @@ def _from_json(kind, value):
     if hasattr(kind, "from_json_dict"):
         return kind.from_json_dict(value)
     if typing.get_origin(kind) is tuple:
-        return tuple(typing.get_args(kind)[0](v) for v in value)
+        return tuple(_from_json(typing.get_args(kind)[0], v) for v in value)
+    if kind in (int, float):
+        return json_number(kind, value)
     return kind(value)
 
 
@@ -86,12 +88,14 @@ def load_config(path: str, seed_override: int | None = None,
         raise ConfigError(f"missing config keys {sorted(missing)}")
     if workers is not None:
         data["workers"] = workers
-    values = {_KEY_FIELDS[key].name: value for key, value in data.items()}
-    try:
-        cfg = ExperimentConfig(**{name: _from_json(_FIELD_TYPES[name], value)
-                                  for name, value in values.items()})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config field: {exc}")
+    values = {}
+    for key, value in data.items():
+        name = _KEY_FIELDS[key].name
+        try:
+            values[name] = _from_json(_FIELD_TYPES[name], value)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad config field {key!r}: {exc}")
+    cfg = ExperimentConfig(**values)
     if seed_override is not None:
         cfg = dataclasses.replace(cfg, master_seed=seed_override)
     return cfg
@@ -201,6 +205,14 @@ def parse_and_dispatch(argv=None) -> int:
 
 def _run_prune_demo(args, say) -> int:
     pmf = parse_pmf_spec(args.pmf)
+    if args.n < 0:
+        raise ConfigError(f"--n must be nonnegative, got {args.n}")
+    if not 0.0 < args.p <= 1.0:
+        raise ConfigError(f"--p must lie in (0, 1], got {args.p}")
+    if not pmf.no_zero:
+        raise ConfigError("--pmf must put no mass at 0")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     tree = sample_gw(pmf, args.n, rng)
     fld = sample_field(tree, FieldMode.LEAVES_ONLY, args.p, rng)

@@ -257,9 +257,19 @@ class OffspringPmf:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OffspringPmf":
-        entries = data["entries"]
-        return cls(np.array([e[0] for e in entries], dtype=np.int64),
-                   np.array([e[1] for e in entries], dtype=np.float64))
+        pairs = [(json_number(int, d), json_number(float, p)) for d, p in data["entries"]]
+        return cls(np.array([d for d, _ in pairs], dtype=np.int64),
+                   np.array([p for _, p in pairs], dtype=np.float64))
+
+
+def json_number(kind: type, value):
+    """A number read from JSON as ``kind``: an int takes a JSON integer, a
+    float any JSON number; a bool or a string is a TypeError."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise TypeError(f"expected a JSON {'integer' if kind is int else 'number'}, "
+                        f"got {value!r}")
+    return kind(value)
 
 
 def logsumexp(values) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import capacity as cap
 from . import ising
-from .distributions import (MIXTURE_CONSISTENCY_TOL, OffspringPmf,
+from .distributions import (MIXTURE_CONSISTENCY_TOL, OffspringPmf, json_number,
                             zero_truncated_binomial, ztb_mixture)
 from .fields import FieldAssignment, FieldMode, plus_boundary_field, prune, sample_field
 from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
@@ -82,8 +82,8 @@ class PSchedule:
         unknown = set(data) - allowed
         if unknown:
             raise ConfigError(f"unknown schedule keys {sorted(unknown)}")
-        return cls(data["kind"], float(data.get("c", 1.0)),
-                   float(data["lam"]) if "lam" in data else None)
+        return cls(data["kind"], json_number(float, data.get("c", 1.0)),
+                   json_number(float, data["lam"]) if "lam" in data else None)
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,11 @@ class ExperimentConfig:
     replicas: int
     mode: str
     master_seed: int = 1
-    epsilon: float = 0.05
     epsilon_sweep: tuple[float, ...] = (0.01, 0.05, 0.2)
     field_mode: FieldMode = FieldMode.LEAVES_ONLY
     method: str = "direct"          # or "pruned": exact fast path, leaf fields only
     capacity_p: float = 1.5
     q: float = 2.0
-    coupling_off: bool = False      # direct sanity mode: drop the bond term, keep 2*beta*h
     workers: int = 1
 
     def p_n(self, n: int) -> float:
@@ -119,8 +117,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("need at least one replica")
     if cfg.workers < 1:
         raise ConfigError(f"need at least one worker, got {cfg.workers}")
-    if not all(0.0 < eps < 1.0 for eps in (cfg.epsilon, *cfg.epsilon_sweep)):
-        raise ConfigError("epsilon and every epsilon_sweep value must lie in (0, 1)")
+    if cfg.master_seed < 0:
+        raise ConfigError(f"master_seed must be nonnegative, got {cfg.master_seed}")
+    if not cfg.epsilon_sweep:
+        raise ConfigError("empty epsilon_sweep")
+    if not all(0.0 < eps < 1.0 for eps in cfg.epsilon_sweep):
+        raise ConfigError("every epsilon_sweep value must lie in (0, 1)")
     if not 1.0 < cfg.capacity_p < math.inf:
         raise ConfigError("capacity_p must be finite and exceed 1")
     if not (1.0 < cfg.q <= 2.0):
@@ -129,8 +131,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown method {cfg.method!r}")
     if cfg.method == "pruned" and cfg.field_mode is not FieldMode.LEAVES_ONLY:
         raise ConfigError("the pruned fast path models leaf fields only")
-    if cfg.method == "pruned" and cfg.coupling_off:
-        raise ConfigError("coupling_off applies to the direct method only")
     kind = cfg.schedule.kind
     if kind not in SCHEDULE_KINDS:
         raise ConfigError(f"unknown schedule kind {kind!r}")
@@ -151,6 +151,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"schedule overflows at depth {n}")
         if not (0.0 < p <= 1.0):
             raise ConfigError(f"schedule gives p_{n} = {p}, outside (0, 1]")
+        if cfg.mode == "capacity":
+            try:
+                a_n = cap.alpha_n(cfg.beta, cfg.pmf.mean(), p, n, cfg.capacity_p)
+            except OverflowError:
+                a_n = math.inf
+            if not 0.0 < a_n < math.inf:
+                raise ConfigError(f"alpha_{n} = {a_n} at depth {n}: capacity ratios "
+                                  f"are undefined")
 
 
 def replica_rng(master_seed: int, experiment_id: int, n_index: int,
@@ -184,21 +192,6 @@ def block_replicas(pmf: OffspringPmf, n: int, profile: GammaProfile | None = Non
     return max(1, int(BLOCK_VERTICES // expected))
 
 
-def _block_tasks(replicas: int, size: int, *head) -> list[tuple]:
-    """One task per block: ``(*head, block index, roots)``; the last block
-    takes the remainder."""
-    return [(*head, block, min(size, replicas - start))
-            for block, start in enumerate(range(0, replicas, size))]
-
-
-def _map_blocks(fn, tasks, workers: int) -> list[np.ndarray]:
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
-
-
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     if trials == 0:
         return 0.0, 1.0
@@ -209,22 +202,57 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-# -- magnetization ----------------------------------------------------------
+# -- sampled scans: magnetization and capacity ------------------------------
 
 
-def _magnetization_block(args) -> np.ndarray:
-    cfg, n, sampler, n_index, block, roots = args
-    rng = replica_rng(cfg.master_seed, EXPERIMENT_IDS["magnetization"], n_index, block)
-    if cfg.method == "pruned":
+def _sample_block(args) -> np.ndarray:
+    """Root values of one block: the forest is drawn directly when ``sampler``
+    is None, else from the pruned law (whose empty outcome gives zeros); a
+    magnetization block returns root ratios, a capacity block root capacities
+    (0 for a childless root)."""
+    experiment, cfg, n, sampler, n_index, block, roots = args
+    rng = replica_rng(cfg.master_seed, EXPERIMENT_IDS[experiment], n_index, block)
+    if sampler is None:
+        forest = sample_gw(cfg.pmf, n, rng, roots=roots)
+        fld = sample_field(forest, cfg.field_mode, cfg.p_n(n), rng)
+    else:
         forest = sampler.sample(rng, roots=roots)
         if forest is None:
             return np.zeros(roots)
-        return ising.lyons_field(forest, plus_boundary_field(forest), cfg.beta)[:roots].copy()
-    forest = sample_gw(cfg.pmf, n, rng, roots=roots)
-    fld = sample_field(forest, cfg.field_mode, cfg.p_n(n), rng)
-    if cfg.coupling_off:
-        return 2.0 * cfg.beta * fld.h[:roots].astype(float)
-    return ising.lyons_field(forest, fld, cfg.beta)[:roots].copy()
+        fld = plus_boundary_field(forest)
+    if experiment == "magnetization":
+        return ising.lyons_field(forest, fld, cfg.beta)[:roots].copy()
+    resistances = cap.ResistanceProfile.geometric(math.tanh(cfg.beta))
+    phi = cap.capacity_recursion(forest, resistances, cfg.capacity_p).phi[:roots]
+    return np.where(forest.num_children[:roots] > 0, phi, 0.0)
+
+
+def _sample_scan(cfg: ExperimentConfig, experiment: str,
+                 pruned: bool) -> tuple[list[GammaProfile | None], np.ndarray]:
+    """Each depth's pruned profile (None when sampled directly) and the
+    (depths x replicas) matrix of ``_sample_block`` values.  Every depth is
+    sized, so checked against the population cap, before any sampling."""
+    profiles, tasks = [], []
+    for n_index, n in enumerate(cfg.n_grid):
+        profile = gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None
+        size = block_replicas(cfg.pmf, n, profile)
+        sampler = None if profile is None else PrunedLawSampler(profile)
+        profiles.append(profile)
+        # one task per block; the last block takes the remainder
+        tasks += [(experiment, cfg, n, sampler, n_index, block,
+                   min(size, cfg.replicas - start))
+                  for block, start in enumerate(range(0, cfg.replicas, size))]
+    if cfg.workers <= 1:
+        blocks = [_sample_block(task) for task in tasks]
+    else:
+        chunk = max(1, len(tasks) // (4 * cfg.workers))
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            blocks = list(pool.map(_sample_block, tasks, chunksize=chunk))
+    return profiles, np.concatenate(blocks).reshape(len(cfg.n_grid), cfg.replicas)
+
+
+def _standard_error(values: np.ndarray) -> float:
+    return float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
 
 
 def run_magnetization_scan(cfg: ExperimentConfig) -> list[dict]:
@@ -235,24 +263,14 @@ def run_magnetization_scan(cfg: ExperimentConfig) -> list[dict]:
     analytic mean bound as a reference column.
     """
     validate_config(cfg)
-    tasks = []
-    for n_index, n in enumerate(cfg.n_grid):
-        sampler = profile = None
-        if cfg.method == "pruned":
-            profile = gamma_profile(cfg.pmf, cfg.p_n(n), n)
-            sampler = PrunedLawSampler(profile)
-        size = block_replicas(cfg.pmf, n, profile)
-        tasks += _block_tasks(cfg.replicas, size, cfg, n, sampler, n_index)
-    r_by_n = np.concatenate(_map_blocks(_magnetization_block, tasks, cfg.workers))
+    _, r_by_n = _sample_scan(cfg, "magnetization", pruned=cfg.method == "pruned")
     rows = []
-    for n, r_values in zip(cfg.n_grid, r_by_n.reshape(len(cfg.n_grid), cfg.replicas)):
+    for n, r_values in zip(cfg.n_grid, r_by_n):
         p_n = cfg.p_n(n)
         m_values = ising.magnetization(r_values)
-        mean_r = float(r_values.mean())
-        se_r = float(r_values.std(ddof=1) / math.sqrt(cfg.replicas)) if cfg.replicas > 1 else 0.0
+        mean_r, se_r = float(r_values.mean()), _standard_error(r_values)
         bound = ising.upper_bound_mean_r(cfg.beta, cfg.pmf.mean(), p_n, n)
-        epsilons = sorted(set(cfg.epsilon_sweep) | {cfg.epsilon})
-        for eps in epsilons:
+        for eps in sorted(set(cfg.epsilon_sweep)):
             hits = int((m_values > eps).sum())
             lo, hi = wilson_interval(hits, cfg.replicas)
             rows.append({
@@ -263,6 +281,38 @@ def run_magnetization_scan(cfg: ExperimentConfig) -> list[dict]:
                 "replicas": cfg.replicas, "mean_r_bound": bound,
             })
     return rows
+
+
+def run_capacity_scan(cfg: ExperimentConfig) -> dict:
+    """Capacities of directly-sampled pruned trees with R = tanh(beta).
+
+    Emits one row per replica (capacity, the benchmark alpha_n, their ratio)
+    plus one summary row per depth with the empirical mean against the
+    mean-capacity bound.  Empty pruned trees count as capacity 0.
+    """
+    validate_config(cfg)
+    profiles, values_by_n = _sample_scan(cfg, "capacity", pruned=True)
+    rows, summary = [], []
+    for n, profile, values in zip(cfg.n_grid, profiles, values_by_n):
+        p_n = profile.p_n
+        a_n = cap.alpha_n(cfg.beta, cfg.pmf.mean(), p_n, n, cfg.capacity_p)
+        for rep, value in enumerate(values):
+            rows.append({"n": n, "p_n": p_n, "replica": rep,
+                         "capacity_p": float(value), "alpha_n": a_n,
+                         "ratio": float(value) / a_n})
+        bound = cap.expected_capacity_upper(profile.m_0k[1:], math.tanh(cfg.beta),
+                                            cfg.capacity_p)
+        summary.append({
+            "n": n, "p_n": p_n, "replicas": cfg.replicas,
+            "mean_capacity": float(values.mean()),
+            "se_capacity": _standard_error(values),
+            "alpha_n": a_n,
+            "mean_capacity_bound": bound,
+            "ratio_p05": float(np.quantile(values / a_n, 0.05)),
+            "ratio_p50": float(np.quantile(values / a_n, 0.50)),
+            "ratio_p95": float(np.quantile(values / a_n, 0.95)),
+        })
+    return {"rows": rows, "summary": summary}
 
 
 # -- gamma profiles ---------------------------------------------------------
@@ -337,62 +387,6 @@ def transition_bound_checks(profile: GammaProfile, constants: dict, k1: int) -> 
         "gamma_decay_below_kstar": gamma_decay,
         "one_minus_gamma_decay_above_kstar": tail_decay,
     }
-
-
-# -- capacity ---------------------------------------------------------------
-
-
-def _capacity_block(args) -> np.ndarray:
-    cfg, sampler, resistances, n_index, block, roots = args
-    rng = replica_rng(cfg.master_seed, EXPERIMENT_IDS["capacity"], n_index, block)
-    forest = sampler.sample(rng, roots=roots)
-    if forest is None:
-        return np.zeros(roots)
-    phi = cap.capacity_recursion(forest, resistances, cfg.capacity_p).phi[:roots]
-    return np.where(forest.num_children[:roots] > 0, phi, 0.0)
-
-
-def run_capacity_scan(cfg: ExperimentConfig) -> dict:
-    """Capacities of directly-sampled pruned trees with R = tanh(beta).
-
-    Emits one row per replica (capacity, the benchmark alpha_n, their ratio)
-    plus one summary row per depth with the empirical mean against the
-    mean-capacity bound.  Empty pruned trees count as capacity 0.
-    """
-    validate_config(cfg)
-    resistances = cap.ResistanceProfile.geometric(math.tanh(cfg.beta))
-    nu = cfg.pmf.mean()
-    profiles, tasks = [], []
-    for n_index, n in enumerate(cfg.n_grid):
-        profile = gamma_profile(cfg.pmf, cfg.p_n(n), n)
-        profiles.append(profile)
-        size = block_replicas(cfg.pmf, n, profile)
-        tasks += _block_tasks(cfg.replicas, size, cfg, PrunedLawSampler(profile),
-                              resistances, n_index)
-    values_by_n = np.concatenate(_map_blocks(_capacity_block, tasks, cfg.workers))
-    rows, summary = [], []
-    for n, profile, values in zip(cfg.n_grid, profiles,
-                                  values_by_n.reshape(len(cfg.n_grid), cfg.replicas)):
-        p_n = profile.p_n
-        a_n = cap.alpha_n(cfg.beta, nu, p_n, n, cfg.capacity_p)
-        for rep, value in enumerate(values):
-            rows.append({"n": n, "p_n": p_n, "replica": rep,
-                         "capacity_p": float(value), "alpha_n": a_n,
-                         "ratio": float(value) / a_n})
-        bound = cap.expected_capacity_upper(profile.m_0k[1:], math.tanh(cfg.beta),
-                                            cfg.capacity_p)
-        summary.append({
-            "n": n, "p_n": p_n, "replicas": cfg.replicas,
-            "mean_capacity": float(values.mean()),
-            "se_capacity": float(values.std(ddof=1) / math.sqrt(cfg.replicas))
-            if cfg.replicas > 1 else 0.0,
-            "alpha_n": a_n,
-            "mean_capacity_bound": bound,
-            "ratio_p05": float(np.quantile(values / a_n, 0.05)),
-            "ratio_p50": float(np.quantile(values / a_n, 0.50)),
-            "ratio_p95": float(np.quantile(values / a_n, 0.95)),
-        })
-    return {"rows": rows, "summary": summary}
 
 
 # -- total variation --------------------------------------------------------
@@ -574,11 +568,13 @@ def suite_ztb_mixture_routes(instances: int, seed: int = 0) -> dict:
 def run_validation(seed: int, instances: int, oracle_instances: int) -> dict:
     """All oracle-equivalence suites; machine-readable, failures enumerated.
 
-    Rejects an instance count below 1: a suite that checks nothing cannot
-    pass."""
+    Rejects an instance count below 1 (a suite that checks nothing cannot
+    pass) and a negative seed."""
     if instances < 1 or oracle_instances < 1:
         raise ConfigError(f"validation needs at least one instance per suite, got "
                           f"instances={instances}, oracle_instances={oracle_instances}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     suites = [
         suite_lyons_vs_bruteforce(instances, seed),
         suite_pruning_equivalence(instances, seed),

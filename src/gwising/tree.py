@@ -125,9 +125,6 @@ class Tree:
     def num_roots(self) -> int:
         return int(self.gen_offsets[1])
 
-    def generation(self, k: int) -> np.ndarray:
-        return np.arange(self.gen_offsets[k], self.gen_offsets[k + 1])
-
     def generation_size(self, k: int) -> int:
         return int(self.gen_offsets[k + 1] - self.gen_offsets[k])
 

@@ -1,9 +1,12 @@
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,7 +14,8 @@ import pytest
 
 import gwising
 from gwising import OffspringPmf
-from gwising.cli import atomic_write_text, load_config, parse_and_dispatch, parse_pmf_spec
+from gwising.cli import (_KEY_FIELDS, atomic_write_text, load_config, parse_and_dispatch,
+                         parse_pmf_spec)
 from gwising.experiments import ConfigError, ExperimentConfig, PSchedule
 
 from _frozen import OUTPUT_DIGESTS
@@ -119,7 +123,7 @@ def test_missing_config_exits_2(tmp_path, capsys):
     ("capacity-scan", {"mode": "magnetization", "beta": 0.0}),
     ("tv-scan", {"mode": "validate"}),
     ("magnetization-scan", {"epsilon_sweep": [-1.0, 1.5]}),
-    ("magnetization-scan", {"method": "pruned", "coupling_off": True}),
+    ("magnetization-scan", {"method": "pruned", "coupling_off": True}),  # a removed key
     ("magnetization-scan", {"workers": 0}),
     ("magnetization-scan", {"workers": -2}),
     # one replica is expected to have 1.98e8 vertices, past the cap's pre-flight
@@ -128,6 +132,27 @@ def test_missing_config_exits_2(tmp_path, capsys):
     # json writes and reads these as Infinity
     ("magnetization-scan", {"beta": math.inf}),
     ("capacity-scan", {"mode": "capacity", "capacity_p": math.inf}),
+    # a number must be a JSON number of the field's kind: no truncation, no
+    # strings, no bools
+    ("magnetization-scan", {"replicas": 2.7}),
+    ("magnetization-scan", {"n_grid": [4.9]}),
+    ("magnetization-scan", {"replicas": "3"}),
+    ("magnetization-scan", {"master_seed": True}),
+    ("magnetization-scan", {"beta": "0.9"}),
+    ("magnetization-scan", {"beta": False}),
+    ("magnetization-scan", {"n_grid": "34"}),
+    ("magnetization-scan", {"epsilon_sweep": [0.05, "0.2"]}),
+    ("magnetization-scan", {"p_schedule": {"kind": "constant", "c": "0.4"}}),
+    ("magnetization-scan", {"pmf": {"entries": [[1.5, 0.5], [2, 0.5]]}}),
+    ("magnetization-scan", {"pmf": {"entries": [[1, "0.5"], [2, 0.5]]}}),
+    ("magnetization-scan", {"pmf": {"entries": [[2**64, 0.5], [2, 0.5]]}}),
+    ("magnetization-scan", {"pmf": {"entries": [[1, 0.5, 7], [2, 0.5]]}}),
+    ("magnetization-scan", {"master_seed": -1}),
+    ("magnetization-scan", {"epsilon_sweep": []}),
+    ("magnetization-scan", {"epsilon": 0.05}),  # a removed key
+    # p_110 = 1.3e-297 lies in (0, 1], but alpha_110 underflows to 0
+    ("capacity-scan", {"mode": "capacity", "beta": 0.3, "n_grid": [110],
+                       "p_schedule": {"kind": "geometric", "c": 1.0, "lam": 0.002}}),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, overrides):
     cfg = write_config(tmp_path / "c.json", **overrides)
@@ -145,6 +170,18 @@ def test_workers_flag_below_one_exits_2(tmp_path, capsys, workers):
                                "--out", str(tmp_path / "out"), "--workers", workers])
     assert code == 2
     assert "need at least one worker" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["magnetization-scan", "--seed", "-1"],
+                                  ["validate", "--seed", "-1", "--instances", "1"]])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    if argv[0] != "validate":
+        argv += ["--config", write_config(tmp_path / "c.json")]
+    code = parse_and_dispatch(["--quiet", *argv, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "nonnegative" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -304,6 +341,26 @@ def test_prune_demo_outputs_and_round_trip(tmp_path, capsys):
     assert (out / "pruned.json").exists()
     assert (out / "overlay.dot").read_text().startswith("digraph")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("override", [["--p", "0"], ["--p", "1.5"], ["--p", "nan"],
+                                      ["--pmf", "0:0.5,2:0.5"], ["--n", "-3"],
+                                      ["--seed", "-1"]])
+def test_prune_demo_bad_arguments_exit_2(tmp_path, capsys, override):
+    args = {"--pmf": "dirac2", "--n": "6", "--p": "0.3", **dict([override])}
+    code = parse_and_dispatch(["--quiet", "prune-demo", *itertools.chain(*args.items()),
+                               "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys\n", 1)[1].split("\n#", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` *\|", section, flags=re.MULTILINE)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(_KEY_FIELDS) | {"schema_version"}
 
 
 @pytest.mark.parametrize("name", sorted(OUTPUT_RUNS))

@@ -39,7 +39,15 @@ def test_config_validation_errors():
         validate_config(base_config(method="pruned",
                                     field_mode=FieldMode.WHOLE_TREE))
     with pytest.raises(ConfigError):
-        validate_config(base_config(epsilon=0.0))
+        validate_config(base_config(epsilon_sweep=(0.05, 0.0)))
+    with pytest.raises(ConfigError, match="empty epsilon_sweep"):
+        validate_config(base_config(epsilon_sweep=()))
+    with pytest.raises(ConfigError, match="master_seed"):
+        validate_config(base_config(master_seed=-1))
+    # p_110 = 1.3e-297 lies in (0, 1], but alpha_110 underflows to 0
+    with pytest.raises(ConfigError, match="alpha_110 = 0.0 at depth 110"):
+        validate_config(base_config(mode="capacity", beta=0.3, n_grid=(8, 110),
+                                    schedule=PSchedule("geometric", 1.0, 0.002)))
     for workers in (0, -2):
         with pytest.raises(ConfigError, match="worker"):
             validate_config(base_config(workers=workers))
@@ -110,7 +118,7 @@ def test_preflight_rejects_depths_past_the_population_cap(monkeypatch, method, n
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a replica")
 
-    monkeypatch.setattr(gwising.experiments, "_map_blocks", no_sampling)
+    monkeypatch.setattr(gwising.experiments, "_sample_block", no_sampling)
     cfg = base_config(beta=math.atanh(0.8), schedule=PSchedule("threshold", 1.0),
                       n_grid=(n,), method=method)
     with pytest.raises(ConfigError, match=f"depth {n}: ") as caught:
@@ -126,21 +134,9 @@ def test_preflight_rejects_depths_past_the_population_cap(monkeypatch, method, n
 def test_constant_field_keeps_root_magnetized():
     # whole-tree Bernoulli(1/2) field: r >= 2 beta h_root, so the exceedance
     # frequency stays above p - sampling noise at small epsilon
-    cfg = base_config(field_mode=FieldMode.WHOLE_TREE, replicas=400,
-                      epsilon=0.01, n_grid=(4,))
+    cfg = base_config(field_mode=FieldMode.WHOLE_TREE, replicas=400, n_grid=(4,))
     rows = [r for r in run_magnetization_scan(cfg) if r["epsilon"] == 0.01]
     assert rows[0]["prob_m_gt_eps"] >= 0.5 - 3 * math.sqrt(0.25 / 400)
-
-
-def test_decoupled_sanity_mode():
-    # with the bond term off, m > 0 exactly when the root carries the field
-    cfg = base_config(field_mode=FieldMode.WHOLE_TREE, coupling_off=True,
-                      replicas=600, epsilon_sweep=(0.01,), epsilon=0.01,
-                      schedule=PSchedule("constant", 0.35), n_grid=(3,))
-    row = [r for r in run_magnetization_scan(cfg) if r["epsilon"] == 0.01][0]
-    se = math.sqrt(0.35 * 0.65 / 600)
-    assert abs(row["prob_m_gt_eps"] - 0.35) < 4 * se
-    assert row["mean_r"] == pytest.approx(2 * 0.9 * row["prob_m_gt_eps"])
 
 
 def test_mean_r_bounded_by_analytic_column():

@@ -33,16 +33,20 @@ def test_plus_boundary_is_deterministic_ones_on_leaves():
 
 
 def test_per_leaf_empirical_rate(rng):
-    # fixed tree with 100 leaves; each leaf's rate ~ Bernoulli(0.3)
+    # fixed tree with 11 internal vertices over 100 leaves; each vertex the
+    # mode covers (the leaves, or the whole tree) carries a Bernoulli(0.3)
+    # bit, every other vertex 0
     t = Tree.from_offspring_counts([np.array([10]), np.full(10, 10)])
     reps = 10**5
-    hits = np.zeros(100)
-    for _ in range(reps):
-        hits += sample_field(t, FieldMode.LEAVES_ONLY, 0.3, rng).leaf_bits()
-    rates = hits / reps
     se = np.sqrt(0.3 * 0.7 / reps)
-    assert np.all(np.abs(rates - 0.3) < 4 * se)
-    assert abs(rates.mean() - 0.3) < 3 * se / 10
+    for mode, first in ((FieldMode.LEAVES_ONLY, 11), (FieldMode.WHOLE_TREE, 0)):
+        hits = np.zeros(t.num_vertices)
+        for _ in range(reps):
+            hits += sample_field(t, mode, 0.3, rng).h
+        rates = hits[first:] / reps
+        assert not hits[:first].any()
+        assert np.all(np.abs(rates - 0.3) < 4 * se)
+        assert abs(rates.mean() - 0.3) < 3 * se / np.sqrt(rates.size)
 
 
 def test_survival_examples():
