@@ -20,8 +20,8 @@ Library layout:
 
 from .distributions import (ConsistencyError, OffspringPmf, PmfError,
                             zero_truncated_binomial, ztb_mixture)
-from .fields import (FieldAssignment, FieldMode, SurvivalMap,
-                     plus_boundary_field, prune, sample_field, survival)
+from .fields import (FieldAssignment, FieldMode, plus_boundary_field, prune,
+                     sample_field, survival)
 from .ising import (g_beta, gibbs_bruteforce, lyons_field, lyons_plus,
                     magnetization, upper_bound_mean_r)
 from .pruned_law import (GammaProfile, PrunedLawSampler, PrunedMoments,
@@ -33,7 +33,7 @@ from .capacity import (CapacityResult, Flow, ResistanceProfile, alpha_n,
                        capacity_spherical, expected_capacity_upper,
                        flow_energy, uniform_flow)
 from .tree import (PopulationCapError, Tree, enumerate_trees, gw_probability,
-                   leaf_counts, sample_gw, sample_inhomogeneous_bp, subtree)
+                   leaf_counts, sample_gw, sample_inhomogeneous_bp)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

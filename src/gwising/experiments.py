@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -45,6 +47,9 @@ BOUND_REL_SLACK = 1e-9
 # orders of the capacity oracle suite
 SUITE_BETAS = (0.3, 0.7, 1.2)
 SUITE_CAPACITY_ORDERS = (1.5, 2.0, 3.0)
+# the largest beta whose e^(2 beta) is a finite double; past it the edge map
+# g_beta overflows
+MAX_BETA = math.log(sys.float_info.max) / 2
 
 
 class ConfigError(ValueError):
@@ -111,8 +116,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if not cfg.pmf.satisfies_supercritical_assumption():
         raise ConfigError("offspring law must put no mass at 0 and not all of it at 1")
-    if not 0.0 <= cfg.beta < math.inf:
-        raise ConfigError("beta must be finite and nonnegative")
+    if not 0.0 <= cfg.beta <= MAX_BETA:
+        raise ConfigError(f"beta must lie in [0, {MAX_BETA:.6g}], where e^(2 beta) "
+                          f"stays finite, got {cfg.beta}")
     if cfg.replicas < 1:
         raise ConfigError("need at least one replica")
     if cfg.workers < 1:
@@ -134,8 +140,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     kind = cfg.schedule.kind
     if kind not in SCHEDULE_KINDS:
         raise ConfigError(f"unknown schedule kind {kind!r}")
-    if kind.endswith("geometric") and cfg.schedule.lam is None:
-        raise ConfigError(f"schedule {kind!r} needs lam")
+    lam = cfg.schedule.lam
+    if kind.endswith("geometric") and not (lam is not None and lam > 0.0):
+        raise ConfigError(f"schedule {kind!r} needs a positive lam, got {lam}")
+    if not kind.endswith("geometric") and lam is not None:
+        raise ConfigError(f"schedule {kind!r} takes no lam")
     if cfg.beta == 0.0 and kind.startswith("threshold"):
         raise ConfigError(f"schedule {kind!r} needs beta > 0")
     if cfg.beta == 0.0 and cfg.mode == "capacity":
@@ -242,11 +251,14 @@ def _sample_scan(cfg: ExperimentConfig, experiment: str,
         tasks += [(experiment, cfg, n, sampler, n_index, block,
                    min(size, cfg.replicas - start))
                   for block, start in enumerate(range(0, cfg.replicas, size))]
-    if cfg.workers <= 1:
+    # no more processes than tasks or CPUs: a fork pool starts all of its
+    # workers at the first submit, whatever the size of the scan
+    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         blocks = [_sample_block(task) for task in tasks]
     else:
-        chunk = max(1, len(tasks) // (4 * cfg.workers))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        chunk = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_sample_block, tasks, chunksize=chunk))
     return profiles, np.concatenate(blocks).reshape(len(cfg.n_grid), cfg.replicas)
 

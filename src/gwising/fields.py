@@ -41,21 +41,6 @@ class FieldAssignment:
         return self.h[lo:hi]
 
 
-@dataclass(frozen=True, eq=False)
-class SurvivalMap:
-    """Per-vertex survival bit: 1 iff some bottom leaf below carries the field."""
-
-    tree: Tree
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.y.setflags(write=False)
-
-    @property
-    def root_survives(self) -> bool:
-        return bool(self.y[0])
-
-
 def sample_field(tree: Tree, mode: FieldMode, p: float,
                  rng: np.random.Generator | None = None) -> FieldAssignment:
     """Independent Bernoulli(p) bits on the mode's vertex set, zeros elsewhere.
@@ -85,14 +70,16 @@ def plus_boundary_field(tree: Tree) -> FieldAssignment:
     return sample_field(tree, FieldMode.PLUS_BOUNDARY, 1.0)
 
 
-def survival(tree: Tree, fld: FieldAssignment) -> SurvivalMap:
-    """Bottom-up OR: a leaf survives iff its bit is set, an internal vertex
-    iff some child survives.  Only the bottom-generation bits are read."""
+def survival(tree: Tree, fld: FieldAssignment) -> np.ndarray:
+    """The read-only per-vertex survival bits, by a bottom-up OR: a leaf
+    survives iff its field bit is set, an internal vertex iff some child
+    survives.  Only the bottom-generation bits are read."""
     y = np.zeros(tree.num_vertices, dtype=np.uint8)
     bottom = slice(int(tree.gen_offsets[tree.n]), tree.num_vertices)
     y[bottom] = fld.h[bottom]
     tree.sweep_up(y, lambda child, _: child.astype(np.int64), lambda sums, _: sums > 0)
-    return SurvivalMap(tree, y)
+    y.setflags(write=False)
+    return y
 
 
 def prune(tree: Tree, fld: FieldAssignment) -> tuple[Tree, np.ndarray] | None:
@@ -109,14 +96,14 @@ def prune(tree: Tree, fld: FieldAssignment) -> tuple[Tree, np.ndarray] | None:
         raise ValueError("pruning is defined for leaf-supported fields only")
     if tree.num_roots > 1:
         raise ValueError("pruning is defined for a single tree, not a forest")
-    surv = survival(tree, fld)
-    if not surv.root_survives:
+    y = survival(tree, fld)
+    if not y[0]:
         return None
-    keep = surv.y.astype(bool)
+    keep = y.astype(bool)
     mapping = np.full(tree.num_vertices, -1, dtype=np.int64)
     mapping[keep] = np.arange(int(keep.sum()))
     # children of all vertices are the ids num_roots..V-1, in parent order
-    surviving_children = segment_sums(surv.y[tree.num_roots:].astype(np.int64),
+    surviving_children = segment_sums(y[tree.num_roots:].astype(np.int64),
                                       tree.num_children)[keep]
     kept_per_gen = segment_sums(keep.astype(np.int64), tree.generation_sizes())
     # the bottom generation's all-zero counts end the arena at depth n
@@ -125,23 +112,24 @@ def prune(tree: Tree, fld: FieldAssignment) -> tuple[Tree, np.ndarray] | None:
 
 
 def to_dot(tree: Tree, fld: FieldAssignment | None = None,
-           surv: SurvivalMap | None = None) -> str:
-    """DOT rendering: field-carrying vertices are doublecircled, surviving
-    branches solid blue, dead branches dashed red."""
+           surv: np.ndarray | None = None) -> str:
+    """DOT rendering: field-carrying vertices are doublecircled and, given
+    the bits ``survival`` returns as ``surv``, surviving branches solid blue
+    and dead branches dashed red."""
     lines = ["digraph tree {", "  node [shape=circle, label=\"\", width=0.12];"]
     for v in range(tree.num_vertices):
         attrs = []
         if fld is not None and fld.h[v]:
             attrs.append("shape=doublecircle")
         if surv is not None:
-            attrs.append("color=blue" if surv.y[v] else "color=red")
+            attrs.append("color=blue" if surv[v] else "color=red")
         if attrs:
             lines.append(f"  v{v} [{', '.join(attrs)}];")
     for v in range(1, tree.num_vertices):
         u = int(tree.parent[v])
         style = ""
         if surv is not None:
-            style = " [color=blue]" if surv.y[v] else " [color=red, style=dashed]"
+            style = " [color=blue]" if surv[v] else " [color=red, style=dashed]"
         lines.append(f"  v{u} -> v{v}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

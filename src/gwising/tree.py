@@ -50,10 +50,6 @@ class ExplosionGuardError(RuntimeError):
     """Exhaustive enumeration would produce too many trees."""
 
 
-class TreeFormatError(ValueError):
-    """A serialized tree does not describe a breadth-first arena."""
-
-
 def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum ``values`` over consecutive segments of the given lengths.
 
@@ -243,42 +239,8 @@ class Tree:
         gen_offsets = np.cumsum([0, lengths[0], *totals[:depth]])
         return cls(gen_offsets, num_children)
 
-    @classmethod
-    def from_parent_array(cls, parent, n: int) -> "Tree":
-        """Rebuild from a breadth-first parent array (JSON form)."""
-        parent = np.asarray(parent, dtype=np.int64)
-        if parent.size == 0 or parent[0] != -1 or np.any(parent[1:] < 0):
-            raise TreeFormatError("parent array must start with -1 and be nonnegative after")
-        if np.any(parent[1:] >= np.arange(1, parent.size)):
-            raise TreeFormatError("parents must precede children")
-        if parent.size > 1 and np.any(np.diff(parent[1:]) < 0):
-            raise TreeFormatError("vertices must be in breadth-first order")
-        num_children = np.zeros(parent.size, dtype=np.int64)
-        np.add.at(num_children, parent[1:], 1)
-        # generation boundaries: children of a breadth-first slice form the
-        # next contiguous slice
-        counts_per_gen = []
-        lo, hi = 0, 1
-        while hi < parent.size:
-            counts = num_children[lo:hi]
-            nxt = hi + int(counts.sum())
-            if np.any(parent[hi:nxt] < lo) or np.any(parent[hi:nxt] >= hi):
-                raise TreeFormatError("generations must be contiguous")
-            counts_per_gen.append(counts)
-            lo, hi = hi, nxt
-        depth = len(counts_per_gen)
-        if depth != n:
-            raise TreeFormatError(f"declared depth {n} but deepest vertex is {depth}")
-        if np.any(num_children[lo:hi]):
-            raise TreeFormatError("bottom generation must be childless")
-        return cls.from_offspring_counts(counts_per_gen or [np.zeros(1, dtype=np.int64)])
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "parent": [int(p) for p in self.parent]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Tree":
-        return cls.from_parent_array(data["parent"], data["n"])
 
     def __eq__(self, other) -> bool:
         """Structural equality: same shape with the same child ordering."""
@@ -330,20 +292,6 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
     if not counts:
         counts = [np.zeros(roots, dtype=np.int64)]
     return Tree.from_offspring_counts(counts)
-
-
-def subtree(tree: Tree, v: int) -> Tree:
-    """Copy of v and its descendants, re-rooted so v sits at depth 0."""
-    counts_per_gen = []
-    current = np.array([v], dtype=np.int64)
-    while current.size:
-        counts = tree.num_children[current]
-        counts_per_gen.append(counts)
-        starts = tree.child_start[current]
-        current = np.concatenate(
-            [np.arange(s, s + c) for s, c in zip(starts, counts)]
-        ).astype(np.int64) if counts.sum() else np.empty(0, dtype=np.int64)
-    return Tree.from_offspring_counts(counts_per_gen)
 
 
 def leaf_counts(tree: Tree) -> np.ndarray:

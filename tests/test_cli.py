@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gwising
@@ -153,6 +154,15 @@ def test_missing_config_exits_2(tmp_path, capsys):
     # p_110 = 1.3e-297 lies in (0, 1], but alpha_110 underflows to 0
     ("capacity-scan", {"mode": "capacity", "beta": 0.3, "n_grid": [110],
                        "p_schedule": {"kind": "geometric", "c": 1.0, "lam": 0.002}}),
+    # past log(float max) / 2 the edge map g_beta overflows
+    ("magnetization-scan", {"beta": 355}),
+    ("magnetization-scan", {"beta": 1e308}),
+    # (-0.5)^n is positive at even n, but lam must be positive
+    ("magnetization-scan", {"n_grid": [4, 6],
+                            "p_schedule": {"kind": "geometric", "c": 1.0, "lam": -0.5}}),
+    # lam only for the kinds that read it
+    ("magnetization-scan", {"p_schedule": {"kind": "constant", "c": 0.4, "lam": 0.5}}),
+    ("magnetization-scan", {"p_schedule": {"kind": "threshold", "c": 1.0, "lam": 0.5}}),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, overrides):
     cfg = write_config(tmp_path / "c.json", **overrides)
@@ -333,11 +343,11 @@ def test_prune_demo_outputs_and_round_trip(tmp_path, capsys):
                                "--n", "6", "--p", "0.3", "--out", str(out),
                                "--seed", "5"])
     assert code == 0
-    tree_bytes = (out / "tree.json").read_text()
-    from gwising import Tree
-    reloaded = Tree.from_json_dict(json.loads(tree_bytes))
-    assert json.dumps(reloaded.to_json_dict(), sort_keys=True,
-                      separators=(",", ":")) + "\n" == tree_bytes
+    # the tree the demo draws first from its seed's stream, written compactly
+    tree = gwising.sample_gw(OffspringPmf.dirac(2), 6,
+                             np.random.default_rng(np.random.SeedSequence(5)))
+    assert (out / "tree.json").read_text() == json.dumps(
+        tree.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
     assert (out / "pruned.json").exists()
     assert (out / "overlay.dot").read_text().startswith("digraph")
     capsys.readouterr()

@@ -275,12 +275,6 @@ def test_json_round_trip(half13):
     assert OffspringPmf.from_json_dict(data) == half13
 
 
-def test_truncated_family_reports_tail():
-    pmf, tail = OffspringPmf.truncated(lambda d: 0.5 ** (d + 1), cutoff=10)
-    assert tail == pytest.approx(0.5**11, rel=1e-12)
-    assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.dictionaries(st.integers(min_value=1, max_value=9),
                        st.floats(min_value=1e-3, max_value=1.0),

@@ -51,6 +51,14 @@ def test_config_validation_errors():
     for workers in (0, -2):
         with pytest.raises(ConfigError, match="worker"):
             validate_config(base_config(workers=workers))
+    with pytest.raises(ConfigError, match=r"beta must lie in \[0, 354.891\]"):
+        validate_config(base_config(beta=355.0))
+    validate_config(base_config(beta=gwising.experiments.MAX_BETA))
+    with pytest.raises(ConfigError, match="needs a positive lam, got -0.5"):
+        validate_config(base_config(schedule=PSchedule("geometric", 1.0, -0.5),
+                                    n_grid=(4, 6)))
+    with pytest.raises(ConfigError, match="'threshold' takes no lam"):
+        validate_config(base_config(schedule=PSchedule("threshold", 1.0, 0.5)))
     validate_config(base_config())
 
 
@@ -98,6 +106,41 @@ def test_block_scans_are_byte_identical_across_workers(mode, method):
 
     outputs = [csv_bytes(workers) for workers in (1, 2, 3)]
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("workers, cpus, n_grid, pool", [
+    (2000, 64, (3, 4, 5, 6, 7, 8), 6),  # one process per block at most
+    (2000, 4, (3, 4, 5, 6, 7, 8), 4),   # and one per CPU
+    (3, 64, (3, 4, 5, 6, 7, 8), 3),
+    (2, 2, (3, 4, 5, 6, 7, 8), 2),
+    (2000, None, (3, 4, 5, 6, 7, 8), None),  # CPU count unknown: in process
+    (2000, 64, (3,), None),                  # one block: in process
+])
+def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_grid, pool):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the pool size asked
+        for and maps in process, so no process is started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(gwising.experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(gwising.experiments.os, "cpu_count", lambda: cpus)
+    cfg = base_config(n_grid=n_grid, replicas=1)  # one block per depth
+    rows = run_magnetization_scan(replace(cfg, workers=workers))
+    assert sizes == ([] if pool is None else [pool])
+    assert rows_to_csv(rows) == rows_to_csv(run_magnetization_scan(cfg))
 
 
 def test_block_replicas_examples():

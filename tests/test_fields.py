@@ -52,17 +52,18 @@ def test_per_leaf_empirical_rate(rng):
 def test_survival_examples():
     t = binary_tree(2)
     zero = FieldAssignment(t, FieldMode.LEAVES_ONLY, np.zeros(7, dtype=np.uint8))
-    assert not survival(t, zero).y.any()
+    assert not survival(t, zero).any()
     h = np.zeros(7, dtype=np.uint8)
     h[3] = 1  # first leaf of the left subtree
-    surv = survival(t, FieldAssignment(t, FieldMode.LEAVES_ONLY, h))
-    assert surv.y.tolist() == [1, 1, 0, 1, 0, 0, 0]
+    y = survival(t, FieldAssignment(t, FieldMode.LEAVES_ONLY, h))
+    assert y.tolist() == [1, 1, 0, 1, 0, 0, 0]
+    assert not y.flags.writeable
 
 
 def test_survival_monotone_along_ancestry(rng, half13):
     t = sample_gw(half13, 5, rng)
     fld = sample_field(t, FieldMode.LEAVES_ONLY, 0.2, rng)
-    y = survival(t, fld).y
+    y = survival(t, fld)
     assert np.all(y[1:] <= y[t.parent[1:]])
 
 
@@ -147,8 +148,8 @@ def test_prune_monotone_in_field(rng, half12):
         leaves = np.arange(t.gen_offsets[t.n], t.gen_offsets[t.n + 1])
         h2[int(rng.choice(leaves))] = 1
         fld2 = FieldAssignment(t, FieldMode.LEAVES_ONLY, h2)
-        kept1 = survival(t, fld).y.astype(bool)
-        kept2 = survival(t, fld2).y.astype(bool)
+        kept1 = survival(t, fld).astype(bool)
+        kept2 = survival(t, fld2).astype(bool)
         assert np.all(kept2 | ~kept1)
 
 

@@ -65,7 +65,7 @@ def outputs(tree, beta, p, rng):
     """Every sweep caller's per-vertex output on one forest."""
     flds = fields_of(tree, p, rng)
     out = [lyons_field(tree, fld, beta) for fld in flds]
-    out += [lyons_plus(tree, beta), survival(tree, flds[1]).y, leaf_counts(tree)]
+    out += [lyons_plus(tree, beta), survival(tree, flds[1]), leaf_counts(tree)]
     out += [capacity_phi(tree, beta, q) for q in CAPACITY_ORDERS]
     return out
 

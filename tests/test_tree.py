@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from gwising import (OffspringPmf, PopulationCapError, Tree, enumerate_trees,
                      gw_probability, leaf_counts, sample_gw,
-                     sample_inhomogeneous_bp, subtree)
+                     sample_inhomogeneous_bp)
 from gwising.distributions import PmfError
-from gwising.tree import (ExplosionGuardError, TreeFormatError, count_trees,
-                          segment_sums)
+from gwising.tree import ExplosionGuardError, count_trees, segment_sums
 
 
 def binary_tree(depth):
@@ -103,31 +102,6 @@ def test_sample_inhomogeneous_dies_early(rng):
     assert t.num_vertices == 3
 
 
-def test_subtree_examples():
-    t = binary_tree(3)
-    assert subtree(t, 0) == t
-    leaf = t.num_vertices - 1
-    assert subtree(t, leaf).num_vertices == 1
-    assert subtree(t, 1) == binary_tree(2)
-
-
-def test_subtree_composition(rng, half12):
-    for _ in range(20):
-        t = sample_gw(half12, 5, rng)
-        u = int(rng.integers(0, t.num_vertices))
-        sub = subtree(t, u)
-        if sub.n == 0:
-            continue
-        v_local = int(rng.integers(1, sub.num_vertices))
-        # map the local vertex back to the original arena by walking depths
-        # in lockstep: regenerate by BFS order within the subtree
-        order = [u]
-        for w in order:
-            order.extend(t.children(w).tolist())
-        v_global = order[v_local]
-        assert subtree(sub, v_local) == subtree(t, v_global)
-
-
 def test_leaves_under_examples():
     t = binary_tree(3)
     assert leaf_counts(t)[0] == 8
@@ -181,13 +155,6 @@ def test_gw_probability_matches_mass_product(half12):
     assert gw_probability(t, half12) == pytest.approx(0.5**3)
 
 
-def test_json_round_trip(rng, half12):
-    t = sample_gw(half12, 4, rng)
-    data = t.to_json_dict()
-    assert Tree.from_json_dict(data) == t
-    assert Tree.from_json_dict(data).to_json_dict() == data
-
-
 def test_deep_recursions_have_no_stack_limit():
     # generation sweeps, not call recursion: depth 10^4 works
     import gwising
@@ -199,14 +166,3 @@ def test_deep_recursions_have_no_stack_limit():
     assert np.isfinite(r[0]) and r[0] > 0
     res = gwising.ResistanceProfile.geometric(1.0)
     assert gwising.capacity_recursion(path, res, 2.0).capacity == pytest.approx(1.0 / deep)
-
-
-def test_from_parent_array_validation():
-    with pytest.raises(TreeFormatError):
-        Tree.from_parent_array([0, 0], 1)        # root must be -1
-    with pytest.raises(TreeFormatError):
-        Tree.from_parent_array([-1, 1], 1)       # parent after child
-    with pytest.raises(TreeFormatError):
-        Tree.from_parent_array([-1, 0, 1, 0], 2)  # not breadth-first
-    with pytest.raises(TreeFormatError):
-        Tree.from_parent_array([-1, 0], 2)       # wrong declared depth
