@@ -11,16 +11,16 @@ import math
 
 import numpy as np
 
-from gwising import (OffspringPmf, ResistanceProfile, capacity_bruteforce,
-                     capacity_recursion, capacity_spherical, flow_energy,
-                     lyons_plus, sample_gw, uniform_flow)
+from gwising import (OffspringPmf, capacity_bruteforce, capacity_recursion,
+                     capacity_spherical, flow_energy, lyons_plus, sample_gw,
+                     uniform_flow)
 
 rng = np.random.default_rng(5)
 
 # Binary tree, unit resistances: series/parallel gives 4/3 at p = 2.
 from gwising import Tree
 binary = Tree.from_offspring_counts([np.array([2]), np.array([2, 2])])
-unit = ResistanceProfile.geometric(1.0)
+unit = 1.0  # resistance base: R_u = 1 at every depth
 print("binary depth 2, p = 2:")
 print("  recursion:  ", capacity_recursion(binary, unit, 2.0).capacity)
 print("  closed form:", capacity_spherical([2, 4], [1.0, 1.0], 2.0))
@@ -34,13 +34,12 @@ print("  uniform-flow resistance estimate:", estimate, "= exact 3/4")
 # A random weighted tree: recursion against the minimizer for three orders.
 mu = OffspringPmf.from_dict({1: 0.5, 2: 0.3, 3: 0.2})
 tree = sample_gw(mu, 5, rng)
-res = ResistanceProfile.geometric(0.8)
 print(f"\nrandom tree ({tree.num_vertices} vertices), R_u = 0.8^-depth:")
 print("   p     recursion        flow oracle      uniform-flow bound")
 for p in (1.5, 2.0, 3.0):
-    exact = capacity_recursion(tree, res, p).capacity
-    oracle = capacity_bruteforce(tree, res, p)
-    bound = 1.0 / flow_energy(tree, uniform_flow(tree), res, p)
+    exact = capacity_recursion(tree, 0.8, p).capacity
+    oracle = capacity_bruteforce(tree, 0.8, p)
+    bound = 1.0 / flow_energy(tree, uniform_flow(tree), 0.8, p)
     print(f"  {p:.1f}   {exact:.12f}   {oracle.capacity:.12f}   {bound:.12f}")
 print("capacity is nonincreasing in p; the uniform-flow bound sits below.")
 
@@ -48,8 +47,7 @@ print("capacity is nonincreasing in p; the uniform-flow bound sits below.")
 # resistances tanh(beta)^{-depth} stay within a constant ratio.
 print("\n  beta    r_root     capa_3/2   ratio")
 for beta in (0.8, 1.0, 1.2):
-    res_b = ResistanceProfile.geometric(math.tanh(beta))
     ratio_tree = sample_gw(OffspringPmf.dirac(2), 6, rng)
     r = lyons_plus(ratio_tree, beta)[0]
-    capa = capacity_recursion(ratio_tree, res_b, 1.5).capacity
+    capa = capacity_recursion(ratio_tree, math.tanh(beta), 1.5).capacity
     print(f"  {beta:.1f}   {r:8.4f}   {capa:8.4f}   {r / capa:.4f}")

@@ -28,10 +28,9 @@ from .pruned_law import (GammaProfile, PrunedLawSampler, PrunedMoments,
                          calibrate_constants, gamma_profile, moments, mu_star,
                          pruned_tree_probability, tilde_mu0, tv_distance,
                          tv_profile)
-from .capacity import (CapacityResult, Flow, ResistanceProfile, alpha_n,
-                       capacity_bruteforce, capacity_recursion,
-                       capacity_spherical, expected_capacity_upper,
-                       flow_energy, uniform_flow)
+from .capacity import (CapacityResult, alpha_n, capacity_bruteforce,
+                       capacity_recursion, capacity_spherical,
+                       expected_capacity_upper, flow_energy, uniform_flow)
 from .tree import (PopulationCapError, Tree, enumerate_trees, gw_probability,
                    leaf_counts, sample_gw, sample_inhomogeneous_bp)
 

@@ -27,51 +27,21 @@ BRUTEFORCE_PATIENCE = 50
 BRUTEFORCE_MAX_ITER = 100_000
 
 
-@dataclass(frozen=True)
-class ResistanceProfile:
-    """Geometric edge resistances R_u = base^{-depth(u)}, assigned to the
-    child endpoint (the root keeps the conventional R = 1)."""
-
-    base: float
-
-    @classmethod
-    def geometric(cls, base: float) -> "ResistanceProfile":
-        if base <= 0:
-            raise ValueError("geometric base must be positive")
-        return cls(base)
-
-    def generation_values(self, n: int) -> np.ndarray:
-        """R at depths 0..n."""
-        return float(self.base) ** -np.arange(n + 1, dtype=float)
-
-    def vertex_resistances(self, tree: Tree) -> np.ndarray:
-        return np.repeat(self.generation_values(tree.n), tree.generation_sizes())
-
-
-@dataclass(frozen=True, eq=False)
-class Flow:
-    """Nonnegative vertex flow with conservation at internal vertices."""
-
-    tree: Tree
-    theta: np.ndarray
-
-    def __post_init__(self):
-        self.theta.setflags(write=False)
-
-    @property
-    def strength(self) -> float:
-        """Total outflow from the root."""
-        children = self.tree.children(0)
-        return float(self.theta[children].sum()) if len(children) else float(self.theta[0])
-
-
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
     capacity: float
     phi: np.ndarray | None
-    witness_flow: Flow | None
-    p: float
+    witness_flow: np.ndarray | None  # the oracle's read-only optimal theta
     converged: bool = True
+
+
+def _vertex_resistances(tree: Tree, base: float) -> np.ndarray:
+    """R_u = base^{-|u|} per vertex, on the edge to its parent (a root keeps
+    R = 1); the one check of the base, which must be finite and positive."""
+    if not 0.0 < base < math.inf:
+        raise ValueError(f"resistance base must be finite and positive, got {base}")
+    return np.repeat(float(base) ** -np.arange(tree.n + 1, dtype=float),
+                     tree.generation_sizes())
 
 
 def _contraction(phi: np.ndarray, s: float) -> np.ndarray:
@@ -84,7 +54,7 @@ def _contraction(phi: np.ndarray, s: float) -> np.ndarray:
         return (1.0 + phi ** -s) ** (-1.0 / s)
 
 
-def capacity_recursion(tree: Tree, res: ResistanceProfile, p: float) -> CapacityResult:
+def capacity_recursion(tree: Tree, base: float, p: float) -> CapacityResult:
     """Exact p-capacity by the leaf-to-root recursion
     phi(u) = sum_children (R_u / R_v) phi(v) / (1 + phi(v)^s)^{1/s}.
 
@@ -96,22 +66,22 @@ def capacity_recursion(tree: Tree, res: ResistanceProfile, p: float) -> Capacity
     if p <= 1:
         raise ValueError("capacity order p must exceed 1")
     s = 1.0 / (p - 1.0)
+    r_vertex = _vertex_resistances(tree, base)
     if tree.num_vertices == 1:
-        return CapacityResult(1.0, np.ones(1), None, p)
-    r_vertex = res.vertex_resistances(tree)
+        return CapacityResult(1.0, np.ones(1), None)
     phi = np.zeros(tree.num_vertices)
     phi[tree.num_children == 0] = math.inf
-    sentinel = res.base < 1.0
+    sentinel = base < 1.0
 
     def combine(sums: np.ndarray, cur: slice) -> np.ndarray:
         degree = tree.num_children[cur]
         vals = r_vertex[cur] * sums
-        if sentinel and np.any(vals > res.base * degree * (1 + 1e-9)):
+        if sentinel and np.any(vals > base * degree * (1 + 1e-9)):
             raise FloatingPointError("phi exceeded the R * degree envelope")
         return np.where(degree > 0, vals, phi[cur])
 
     tree.sweep_up(phi, lambda child, nxt: _contraction(child, s) / r_vertex[nxt], combine)
-    return CapacityResult(float(phi[0]), phi, None, p)
+    return CapacityResult(float(phi[0]), phi, None)
 
 
 def capacity_spherical(generation_sizes, resistances, p: float) -> float:
@@ -127,26 +97,32 @@ def capacity_spherical(generation_sizes, resistances, p: float) -> float:
     return float(np.sum((r_k / sizes) ** s) ** (-1.0 / s))
 
 
-def uniform_flow(tree: Tree) -> Flow:
-    """Unit flow routing mass proportionally to bottom-leaf counts."""
+def uniform_flow(tree: Tree) -> np.ndarray:
+    """The read-only vertex flow theta of the unit flow that routes mass
+    proportionally to bottom-leaf counts."""
     if not tree.leaves_only_at_bottom:
         raise ValueError("uniform flow needs all leaves at the bottom generation")
     counts = leaf_counts(tree)
-    return Flow(tree, counts / counts[0])
+    theta = counts / counts[0]
+    theta.setflags(write=False)
+    return theta
 
 
-def flow_energy(tree: Tree, flow: Flow, res: ResistanceProfile, p: float) -> float:
-    """Thomson resistance estimate (sum_{u != root} R_u^s theta(u)^q)^{p-1}.
+def flow_energy(tree: Tree, theta: np.ndarray, base: float, p: float) -> float:
+    """Thomson resistance estimate (sum_{u != root} R_u^s theta(u)^q)^{p-1}
+    of the vertex flow ``theta``.
 
     An upper bound on the exact p-resistance for every admissible unit flow,
     tight exactly at the optimizer.
     """
-    if abs(flow.strength - 1.0) > 1e-9:
+    r_vertex = _vertex_resistances(tree, base)
+    degree = int(tree.num_children[0])  # the root's outflow is its strength
+    strength = float(theta[1:1 + degree].sum()) if degree else float(theta[0])
+    if abs(strength - 1.0) > 1e-9:
         raise ValueError("flow must have unit strength")
     s = 1.0 / (p - 1.0)
     q = p / (p - 1.0)
-    r_vertex = res.vertex_resistances(tree)
-    energy = float(np.sum(r_vertex[1:] ** s * flow.theta[1:] ** q))
+    energy = float(np.sum(r_vertex[1:] ** s * theta[1:] ** q))
     return energy ** (p - 1.0)
 
 
@@ -173,7 +149,7 @@ def _project_sibling_simplices(x: np.ndarray, block_ids: np.ndarray,
     return out
 
 
-def capacity_bruteforce(tree: Tree, res: ResistanceProfile, p: float) -> CapacityResult:
+def capacity_bruteforce(tree: Tree, base: float, p: float) -> CapacityResult:
     """Direct minimization of the Thomson energy over unit flows.
 
     The flow is parameterized by splitting fractions on each internal
@@ -189,11 +165,12 @@ def capacity_bruteforce(tree: Tree, res: ResistanceProfile, p: float) -> Capacit
         raise ValueError("capacity order p must exceed 1")
     if tree.num_vertices > 200:
         raise ValueError("oracle is limited to 200 vertices")
+    r_vertex = _vertex_resistances(tree, base)
     if tree.num_vertices == 1:
-        return CapacityResult(1.0, None, None, p)
+        return CapacityResult(1.0, None, None)
     s = 1.0 / (p - 1.0)
     q = p / (p - 1.0)
-    cost = res.vertex_resistances(tree) ** s
+    cost = r_vertex ** s
     cost[0] = 0.0
     parent = tree.parent
     counts = tree.num_children
@@ -201,7 +178,7 @@ def capacity_bruteforce(tree: Tree, res: ResistanceProfile, p: float) -> Capacit
     block_counts = counts[internal]
     block_ids = parent[1:]
 
-    theta0 = uniform_flow(tree).theta if tree.leaves_only_at_bottom else None
+    theta0 = uniform_flow(tree) if tree.leaves_only_at_bottom else None
     a = np.ones(tree.num_vertices)
     if theta0 is not None:
         a[1:] = theta0[1:] / theta0[parent[1:]]
@@ -284,7 +261,8 @@ def capacity_bruteforce(tree: Tree, res: ResistanceProfile, p: float) -> Capacit
             converged = True
             break
     capacity = energy ** -(p - 1.0) if energy > 0 else math.inf
-    return CapacityResult(capacity, None, Flow(tree, theta), p, converged)
+    theta.setflags(write=False)
+    return CapacityResult(capacity, None, theta, converged)
 
 
 def expected_capacity_upper(m_0k, resistance_base: float, p: float) -> float:

@@ -28,7 +28,7 @@ from .distributions import OffspringPmf, json_number
 from .experiments import (ConfigError, ExperimentConfig, rows_to_csv,
                           run_capacity_scan, run_gamma_scan,
                           run_magnetization_scan, run_tv_scan, run_validation)
-from .fields import FieldMode, sample_field, survival, to_dot, prune
+from .fields import FieldMode, sample_field, to_dot, prune
 from .pruned_law import gamma_profile
 from .tree import sample_gw
 
@@ -38,9 +38,6 @@ _RENAMED = {"schedule": "p_schedule"}
 _KEY_FIELDS = {_RENAMED.get(f.name, f.name): f for f in dataclasses.fields(ExperimentConfig)}
 _REQUIRED_KEYS = {key for key, f in _KEY_FIELDS.items() if f.default is dataclasses.MISSING}
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
-# the config mode each scan subcommand runs
-_SCAN_MODES = {"gamma-profile": "gamma", "magnetization-scan": "magnetization",
-               "capacity-scan": "capacity", "tv-scan": "tv"}
 
 
 def _from_json(kind, value):
@@ -129,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
 
-    for name in _SCAN_MODES:
+    for name in ("gamma-profile", "magnetization-scan", "capacity-scan", "tv-scan"):
         common(sub.add_parser(name))
     validate = sub.add_parser("validate")
     validate.add_argument("--out", default=".")
@@ -172,9 +169,6 @@ def parse_and_dispatch(argv=None) -> int:
             return 0 if report["pass"] else 1
 
         cfg = load_config(args.config, args.seed, args.workers)
-        if cfg.mode != _SCAN_MODES[args.command]:
-            raise ConfigError(f"{args.command} runs mode {_SCAN_MODES[args.command]!r}, "
-                              f"not {cfg.mode!r}")
         if args.command == "magnetization-scan":
             rows = run_magnetization_scan(cfg)
             outputs = {"magnetization.csv": rows_to_csv(rows)}
@@ -216,8 +210,8 @@ def _run_prune_demo(args, say) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     tree = sample_gw(pmf, args.n, rng)
     fld = sample_field(tree, FieldMode.LEAVES_ONLY, args.p, rng)
-    surv = survival(tree, fld)
-    outcome = prune(tree, fld)
+    outcome = prune(tree, fld)  # None when the root, so every vertex, dies
+    surv = np.zeros(tree.num_vertices, bool) if outcome is None else outcome[1] >= 0
     tree_json = json.dumps(tree.to_json_dict(), sort_keys=True,
                            separators=(",", ":")) + "\n"
     if outcome is None:

@@ -68,10 +68,9 @@ class OffspringPmf:
 
     @classmethod
     def _from_checked(cls, degrees, probs, cum) -> "OffspringPmf":
-        """A law from arrays that already satisfy the invariants, ``cum``
-        being the cumulative masses topped at 1; nothing is checked again,
-        and the arrays are made read-only."""
-        _freeze(degrees, probs, cum)
+        """A law from read-only arrays that already satisfy the invariants,
+        ``cum`` being the cumulative masses topped at 1; nothing is checked
+        again."""
         law = object.__new__(cls)
         law.__dict__.update(degrees=degrees, probs=probs, _cum=cum)
         return law
@@ -280,9 +279,10 @@ def _check_masses(degrees: np.ndarray, probs: np.ndarray) -> None:
                        f"outside 1 +/- {NORMALIZATION_TOL}")
 
 
-def _freeze(*arrays: np.ndarray) -> None:
+def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for arr in arrays:
         arr.setflags(False)  # write=False; the positional form parses 3x faster
+    return arrays
 
 
 def _check_q(q: float) -> None:
@@ -373,9 +373,9 @@ def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
     cum = np.cumsum(masses, axis=1)
     # top each row at its last positive degree, as the constructor does
     cum[np.arange(len(entries)), dmax - 1 - np.argmax(positive[:, ::-1], axis=1)] = 1.0
-    _freeze(masses)  # the table's matrix is read-only, like each law's arrays
+    _freeze(degrees, masses, cum)  # a whole row's arrays are views of these
     laws = LawTable([OffspringPmf._from_checked(degrees, row, top) if whole else
-                     OffspringPmf._from_checked(degrees[keep], row[keep], top[keep])
+                     OffspringPmf._from_checked(*_freeze(degrees[keep], row[keep], top[keep]))
                      for whole, keep, row, top
                      in zip(positive.all(axis=1).tolist(), positive, masses, cum)], masses)
     return laws[0] if ps.ndim == 0 else laws

@@ -50,6 +50,10 @@ SUITE_CAPACITY_ORDERS = (1.5, 2.0, 3.0)
 # the largest beta whose e^(2 beta) is a finite double; past it the edge map
 # g_beta overflows
 MAX_BETA = math.log(sys.float_info.max) / 2
+# the normal quantile of the 95% Wilson intervals of the magnetization scan
+WILSON_Z = 1.96
+# random_small_tree draws offspring counts uniformly from 1..SMALL_TREE_MAX_DEGREE
+SMALL_TREE_MAX_DEGREE = 3
 
 
 class ConfigError(ValueError):
@@ -170,6 +174,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
                                   f"are undefined")
 
 
+def _validate_scan(cfg: ExperimentConfig, experiment: str) -> None:
+    """``validate_config`` for the ``experiment`` scan, which runs its own mode only."""
+    if cfg.mode != experiment:
+        raise ConfigError(f"the {experiment} scan runs mode {experiment!r}, not {cfg.mode!r}")
+    validate_config(cfg)
+
+
 def replica_rng(master_seed: int, experiment_id: int, n_index: int,
                 block: int) -> np.random.Generator:
     """Independent stream per (experiment, depth point, block of replicas)."""
@@ -201,7 +212,8 @@ def block_replicas(pmf: OffspringPmf, n: int, profile: GammaProfile | None = Non
     return max(1, int(BLOCK_VERTICES // expected))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    z = WILSON_Z
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
@@ -231,8 +243,7 @@ def _sample_block(args) -> np.ndarray:
         fld = plus_boundary_field(forest)
     if experiment == "magnetization":
         return ising.lyons_field(forest, fld, cfg.beta)[:roots].copy()
-    resistances = cap.ResistanceProfile.geometric(math.tanh(cfg.beta))
-    phi = cap.capacity_recursion(forest, resistances, cfg.capacity_p).phi[:roots]
+    phi = cap.capacity_recursion(forest, math.tanh(cfg.beta), cfg.capacity_p).phi[:roots]
     return np.where(forest.num_children[:roots] > 0, phi, 0.0)
 
 
@@ -274,7 +285,7 @@ def run_magnetization_scan(cfg: ExperimentConfig) -> list[dict]:
     the magnetization exceedance frequency with a Wilson interval, and the
     analytic mean bound as a reference column.
     """
-    validate_config(cfg)
+    _validate_scan(cfg, "magnetization")
     _, r_by_n = _sample_scan(cfg, "magnetization", pruned=cfg.method == "pruned")
     rows = []
     for n, r_values in zip(cfg.n_grid, r_by_n):
@@ -302,7 +313,7 @@ def run_capacity_scan(cfg: ExperimentConfig) -> dict:
     plus one summary row per depth with the empirical mean against the
     mean-capacity bound.  Empty pruned trees count as capacity 0.
     """
-    validate_config(cfg)
+    _validate_scan(cfg, "capacity")
     profiles, values_by_n = _sample_scan(cfg, "capacity", pruned=True)
     rows, summary = [], []
     for n, profile, values in zip(cfg.n_grid, profiles, values_by_n):
@@ -337,7 +348,7 @@ def run_gamma_scan(cfg: ExperimentConfig) -> dict:
     M*_{0,k}) for every depth in the grid, and booleans for each transition
     inequality evaluated with the frozen calibration constants.
     """
-    validate_config(cfg)
+    _validate_scan(cfg, "gamma")
     constants = calibrate_constants(cfg.pmf, cfg.q)
     rows, bound_rows = [], []
     for n in cfg.n_grid:
@@ -407,7 +418,7 @@ def transition_bound_checks(profile: GammaProfile, constants: dict, k1: int) -> 
 def run_tv_scan(cfg: ExperimentConfig) -> dict:
     """Exact total-variation curves d(mu*_k, mu) and d(mu*_k, dirac_1) per
     generation, with the crossing generation against k*."""
-    validate_config(cfg)
+    _validate_scan(cfg, "tv")
     rows, summary = [], []
     for n in cfg.n_grid:
         p_n = cfg.p_n(n)
@@ -429,11 +440,12 @@ def run_tv_scan(cfg: ExperimentConfig) -> dict:
 
 
 def random_small_tree(rng: np.random.Generator, max_vertices: int = 14,
-                      max_degree: int = 3, max_depth: int = 4) -> Tree:
+                      max_depth: int = 4) -> Tree:
     """Rejection-sample a Galton-Watson tree with uniform offspring on
-    1..max_degree, a uniform depth in 1..max_depth and at most
+    1..SMALL_TREE_MAX_DEGREE, a uniform depth in 1..max_depth and at most
     ``max_vertices`` vertices."""
-    law = OffspringPmf(np.arange(1, max_degree + 1), np.full(max_degree, 1.0 / max_degree))
+    law = OffspringPmf(np.arange(1, SMALL_TREE_MAX_DEGREE + 1),
+                       np.full(SMALL_TREE_MAX_DEGREE, 1.0 / SMALL_TREE_MAX_DEGREE))
     while True:
         depth = int(rng.integers(1, max_depth + 1))
         try:
@@ -468,7 +480,7 @@ def suite_pruning_equivalence(instances: int, seed: int = 0) -> dict:
     max_err = 0.0
     exact_zero_off_tree = True
     for i in range(instances):
-        tree = random_small_tree(rng, max_vertices=40, max_degree=3, max_depth=5)
+        tree = random_small_tree(rng, max_vertices=40, max_depth=5)
         beta = SUITE_BETAS[i % len(SUITE_BETAS)]
         fld = sample_field(tree, FieldMode.LEAVES_ONLY, float(rng.uniform(0.1, 0.7)), rng)
         r_full = ising.lyons_field(tree, fld, beta)
@@ -525,15 +537,14 @@ def suite_capacity_oracle(instances: int = 50, seed: int = 0) -> dict:
     max_rel_gap = 0.0
     min_slack = math.inf
     for i in range(instances):
-        tree = random_small_tree(rng, max_vertices=200, max_degree=3, max_depth=5)
+        tree = random_small_tree(rng, max_vertices=200, max_depth=5)
         base = float(rng.uniform(0.5, 1.5))
-        res = cap.ResistanceProfile.geometric(base)
         for p in SUITE_CAPACITY_ORDERS:
-            exact = cap.capacity_recursion(tree, res, p).capacity
-            oracle = cap.capacity_bruteforce(tree, res, p)
+            exact = cap.capacity_recursion(tree, base, p).capacity
+            oracle = cap.capacity_bruteforce(tree, base, p)
             max_rel_gap = max(max_rel_gap, abs(oracle.capacity - exact) / exact)
             if tree.leaves_only_at_bottom:
-                estimate = cap.flow_energy(tree, cap.uniform_flow(tree), res, p)
+                estimate = cap.flow_energy(tree, cap.uniform_flow(tree), base, p)
                 min_slack = min(min_slack, estimate - 1.0 / exact)
     return {"suite": "capacity_recursion_vs_oracle", "instances": instances,
             "max_error": float(max_rel_gap), "tolerance": 1e-6,

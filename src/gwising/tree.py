@@ -74,13 +74,13 @@ class Tree:
     """Immutable rooted tree (or forest) of depth ``n`` stored breadth-first.
 
     ``gen_offsets[k]`` is the first id of generation k (length n+2, last
-    entry = vertex count) and ``num_children[v]`` the child count of v; v's
-    children form the contiguous block starting at ``child_start[v]``, and
-    ``parent[v]`` is v's parent id (-1 for a root).  Both are derived on
-    first use, since the leaf-to-root sweeps need only the generation slices
-    and the child counts.  A forest holds its roots as generation 0; every
-    sweep then runs over all of its trees at once, one generation slice at a
-    time, and reads the root values ``[:num_roots]``.
+    entry = vertex count) and ``num_children[v]`` the child count of v; the
+    children of consecutive vertices are consecutive ids.  ``parent[v]`` is
+    v's parent id (-1 for a root), derived on first use, since the
+    leaf-to-root sweeps need only the generation slices and the child
+    counts.  A forest holds its roots as generation 0; every sweep then runs
+    over all of its trees at once, one generation slice at a time, and reads
+    the root values ``[:num_roots]``.
     """
 
     gen_offsets: np.ndarray
@@ -89,16 +89,6 @@ class Tree:
     def __post_init__(self):
         for arr in (self.gen_offsets, self.num_children):
             arr.setflags(write=False)
-
-    @cached_property
-    def child_start(self) -> np.ndarray:
-        # breadth-first order keeps the children of consecutive vertices
-        # consecutive across generation boundaries too: v's block starts after
-        # the roots and the children of every earlier vertex (for the bottom
-        # generation, at the vertex count)
-        start = self.num_roots + np.cumsum(self.num_children) - self.num_children
-        start.setflags(write=False)
-        return start
 
     @cached_property
     def parent(self) -> np.ndarray:
@@ -126,13 +116,6 @@ class Tree:
 
     def generation_sizes(self) -> np.ndarray:
         return np.diff(self.gen_offsets)
-
-    def depths(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n + 1), self.generation_sizes())
-
-    def children(self, v: int) -> np.ndarray:
-        start = int(self.child_start[v])
-        return np.arange(start, start + int(self.num_children[v]))
 
     def offspring_of_generation(self, k: int) -> np.ndarray:
         """Child counts of generation-k vertices, in arena order."""

@@ -80,12 +80,12 @@ def ratio_corpus(seed: int, reps: int) -> np.ndarray:
     ratios = []
     for pmf in (g.OffspringPmf.dirac(2), g.OffspringPmf.from_dict({1: 0.5, 2: 0.5})):
         for beta in (0.8, 1.2):
-            res = g.ResistanceProfile.geometric(math.tanh(beta))
+            base = math.tanh(beta)
             for depth in (3, 4, 5, 6):
                 for _ in range(reps):
                     tree = g.sample_gw(pmf, depth, rng)
                     root_ratio = float(g.lyons_plus(tree, beta)[0])
-                    capa = g.capacity_recursion(tree, res, 1.5).capacity
+                    capa = g.capacity_recursion(tree, base, 1.5).capacity
                     ratios.append(root_ratio / capa)
     return np.array(ratios)
 

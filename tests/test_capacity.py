@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gwising import (OffspringPmf, ResistanceProfile, Tree, alpha_n,
-                     capacity_bruteforce, capacity_recursion,
-                     capacity_spherical, expected_capacity_upper, flow_energy,
-                     gamma_profile, moments, sample_inhomogeneous_bp,
-                     uniform_flow)
-from gwising.capacity import Flow
+from gwising import (OffspringPmf, Tree, alpha_n, capacity_bruteforce,
+                     capacity_recursion, capacity_spherical,
+                     expected_capacity_upper, flow_energy, gamma_profile,
+                     moments, sample_inhomogeneous_bp, uniform_flow)
+from gwising.capacity import _vertex_resistances
 from gwising.experiments import random_small_tree
 from gwising.pruned_law import PrunedLawSampler
 from gwising.tree import segment_sums
@@ -25,11 +24,10 @@ def path_tree(edges):
     return Tree.from_offspring_counts([np.array([1])] * edges)
 
 
-def conservation_residuals(flow):
+def conservation_residuals(tree, theta):
     """theta(u) - sum_children theta(v) over internal vertices."""
-    tree = flow.tree
-    child_sum = segment_sums(flow.theta[tree.num_roots:], tree.num_children)
-    return (flow.theta - child_sum)[tree.num_children > 0]
+    child_sum = segment_sums(theta[tree.num_roots:], tree.num_children)
+    return (theta - child_sum)[tree.num_children > 0]
 
 
 def kn_sum(resistance_base, nu, k_star, n, p):
@@ -42,28 +40,42 @@ def kn_sum(resistance_base, nu, k_star, n, p):
 
 
 def test_resistance_profiles():
-    geo = ResistanceProfile.geometric(0.5)
-    assert geo.generation_values(3).tolist() == [1.0, 2.0, 4.0, 8.0]
+    assert _vertex_resistances(path_tree(3), 0.5).tolist() == [1.0, 2.0, 4.0, 8.0]
     t = regular_tree(2, 2)
-    assert geo.vertex_resistances(t).tolist() == [1.0, 2.0, 2.0] + [4.0] * 4
-    with pytest.raises(ValueError):
-        ResistanceProfile.geometric(0.0)
+    assert _vertex_resistances(t, 0.5).tolist() == [1.0, 2.0, 2.0] + [4.0] * 4
+    for base in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            _vertex_resistances(t, base)
+
+
+@pytest.mark.parametrize("base", [0.0, -0.5, -math.inf, math.nan, math.inf])
+@pytest.mark.parametrize("route", ["recursion", "bruteforce", "flow_energy"])
+def test_bad_resistance_base_fails_closed(route, base):
+    # each route checks the base, also on the single-vertex tree it
+    # otherwise answers by convention
+    for t in (regular_tree(2, 2), Tree.from_offspring_counts([np.zeros(1, dtype=np.int64)])):
+        with pytest.raises(ValueError, match="resistance base"):
+            if route == "recursion":
+                capacity_recursion(t, base, 1.5)
+            elif route == "bruteforce":
+                capacity_bruteforce(t, base, 1.5)
+            else:
+                flow_energy(t, uniform_flow(t), base, 1.5)
 
 
 def test_recursion_single_vertex_convention():
     t = Tree.from_offspring_counts([np.zeros(1, dtype=np.int64)])
-    assert capacity_recursion(t, ResistanceProfile.geometric(1.0), 2.0).capacity == 1.0
+    assert capacity_recursion(t, 1.0, 2.0).capacity == 1.0
 
 
 @pytest.mark.parametrize("edges", [1, 2, 5, 9])
 def test_recursion_path_series_law(edges):
-    res = ResistanceProfile.geometric(1.0)
-    out = capacity_recursion(path_tree(edges), res, 2.0)
+    out = capacity_recursion(path_tree(edges), 1.0, 2.0)
     assert out.capacity == pytest.approx(1.0 / edges, rel=1e-14)
 
 
 def test_recursion_binary_depth2():
-    out = capacity_recursion(regular_tree(2, 2), ResistanceProfile.geometric(1.0), 2.0)
+    out = capacity_recursion(regular_tree(2, 2), 1.0, 2.0)
     assert out.capacity == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
@@ -80,76 +92,72 @@ def test_spherical_examples():
 def test_spherical_matches_recursion_on_regular_trees(degree, base, p):
     depth = 8 if degree == 2 else 6
     t = regular_tree(degree, depth)
-    res = ResistanceProfile.geometric(base)
     sizes = [degree**k for k in range(1, depth + 1)]
     r_k = [base ** -k for k in range(1, depth + 1)]
     closed = capacity_spherical(sizes, r_k, p)
-    assert capacity_recursion(t, res, p).capacity == pytest.approx(closed, rel=1e-10)
+    assert capacity_recursion(t, base, p).capacity == pytest.approx(closed, rel=1e-10)
 
 
 def test_spherical_binary_depth3_ising_weights():
     base = math.tanh(0.8)
     t = regular_tree(2, 3)
-    res = ResistanceProfile.geometric(base)
     sizes = [2, 4, 8]
     r_k = [base**-1, base**-2, base**-3]
-    assert capacity_recursion(t, res, 1.5).capacity == pytest.approx(
+    assert capacity_recursion(t, base, 1.5).capacity == pytest.approx(
         capacity_spherical(sizes, r_k, 1.5), rel=1e-10)
 
 
 def test_uniform_flow_examples():
     path = path_tree(3)
-    assert uniform_flow(path).theta.tolist() == [1.0] * 4
+    assert uniform_flow(path).tolist() == [1.0] * 4
     t = regular_tree(2, 2)
-    flow = uniform_flow(t)
-    assert flow.theta.tolist() == [1.0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25]
-    assert flow.strength == 1.0
-    assert np.allclose(conservation_residuals(flow), 0.0)
+    theta = uniform_flow(t)
+    assert theta.tolist() == [1.0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25]
+    assert not theta.flags.writeable
+    assert np.allclose(conservation_residuals(t, theta), 0.0)
 
 
 def test_flow_energy_examples():
-    res = ResistanceProfile.geometric(1.0)
     path = path_tree(4)
-    assert flow_energy(path, uniform_flow(path), res, 2.0) == pytest.approx(4.0)
+    assert flow_energy(path, uniform_flow(path), 1.0, 2.0) == pytest.approx(4.0)
     t = regular_tree(2, 2)
-    estimate = flow_energy(t, uniform_flow(t), res, 2.0)
+    estimate = flow_energy(t, uniform_flow(t), 1.0, 2.0)
     assert estimate == pytest.approx(0.75)
-    assert estimate == pytest.approx(1.0 / capacity_recursion(t, res, 2.0).capacity)
-    bad = Flow(t, uniform_flow(t).theta * 2.0)
-    with pytest.raises(ValueError):
-        flow_energy(t, bad, res, 2.0)
+    assert estimate == pytest.approx(1.0 / capacity_recursion(t, 1.0, 2.0).capacity)
+    with pytest.raises(ValueError, match="unit strength"):
+        flow_energy(t, uniform_flow(t) * 2.0, 1.0, 2.0)
 
 
 def test_bruteforce_examples():
-    res = ResistanceProfile.geometric(1.0)
-    out = capacity_bruteforce(path_tree(5), res, 2.0)
+    out = capacity_bruteforce(path_tree(5), 1.0, 2.0)
     assert out.converged
     assert out.capacity == pytest.approx(0.2, abs=1e-8)
-    out2 = capacity_bruteforce(regular_tree(2, 2), res, 2.0)
+    t = regular_tree(2, 2)
+    out2 = capacity_bruteforce(t, 1.0, 2.0)
     assert out2.capacity == pytest.approx(4.0 / 3.0, abs=1e-8)
-    assert np.allclose(conservation_residuals(out2.witness_flow), 0.0, atol=1e-12)
+    assert not out2.witness_flow.flags.writeable
+    assert np.allclose(conservation_residuals(t, out2.witness_flow), 0.0, atol=1e-12)
 
 
 def test_bruteforce_size_guard():
     with pytest.raises(ValueError):
-        capacity_bruteforce(regular_tree(2, 8), ResistanceProfile.geometric(1.0), 2.0)
+        capacity_bruteforce(regular_tree(2, 8), 1.0, 2.0)
 
 
 def test_recursion_vs_oracle_and_order_monotonicity(rng):
     orders = (1.5, 2.0, 3.0)
     for _ in range(8):
-        t = random_small_tree(rng, max_vertices=120, max_degree=3, max_depth=5)
+        t = random_small_tree(rng, max_vertices=120, max_depth=5)
         base = float(rng.uniform(0.5, 1.5))
-        res = ResistanceProfile.geometric(base)
         caps = []
         for p in orders:
-            exact = capacity_recursion(t, res, p).capacity
-            oracle = capacity_bruteforce(t, res, p)
+            exact = capacity_recursion(t, base, p).capacity
+            oracle = capacity_bruteforce(t, base, p)
             assert abs(oracle.capacity - exact) / exact <= 1e-6
             # Thomson: every admissible flow's estimate dominates the truth
-            estimate = flow_energy(t, uniform_flow(t), res, p)
+            estimate = flow_energy(t, uniform_flow(t), base, p)
             assert estimate >= 1.0 / exact - 1e-10
-            witness = flow_energy(t, oracle.witness_flow, res, p)
+            witness = flow_energy(t, oracle.witness_flow, base, p)
             assert witness == pytest.approx(1.0 / exact, rel=1e-6)
             caps.append(exact)
         assert caps[0] >= caps[1] >= caps[2]
@@ -158,22 +166,20 @@ def test_recursion_vs_oracle_and_order_monotonicity(rng):
 def test_routes_agree_on_tree_with_internal_leaf():
     # an internal leaf is a boundary contact too: both routes treat it the same
     t = Tree.from_offspring_counts([np.array([2]), np.array([2, 0])])
-    res = ResistanceProfile.geometric(1.0)
     for p in (1.5, 2.0, 3.0):
-        exact = capacity_recursion(t, res, p).capacity
-        oracle = capacity_bruteforce(t, res, p)
+        exact = capacity_recursion(t, 1.0, p).capacity
+        oracle = capacity_bruteforce(t, 1.0, p)
         assert oracle.converged
         assert abs(oracle.capacity - exact) / exact <= 1e-6
     # at p = 2: the internal leaf is one unit resistor in parallel with a
     # series-parallel branch of resistance 1 + 1/2
-    assert capacity_recursion(t, res, 2.0).capacity == pytest.approx(1 + 2 / 3)
+    assert capacity_recursion(t, 1.0, 2.0).capacity == pytest.approx(1 + 2 / 3)
 
 
 def test_phi_envelope_on_contracting_resistances(rng, half13):
     from gwising import sample_gw
     t = sample_gw(half13, 6, rng)
-    res = ResistanceProfile.geometric(0.7)
-    out = capacity_recursion(t, res, 1.5)
+    out = capacity_recursion(t, 0.7, 1.5)
     internal = t.num_children > 0
     assert np.all(out.phi[internal] <= 0.7 * t.num_children[internal] + 1e-12)
 
@@ -204,12 +210,11 @@ def test_mean_capacity_dominated_by_bound(rng):
     # inhomogeneous branching process: empirical mean against the bound
     laws = [OffspringPmf.from_dict({1: 0.5, 2: 0.5})] * 3 + [OffspringPmf.dirac(1)] * 3
     base = math.tanh(0.8)
-    res = ResistanceProfile.geometric(base)
     reps = 1500
     values = np.empty(reps)
     for i in range(reps):
         t = sample_inhomogeneous_bp(laws, rng)
-        values[i] = capacity_recursion(t, res, 2.0).capacity
+        values[i] = capacity_recursion(t, base, 2.0).capacity
     m_0k = np.cumprod([law.mean() for law in laws])
     bound = expected_capacity_upper(m_0k, base, 2.0)
     se = values.std(ddof=1) / math.sqrt(reps)

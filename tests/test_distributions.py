@@ -217,6 +217,15 @@ def test_ztb_mixture_mean_formula(half13, p):
     assert mix.mean() == pytest.approx(expected, abs=1e-12)
 
 
+def test_ztb_mixture_laws_are_read_only(half12):
+    table = ztb_mixture(half12, np.array([0.3, 0.5, 1e-300]))
+    assert table[2].degrees.tolist() == [1]  # p^2 underflows: a partial row
+    assert not table.masses.flags.writeable
+    for law in (*table, ztb_mixture(half12, 0.3)):
+        for arr in (law.degrees, law.probs, law._cum):
+            assert not arr.flags.writeable
+
+
 def test_ztb_mixture_rejects_zero_mass_trial_law():
     with pytest.raises(PmfError):
         ztb_mixture(OffspringPmf.from_dict({0: 0.5, 2: 0.5}), 0.5)

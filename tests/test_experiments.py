@@ -62,6 +62,24 @@ def test_config_validation_errors():
     validate_config(base_config())
 
 
+@pytest.mark.parametrize("scan", [run_magnetization_scan, run_gamma_scan,
+                                  run_capacity_scan, run_tv_scan])
+@pytest.mark.parametrize("overrides", [
+    {},
+    # a foreign mode skipped the capacity checks: the capacity scan then
+    # failed in the sweep on resistances tanh(0) = 0, and on alpha_110 = 0
+    {"beta": 0.0},
+    {"beta": 0.3, "n_grid": (8, 110), "schedule": PSchedule("geometric", 1.0, 0.002)},
+])
+def test_each_scan_runs_only_its_own_mode(scan, overrides):
+    own = scan.__name__.split("_")[1]
+    for mode in (*gwising.experiments.EXPERIMENT_IDS, "validate"):
+        if mode != own:
+            with pytest.raises(ConfigError, match=f"the {own} scan runs mode '{own}', "
+                                                  f"not '{mode}'"):
+                scan(base_config(mode=mode, **overrides))
+
+
 def test_schedules():
     nu, beta = 2.0, math.atanh(0.8)
     assert PSchedule("constant", 0.3).p(7, nu, beta) == 0.3

@@ -21,7 +21,7 @@ def test_zero_probability_gives_zero_field(rng):
 def test_leaves_only_support(rng):
     t = binary_tree(3)
     fld = sample_field(t, FieldMode.LEAVES_ONLY, 1.0, rng)
-    depths = t.depths()
+    depths = np.repeat(np.arange(t.n + 1), t.generation_sizes())
     assert np.all(fld.h[depths == 3] == 1)
     assert not fld.h[depths < 3].any()
 
@@ -117,7 +117,7 @@ def test_pruned_vertex_set_matches_definitional_scan(rng, half12):
         counts = np.zeros(t.num_vertices, dtype=np.int64)
         counts[bottom] = marked[bottom]
         for v in range(int(t.gen_offsets[t.n]) - 1, -1, -1):
-            counts[v] = counts[t.children(v)].sum() if t.num_children[v] else marked[v]
+            counts[v] = counts[t.parent == v].sum() if t.num_children[v] else marked[v]
         outcome = prune(t, fld)
         keep = counts > 0
         if outcome is None:

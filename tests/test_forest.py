@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwising import (FieldAssignment, FieldMode, OffspringPmf, ResistanceProfile,
-                     Tree, capacity_recursion, lyons_field, sample_gw,
+from gwising import (FieldAssignment, FieldMode, OffspringPmf, Tree,
+                     capacity_recursion, lyons_field, sample_gw,
                      sample_inhomogeneous_bp)
 from gwising.experiments import random_small_tree
 
@@ -20,7 +20,7 @@ HALF123 = OffspringPmf.from_dict({1: 0.4, 2: 0.4, 3: 0.2})
 
 def reference_arena(counts_per_gen):
     """The per-generation loop that built arenas before, for any root count:
-    (parent, gen_offsets, num_children, child_start)."""
+    (parent, gen_offsets, num_children)."""
     counts = [np.asarray(c, dtype=np.int64) for c in counts_per_gen]
     sizes = [len(counts[0])]
     kept = []
@@ -34,14 +34,11 @@ def reference_arena(counts_per_gen):
     gen_offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = int(gen_offsets[-1])
     parent = np.full(total, -1, dtype=np.int64)
-    child_start = np.zeros(total, dtype=np.int64)
     for k in range(len(sizes) - 1):
         lo, hi = gen_offsets[k], gen_offsets[k + 1]
         c = num_children[lo:hi]
-        child_start[lo:hi] = gen_offsets[k + 1] + np.concatenate([[0], np.cumsum(c[:-1])])
         parent[gen_offsets[k + 1]:gen_offsets[k + 2]] = np.repeat(np.arange(lo, hi), c)
-    child_start[gen_offsets[-2]:] = gen_offsets[-1]
-    return parent, gen_offsets, num_children, child_start
+    return parent, gen_offsets, num_children
 
 
 def reference_counts(pmfs, rng):
@@ -58,8 +55,7 @@ def reference_counts(pmfs, rng):
 
 
 def assert_arena(tree, arena):
-    for got, want in zip((tree.parent, tree.gen_offsets, tree.num_children,
-                          tree.child_start), arena):
+    for got, want in zip((tree.parent, tree.gen_offsets, tree.num_children), arena):
         np.testing.assert_array_equal(got, want)
 
 
@@ -147,17 +143,17 @@ def test_forest_sweeps_equal_per_tree_sweeps(seed, num_trees, same_depth,
     h = np.zeros(forest.num_vertices, dtype=np.uint8)
     for bits, where in zip(fields, ids):
         h[where] = bits
-    res = ResistanceProfile.geometric(float(rng.uniform(0.5, 1.5)))
+    base = float(rng.uniform(0.5, 1.5))
 
     r_forest = lyons_field(forest, FieldAssignment(forest, FieldMode.WHOLE_TREE, h), beta)
-    phi_forest = capacity_recursion(forest, res, p).phi
+    phi_forest = capacity_recursion(forest, base, p).phi
     got_r, want_r, got_phi, want_phi = [], [], [], []
     for t, bits, where in zip(trees, fields, ids):
         got_r.append(r_forest[where])
         want_r.append(lyons_field(t, FieldAssignment(t, FieldMode.WHOLE_TREE, bits), beta))
         if t.n > 0:  # a lone vertex has capacity 1 by convention, not a sweep value
             got_phi.append(phi_forest[where])
-            want_phi.append(capacity_recursion(t, res, p).phi)
+            want_phi.append(capacity_recursion(t, base, p).phi)
     got = np.concatenate(got_r + got_phi)
     want = np.concatenate(want_r + want_phi)
     np.testing.assert_array_equal(got, want)

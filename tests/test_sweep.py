@@ -13,9 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwising import (FieldAssignment, FieldMode, ResistanceProfile, Tree,
-                     capacity_recursion, leaf_counts, lyons_field, lyons_plus,
-                     survival)
+from gwising import (FieldAssignment, FieldMode, Tree, capacity_recursion,
+                     leaf_counts, lyons_field, lyons_plus, survival)
 from gwising.tree import segment_sums
 
 BETAS = (0.0, 0.05, 0.9, 3.0, 20.0)
@@ -58,7 +57,7 @@ def fields_of(tree, p, rng):
 
 def capacity_phi(tree, beta, p):
     base = math.tanh(beta) if beta > 0 else 0.5
-    return capacity_recursion(tree, ResistanceProfile.geometric(base), p).phi
+    return capacity_recursion(tree, base, p).phi
 
 
 def outputs(tree, beta, p, rng):
