@@ -41,13 +41,11 @@ print("\nroot law at (n=1, p=1/2):",
                np.round(tilde_mu0(small).probs, 4).tolist())))
 print("P(empty) =", pruned_tree_probability(None, mu, 0.5, 1))
 
-# Direct sampling draws the pruned tree without ever building the big tree.
+# Direct sampling draws the pruned tree conditioned on survival, without ever
+# building the big tree; generation k has the law mu*_k.
 sampler = PrunedLawSampler(profile)
-sizes = []
-for _ in range(200):
-    t = sampler.sample(rng)
-    sizes.append(0 if t is None else t.num_vertices)
-print("\ndirect-sampled pruned sizes: mean", np.mean(sizes),
+sizes = [sampler.sample(rng).num_vertices for _ in range(200)]
+print("\ndirect-sampled surviving pruned sizes: mean", np.mean(sizes),
       "(the unpruned tree would have", 2 ** (n + 1) - 1, "vertices)")
 print("offspring law at k = 20:",
       dict(zip(mu_star(profile, 20).degrees.tolist(),

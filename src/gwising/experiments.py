@@ -193,10 +193,10 @@ def block_replicas(pmf: OffspringPmf, n: int, profile: GammaProfile | None = Non
     """Replicas per block at depth ``n``: as many as fit BLOCK_VERTICES
     expected vertices.
 
-    A direct depth-n tree has sum_{k<=n} nu^k vertices on average.  A pruned
-    draw (``profile`` given) has its root plus (1 - gamma_0) sum_{k>=1} M*_{0,k},
-    since the empty outcome is a childless root.  Raises ConfigError when that
-    expected size exceeds ``PREFLIGHT_CAP_FRACTION`` of the population cap.
+    A direct depth-n tree has sum_{k<=n} nu^k vertices on average, a pruned
+    one (``profile`` given, conditioned on survival) sum_{k<=n} M*_{0,k}.
+    Raises ConfigError when that expected size exceeds
+    ``PREFLIGHT_CAP_FRACTION`` of the population cap.
     """
     if profile is None:
         try:
@@ -204,7 +204,7 @@ def block_replicas(pmf: OffspringPmf, n: int, profile: GammaProfile | None = Non
         except OverflowError:
             expected = math.inf
     else:
-        expected = 1.0 + float(profile.one_minus_gamma[0]) * sum(profile.m_0k[1:].tolist())
+        expected = sum(profile.m_0k.tolist())
     if expected > PREFLIGHT_CAP_FRACTION * DEFAULT_POPULATION_CAP:
         raise ConfigError(f"depth {n}: a replica is expected to have {expected:.3g} "
                           f"vertices, above {PREFLIGHT_CAP_FRACTION} of the population "
@@ -213,6 +213,7 @@ def block_replicas(pmf: OffspringPmf, n: int, profile: GammaProfile | None = Non
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson interval, ending at exactly 0 with no hits and 1 with all."""
     z = WILSON_Z
     if trials == 0:
         return 0.0, 1.0
@@ -220,7 +221,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo, hi = max(0.0, center - half), min(1.0, center + half)
+    return (0.0 if successes == 0 else lo), (1.0 if successes == trials else hi)
 
 
 # -- sampled scans: magnetization and capacity ------------------------------
@@ -228,9 +230,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def _sample_block(args) -> np.ndarray:
     """Root values of one block: the forest is drawn directly when ``sampler``
-    is None, else from the pruned law (whose empty outcome gives zeros); a
-    magnetization block returns root ratios, a capacity block root capacities
-    (0 for a childless root)."""
+    is None, else from the pruned law conditioned on survival; a
+    magnetization block returns root ratios, a capacity block root
+    capacities."""
     experiment, cfg, n, sampler, n_index, block, roots = args
     rng = replica_rng(cfg.master_seed, EXPERIMENT_IDS[experiment], n_index, block)
     if sampler is None:
@@ -238,13 +240,10 @@ def _sample_block(args) -> np.ndarray:
         fld = sample_field(forest, cfg.field_mode, cfg.p_n(n), rng)
     else:
         forest = sampler.sample(rng, roots=roots)
-        if forest is None:
-            return np.zeros(roots)
         fld = plus_boundary_field(forest)
     if experiment == "magnetization":
         return ising.lyons_field(forest, fld, cfg.beta)[:roots].copy()
-    phi = cap.capacity_recursion(forest, math.tanh(cfg.beta), cfg.capacity_p).phi[:roots]
-    return np.where(forest.num_children[:roots] > 0, phi, 0.0)
+    return cap.capacity_recursion(forest, math.tanh(cfg.beta), cfg.capacity_p).phi[:roots].copy()
 
 
 def _sample_scan(cfg: ExperimentConfig, experiment: str,
@@ -283,15 +282,17 @@ def run_magnetization_scan(cfg: ExperimentConfig) -> list[dict]:
 
     Emits one row per (n, epsilon) with the mean ratio, its standard error,
     the magnetization exceedance frequency with a Wilson interval, and the
-    analytic mean bound as a reference column.
+    analytic mean bound as a reference column.  A pruned scan samples surviving
+    trees; its mean, SE, frequency and Wilson ends carry the weight 1 - gamma_0.
     """
     _validate_scan(cfg, "magnetization")
-    _, r_by_n = _sample_scan(cfg, "magnetization", pruned=cfg.method == "pruned")
+    profiles, r_by_n = _sample_scan(cfg, "magnetization", pruned=cfg.method == "pruned")
     rows = []
-    for n, r_values in zip(cfg.n_grid, r_by_n):
+    for n, profile, r_values in zip(cfg.n_grid, profiles, r_by_n):
         p_n = cfg.p_n(n)
+        w = 1.0 if profile is None else float(profile.one_minus_gamma[0])
         m_values = ising.magnetization(r_values)
-        mean_r, se_r = float(r_values.mean()), _standard_error(r_values)
+        mean_r, se_r = w * float(r_values.mean()), w * _standard_error(r_values)
         bound = ising.upper_bound_mean_r(cfg.beta, cfg.pmf.mean(), p_n, n)
         for eps in sorted(set(cfg.epsilon_sweep)):
             hits = int((m_values > eps).sum())
@@ -299,8 +300,8 @@ def run_magnetization_scan(cfg: ExperimentConfig) -> list[dict]:
             rows.append({
                 "n": n, "p_n": p_n, "epsilon": eps,
                 "mean_r": mean_r, "se_r": se_r,
-                "prob_m_gt_eps": hits / cfg.replicas,
-                "wilson_lo": lo, "wilson_hi": hi,
+                "prob_m_gt_eps": w * (hits / cfg.replicas),
+                "wilson_lo": w * lo, "wilson_hi": w * hi,
                 "replicas": cfg.replicas, "mean_r_bound": bound,
             })
     return rows
@@ -311,13 +312,15 @@ def run_capacity_scan(cfg: ExperimentConfig) -> dict:
 
     Emits one row per replica (capacity, the benchmark alpha_n, their ratio)
     plus one summary row per depth with the empirical mean against the
-    mean-capacity bound.  Empty pruned trees count as capacity 0.
+    mean-capacity bound.  Rows and ratio quantiles are over surviving trees;
+    the mean, its SE and the bound carry the weight 1 - gamma_0.
     """
     _validate_scan(cfg, "capacity")
     profiles, values_by_n = _sample_scan(cfg, "capacity", pruned=True)
     rows, summary = [], []
     for n, profile, values in zip(cfg.n_grid, profiles, values_by_n):
         p_n = profile.p_n
+        w = float(profile.one_minus_gamma[0])
         a_n = cap.alpha_n(cfg.beta, cfg.pmf.mean(), p_n, n, cfg.capacity_p)
         for rep, value in enumerate(values):
             rows.append({"n": n, "p_n": p_n, "replica": rep,
@@ -327,10 +330,10 @@ def run_capacity_scan(cfg: ExperimentConfig) -> dict:
                                             cfg.capacity_p)
         summary.append({
             "n": n, "p_n": p_n, "replicas": cfg.replicas,
-            "mean_capacity": float(values.mean()),
-            "se_capacity": _standard_error(values),
+            "mean_capacity": w * float(values.mean()),
+            "se_capacity": w * _standard_error(values),
             "alpha_n": a_n,
-            "mean_capacity_bound": bound,
+            "mean_capacity_bound": w * bound,
             "ratio_p05": float(np.quantile(values / a_n, 0.05)),
             "ratio_p50": float(np.quantile(values / a_n, 0.50)),
             "ratio_p95": float(np.quantile(values / a_n, 0.95)),

@@ -245,23 +245,17 @@ def moments(profile: GammaProfile, q: float) -> PrunedMoments:
 
 
 class PrunedLawSampler:
-    """Caches the per-generation offspring laws of a profile for repeated
-    direct sampling of the pruned tree: the root law tilde_mu0, whose atom at
-    0 is the empty outcome, then mu*_1, ..., mu*_{n-1}."""
+    """Direct sampling of the pruned tree conditioned on survival, generation
+    k from mu*_k (``profile.laws``), so no draw is empty.  The tree is empty
+    with probability gamma_0, and there the root ratio and capacity are 0."""
 
     def __init__(self, profile: GammaProfile):
         self.profile = profile
-        self.laws = (tilde_mu0(profile), *profile.laws[1:])
 
-    def sample(self, rng: np.random.Generator, roots: int = 1) -> Tree | None:
-        """A forest of ``roots`` independent pruned trees, one
-        ``sample_many`` per generation for all of them.
-
-        Replica i is root i; an empty outcome is a childless root.  Returns
-        None when every replica is empty, so one root gives a tree or None.
-        """
-        forest = sample_inhomogeneous_bp(self.laws, rng, roots=roots)
-        return forest if forest.n > 0 else None
+    def sample(self, rng: np.random.Generator, roots: int = 1) -> Tree:
+        """A forest of ``roots`` independent surviving pruned trees, one
+        ``sample_many`` per generation for all of them; replica i is root i."""
+        return sample_inhomogeneous_bp(self.profile.laws, rng, roots=roots)
 
 
 def pruned_tree_probability(shape: Tree | None, pmf: OffspringPmf, p_n: float,

@@ -46,17 +46,17 @@ RATIO_INTERVAL = (2.634736085279476, 3.7568764664108887)
 
 OUTPUT_DIGESTS = {
     "magnetization_direct_leaves_only": {
-        "magnetization.csv": "0b54804cd271a3b99417ee1a32694ed652f0172d7441366ef19d4a7ca5d4a2bf"
+        "magnetization.csv": "74d2bd00f7408f4340a6865e758bad2ba9c9f53160aa1c3796a4171a52d65bc1"
     },
     "magnetization_direct_whole_tree": {
-        "magnetization.csv": "93b8b4ebd42f2d0097211d74de3b016a0dcb14f49d52e36c6369bb954d199950"
+        "magnetization.csv": "ade31531b42653058ab9a4892cf6d7199aa030a79002e09c77350196076b0536"
     },
     "magnetization_pruned": {
-        "magnetization.csv": "aab4d8b53981aec1b4f3cb35abc4ffcc43a6555520918634b4ad5cb6436a93f9"
+        "magnetization.csv": "9f73fb1595689f0755ad7b085d74f1ac250cf81a067b861f6c9bfc593f77d4aa"
     },
     "capacity": {
-        "capacity.csv": "e46a78c0204413df7975b338e92e32b1b112091fb2ed2096a4a5b7d9c2021c00",
-        "capacity_summary.csv": "9aa79ba407950afbdfecc801aedf9cc0465c42f0e71606672fc177ba1f6c46a6"
+        "capacity.csv": "9fd2db98e62e01cb3029d60afbeff9f57579d4a170503cd135f49b471996a5f3",
+        "capacity_summary.csv": "8fe5339332c1d4fe7964920b205e9fc1f0a773d9ca7db06243aa2a2429357d90"
     },
     "gamma": {
         "gamma_bounds.csv": "73d8e4bd696df67a895a6daf0bdfd7849a93e77333351b6c076c746883a350ab",

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 
 import gwising.experiments
 import gwising.ising
-from gwising import FieldMode, OffspringPmf
+from gwising import FieldMode, OffspringPmf, capacity_recursion, lyons_field
 from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
                                  block_replicas, replica_rng, rows_to_csv,
                                  run_capacity_scan,
@@ -14,7 +15,13 @@ from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
                                  run_tv_scan, run_validation,
                                  suite_ztb_mixture_routes, validate_config,
                                  wilson_interval)
+from gwising.fields import FieldAssignment, prune
 from gwising.pruned_law import gamma_profile
+from gwising.tree import enumerate_trees
+
+# the bound on |z| between two estimates of one mean, as the benchmark's
+# direct-vs-pruned check (bench/workloads.py) uses it
+AGREEMENT_SES = 5.0
 
 
 def base_config(**overrides):
@@ -166,8 +173,8 @@ def test_block_replicas_examples():
     assert block_replicas(half12, 20) == 6       # 2^16 // sum_{k<=20} 1.5^k
     assert block_replicas(half12, 0) == 2**16
     assert block_replicas(half12, 20, gamma_profile(half12, 0.5, 20)) == 9
-    # gamma_0 = 1: every draw is a lone root
-    assert block_replicas(half12, 6, gamma_profile(half12, 1e-300, 6)) == 2**16
+    # gamma_0 = 1: a surviving draw is nearly a path of 7 vertices
+    assert block_replicas(half12, 6, gamma_profile(half12, 1e-300, 6)) == 9362
 
 
 @pytest.mark.parametrize("method, n, expected", [("pruned", 70, 1.98e8),
@@ -299,12 +306,17 @@ def test_capacity_scan_supercritical_quantile_stays_positive(dirac2):
 
 
 def test_capacity_scan_records_empty_trees_as_zero(dirac2):
+    # the replicas survive, so each capacity is positive; the empty trees
+    # (gamma_0 is large at p_4 = 2^-8) enter the mean as 0 through the weight
     cfg = base_config(pmf=dirac2, beta=0.8, mode="capacity",
                       schedule=PSchedule("geometric", 1.0, 0.25),
                       n_grid=(4,), replicas=300, capacity_p=1.5)
-    rows = run_capacity_scan(cfg)["rows"]
-    zeros = sum(1 for row in rows if row["capacity_p"] == 0.0)
-    assert zeros > 0  # gamma_0 is large at p_4 = 2^-8
+    out = run_capacity_scan(cfg)
+    values = np.array([row["capacity_p"] for row in out["rows"]])
+    assert np.all(values > 0.0)
+    w = float(gamma_profile(dirac2, 2.0**-8, 4).one_minus_gamma[0])
+    assert w < 0.5
+    assert out["summary"][0]["mean_capacity"] == w * float(values.mean())
 
 
 def test_magnetization_envelope_decay_at_half(dirac2):
@@ -320,6 +332,66 @@ def test_magnetization_envelope_decay_at_half(dirac2):
     slope = float(np.polyfit([n for n, _ in by_n],
                              np.log([m for _, m in by_n]), 1)[0])
     assert slope == pytest.approx(math.log(0.5), rel=0.25)
+
+
+def test_pruned_scan_is_positive_far_below_threshold(half12):
+    # lambda = 1/2: 1 - gamma_0 is 2.1e-4 at n = 18 and 3.2e-5 at n = 22, so
+    # an unconditioned sample of 100 trees would almost surely read r = 0
+    cfg = base_config(pmf=half12, beta=math.atanh(0.8), method="pruned",
+                      schedule=PSchedule("threshold_geometric", 1.0, 0.5),
+                      n_grid=(18, 22), replicas=100, master_seed=5)
+    for row in run_magnetization_scan(cfg):
+        w = float(gamma_profile(half12, row["p_n"], row["n"]).one_minus_gamma[0])
+        assert row["mean_r"] > 0.0 and math.isfinite(row["se_r"])
+        assert row["wilson_lo"] <= row["prob_m_gt_eps"] <= row["wilson_hi"] <= w
+
+
+def exact_root_means(pmf, beta, p_n, n, capacity_p):
+    """E[r] at the root and E[capa_p] of the pruned tree (0 when empty), by
+    enumerating every depth-n tree and every leaf field."""
+    mean_r = mean_capacity = 0.0
+    for tree, tree_prob in enumerate_trees(pmf, n):
+        leaves = tree.generation_size(n)
+        for bits in itertools.product((0, 1), repeat=leaves):
+            h = np.zeros(tree.num_vertices, dtype=np.uint8)
+            h[tree.gen_offsets[n]:] = bits
+            fld = FieldAssignment(tree, FieldMode.LEAVES_ONLY, h)
+            prob = tree_prob * p_n ** sum(bits) * (1 - p_n) ** (leaves - sum(bits))
+            mean_r += prob * float(lyons_field(tree, fld, beta)[0])
+            outcome = prune(tree, fld)
+            if outcome is not None:
+                mean_capacity += prob * capacity_recursion(
+                    outcome[0], math.tanh(beta), capacity_p).capacity
+    return mean_r, mean_capacity
+
+
+def test_weighted_pruned_scans_match_exact_enumeration(half12):
+    # 1 - gamma_0 is 0.54, 0.34 and 0.22 at n = 1, 2, 3
+    cfg = base_config(pmf=half12, beta=math.atanh(0.8), method="pruned",
+                      schedule=PSchedule("threshold_geometric", 1.0, 0.5),
+                      n_grid=(1, 2, 3), replicas=20000, master_seed=3)
+    mag = {row["n"]: row for row in run_magnetization_scan(cfg)}
+    cap = {row["n"]: row for row in run_capacity_scan(replace(cfg, mode="capacity"))["summary"]}
+    for n in cfg.n_grid:
+        mean_r, mean_capacity = exact_root_means(half12, cfg.beta, cfg.p_n(n), n,
+                                                 cfg.capacity_p)
+        assert abs(mag[n]["mean_r"] - mean_r) <= AGREEMENT_SES * mag[n]["se_r"]
+        assert (abs(cap[n]["mean_capacity"] - mean_capacity)
+                <= AGREEMENT_SES * cap[n]["se_capacity"])
+
+
+def test_pruned_scan_agrees_with_direct_at_smaller_error(half12):
+    # lambda = 0.7: 1 - gamma_0 is 0.22 at n = 10 and 0.14 at n = 14; most
+    # direct replicas read r = 0, which the pruned scan weighs exactly
+    cfg = base_config(pmf=half12, beta=math.atanh(0.8), method="pruned",
+                      schedule=PSchedule("threshold_geometric", 1.0, 0.7),
+                      n_grid=(10, 14), replicas=4000, master_seed=7,
+                      epsilon_sweep=(0.05,))
+    pruned = run_magnetization_scan(cfg)
+    direct = run_magnetization_scan(replace(cfg, method="direct"))
+    for a, b in zip(pruned, direct):
+        assert abs(a["mean_r"] - b["mean_r"]) <= AGREEMENT_SES * math.hypot(a["se_r"], b["se_r"])
+        assert 3.0 * a["se_r"] <= b["se_r"]
 
 
 def test_validation_bundle_passes_and_detects_faults(monkeypatch):
@@ -359,13 +431,14 @@ def test_wilson_interval_behaviour():
     assert lo < 0.5 < hi
     assert wilson_interval(0, 0) == (0.0, 1.0)
     lo0, hi0 = wilson_interval(0, 40)
-    assert lo0 == pytest.approx(0.0, abs=1e-12)
+    assert lo0 == 0.0
     assert hi0 < 0.2
-    # no hits or all hits: the closed form rounds past 0 or 1 on some t
+    # no hits or all hits: the closed form rounds past 0 or 1 on some t, and
+    # short of them on others, e.g. hi = 1 - 2^-53 at (6, 6)
     for trials in range(1, 3001):
         for hits in (0, trials):
             lo, hi = wilson_interval(hits, trials)
-            assert 0.0 <= lo <= hi <= 1.0, (hits, trials, lo, hi)
+            assert 0.0 <= lo <= hits / trials <= hi <= 1.0, (hits, trials, lo, hi)
 
 
 def test_csv_rendering_round_trips_floats():

@@ -134,7 +134,7 @@ def test_forest_sweeps_equal_per_tree_sweeps(seed, num_trees, same_depth,
         trees = [sample_gw(HALF123, depth, rng) for _ in range(num_trees)]
     else:
         trees = [random_small_tree(rng, max_vertices=30) for _ in range(num_trees)]
-    if with_lone_roots:  # empty pruned replicas are childless roots
+    if with_lone_roots:  # a forest may hold depth-0 trees among deeper ones
         for _ in range(2):
             trees.insert(int(rng.integers(0, len(trees) + 1)),
                          Tree.from_offspring_counts([np.zeros(1, dtype=np.int64)]))

@@ -75,11 +75,13 @@ def test_profile_log_one_minus_track_below_underflow(half12):
             math.log(1e-320) + k * math.log(nu), rel=1e-12)
 
 
-def test_sampler_builds_below_linear_underflow(half12):
+def test_sampler_builds_below_linear_underflow(rng, half12):
     # 1 - gamma_bar below LINEAR_UNDERFLOW: nu*_k comes from the log track,
     # not from a ratio of subnormals
-    sampler = PrunedLawSampler(gamma_profile(half12, 1e-320, 12))
-    assert all(law.mean() == pytest.approx(1.0, abs=1e-12) for law in sampler.laws[1:])
+    profile = gamma_profile(half12, 1e-320, 12)
+    assert all(law.mean() == pytest.approx(1.0, abs=1e-12) for law in profile.laws)
+    tree = PrunedLawSampler(profile).sample(rng)
+    assert tree.n == 12 and tree.leaves_only_at_bottom
 
 
 def _round_bits(x: Fraction, bits: int = 400) -> Fraction:
@@ -263,9 +265,6 @@ def test_one_law_table_per_profile(masses, p_n):
     for k, law in enumerate(profile.laws):
         assert mu_star(profile, k) is law
         assert law == ztb_mixture(pmf, float(profile.one_minus_gamma[k + 1]))
-    sampler = PrunedLawSampler(profile)
-    assert len(sampler.laws) == 12
-    assert all(a is b for a, b in zip(sampler.laws[1:], profile.laws[1:]))
     # the row-wise distances over the mass matrix are the per-law ones, bit for bit
     to_mu, to_dirac = tv_profile(profile)
     assert to_mu.tolist() == [tv_distance(law, pmf) for law in profile.laws]
@@ -372,39 +371,35 @@ def test_sampler_never_empty_at_p_one(rng, half12):
 
 
 def test_sample_pruned_direct_depth1_distribution(rng, dirac2):
-    # empty w.p. 1/4, path w.p. 1/2, binary w.p. 1/4
-    counts = {"empty": 0, "path": 0, "binary": 0}
+    # the outcomes empty, path and binary have masses 1/4, 1/2 and 1/4; the
+    # sampler draws the last two conditioned on survival
+    counts = {"path": 0, "binary": 0}
     reps = 20000
     sampler = PrunedLawSampler(gamma_profile(dirac2, 0.5, 1))
     for _ in range(reps):
         tree = sampler.sample(rng)
-        if tree is None:
-            counts["empty"] += 1
-        elif tree.num_vertices == 2:
-            counts["path"] += 1
-        else:
-            counts["binary"] += 1
-    for key, prob in (("empty", 0.25), ("path", 0.5), ("binary", 0.25)):
+        counts["path" if tree.num_vertices == 2 else "binary"] += 1
+    for key, prob in (("path", 2 / 3), ("binary", 1 / 3)):
         se = math.sqrt(prob * (1 - prob) / reps)
         assert abs(counts[key] / reps - prob) < 4 * se
 
 
 def test_direct_sampler_agrees_with_prune_then_sample(rng, dirac2):
-    # two-sample chi-square over depth-2 pruned shapes at significance 0.001
+    # two-sample chi-square over the surviving depth-2 pruned shapes at
+    # significance 0.001
     reps = 50000
     sampler = PrunedLawSampler(gamma_profile(dirac2, 0.5, 2))
     direct: dict = {}
     for _ in range(reps):
-        tree = sampler.sample(rng)
-        key = None if tree is None else tuple(tree.parent.tolist())
+        key = tuple(sampler.sample(rng).parent.tolist())
         direct[key] = direct.get(key, 0) + 1
     indirect: dict = {}
     for _ in range(reps):
         tree = sample_gw(dirac2, 2, rng)
-        fld = sample_field(tree, FieldMode.LEAVES_ONLY, 0.5, rng)
-        outcome = prune(tree, fld)
-        key = None if outcome is None else tuple(outcome[0].parent.tolist())
-        indirect[key] = indirect.get(key, 0) + 1
+        outcome = prune(tree, sample_field(tree, FieldMode.LEAVES_ONLY, 0.5, rng))
+        if outcome is not None:
+            key = tuple(outcome[0].parent.tolist())
+            indirect[key] = indirect.get(key, 0) + 1
     keys = sorted(set(direct) | set(indirect), key=repr)
     table = np.array([[direct.get(k, 0) for k in keys],
                       [indirect.get(k, 0) for k in keys]])
