@@ -251,6 +251,9 @@ class PrunedLawSampler:
 
     def __init__(self, profile: GammaProfile):
         self.profile = profile
+        # build the law table now, so that a sampler pickled to pool workers
+        # carries it instead of every task rebuilding it
+        profile.laws
 
     def sample(self, rng: np.random.Generator, roots: int = 1) -> Tree:
         """A forest of ``roots`` independent surviving pruned trees, one
