@@ -251,9 +251,7 @@ class PrunedLawSampler:
 
     def __init__(self, profile: GammaProfile):
         self.profile = profile
-        # build the law table now, so that a sampler pickled to pool workers
-        # carries it instead of every task rebuilding it
-        profile.laws
+        profile.laws  # built now, so pool tasks receive the table, not rebuild it
 
     def sample(self, rng: np.random.Generator, roots: int = 1) -> Tree:
         """A forest of ``roots`` independent surviving pruned trees, one
