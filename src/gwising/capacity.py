@@ -48,10 +48,33 @@ def _contraction(phi: np.ndarray, s: float) -> np.ndarray:
     """x -> x / (1 + x^s)^{1/s}, evaluated as (1 + x^{-s})^{-1/s}.
 
     This form is exact at the boundary-contact value x = +inf (giving 1) and
-    never overflows for large finite x.
+    never overflows for large finite x.  Where x^{-s} overflows (small x, or
+    a large s as p -> 1), x (1 + x^s)^{-1/s} is taken instead.
     """
     with np.errstate(divide="ignore", over="ignore"):
-        return (1.0 + phi ** -s) ** (-1.0 / s)
+        out = phi ** -s
+    small = out == math.inf
+    out += 1.0
+    out **= -1.0 / s
+    if small.any():
+        x = phi[small]
+        out[small] = x * (1.0 + x ** s) ** (-1.0 / s)
+    return out
+
+
+def _power_sum_root(x: np.ndarray, e: float, s: float) -> float:
+    """(sum_k x_k^e)^{-1/s} for positive x_k and e = s or e = -s.
+
+    Where the plain power sum overflows or underflows to 0, the extreme term
+    is factored out of it: sum_k x_k^e = m^e sum_k (x_k / m)^e, with m the
+    x_k of the largest term, so the result is m^{-e/s} = 1/m (e = s) or m
+    (e = -s) times the root of a sum between 1 and the term count."""
+    with np.errstate(over="ignore"):
+        total = np.sum(x ** e)
+    m = x.max() if e > 0 else x.min()
+    if 0.0 < total < math.inf or not 0.0 < m < math.inf:
+        return float(total ** (-1.0 / s))
+    return float((1.0 / m if e > 0 else m) * np.sum((x / m) ** e) ** (-1.0 / s))
 
 
 def capacity_recursion(tree: Tree, base: float, p: float) -> CapacityResult:
@@ -94,7 +117,7 @@ def capacity_spherical(generation_sizes, resistances, p: float) -> float:
     if np.any(sizes[1:] % sizes[:-1]) or sizes[0] < 1:
         raise ValueError("generation sizes must be successively divisible")
     s = 1.0 / (p - 1.0)
-    return float(np.sum((r_k / sizes) ** s) ** (-1.0 / s))
+    return _power_sum_root(r_k / sizes, s, s)
 
 
 def uniform_flow(tree: Tree) -> np.ndarray:
@@ -274,7 +297,7 @@ def expected_capacity_upper(m_0k, resistance_base: float, p: float) -> float:
         raise ValueError("mean generation sizes must be positive")
     s = 1.0 / (p - 1.0)
     k = np.arange(1, len(m) + 1, dtype=float)
-    return float(np.sum((resistance_base ** k * m) ** -s) ** (-1.0 / s))
+    return _power_sum_root(resistance_base ** k * m, -s, s)
 
 
 def alpha_n(beta: float, nu: float, p_n: float, n: int, p: float) -> float:

@@ -10,6 +10,7 @@ evaluated without truncation error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -203,7 +204,7 @@ class OffspringPmf:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample_many(self, rng, size) -> np.ndarray:
         """``size`` i.i.d. draws by inversion with a sequential search: draw i
         takes the degree whose index is the number of cut points
         cum_0 <= ... <= cum_{m-2} at or below its uniform u_i.
@@ -211,9 +212,13 @@ class OffspringPmf:
         That is the index a binary search ``searchsorted(cum, u, side="right")``
         finds, so the draws are the same; counting costs one pass over the
         draws per cut point, which is cheaper on small supports.  Consumes
-        exactly ``size`` uniforms, one per draw, before anything else.
+        exactly ``size`` uniforms, one per draw, before anything else.  Given
+        a sequence of streams and one size each, each stream consumes its own
+        uniforms (see ``uniforms``) and one pass maps them all, stream after
+        stream.
         """
-        u = rng.random(size)
+        u = uniforms(rng, size)
+        size = len(u)
         cuts = self._cuts
         if not cuts:
             return np.full(size, self.degrees[0])
@@ -224,12 +229,20 @@ class OffspringPmf:
             above = np.empty(size, dtype=bool)
             for cut in cuts[1:]:
                 idx += np.greater_equal(u, cut, out=above)
+        del u  # freed before the degrees are allocated, which can take its place
+        if self._gapless:  # degree i of the support is degrees[0] + i
+            return np.add(idx, self.degrees[0])
         return self.degrees[idx]
 
     @cached_property
     def _cuts(self) -> list[float]:
         """The cut points: every cumulative mass but the top one."""
         return self._cum[:-1].tolist()
+
+    @cached_property
+    def _gapless(self) -> bool:
+        """True when the support is a run of consecutive degrees."""
+        return bool(self.degrees[-1] - self.degrees[0] == len(self.degrees) - 1)
 
     # -- serialization ------------------------------------------------------
 
@@ -241,6 +254,19 @@ class OffspringPmf:
         pairs = [(json_number(int, d), json_number(float, p)) for d, p in data["entries"]]
         return cls(np.array([d for d, _ in pairs], dtype=np.int64),
                    np.array([p for _, p in pairs], dtype=np.float64))
+
+
+def uniforms(rng, size) -> np.ndarray:
+    """``size`` uniforms on [0, 1) from the stream ``rng``.  Given a sequence
+    of streams and a sequence of sizes, one buffer holds each stream's own
+    draws in turn: the draws of a stream are those it would give alone."""
+    if np.ndim(size) == 0:
+        return rng.random(size)
+    ends = list(itertools.accumulate(size, initial=0))
+    u = np.empty(ends[-1])
+    for stream, lo, hi in zip(rng, ends, ends[1:]):
+        stream.random(out=u[lo:hi])
+    return u
 
 
 def json_number(kind: type, value):

@@ -1,11 +1,15 @@
 """Deterministic Monte Carlo harness for the phase-transition experiments.
 
-Replicas are sampled and swept in blocks: one forest of R(n) trees per
-block, drawn from one random stream derived from (master seed, experiment id,
-depth index, block index).  R(n) depends on the configuration alone, so
-results are bit-identical for a given configuration no matter how blocks are
-distributed over workers.  Scans return plain row dicts; CSV rendering lives
-here so that the byte output is deterministic too (17 significant digits for
+Replicas are drawn in blocks of R(n) trees, each block from its own random
+stream derived from (master seed, experiment id, depth index, block index).
+A task is a run of consecutive blocks of one depth, within TASK_VERTICES
+expected vertices: it draws each block's trees from that block's stream,
+lays them all out in one forest and sweeps that forest once.  R(n) and the
+tasks depend on the configuration alone, and a block's values do not depend
+on the task it shares, so results are bit-identical for a given
+configuration however blocks are grouped into tasks and tasks distributed
+over workers.  Scans return plain row dicts; CSV rendering lives here so
+that the byte output is deterministic too (17 significant digits for
 floats).
 """
 
@@ -33,8 +37,11 @@ from .tree import (DEFAULT_POPULATION_CAP, PopulationCapError, Tree, enumerate_t
 
 EXPERIMENT_IDS = {"magnetization": 1, "gamma": 2, "capacity": 3, "tv": 4}
 SCHEDULE_KINDS = ("constant", "geometric", "threshold", "threshold_geometric")
-# expected vertices per sampled forest; sets the replicas per block
+# expected vertices per block of replicas, which draws from one stream; sets
+# the replicas per block
 BLOCK_VERTICES = 2**16
+# expected vertices per task, a run of blocks sampled and swept as one forest
+TASK_VERTICES = 150_000
 # a depth whose replica is expected to have more than this fraction of the
 # population cap in vertices is rejected before any sampling, since one
 # replica ten times its mean would reach the cap
@@ -189,9 +196,8 @@ def replica_rng(master_seed: int, experiment_id: int, n_index: int,
     return np.random.default_rng(seq)
 
 
-def block_replicas(pmf: OffspringPmf, n: int, profile: GammaProfile | None = None) -> int:
-    """Replicas per block at depth ``n``: as many as fit BLOCK_VERTICES
-    expected vertices.
+def replica_vertices(pmf: OffspringPmf, n: int, profile: GammaProfile | None = None) -> float:
+    """Expected vertices of one replica at depth ``n``.
 
     A direct depth-n tree has sum_{k<=n} nu^k vertices on average, a pruned
     one (``profile`` given, conditioned on survival) sum_{k<=n} M*_{0,k}.
@@ -209,7 +215,13 @@ def block_replicas(pmf: OffspringPmf, n: int, profile: GammaProfile | None = Non
         raise ConfigError(f"depth {n}: a replica is expected to have {expected:.3g} "
                           f"vertices, above {PREFLIGHT_CAP_FRACTION} of the population "
                           f"cap {DEFAULT_POPULATION_CAP}")
-    return max(1, int(BLOCK_VERTICES // expected))
+    return expected
+
+
+def block_replicas(pmf: OffspringPmf, n: int, profile: GammaProfile | None = None) -> int:
+    """Replicas per block at depth ``n``: as many as fit BLOCK_VERTICES
+    expected vertices (see ``replica_vertices``)."""
+    return max(1, int(BLOCK_VERTICES // replica_vertices(pmf, n, profile)))
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -228,49 +240,69 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # -- sampled scans: magnetization and capacity ------------------------------
 
 
-def _sample_block(args) -> np.ndarray:
-    """Root values of one block: the forest is drawn directly when ``sampler``
-    is None, else from the pruned law conditioned on survival; a
-    magnetization block returns root ratios, a capacity block root
+def _sample_task(args) -> np.ndarray:
+    """Root values of one task, block after block: each block's trees are
+    drawn from its own stream, directly when ``sampler`` is None, else from
+    the pruned law conditioned on survival, and the task's forest is swept
+    once.  A magnetization task returns root ratios, a capacity task root
     capacities."""
-    experiment, cfg, n, sampler, n_index, block, roots = args
-    rng = replica_rng(cfg.master_seed, EXPERIMENT_IDS[experiment], n_index, block)
+    experiment, cfg, n, sampler, n_index, first_block, roots = args
+    rngs = [replica_rng(cfg.master_seed, EXPERIMENT_IDS[experiment], n_index, block)
+            for block in range(first_block, first_block + len(roots))]
     if sampler is None:
-        forest = sample_gw(cfg.pmf, n, rng, roots=roots)
-        fld = sample_field(forest, cfg.field_mode, cfg.p_n(n), rng)
+        forest = sample_gw(cfg.pmf, n, rngs, roots=roots)
+        fld = sample_field(forest, cfg.field_mode, cfg.p_n(n), rngs)
     else:
-        forest = sampler.sample(rng, roots=roots)
-        fld = plus_boundary_field(forest)
+        forest = sampler.sample(rngs, roots=roots)
+        fld = None if experiment == "capacity" else plus_boundary_field(forest)
     if experiment == "magnetization":
-        return ising.lyons_field(forest, fld, cfg.beta)[:roots].copy()
-    return cap.capacity_recursion(forest, math.tanh(cfg.beta), cfg.capacity_p).phi[:roots].copy()
+        values = ising.lyons_field(forest, fld, cfg.beta)
+    else:
+        values = cap.capacity_recursion(forest, math.tanh(cfg.beta), cfg.capacity_p).phi
+    return values[:forest.num_roots].copy()
+
+
+def _tasks(replicas: int, size: int, expected: float) -> list[tuple[int, tuple[int, ...]]]:
+    """(first block, roots of each block) of every task at one depth: blocks
+    of ``size`` replicas, the last one taking the remainder, and consecutive
+    blocks joined while their ``expected`` vertices per replica sum to at most
+    TASK_VERTICES.  A block above that runs alone."""
+    tasks, first, roots = [], 0, []
+    for block, start in enumerate(range(0, replicas, size)):
+        count = min(size, replicas - start)
+        if roots and (sum(roots) + count) * expected > TASK_VERTICES:
+            tasks.append((first, tuple(roots)))
+            first, roots = block, []
+        roots.append(count)
+    tasks.append((first, tuple(roots)))
+    return tasks
 
 
 def _sample_scan(cfg: ExperimentConfig, experiment: str,
                  pruned: bool) -> tuple[list[GammaProfile | None], np.ndarray]:
     """Each depth's pruned profile (None when sampled directly) and the
-    (depths x replicas) matrix of ``_sample_block`` values.  Every depth is
+    (depths x replicas) matrix of ``_sample_task`` values.  Every depth is
     sized, so checked against the population cap, before any sampling."""
     profiles, tasks = [], []
     for n_index, n in enumerate(cfg.n_grid):
         profile = gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None
         size = block_replicas(cfg.pmf, n, profile)
+        expected = replica_vertices(cfg.pmf, n, profile)
         sampler = None if profile is None else PrunedLawSampler(profile)
         profiles.append(profile)
-        # one task per block; the last block takes the remainder
-        tasks += [(experiment, cfg, n, sampler, n_index, block,
-                   min(size, cfg.replicas - start))
-                  for block, start in enumerate(range(0, cfg.replicas, size))]
+        # tasks never span depths; the grouping depends on the config alone
+        tasks += [(experiment, cfg, n, sampler, n_index, first, roots)
+                  for first, roots in _tasks(cfg.replicas, size, expected)]
     # no more processes than tasks or CPUs: a fork pool starts all of its
     # workers at the first submit, whatever the size of the scan
     workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
     if workers == 1:
-        blocks = [_sample_block(task) for task in tasks]
+        values = [_sample_task(task) for task in tasks]
     else:
         chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_sample_block, tasks, chunksize=chunk))
-    return profiles, np.concatenate(blocks).reshape(len(cfg.n_grid), cfg.replicas)
+            values = list(pool.map(_sample_task, tasks, chunksize=chunk))
+    return profiles, np.concatenate(values).reshape(len(cfg.n_grid), cfg.replicas)
 
 
 def _standard_error(values: np.ndarray) -> float:
@@ -312,8 +344,9 @@ def run_capacity_scan(cfg: ExperimentConfig) -> dict:
 
     Emits one row per replica (capacity, the benchmark alpha_n, their ratio)
     plus one summary row per depth with the empirical mean against the
-    mean-capacity bound.  Rows and ratio quantiles are over surviving trees;
-    the mean, its SE and the bound carry the weight 1 - gamma_0.
+    mean-capacity bound.  Rows and ratio quantiles are over surviving trees,
+    so a ratio divides by alpha_n / (1 - gamma_0), the benchmark on the same
+    event; the mean, its SE and the bound carry the weight 1 - gamma_0.
     """
     _validate_scan(cfg, "capacity")
     profiles, values_by_n = _sample_scan(cfg, "capacity", pruned=True)
@@ -322,10 +355,10 @@ def run_capacity_scan(cfg: ExperimentConfig) -> dict:
         p_n = profile.p_n
         w = float(profile.one_minus_gamma[0])
         a_n = cap.alpha_n(cfg.beta, cfg.pmf.mean(), p_n, n, cfg.capacity_p)
-        for rep, value in enumerate(values):
+        ratios = values / (a_n / w)
+        for rep, (value, ratio) in enumerate(zip(values.tolist(), ratios.tolist())):
             rows.append({"n": n, "p_n": p_n, "replica": rep,
-                         "capacity_p": float(value), "alpha_n": a_n,
-                         "ratio": float(value) / a_n})
+                         "capacity_p": value, "alpha_n": a_n, "ratio": ratio})
         bound = cap.expected_capacity_upper(profile.m_0k[1:], math.tanh(cfg.beta),
                                             cfg.capacity_p)
         summary.append({
@@ -334,9 +367,9 @@ def run_capacity_scan(cfg: ExperimentConfig) -> dict:
             "se_capacity": w * _standard_error(values),
             "alpha_n": a_n,
             "mean_capacity_bound": w * bound,
-            "ratio_p05": float(np.quantile(values / a_n, 0.05)),
-            "ratio_p50": float(np.quantile(values / a_n, 0.50)),
-            "ratio_p95": float(np.quantile(values / a_n, 0.95)),
+            "ratio_p05": float(np.quantile(ratios, 0.05)),
+            "ratio_p50": float(np.quantile(ratios, 0.50)),
+            "ratio_p95": float(np.quantile(ratios, 0.95)),
         })
     return {"rows": rows, "summary": summary}
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import uniforms
 from .tree import Tree, segment_sums
 
 
@@ -41,12 +42,16 @@ class FieldAssignment:
         return self.h[lo:hi]
 
 
-def sample_field(tree: Tree, mode: FieldMode, p: float,
-                 rng: np.random.Generator | None = None) -> FieldAssignment:
+def sample_field(tree: Tree, mode: FieldMode, p: float, rng=None) -> FieldAssignment:
     """Independent Bernoulli(p) bits on the mode's vertex set, zeros elsewhere.
 
-    PLUS_BOUNDARY is the degenerate all-ones-on-leaves field; it ignores both
-    ``p`` and the stream.
+    One stream draws the bits of the whole arena in breadth-first order.  A
+    forest drawn from a sequence of streams takes that same sequence: each
+    stream draws the bits of its own vertices in the mode's set, in its own
+    breadth-first order.  Where its trees reach the forest's depth, these
+    are the bits it would draw for them alone.  PLUS_BOUNDARY is the
+    degenerate all-ones-on-leaves field; it ignores both ``p`` and the
+    stream.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("field probability must lie in [0, 1]")
@@ -57,10 +62,20 @@ def sample_field(tree: Tree, mode: FieldMode, p: float,
         return FieldAssignment(tree, mode, h)
     if rng is None:
         raise ValueError("random field modes need a stream")
+    grouped = tree.stream_sizes is not None
     if mode is FieldMode.WHOLE_TREE:
-        h[:] = rng.random(tree.num_vertices) < p
+        if grouped:
+            # each stream's draws, split by generation, then laid out
+            # generation by generation in stream order
+            pieces = [np.split(uniforms(stream, int(sizes.sum())), np.cumsum(sizes)[:-1])
+                      for stream, sizes in zip(rng, tree.stream_sizes.T)]
+            u = np.concatenate([piece for generation in zip(*pieces) for piece in generation])
+        else:
+            u = uniforms(rng, tree.num_vertices)
+        np.less(u, p, out=h.view(bool))
     elif mode is FieldMode.LEAVES_ONLY:
-        h[bottom] = rng.random(tree.generation_size(tree.n)) < p
+        leaves = tree.stream_sizes[-1] if grouped else tree.generation_size(tree.n)
+        np.less(uniforms(rng, leaves), p, out=h[bottom].view(bool))
     else:
         raise ValueError(f"unknown field mode {mode!r}")
     return FieldAssignment(tree, mode, h)

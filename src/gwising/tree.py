@@ -81,14 +81,21 @@ class Tree:
     counts.  A forest holds its roots as generation 0; every sweep then runs
     over all of its trees at once, one generation slice at a time, and reads
     the root values ``[:num_roots]``.
+
+    A forest drawn from a sequence of streams records ``stream_sizes``:
+    entry [k, i] is the number of generation-k vertices that stream i drew.
+    Each generation holds stream 0's vertices first, then stream 1's, and so
+    on.  It is None for a forest of one stream or one built by hand.
     """
 
     gen_offsets: np.ndarray
     num_children: np.ndarray
+    stream_sizes: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.gen_offsets, self.num_children):
-            arr.setflags(write=False)
+        for arr in (self.gen_offsets, self.num_children, self.stream_sizes):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @cached_property
     def parent(self) -> np.ndarray:
@@ -150,7 +157,7 @@ class Tree:
         live = values[bottom:] != 0
         nonzero = None  # sorted ids of the nonzero values above the bottom; None once dense
         if 2 * np.count_nonzero(live) < len(live):
-            nonzero = np.flatnonzero(values[:bottom] != 0)
+            nonzero = np.flatnonzero(values[:bottom])
             bounds = nonzero.searchsorted(offsets).tolist()
             live = np.flatnonzero(live) + bottom
         for k in range(self.n - 1, -1, -1):
@@ -179,6 +186,7 @@ class Tree:
                     seg = counts[j]
                     idx = np.repeat(mid + ends[j] - np.cumsum(seg), seg) + np.arange(seg.sum())
                     sums[wide] = segment_sums(lift(values[idx], idx), seg)
+                del ends  # freed before the next generation's cumsum
                 live = parent[first] + lo
                 values[live] = combine(sums, live)
             incoming = nonzero[bounds[k]:bounds[k + 1]]
@@ -234,10 +242,10 @@ class Tree:
         return hash((self.n, self.parent.tobytes()))
 
 
-def sample_gw(pmf: OffspringPmf, n: int, rng: np.random.Generator,
-              max_vertices: int = DEFAULT_POPULATION_CAP, roots: int = 1) -> Tree:
+def sample_gw(pmf: OffspringPmf, n: int, rng, max_vertices: int = DEFAULT_POPULATION_CAP,
+              roots=1) -> Tree:
     """Galton-Watson tree of depth exactly ``n``, or a forest of ``roots``
-    independent ones.
+    independent ones; ``rng`` and ``roots`` as in ``sample_inhomogeneous_bp``.
 
     Requires a pmf with no mass at 0, so that every vertex above the bottom
     generation has at least one child and every tree reaches depth ``n``
@@ -248,33 +256,43 @@ def sample_gw(pmf: OffspringPmf, n: int, rng: np.random.Generator,
     return sample_inhomogeneous_bp([pmf] * n, rng, max_vertices, roots)
 
 
-def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
+def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng,
                             max_vertices: int = DEFAULT_POPULATION_CAP,
-                            roots: int = 1) -> Tree:
+                            roots=1) -> Tree:
     """Branching process where ``pmfs[k]`` governs vertices at depth k, started
-    from ``roots`` independent roots.
+    from ``roots`` independent roots drawn from the stream ``rng``.
 
     Each generation is one ``sample_many`` call for all of its vertices, in
     arena order.  The arena has depth at most ``len(pmfs)``; it is shallower
     only if some law permits zero children and a whole generation dies out.
     ``max_vertices`` caps the whole arena.
+
+    Given a sequence of streams and a sequence of root counts, stream i
+    draws the trees of its own roots, in the order it would alone, and the
+    arena puts its vertices after those of streams 0..i-1 in every
+    generation.  ``max_vertices`` then caps each stream's trees, and the
+    forest records the streams' generation sizes as ``stream_sizes``.
     """
-    counts = []
-    size = total = roots
-    sizes = [roots]
+    grouped = np.ndim(roots) > 0
+    group = [int(r) for r in roots] if grouped else [roots]
+    rows, totals, counts = [group], group, []
     for pmf in pmfs:
-        c = pmf.sample_many(rng, size)
+        c = pmf.sample_many(rng, group if grouped else group[0])
         counts.append(c)
-        size = int(c.sum())
-        total += size
-        sizes.append(size)
-        if total > max_vertices:
-            raise PopulationCapError(max_vertices, sizes)
-        if size == 0:
+        group = segment_sums(c, group).tolist() if grouped else [int(c.sum())]
+        rows.append(group)
+        totals = [t + g for t, g in zip(totals, group)]
+        for i, total in enumerate(totals):
+            if total > max_vertices:
+                raise PopulationCapError(max_vertices, [row[i] for row in rows])
+        if not any(group):
             break
     if not counts:
-        counts = [np.zeros(roots, dtype=np.int64)]
-    return Tree.from_offspring_counts(counts)
+        counts = [np.zeros(sum(rows[0]), dtype=np.int64)]
+    tree = Tree.from_offspring_counts(counts)
+    if not grouped:
+        return tree
+    return Tree(tree.gen_offsets, tree.num_children, np.array(rows[:tree.n + 1]))
 
 
 def leaf_counts(tree: Tree) -> np.ndarray:

@@ -55,8 +55,8 @@ OUTPUT_DIGESTS = {
         "magnetization.csv": "9f73fb1595689f0755ad7b085d74f1ac250cf81a067b861f6c9bfc593f77d4aa"
     },
     "capacity": {
-        "capacity.csv": "9fd2db98e62e01cb3029d60afbeff9f57579d4a170503cd135f49b471996a5f3",
-        "capacity_summary.csv": "8fe5339332c1d4fe7964920b205e9fc1f0a773d9ca7db06243aa2a2429357d90"
+        "capacity.csv": "39d1d6e00bc27d475f19c73f33c3aa1dd4710f94b8c20e2ca49d952bc5d29e36",
+        "capacity_summary.csv": "cbc6833ff31c2c7cdae5d71ca06d766eb7549860fd54d1f56ab43454136b4e5e"
     },
     "gamma": {
         "gamma_bounds.csv": "73d8e4bd696df67a895a6daf0bdfd7849a93e77333351b6c076c746883a350ab",

@@ -256,3 +256,18 @@ def test_population_martingale_and_q_moment_bound(rng, dirac2):
     tail = [(w <= eps).mean() for eps in eps_grid]
     print("small-W tail table:", dict(zip(eps_grid, tail)))
     assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
+
+
+@pytest.mark.parametrize("p", [1.001, 1.0001])
+def test_path_capacity_as_p_tends_to_one(p):
+    # a 10-edge path with base 0.8: 0.8^10 (sum_{j<10} 0.8^{js})^{-1/s}, where
+    # x^{-s} and the plain power sum overflow and used to give 0
+    s = 1.0 / (p - 1.0)
+    exact = 0.8**10 * math.fsum(0.8 ** (j * s) for j in range(10)) ** (-1.0 / s)
+    assert capacity_recursion(path_tree(10), 0.8, p).capacity == pytest.approx(exact, rel=1e-12)
+    r_k = 0.8 ** -np.arange(1.0, 11.0)
+    assert capacity_spherical(np.ones(10), r_k, p) == pytest.approx(exact, rel=1e-12)
+    # the bound's power sum underflows to 0: its limit is min_k R^k M_{0,k}
+    m = 1.5 ** np.arange(1, 23)
+    assert expected_capacity_upper(m, 0.8, p) == pytest.approx(
+        float(np.min(0.8 ** np.arange(1, 23) * m)), rel=0.01)

@@ -144,6 +144,15 @@ def assert_draws_match_binary_search(pmf, seed):
         pmf, np.random.default_rng(seed).random(300)))
 
 
+def test_sample_many_over_streams_is_each_stream_in_turn():
+    law = OffspringPmf.from_dict({1: 0.2, 2: 0.5, 5: 0.3})
+    sizes = [3, 0, 7]
+    got = law.sample_many([np.random.default_rng(i) for i in range(3)], sizes)
+    want = np.concatenate([law.sample_many(np.random.default_rng(i), size)
+                           for i, size in enumerate(sizes)])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("atoms", [254, 255, 256, 300])
 def test_sample_many_matches_binary_search_on_wide_supports(atoms):
     # past 254 atoms the count no longer fits the small index type

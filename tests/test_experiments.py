@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,8 @@ import gwising.experiments
 import gwising.ising
 from gwising import FieldMode, OffspringPmf, capacity_recursion, lyons_field
 from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
-                                 block_replicas, replica_rng, rows_to_csv,
+                                 block_replicas, replica_rng, replica_vertices,
+                                 rows_to_csv,
                                  run_capacity_scan,
                                  run_gamma_scan, run_magnetization_scan,
                                  run_tv_scan, run_validation,
@@ -17,7 +20,7 @@ from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
                                  wilson_interval)
 from gwising.fields import FieldAssignment, prune
 from gwising.pruned_law import gamma_profile
-from gwising.tree import enumerate_trees
+from gwising.tree import PopulationCapError, enumerate_trees
 
 # the bound on |z| between two estimates of one mean, as the benchmark's
 # direct-vs-pruned check (bench/workloads.py) uses it
@@ -111,6 +114,13 @@ def test_scan_is_deterministic_and_worker_independent():
     assert rows_to_csv(rows1) == rows_to_csv(rows2) == rows_to_csv(rows3)
 
 
+def scan_csv(cfg):
+    if cfg.mode == "magnetization":
+        return rows_to_csv(run_magnetization_scan(cfg))
+    out = run_capacity_scan(cfg)
+    return rows_to_csv(out["rows"]) + rows_to_csv(out["summary"])
+
+
 @pytest.mark.parametrize("mode,method", [("magnetization", "direct"),
                                          ("magnetization", "pruned"),
                                          ("capacity", "direct")])
@@ -122,24 +132,72 @@ def test_block_scans_are_byte_identical_across_workers(mode, method):
                               gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None)
         assert 1 < size < cfg.replicas and cfg.replicas % size  # a short last block
 
-    def csv_bytes(workers):
-        run_cfg = replace(cfg, workers=workers)
-        if mode == "magnetization":
-            return rows_to_csv(run_magnetization_scan(run_cfg))
-        out = run_capacity_scan(run_cfg)
-        return rows_to_csv(out["rows"]) + rows_to_csv(out["summary"])
-
-    outputs = [csv_bytes(workers) for workers in (1, 2, 3)]
+    outputs = [scan_csv(replace(cfg, workers=workers)) for workers in (1, 2, 3)]
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def depth_tasks(cfg):
+    """The tasks of each depth, as (first block, roots per block)."""
+    pruned = cfg.method == "pruned" or cfg.mode == "capacity"
+    out = []
+    for n in cfg.n_grid:
+        profile = gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None
+        out.append(gwising.experiments._tasks(cfg.replicas, block_replicas(cfg.pmf, n, profile),
+                                              replica_vertices(cfg.pmf, n, profile)))
+    return out
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(n_grid=(18, 22), replicas=26),
+    dict(n_grid=(18, 22), replicas=26, field_mode=FieldMode.WHOLE_TREE),
+    dict(n_grid=(26, 30), replicas=25, method="pruned"),
+    dict(n_grid=(26, 30), replicas=25, mode="capacity"),
+])
+def test_task_grouping_keeps_the_bytes(monkeypatch, overrides):
+    cfg = base_config(beta=math.atanh(0.8), schedule=PSchedule("threshold", 1.0),
+                      **overrides)
+    tasks = depth_tasks(cfg)
+    # tasks of two or more blocks, and a short last block in one of them
+    assert all(len(roots) >= 2 for depth in tasks for _, roots in depth[:-1])
+    assert any(len(depth[-1][1]) >= 2 and depth[-1][1][-1] < depth[-1][1][0]
+               for depth in tasks)
+    grouped = [scan_csv(replace(cfg, workers=workers)) for workers in (1, 2, 3)]
+    monkeypatch.setattr(gwising.experiments, "TASK_VERTICES", 1)  # one block per task
+    assert all(len(roots) == 1 for depth in depth_tasks(cfg) for _, roots in depth)
+    assert grouped == [scan_csv(cfg)] * 3
+
+
+def test_population_cap_holds_per_block_within_a_task(monkeypatch):
+    cfg = base_config(beta=math.atanh(0.8), schedule=PSchedule("threshold", 1.0),
+                      n_grid=(22,), replicas=6, master_seed=3)
+    [[(first, roots)]] = depth_tasks(cfg)
+    assert first == 0 and roots == (2, 2, 2)
+    sizes = [gwising.tree.sample_gw(cfg.pmf, 22, replica_rng(3, 1, 0, block),
+                                    roots=count).num_vertices
+             for block, count in enumerate(roots)]
+    assert sizes[1] > sizes[0]
+    uncapped = rows_to_csv(run_magnetization_scan(cfg))
+
+    def run_with_cap(cap):
+        monkeypatch.setattr(gwising.experiments, "sample_gw",
+                            functools.partial(gwising.tree.sample_gw, max_vertices=cap))
+        return rows_to_csv(run_magnetization_scan(cfg))
+
+    # the second block alone exceeds the cap: the task raises, as that block would
+    with pytest.raises(PopulationCapError):
+        run_with_cap(sizes[0])
+    # the cap bounds each block, not the task's forest
+    assert sum(sizes) > max(sizes)
+    assert run_with_cap(max(sizes)) == uncapped
+
+
 @pytest.mark.parametrize("workers, cpus, n_grid, pool", [
-    (2000, 64, (3, 4, 5, 6, 7, 8), 6),  # one process per block at most
+    (2000, 64, (3, 4, 5, 6, 7, 8), 6),  # one process per task at most
     (2000, 4, (3, 4, 5, 6, 7, 8), 4),   # and one per CPU
     (3, 64, (3, 4, 5, 6, 7, 8), 3),
     (2, 2, (3, 4, 5, 6, 7, 8), 2),
     (2000, None, (3, 4, 5, 6, 7, 8), None),  # CPU count unknown: in process
-    (2000, 64, (3,), None),                  # one block: in process
+    (2000, 64, (3,), None),                  # one task: in process
 ])
 def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_grid, pool):
     sizes = []
@@ -162,7 +220,7 @@ def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_gr
 
     monkeypatch.setattr(gwising.experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(gwising.experiments.os, "cpu_count", lambda: cpus)
-    cfg = base_config(n_grid=n_grid, replicas=1)  # one block per depth
+    cfg = base_config(n_grid=n_grid, replicas=1)  # one block, so one task, per depth
     rows = run_magnetization_scan(replace(cfg, workers=workers))
     assert sizes == ([] if pool is None else [pool])
     assert rows_to_csv(rows) == rows_to_csv(run_magnetization_scan(cfg))
@@ -186,7 +244,7 @@ def test_preflight_rejects_depths_past_the_population_cap(monkeypatch, method, n
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a replica")
 
-    monkeypatch.setattr(gwising.experiments, "_sample_block", no_sampling)
+    monkeypatch.setattr(gwising.experiments, "_sample_task", no_sampling)
     cfg = base_config(beta=math.atanh(0.8), schedule=PSchedule("threshold", 1.0),
                       n_grid=(n,), method=method)
     with pytest.raises(ConfigError, match=f"depth {n}: ") as caught:
@@ -268,9 +326,13 @@ def test_capacity_scan_rows_and_summary(dirac2):
                       n_grid=(6,), replicas=64, capacity_p=1.5)
     out = run_capacity_scan(cfg)
     assert len(out["rows"]) == 64
+    # the rows are surviving trees, so the ratio's scale is alpha_n on that
+    # event: alpha_n / (1 - gamma_0)
+    w = float(gamma_profile(dirac2, cfg.p_n(6), 6).one_minus_gamma[0])
+    assert w < 0.9
     for row in out["rows"]:
         assert row["capacity_p"] >= 0.0
-        assert row["ratio"] == pytest.approx(row["capacity_p"] / row["alpha_n"])
+        assert row["ratio"] == pytest.approx(row["capacity_p"] * w / row["alpha_n"])
     summary = out["summary"][0]
     assert summary["mean_capacity"] <= summary["mean_capacity_bound"] + \
         3 * summary["se_capacity"]
@@ -303,6 +365,29 @@ def test_capacity_scan_supercritical_quantile_stays_positive(dirac2):
     lows = [row["ratio_p05"] for row in summary]
     assert min(lows) > 0.01
     assert min(lows) >= 0.4 * max(lows)
+
+
+def test_capacity_scan_near_p_one_stays_positive_and_finite(half12):
+    # at p = 1.00001, s = 1e5: x^{-s} and the bound's power sum used to
+    # overflow, giving zero capacities, an infinite bound and a warning
+    cfg = base_config(pmf=half12, beta=math.atanh(0.8), mode="capacity",
+                      schedule=PSchedule("threshold", 1.0), n_grid=(10,),
+                      replicas=20, capacity_p=1.00001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = run_capacity_scan(cfg)
+    assert all(row["capacity_p"] > 0.0 for row in out["rows"])
+    assert 0.0 < out["summary"][0]["mean_capacity_bound"] < math.inf
+
+
+def test_capacity_ratio_quantiles_hold_their_scale_below_threshold(half12):
+    # lambda = 1/2: 1 - gamma_0 falls like alpha_n, and the surviving trees'
+    # ratios keep one scale once divided by alpha_n / (1 - gamma_0)
+    cfg = base_config(pmf=half12, beta=math.atanh(0.8), mode="capacity",
+                      schedule=PSchedule("threshold_geometric", 1.0, 0.5),
+                      n_grid=(10, 22), replicas=500, master_seed=5)
+    first, last = run_capacity_scan(cfg)["summary"]
+    assert last["ratio_p50"] == pytest.approx(first["ratio_p50"], rel=0.1)
 
 
 def test_capacity_scan_records_empty_trees_as_zero(dirac2):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwising import (FieldAssignment, FieldMode, OffspringPmf, Tree,
-                     capacity_recursion, lyons_field, sample_gw,
+from gwising import (FieldAssignment, FieldMode, OffspringPmf, PopulationCapError, Tree,
+                     capacity_recursion, lyons_field, sample_field, sample_gw,
                      sample_inhomogeneous_bp)
 from gwising.experiments import random_small_tree
 
@@ -120,6 +120,49 @@ def test_forest_sampler_layout(rng):
     assert forest.num_roots == 7 and forest.n == 4
     assert np.all(forest.parent[:7] == -1) and np.all(forest.parent[7:] >= 0)
     assert forest.leaves_only_at_bottom
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), roots=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       dying=st.booleans(), p=st.sampled_from([0.0, 0.3, 1.0]))
+def test_stream_groups_reproduce_each_stream_alone(seed, roots, dying, p):
+    # stream i draws the trees of its own roots, then their field bits, as it
+    # would alone; the forest lays the streams' trees out generation by generation
+    laws = [OffspringPmf.from_dict({0: 0.35, 1: 0.3, 2: 0.35})] * 6 if dying else [HALF123] * 4
+    streams = [np.random.default_rng([seed, i]) for i in range(len(roots))]
+    alone = [np.random.default_rng([seed, i]) for i in range(len(roots))]
+    forest = sample_inhomogeneous_bp(laws, streams, roots=roots)
+    trees = [sample_inhomogeneous_bp(laws, rng, roots=count) for rng, count in zip(alone, roots)]
+    want, ids = forest_of(trees)
+    assert_arena(forest, (want.parent, want.gen_offsets, want.num_children))
+    sizes = np.zeros((forest.n + 1, len(trees)), dtype=np.int64)
+    for i, t in enumerate(trees):
+        sizes[:t.n + 1, i] = t.generation_sizes()
+    np.testing.assert_array_equal(forest.stream_sizes, sizes)
+    # a leaf field covers the forest's bottom generation, which is each
+    # stream's own bottom when every tree reaches it
+    modes = [FieldMode.WHOLE_TREE]
+    if all(t.n == forest.n for t in trees):
+        modes.append(FieldMode.LEAVES_ONLY)
+    for mode in modes:
+        h = np.zeros(forest.num_vertices, dtype=np.uint8)
+        for t, rng, where in zip(trees, alone, ids):
+            h[where] = sample_field(t, mode, p, rng).h
+        np.testing.assert_array_equal(sample_field(forest, mode, p, streams).h, h)
+    assert [rng.random() for rng in streams] == [rng.random() for rng in alone]
+
+
+def test_population_cap_applies_to_each_stream():
+    def streams():
+        return [np.random.default_rng([7, i]) for i in range(3)]
+
+    sizes = [sample_gw(HALF123, 5, rng, roots=2).num_vertices for rng in streams()]
+    forest = sample_gw(HALF123, 5, streams(), max_vertices=max(sizes), roots=(2, 2, 2))
+    assert forest.num_vertices == sum(sizes) > max(sizes)
+    with pytest.raises(PopulationCapError) as caught:
+        sample_gw(HALF123, 5, streams(), max_vertices=max(sizes) - 1, roots=(2, 2, 2))
+    # the partial sizes are those of the stream that went over
+    assert sum(caught.value.partial_sizes) == max(sizes)
 
 
 @settings(max_examples=60, deadline=None)
