@@ -260,7 +260,7 @@ def uniforms(rng, size) -> np.ndarray:
     """``size`` uniforms on [0, 1) from the stream ``rng``.  Given a sequence
     of streams and a sequence of sizes, one buffer holds each stream's own
     draws in turn: the draws of a stream are those it would give alone."""
-    if np.ndim(size) == 0:
+    if np.isscalar(size):
         return rng.random(size)
     ends = list(itertools.accumulate(size, initial=0))
     u = np.empty(ends[-1])

@@ -273,7 +273,7 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng,
     generation.  ``max_vertices`` then caps each stream's trees, and the
     forest records the streams' generation sizes as ``stream_sizes``.
     """
-    grouped = np.ndim(roots) > 0
+    grouped = not np.isscalar(roots)
     group = [int(r) for r in roots] if grouped else [roots]
     rows, totals, counts = [group], group, []
     for pmf in pmfs:
