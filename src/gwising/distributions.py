@@ -230,19 +230,12 @@ class OffspringPmf:
             for cut in cuts[1:]:
                 idx += np.greater_equal(u, cut, out=above)
         del u  # freed before the degrees are allocated, which can take its place
-        if self._gapless:  # degree i of the support is degrees[0] + i
-            return np.add(idx, self.degrees[0])
         return self.degrees[idx]
 
     @cached_property
     def _cuts(self) -> list[float]:
         """The cut points: every cumulative mass but the top one."""
         return self._cum[:-1].tolist()
-
-    @cached_property
-    def _gapless(self) -> bool:
-        """True when the support is a run of consecutive degrees."""
-        return bool(self.degrees[-1] - self.degrees[0] == len(self.degrees) - 1)
 
     # -- serialization ------------------------------------------------------
 
@@ -260,8 +253,8 @@ def uniforms(rng, size) -> np.ndarray:
     """``size`` uniforms on [0, 1) from the stream ``rng``.  Given a sequence
     of streams and a sequence of sizes, one buffer holds each stream's own
     draws in turn: the draws of a stream are those it would give alone."""
-    if np.isscalar(size):
-        return rng.random(size)
+    if hasattr(rng, "random"):  # one stream is a group of one
+        rng, size = [rng], [size]
     ends = list(itertools.accumulate(size, initial=0))
     u = np.empty(ends[-1])
     for stream, lo, hi in zip(rng, ends, ends[1:]):

@@ -218,10 +218,13 @@ def replica_vertices(pmf: OffspringPmf, n: int, profile: GammaProfile | None = N
     return expected
 
 
-def block_replicas(pmf: OffspringPmf, n: int, profile: GammaProfile | None = None) -> int:
-    """Replicas per block at depth ``n``: as many as fit BLOCK_VERTICES
-    expected vertices (see ``replica_vertices``)."""
-    return max(1, int(BLOCK_VERTICES // replica_vertices(pmf, n, profile)))
+def block_replicas(pmf: OffspringPmf, n: int,
+                   profile: GammaProfile | None = None) -> tuple[int, float]:
+    """Replicas per block at depth ``n``, as many as fit BLOCK_VERTICES
+    expected vertices, and the expected vertices of one replica (see
+    ``replica_vertices``)."""
+    expected = replica_vertices(pmf, n, profile)
+    return max(1, int(BLOCK_VERTICES // expected)), expected
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -286,8 +289,7 @@ def _sample_scan(cfg: ExperimentConfig, experiment: str,
     profiles, tasks = [], []
     for n_index, n in enumerate(cfg.n_grid):
         profile = gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None
-        size = block_replicas(cfg.pmf, n, profile)
-        expected = replica_vertices(cfg.pmf, n, profile)
+        size, expected = block_replicas(cfg.pmf, n, profile)
         sampler = None if profile is None else PrunedLawSampler(profile)
         profiles.append(profile)
         # tasks never span depths; the grouping depends on the config alone

@@ -62,22 +62,21 @@ def sample_field(tree: Tree, mode: FieldMode, p: float, rng=None) -> FieldAssign
         return FieldAssignment(tree, mode, h)
     if rng is None:
         raise ValueError("random field modes need a stream")
-    grouped = tree.stream_sizes is not None
+    if hasattr(rng, "random"):  # one stream is a group of one
+        rng = [rng]
+    sizes = tree.generation_sizes()[:, None] if tree.stream_sizes is None else tree.stream_sizes
+    if len(rng) != sizes.shape[1]:
+        raise ValueError("a forest takes one stream per stream it was drawn from")
     if mode is FieldMode.WHOLE_TREE:
-        if grouped:
-            # each stream's draws, split by generation, then laid out
-            # generation by generation in stream order
-            pieces = [np.split(uniforms(stream, int(sizes.sum())), np.cumsum(sizes)[:-1])
-                      for stream, sizes in zip(rng, tree.stream_sizes.T)]
-            u = np.concatenate([piece for generation in zip(*pieces) for piece in generation])
-        else:
-            u = uniforms(rng, tree.num_vertices)
-        np.less(u, p, out=h.view(bool))
+        # generation by generation each stream continues its own draws, so it
+        # covers its own vertices in its own breadth-first order
+        rows = zip(sizes, tree.gen_offsets, tree.gen_offsets[1:])
     elif mode is FieldMode.LEAVES_ONLY:
-        leaves = tree.stream_sizes[-1] if grouped else tree.generation_size(tree.n)
-        np.less(uniforms(rng, leaves), p, out=h[bottom].view(bool))
+        rows = [(sizes[-1], bottom.start, bottom.stop)]
     else:
         raise ValueError(f"unknown field mode {mode!r}")
+    for row, lo, hi in rows:
+        np.less(uniforms(rng, row), p, out=h[lo:hi].view(bool))
     return FieldAssignment(tree, mode, h)
 
 

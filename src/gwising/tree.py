@@ -82,10 +82,10 @@ class Tree:
     over all of its trees at once, one generation slice at a time, and reads
     the root values ``[:num_roots]``.
 
-    A forest drawn from a sequence of streams records ``stream_sizes``:
-    entry [k, i] is the number of generation-k vertices that stream i drew.
-    Each generation holds stream 0's vertices first, then stream 1's, and so
-    on.  It is None for a forest of one stream or one built by hand.
+    A sampled forest records ``stream_sizes``: entry [k, i] is the number of
+    generation-k vertices that stream i drew.  Each generation holds stream
+    0's vertices first, then stream 1's, and so on.  It is None for a tree
+    or forest built from given child counts.
     """
 
     gen_offsets: np.ndarray
@@ -270,16 +270,18 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng,
     Given a sequence of streams and a sequence of root counts, stream i
     draws the trees of its own roots, in the order it would alone, and the
     arena puts its vertices after those of streams 0..i-1 in every
-    generation.  ``max_vertices`` then caps each stream's trees, and the
-    forest records the streams' generation sizes as ``stream_sizes``.
+    generation.  ``max_vertices`` then caps each stream's trees.  The forest
+    records the streams' generation sizes as ``stream_sizes``; one stream is
+    a group of one.
     """
-    grouped = not np.isscalar(roots)
-    group = [int(r) for r in roots] if grouped else [roots]
+    if hasattr(rng, "random"):  # one stream is a group of one
+        rng, roots = [rng], [roots]
+    group = [int(r) for r in roots]
     rows, totals, counts = [group], group, []
     for pmf in pmfs:
-        c = pmf.sample_many(rng, group if grouped else group[0])
+        c = pmf.sample_many(rng, group)
         counts.append(c)
-        group = segment_sums(c, group).tolist() if grouped else [int(c.sum())]
+        group = segment_sums(c, group).tolist()
         rows.append(group)
         totals = [t + g for t, g in zip(totals, group)]
         for i, total in enumerate(totals):
@@ -290,8 +292,6 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng,
     if not counts:
         counts = [np.zeros(sum(rows[0]), dtype=np.int64)]
     tree = Tree.from_offspring_counts(counts)
-    if not grouped:
-        return tree
     return Tree(tree.gen_offsets, tree.num_children, np.array(rows[:tree.n + 1]))
 
 

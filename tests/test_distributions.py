@@ -117,14 +117,14 @@ def sample_many_by_binary_search(pmf, u):
 
 
 class FixedUniforms:
-    """A stand-in stream whose ``random(size)`` returns given uniforms."""
+    """A stand-in stream whose ``random(out=buffer)`` writes given uniforms."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self, size):
-        assert size == len(self.u)
-        return self.u.copy()
+    def random(self, out):
+        assert len(out) == len(self.u)
+        out[:] = self.u
 
 
 def uniforms_at_cut_points(pmf):

@@ -11,7 +11,7 @@ import gwising.experiments
 import gwising.ising
 from gwising import FieldMode, OffspringPmf, capacity_recursion, lyons_field
 from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
-                                 block_replicas, replica_rng, replica_vertices,
+                                 block_replicas, replica_rng,
                                  rows_to_csv,
                                  run_capacity_scan,
                                  run_gamma_scan, run_magnetization_scan,
@@ -128,8 +128,8 @@ def test_block_scans_are_byte_identical_across_workers(mode, method):
     cfg = base_config(mode=mode, method=method, n_grid=(18, 20), replicas=40)
     pruned = method == "pruned" or mode == "capacity"
     for n in cfg.n_grid:
-        size = block_replicas(cfg.pmf, n,
-                              gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None)
+        size, _ = block_replicas(cfg.pmf, n,
+                                 gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None)
         assert 1 < size < cfg.replicas and cfg.replicas % size  # a short last block
 
     outputs = [scan_csv(replace(cfg, workers=workers)) for workers in (1, 2, 3)]
@@ -142,8 +142,7 @@ def depth_tasks(cfg):
     out = []
     for n in cfg.n_grid:
         profile = gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None
-        out.append(gwising.experiments._tasks(cfg.replicas, block_replicas(cfg.pmf, n, profile),
-                                              replica_vertices(cfg.pmf, n, profile)))
+        out.append(gwising.experiments._tasks(cfg.replicas, *block_replicas(cfg.pmf, n, profile)))
     return out
 
 
@@ -228,11 +227,11 @@ def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_gr
 
 def test_block_replicas_examples():
     half12 = base_config().pmf
-    assert block_replicas(half12, 20) == 6       # 2^16 // sum_{k<=20} 1.5^k
-    assert block_replicas(half12, 0) == 2**16
-    assert block_replicas(half12, 20, gamma_profile(half12, 0.5, 20)) == 9
+    assert block_replicas(half12, 20)[0] == 6       # 2^16 // sum_{k<=20} 1.5^k
+    assert block_replicas(half12, 0) == (2**16, 1.0)
+    assert block_replicas(half12, 20, gamma_profile(half12, 0.5, 20))[0] == 9
     # gamma_0 = 1: a surviving draw is nearly a path of 7 vertices
-    assert block_replicas(half12, 6, gamma_profile(half12, 1e-300, 6)) == 9362
+    assert block_replicas(half12, 6, gamma_profile(half12, 1e-300, 6))[0] == 9362
 
 
 @pytest.mark.parametrize("method, n, expected", [("pruned", 70, 1.98e8),
@@ -251,8 +250,8 @@ def test_preflight_rejects_depths_past_the_population_cap(monkeypatch, method, n
         run_magnetization_scan(cfg)
     assert f"{expected:.3g} vertices" in str(caught.value)
     # half12 on this schedule at the depths of the sampling benchmarks
-    assert block_replicas(cfg.pmf, 22) >= 1
-    assert block_replicas(cfg.pmf, 45, gamma_profile(cfg.pmf, cfg.p_n(45), 45)) >= 1
+    assert block_replicas(cfg.pmf, 22)[0] >= 1
+    assert block_replicas(cfg.pmf, 45, gamma_profile(cfg.pmf, cfg.p_n(45), 45))[0] >= 1
     with pytest.raises(ConfigError, match="depth 3000: .* inf vertices"):
         block_replicas(cfg.pmf, 3000)
 
