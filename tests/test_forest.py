@@ -120,6 +120,10 @@ def test_forest_sampler_layout(rng):
     assert forest.num_roots == 7 and forest.n == 4
     assert np.all(forest.parent[:7] == -1) and np.all(forest.parent[7:] >= 0)
     assert forest.leaves_only_at_bottom
+    # a forest of two streams takes two streams for its field
+    pair = sample_gw(HALF123, 3, [np.random.default_rng(i) for i in range(2)], roots=(1, 1))
+    with pytest.raises(ValueError, match="one stream per stream"):
+        sample_field(pair, FieldMode.LEAVES_ONLY, 0.5, rng)
 
 
 @settings(max_examples=60, deadline=None)
