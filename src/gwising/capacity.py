@@ -35,13 +35,18 @@ class CapacityResult:
     converged: bool = True
 
 
-def _vertex_resistances(tree: Tree, base: float) -> np.ndarray:
-    """R_u = base^{-|u|} per vertex, on the edge to its parent (a root keeps
-    R = 1); the one check of the base, which must be finite and positive."""
+def _generation_resistances(tree: Tree, base: float) -> np.ndarray:
+    """R_k = base^{-k} of generation k = 0..n, on the edge to the parent (a
+    root keeps R = 1); the one check of the base, which must be finite and
+    positive."""
     if not 0.0 < base < math.inf:
         raise ValueError(f"resistance base must be finite and positive, got {base}")
-    return np.repeat(float(base) ** -np.arange(tree.n + 1, dtype=float),
-                     tree.generation_sizes())
+    return float(base) ** -np.arange(tree.n + 1, dtype=float)
+
+
+def _vertex_resistances(tree: Tree, base: float) -> np.ndarray:
+    """R_u = base^{-|u|} per vertex (see ``_generation_resistances``)."""
+    return np.repeat(_generation_resistances(tree, base), tree.generation_sizes())
 
 
 def _contraction(phi: np.ndarray, s: float) -> np.ndarray:
@@ -89,21 +94,26 @@ def capacity_recursion(tree: Tree, base: float, p: float) -> CapacityResult:
     if p <= 1:
         raise ValueError("capacity order p must exceed 1")
     s = 1.0 / (p - 1.0)
-    r_vertex = _vertex_resistances(tree, base)
+    r_gen = _generation_resistances(tree, base)
     if tree.num_vertices == 1:
         return CapacityResult(1.0, np.ones(1), None)
     phi = np.zeros(tree.num_vertices)
     phi[tree.num_children == 0] = math.inf
     sentinel = base < 1.0
 
+    def r_of(ids) -> float:
+        # every vertex the sweep passes at once is of one generation k: R_k
+        first = ids.start if isinstance(ids, slice) else ids[0]
+        return r_gen[tree.gen_offsets.searchsorted(first, side="right") - 1]
+
     def combine(sums: np.ndarray, cur: slice) -> np.ndarray:
         degree = tree.num_children[cur]
-        vals = r_vertex[cur] * sums
+        vals = r_of(cur) * sums
         if sentinel and np.any(vals > base * degree * (1 + 1e-9)):
             raise FloatingPointError("phi exceeded the R * degree envelope")
         return np.where(degree > 0, vals, phi[cur])
 
-    tree.sweep_up(phi, lambda child, nxt: _contraction(child, s) / r_vertex[nxt], combine)
+    tree.sweep_up(phi, lambda child, nxt: _contraction(child, s) / r_of(nxt), combine)
     return CapacityResult(float(phi[0]), phi, None)
 
 

@@ -25,7 +25,7 @@ import typing
 import numpy as np
 
 from .distributions import OffspringPmf, json_number
-from .experiments import (ConfigError, ExperimentConfig, rows_to_csv,
+from .experiments import (ConfigError, ExperimentConfig, replica_vertices, rows_to_csv,
                           run_capacity_scan, run_gamma_scan,
                           run_magnetization_scan, run_tv_scan, run_validation)
 from .fields import FieldMode, sample_field, to_dot, prune
@@ -207,6 +207,7 @@ def _run_prune_demo(args, say) -> int:
         raise ConfigError("--pmf must put no mass at 0")
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    replica_vertices(pmf, args.n)  # a too-deep tree fails here, before any sampling
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     tree = sample_gw(pmf, args.n, rng)
     fld = sample_field(tree, FieldMode.LEAVES_ONLY, args.p, rng)

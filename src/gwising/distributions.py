@@ -10,7 +10,6 @@ evaluated without truncation error.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -204,7 +203,7 @@ class OffspringPmf:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_many(self, rng, size) -> np.ndarray:
+    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` i.i.d. draws by inversion with a sequential search: draw i
         takes the degree whose index is the number of cut points
         cum_0 <= ... <= cum_{m-2} at or below its uniform u_i.
@@ -212,13 +211,9 @@ class OffspringPmf:
         That is the index a binary search ``searchsorted(cum, u, side="right")``
         finds, so the draws are the same; counting costs one pass over the
         draws per cut point, which is cheaper on small supports.  Consumes
-        exactly ``size`` uniforms, one per draw, before anything else.  Given
-        a sequence of streams and one size each, each stream consumes its own
-        uniforms (see ``uniforms``) and one pass maps them all, stream after
-        stream.
+        exactly ``size`` uniforms, one per draw, before anything else.
         """
-        u = uniforms(rng, size)
-        size = len(u)
+        u = rng.random(size)
         cuts = self._cuts
         if not cuts:
             return np.full(size, self.degrees[0])
@@ -247,19 +242,6 @@ class OffspringPmf:
         pairs = [(json_number(int, d), json_number(float, p)) for d, p in data["entries"]]
         return cls(np.array([d for d, _ in pairs], dtype=np.int64),
                    np.array([p for _, p in pairs], dtype=np.float64))
-
-
-def uniforms(rng, size) -> np.ndarray:
-    """``size`` uniforms on [0, 1) from the stream ``rng``.  Given a sequence
-    of streams and a sequence of sizes, one buffer holds each stream's own
-    draws in turn: the draws of a stream are those it would give alone."""
-    if hasattr(rng, "random"):  # one stream is a group of one
-        rng, size = [rng], [size]
-    ends = list(itertools.accumulate(size, initial=0))
-    u = np.empty(ends[-1])
-    for stream, lo, hi in zip(rng, ends, ends[1:]):
-        stream.random(out=u[lo:hi])
-    return u
 
 
 def json_number(kind: type, value):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import uniforms
 from .tree import Tree, segment_sums
 
 
@@ -42,16 +41,14 @@ class FieldAssignment:
         return self.h[lo:hi]
 
 
-def sample_field(tree: Tree, mode: FieldMode, p: float, rng=None) -> FieldAssignment:
+def sample_field(tree: Tree, mode: FieldMode, p: float,
+                 rng: np.random.Generator | None = None) -> FieldAssignment:
     """Independent Bernoulli(p) bits on the mode's vertex set, zeros elsewhere.
 
-    One stream draws the bits of the whole arena in breadth-first order.  A
-    forest drawn from a sequence of streams takes that same sequence: each
-    stream draws the bits of its own vertices in the mode's set, in its own
-    breadth-first order.  Where its trees reach the forest's depth, these
-    are the bits it would draw for them alone.  PLUS_BOUNDARY is the
-    degenerate all-ones-on-leaves field; it ignores both ``p`` and the
-    stream.
+    The stream draws one uniform per vertex of the set, in breadth-first
+    order: the whole arena for WHOLE_TREE, the bottom generation for
+    LEAVES_ONLY.  PLUS_BOUNDARY is the degenerate all-ones-on-leaves field;
+    it ignores both ``p`` and the stream.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("field probability must lie in [0, 1]")
@@ -62,21 +59,13 @@ def sample_field(tree: Tree, mode: FieldMode, p: float, rng=None) -> FieldAssign
         return FieldAssignment(tree, mode, h)
     if rng is None:
         raise ValueError("random field modes need a stream")
-    if hasattr(rng, "random"):  # one stream is a group of one
-        rng = [rng]
-    sizes = tree.generation_sizes()[:, None] if tree.stream_sizes is None else tree.stream_sizes
-    if len(rng) != sizes.shape[1]:
-        raise ValueError("a forest takes one stream per stream it was drawn from")
     if mode is FieldMode.WHOLE_TREE:
-        # generation by generation each stream continues its own draws, so it
-        # covers its own vertices in its own breadth-first order
-        rows = zip(sizes, tree.gen_offsets, tree.gen_offsets[1:])
+        bits = slice(0, tree.num_vertices)
     elif mode is FieldMode.LEAVES_ONLY:
-        rows = [(sizes[-1], bottom.start, bottom.stop)]
+        bits = bottom
     else:
         raise ValueError(f"unknown field mode {mode!r}")
-    for row, lo, hi in rows:
-        np.less(uniforms(rng, row), p, out=h[lo:hi].view(bool))
+    np.less(rng.random(bits.stop - bits.start), p, out=h[bits].view(bool))
     return FieldAssignment(tree, mode, h)
 
 

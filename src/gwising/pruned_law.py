@@ -253,11 +253,9 @@ class PrunedLawSampler:
         self.profile = profile
         profile.laws  # built now, so pool tasks receive the table, not rebuild it
 
-    def sample(self, rng, roots=1) -> Tree:
+    def sample(self, rng: np.random.Generator, roots: int = 1) -> Tree:
         """A forest of ``roots`` independent surviving pruned trees, one
-        ``sample_many`` per generation for all of them; replica i is root i.
-        ``rng`` and ``roots`` may be sequences, as in
-        ``sample_inhomogeneous_bp``."""
+        ``sample_many`` per generation for all of them; replica i is root i."""
         return sample_inhomogeneous_bp(self.profile.laws, rng, roots=roots)
 
 

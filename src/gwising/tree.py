@@ -5,7 +5,9 @@ contiguous slice.  Children of consecutive vertices are themselves
 consecutive, so per-parent aggregation reduces to segment sums, and every
 leaf-to-root recursion in the package is one call of ``Tree.sweep_up``: a
 linear sweep over generation slices (no call stack, depths up to 10^4 are
-fine).
+fine).  A sampler draws a tree, or a forest of independent trees, from one
+stream into one arena, one generation at a time; the population cap bounds
+that whole arena.
 
 The sweep skips the children that hold exactly 0 while fewer than half of
 their generation hold anything else, with the dense sweep's result bit for
@@ -81,21 +83,14 @@ class Tree:
     counts.  A forest holds its roots as generation 0; every sweep then runs
     over all of its trees at once, one generation slice at a time, and reads
     the root values ``[:num_roots]``.
-
-    A sampled forest records ``stream_sizes``: entry [k, i] is the number of
-    generation-k vertices that stream i drew.  Each generation holds stream
-    0's vertices first, then stream 1's, and so on.  It is None for a tree
-    or forest built from given child counts.
     """
 
     gen_offsets: np.ndarray
     num_children: np.ndarray
-    stream_sizes: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.gen_offsets, self.num_children, self.stream_sizes):
-            if arr is not None:
-                arr.setflags(write=False)
+        for arr in (self.gen_offsets, self.num_children):
+            arr.setflags(write=False)
 
     @cached_property
     def parent(self) -> np.ndarray:
@@ -242,10 +237,10 @@ class Tree:
         return hash((self.n, self.parent.tobytes()))
 
 
-def sample_gw(pmf: OffspringPmf, n: int, rng, max_vertices: int = DEFAULT_POPULATION_CAP,
-              roots=1) -> Tree:
+def sample_gw(pmf: OffspringPmf, n: int, rng: np.random.Generator,
+              max_vertices: int = DEFAULT_POPULATION_CAP, roots: int = 1) -> Tree:
     """Galton-Watson tree of depth exactly ``n``, or a forest of ``roots``
-    independent ones; ``rng`` and ``roots`` as in ``sample_inhomogeneous_bp``.
+    independent ones, drawn from the stream ``rng``.
 
     Requires a pmf with no mass at 0, so that every vertex above the bottom
     generation has at least one child and every tree reaches depth ``n``
@@ -256,9 +251,9 @@ def sample_gw(pmf: OffspringPmf, n: int, rng, max_vertices: int = DEFAULT_POPULA
     return sample_inhomogeneous_bp([pmf] * n, rng, max_vertices, roots)
 
 
-def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng,
+def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
                             max_vertices: int = DEFAULT_POPULATION_CAP,
-                            roots=1) -> Tree:
+                            roots: int = 1) -> Tree:
     """Branching process where ``pmfs[k]`` governs vertices at depth k, started
     from ``roots`` independent roots drawn from the stream ``rng``.
 
@@ -266,33 +261,23 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng,
     arena order.  The arena has depth at most ``len(pmfs)``; it is shallower
     only if some law permits zero children and a whole generation dies out.
     ``max_vertices`` caps the whole arena.
-
-    Given a sequence of streams and a sequence of root counts, stream i
-    draws the trees of its own roots, in the order it would alone, and the
-    arena puts its vertices after those of streams 0..i-1 in every
-    generation.  ``max_vertices`` then caps each stream's trees.  The forest
-    records the streams' generation sizes as ``stream_sizes``; one stream is
-    a group of one.
     """
-    if hasattr(rng, "random"):  # one stream is a group of one
-        rng, roots = [rng], [roots]
-    group = [int(r) for r in roots]
-    rows, totals, counts = [group], group, []
+    counts = []
+    size = total = roots
+    sizes = [roots]
     for pmf in pmfs:
-        c = pmf.sample_many(rng, group)
+        c = pmf.sample_many(rng, size)
         counts.append(c)
-        group = segment_sums(c, group).tolist()
-        rows.append(group)
-        totals = [t + g for t, g in zip(totals, group)]
-        for i, total in enumerate(totals):
-            if total > max_vertices:
-                raise PopulationCapError(max_vertices, [row[i] for row in rows])
-        if not any(group):
+        size = int(c.sum())
+        total += size
+        sizes.append(size)
+        if total > max_vertices:
+            raise PopulationCapError(max_vertices, sizes)
+        if size == 0:
             break
     if not counts:
-        counts = [np.zeros(sum(rows[0]), dtype=np.int64)]
-    tree = Tree.from_offspring_counts(counts)
-    return Tree(tree.gen_offsets, tree.num_children, np.array(rows[:tree.n + 1]))
+        counts = [np.zeros(roots, dtype=np.int64)]
+    return Tree.from_offspring_counts(counts)
 
 
 def leaf_counts(tree: Tree) -> np.ndarray:

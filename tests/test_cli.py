@@ -355,7 +355,8 @@ def test_prune_demo_outputs_and_round_trip(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", [["--p", "0"], ["--p", "1.5"], ["--p", "nan"],
                                       ["--pmf", "0:0.5,2:0.5"], ["--n", "-3"],
-                                      ["--seed", "-1"]])
+                                      ["--seed", "-1"],
+                                      ["--n", "27"]])  # past the population cap
 def test_prune_demo_bad_arguments_exit_2(tmp_path, capsys, override):
     args = {"--pmf": "dirac2", "--n": "6", "--p": "0.3", **dict([override])}
     code = parse_and_dispatch(["--quiet", "prune-demo", *itertools.chain(*args.items()),

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import warnings
@@ -11,8 +10,7 @@ import gwising.experiments
 import gwising.ising
 from gwising import FieldMode, OffspringPmf, capacity_recursion, lyons_field
 from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
-                                 block_replicas, replica_rng,
-                                 rows_to_csv,
+                                 block_replicas, replica_rng, rows_to_csv,
                                  run_capacity_scan,
                                  run_gamma_scan, run_magnetization_scan,
                                  run_tv_scan, run_validation,
@@ -20,7 +18,7 @@ from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
                                  wilson_interval)
 from gwising.fields import FieldAssignment, prune
 from gwising.pruned_law import gamma_profile
-from gwising.tree import PopulationCapError, enumerate_trees
+from gwising.tree import enumerate_trees
 
 # the bound on |z| between two estimates of one mean, as the benchmark's
 # direct-vs-pruned check (bench/workloads.py) uses it
@@ -121,82 +119,33 @@ def scan_csv(cfg):
     return rows_to_csv(out["rows"]) + rows_to_csv(out["summary"])
 
 
-@pytest.mark.parametrize("mode,method", [("magnetization", "direct"),
-                                         ("magnetization", "pruned"),
-                                         ("capacity", "direct")])
-def test_block_scans_are_byte_identical_across_workers(mode, method):
-    cfg = base_config(mode=mode, method=method, n_grid=(18, 20), replicas=40)
+@pytest.mark.parametrize("mode,method,field_mode", [
+    pytest.param("magnetization", "direct", FieldMode.LEAVES_ONLY, id="magnetization-direct"),
+    pytest.param("magnetization", "direct", FieldMode.WHOLE_TREE,
+                 id="magnetization-direct-whole_tree"),
+    pytest.param("magnetization", "pruned", FieldMode.LEAVES_ONLY, id="magnetization-pruned"),
+    pytest.param("capacity", "direct", FieldMode.LEAVES_ONLY, id="capacity-direct"),
+])
+def test_block_scans_are_byte_identical_across_workers(mode, method, field_mode):
+    cfg = base_config(mode=mode, method=method, field_mode=field_mode, n_grid=(18, 20),
+                      replicas=50)
     pruned = method == "pruned" or mode == "capacity"
     for n in cfg.n_grid:
-        size, _ = block_replicas(cfg.pmf, n,
-                                 gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None)
+        size = block_replicas(cfg.pmf, n,
+                              gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None)
         assert 1 < size < cfg.replicas and cfg.replicas % size  # a short last block
 
     outputs = [scan_csv(replace(cfg, workers=workers)) for workers in (1, 2, 3)]
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def depth_tasks(cfg):
-    """The tasks of each depth, as (first block, roots per block)."""
-    pruned = cfg.method == "pruned" or cfg.mode == "capacity"
-    out = []
-    for n in cfg.n_grid:
-        profile = gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None
-        out.append(gwising.experiments._tasks(cfg.replicas, *block_replicas(cfg.pmf, n, profile)))
-    return out
-
-
-@pytest.mark.parametrize("overrides", [
-    dict(n_grid=(18, 22), replicas=26),
-    dict(n_grid=(18, 22), replicas=26, field_mode=FieldMode.WHOLE_TREE),
-    dict(n_grid=(26, 30), replicas=25, method="pruned"),
-    dict(n_grid=(26, 30), replicas=25, mode="capacity"),
-])
-def test_task_grouping_keeps_the_bytes(monkeypatch, overrides):
-    cfg = base_config(beta=math.atanh(0.8), schedule=PSchedule("threshold", 1.0),
-                      **overrides)
-    tasks = depth_tasks(cfg)
-    # tasks of two or more blocks, and a short last block in one of them
-    assert all(len(roots) >= 2 for depth in tasks for _, roots in depth[:-1])
-    assert any(len(depth[-1][1]) >= 2 and depth[-1][1][-1] < depth[-1][1][0]
-               for depth in tasks)
-    grouped = [scan_csv(replace(cfg, workers=workers)) for workers in (1, 2, 3)]
-    monkeypatch.setattr(gwising.experiments, "TASK_VERTICES", 1)  # one block per task
-    assert all(len(roots) == 1 for depth in depth_tasks(cfg) for _, roots in depth)
-    assert grouped == [scan_csv(cfg)] * 3
-
-
-def test_population_cap_holds_per_block_within_a_task(monkeypatch):
-    cfg = base_config(beta=math.atanh(0.8), schedule=PSchedule("threshold", 1.0),
-                      n_grid=(22,), replicas=6, master_seed=3)
-    [[(first, roots)]] = depth_tasks(cfg)
-    assert first == 0 and roots == (2, 2, 2)
-    sizes = [gwising.tree.sample_gw(cfg.pmf, 22, replica_rng(3, 1, 0, block),
-                                    roots=count).num_vertices
-             for block, count in enumerate(roots)]
-    assert sizes[1] > sizes[0]
-    uncapped = rows_to_csv(run_magnetization_scan(cfg))
-
-    def run_with_cap(cap):
-        monkeypatch.setattr(gwising.experiments, "sample_gw",
-                            functools.partial(gwising.tree.sample_gw, max_vertices=cap))
-        return rows_to_csv(run_magnetization_scan(cfg))
-
-    # the second block alone exceeds the cap: the task raises, as that block would
-    with pytest.raises(PopulationCapError):
-        run_with_cap(sizes[0])
-    # the cap bounds each block, not the task's forest
-    assert sum(sizes) > max(sizes)
-    assert run_with_cap(max(sizes)) == uncapped
-
-
 @pytest.mark.parametrize("workers, cpus, n_grid, pool", [
-    (2000, 64, (3, 4, 5, 6, 7, 8), 6),  # one process per task at most
+    (2000, 64, (3, 4, 5, 6, 7, 8), 6),  # one process per block at most
     (2000, 4, (3, 4, 5, 6, 7, 8), 4),   # and one per CPU
     (3, 64, (3, 4, 5, 6, 7, 8), 3),
     (2, 2, (3, 4, 5, 6, 7, 8), 2),
     (2000, None, (3, 4, 5, 6, 7, 8), None),  # CPU count unknown: in process
-    (2000, 64, (3,), None),                  # one task: in process
+    (2000, 64, (3,), None),                  # one block: in process
 ])
 def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_grid, pool):
     sizes = []
@@ -219,7 +168,7 @@ def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_gr
 
     monkeypatch.setattr(gwising.experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(gwising.experiments.os, "cpu_count", lambda: cpus)
-    cfg = base_config(n_grid=n_grid, replicas=1)  # one block, so one task, per depth
+    cfg = base_config(n_grid=n_grid, replicas=1)  # one block per depth
     rows = run_magnetization_scan(replace(cfg, workers=workers))
     assert sizes == ([] if pool is None else [pool])
     assert rows_to_csv(rows) == rows_to_csv(run_magnetization_scan(cfg))
@@ -227,11 +176,11 @@ def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_gr
 
 def test_block_replicas_examples():
     half12 = base_config().pmf
-    assert block_replicas(half12, 20)[0] == 6       # 2^16 // sum_{k<=20} 1.5^k
-    assert block_replicas(half12, 0) == (2**16, 1.0)
-    assert block_replicas(half12, 20, gamma_profile(half12, 0.5, 20))[0] == 9
+    assert block_replicas(half12, 20) == 15         # 150,000 // sum_{k<=20} 1.5^k
+    assert block_replicas(half12, 0) == 150_000
+    assert block_replicas(half12, 20, gamma_profile(half12, 0.5, 20)) == 21
     # gamma_0 = 1: a surviving draw is nearly a path of 7 vertices
-    assert block_replicas(half12, 6, gamma_profile(half12, 1e-300, 6))[0] == 9362
+    assert block_replicas(half12, 6, gamma_profile(half12, 1e-300, 6)) == 21428
 
 
 @pytest.mark.parametrize("method, n, expected", [("pruned", 70, 1.98e8),
@@ -243,15 +192,15 @@ def test_preflight_rejects_depths_past_the_population_cap(monkeypatch, method, n
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a replica")
 
-    monkeypatch.setattr(gwising.experiments, "_sample_task", no_sampling)
+    monkeypatch.setattr(gwising.experiments, "_sample_block", no_sampling)
     cfg = base_config(beta=math.atanh(0.8), schedule=PSchedule("threshold", 1.0),
                       n_grid=(n,), method=method)
     with pytest.raises(ConfigError, match=f"depth {n}: ") as caught:
         run_magnetization_scan(cfg)
     assert f"{expected:.3g} vertices" in str(caught.value)
     # half12 on this schedule at the depths of the sampling benchmarks
-    assert block_replicas(cfg.pmf, 22)[0] >= 1
-    assert block_replicas(cfg.pmf, 45, gamma_profile(cfg.pmf, cfg.p_n(45), 45))[0] >= 1
+    assert block_replicas(cfg.pmf, 22) >= 1
+    assert block_replicas(cfg.pmf, 45, gamma_profile(cfg.pmf, cfg.p_n(45), 45)) >= 1
     with pytest.raises(ConfigError, match="depth 3000: .* inf vertices"):
         block_replicas(cfg.pmf, 3000)
 
