@@ -23,7 +23,7 @@ binary = Tree.from_offspring_counts([np.array([2]), np.array([2, 2])])
 unit = 1.0  # resistance base: R_u = 1 at every depth
 print("binary depth 2, p = 2:")
 print("  recursion:  ", capacity_recursion(binary, unit, 2.0).capacity)
-print("  closed form:", capacity_spherical([2, 4], [1.0, 1.0], 2.0))
+print("  closed form:", capacity_spherical([2, 4], unit, 2.0))
 print("  flow oracle:", capacity_bruteforce(binary, unit, 2.0).capacity)
 
 # Thomson's principle: every unit flow upper-bounds the resistance; the

@@ -3,10 +3,12 @@
 The p-resistance between root and leaves is the Thomson variational value
 inf over unit flows of sum_u R_u^s theta(u)^q (u over non-root vertices,
 s = 1/(p-1), q = p/(p-1)), raised to the power p-1; the p-capacity is its
-inverse.  Three independent routes are provided: the exact leaf-to-root
-recursion, the closed form for spherically symmetric trees, and a direct
-convex minimization over flows used as an oracle.  The conjugate exponent q
-is always derived from p, never passed separately.
+inverse.  Every function takes the base R; as R_u / R_v = R on every edge,
+the recursion is phi(u) = R sum_children contraction(phi(v)).  Three
+independent routes are provided: that exact leaf-to-root recursion, the
+closed form for spherically symmetric trees (generations in series), and a
+direct convex minimization over flows used as an oracle.  The conjugate
+exponent q is always derived from p, never passed separately.
 """
 
 from __future__ import annotations
@@ -35,18 +37,17 @@ class CapacityResult:
     converged: bool = True
 
 
-def _generation_resistances(tree: Tree, base: float) -> np.ndarray:
-    """R_k = base^{-k} of generation k = 0..n, on the edge to the parent (a
-    root keeps R = 1); the one check of the base, which must be finite and
-    positive."""
+def _checked_base(base: float) -> float:
+    """The one check of a resistance base, which must be finite and positive."""
     if not 0.0 < base < math.inf:
         raise ValueError(f"resistance base must be finite and positive, got {base}")
-    return float(base) ** -np.arange(tree.n + 1, dtype=float)
+    return float(base)
 
 
 def _vertex_resistances(tree: Tree, base: float) -> np.ndarray:
-    """R_u = base^{-|u|} per vertex (see ``_generation_resistances``)."""
-    return np.repeat(_generation_resistances(tree, base), tree.generation_sizes())
+    """R_u = base^{-|u|} per vertex (a root keeps R = 1), for the flow oracles."""
+    r_gen = _checked_base(base) ** -np.arange(tree.n + 1, dtype=float)
+    return np.repeat(r_gen, tree.generation_sizes())
 
 
 def _contraction(phi: np.ndarray, s: float) -> np.ndarray:
@@ -67,67 +68,65 @@ def _contraction(phi: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _power_sum_root(x: np.ndarray, e: float, s: float) -> float:
-    """(sum_k x_k^e)^{-1/s} for positive x_k and e = s or e = -s.
+def _series_capacity(sizes: np.ndarray, base: float, p: float) -> float:
+    """(sum_k g_k^{-s})^{-1/s} over the conductances g_k = base^k |t_k| of
+    generations k = 1..n in series, with |t_k| = ``sizes[k-1]``.
 
-    Where the plain power sum overflows or underflows to 0, the extreme term
-    is factored out of it: sum_k x_k^e = m^e sum_k (x_k / m)^e, with m the
-    x_k of the largest term, so the result is m^{-e/s} = 1/m (e = s) or m
-    (e = -s) times the root of a sum between 1 and the term count."""
+    Where the plain power sum overflows or underflows to 0, the smallest
+    conductance m is factored out of it: sum_k g_k^{-s} = m^{-s} sum_k
+    (g_k / m)^{-s}, so the result is m times the root of a sum between 1 and
+    the term count (a ratio that overflows is a term of 0)."""
+    s = 1.0 / (p - 1.0)
+    g = _checked_base(base) ** np.arange(1, len(sizes) + 1, dtype=float) * sizes
+    m = g.min()
     with np.errstate(over="ignore"):
-        total = np.sum(x ** e)
-    m = x.max() if e > 0 else x.min()
-    if 0.0 < total < math.inf or not 0.0 < m < math.inf:
-        return float(total ** (-1.0 / s))
-    return float((1.0 / m if e > 0 else m) * np.sum((x / m) ** e) ** (-1.0 / s))
+        total = np.sum(g ** -s)
+        if 0.0 < total < math.inf or not 0.0 < m < math.inf:
+            return float(total ** (-1.0 / s))
+        return float(m * np.sum((g / m) ** -s) ** (-1.0 / s))
 
 
 def capacity_recursion(tree: Tree, base: float, p: float) -> CapacityResult:
     """Exact p-capacity by the leaf-to-root recursion
-    phi(u) = sum_children (R_u / R_v) phi(v) / (1 + phi(v)^s)^{1/s}.
+    phi(u) = R sum_children contraction(phi(v)), R = ``base``.
 
-    Leaves are perfect boundary contacts: their contraction factor is exactly
-    1, which reproduces the Thomson value on every tree with at least one
-    edge.  The degenerate single-vertex tree returns capacity 1 (root at unit
-    resistance from the boundary, the same convention that sets R_root = 1).
+    R = R_u / R_v is the same on every edge, so each step is one product and
+    phi stays in the double range at any depth.  Leaves are perfect boundary
+    contacts: their contraction factor is exactly 1, which reproduces the
+    Thomson value on every tree with at least one edge.  The degenerate
+    single-vertex tree returns capacity 1 (root at unit resistance from the
+    boundary, the same convention that sets R_root = 1).
     """
     if p <= 1:
         raise ValueError("capacity order p must exceed 1")
     s = 1.0 / (p - 1.0)
-    r_gen = _generation_resistances(tree, base)
+    base = _checked_base(base)
     if tree.num_vertices == 1:
         return CapacityResult(1.0, np.ones(1), None)
     phi = np.zeros(tree.num_vertices)
     phi[tree.num_children == 0] = math.inf
-    sentinel = base < 1.0
-
-    def r_of(ids) -> float:
-        # every vertex the sweep passes at once is of one generation k: R_k
-        first = ids.start if isinstance(ids, slice) else ids[0]
-        return r_gen[tree.gen_offsets.searchsorted(first, side="right") - 1]
 
     def combine(sums: np.ndarray, cur: slice) -> np.ndarray:
         degree = tree.num_children[cur]
-        vals = r_of(cur) * sums
-        if sentinel and np.any(vals > base * degree * (1 + 1e-9)):
+        # every contraction is at most 1
+        if np.any(sums > degree * (1 + 1e-9)):
             raise FloatingPointError("phi exceeded the R * degree envelope")
-        return np.where(degree > 0, vals, phi[cur])
+        return np.where(degree > 0, base * sums, phi[cur])
 
-    tree.sweep_up(phi, lambda child, nxt: _contraction(child, s) / r_of(nxt), combine)
+    tree.sweep_up(phi, lambda child, nxt: _contraction(child, s), combine)
     return CapacityResult(float(phi[0]), phi, None)
 
 
-def capacity_spherical(generation_sizes, resistances, p: float) -> float:
-    """Closed form for spherically symmetric trees:
-    (sum_k (R_k / |t_k|)^{1/(p-1)})^{-(p-1)} over generations k = 1..n."""
+def capacity_spherical(generation_sizes, base: float, p: float) -> float:
+    """Closed form for spherically symmetric trees with resistances
+    base^{-k}: generations k = 1..n in series,
+    (sum_k (base^k |t_k|)^{-s})^{-1/s} with s = 1/(p-1)."""
     sizes = np.asarray(generation_sizes, dtype=float)
-    r_k = np.asarray(resistances, dtype=float)
-    if sizes.shape != r_k.shape or sizes.ndim != 1 or sizes.size == 0:
-        raise ValueError("need matching per-generation sizes and resistances")
+    if sizes.ndim != 1 or sizes.size == 0:
+        raise ValueError("need a list of generation sizes")
     if np.any(sizes[1:] % sizes[:-1]) or sizes[0] < 1:
         raise ValueError("generation sizes must be successively divisible")
-    s = 1.0 / (p - 1.0)
-    return _power_sum_root(r_k / sizes, s, s)
+    return _series_capacity(sizes, base, p)
 
 
 def uniform_flow(tree: Tree) -> np.ndarray:
@@ -301,13 +300,11 @@ def capacity_bruteforce(tree: Tree, base: float, p: float) -> CapacityResult:
 def expected_capacity_upper(m_0k, resistance_base: float, p: float) -> float:
     """Mean-capacity upper bound (sum_{k=1}^n (R^k M_{0,k})^{-s})^{-1/s} for a
     branching process with mean generation sizes ``m_0k`` (k = 1..n) and
-    geometric resistances R^{-k}."""
+    geometric resistances R^{-k}: the series closed form on mean sizes."""
     m = np.asarray(m_0k, dtype=float)
     if np.any(m <= 0):
         raise ValueError("mean generation sizes must be positive")
-    s = 1.0 / (p - 1.0)
-    k = np.arange(1, len(m) + 1, dtype=float)
-    return _power_sum_root(resistance_base ** k * m, -s, s)
+    return _series_capacity(m, resistance_base, p)
 
 
 def alpha_n(beta: float, nu: float, p_n: float, n: int, p: float) -> float:

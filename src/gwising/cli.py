@@ -78,7 +78,8 @@ def load_config(path: str, seed_override: int | None = None,
     unknown = set(data) - set(_KEY_FIELDS) - {"schema_version"}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    if data.pop("schema_version", None) != 1:
+    version = data.pop("schema_version", None)
+    if type(version) is not int or version != 1:
         raise ConfigError("config must declare schema_version 1")
     missing = _REQUIRED_KEYS - set(data)
     if missing:

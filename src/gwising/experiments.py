@@ -339,7 +339,8 @@ def run_capacity_scan(cfg: ExperimentConfig) -> dict:
         summary.append({
             "n": n, "p_n": p_n, "replicas": cfg.replicas,
             "mean_capacity": w * float(values.mean()),
-            "se_capacity": w * _standard_error(values),
+            # from the O(1) ratios: subnormal capacities would square to 0
+            "se_capacity": a_n * _standard_error(ratios),
             "alpha_n": a_n,
             "mean_capacity_bound": w * bound,
             "ratio_p05": float(np.quantile(ratios, 0.05)),

@@ -55,8 +55,8 @@ OUTPUT_DIGESTS = {
         "magnetization.csv": "9f73fb1595689f0755ad7b085d74f1ac250cf81a067b861f6c9bfc593f77d4aa"
     },
     "capacity": {
-        "capacity.csv": "39d1d6e00bc27d475f19c73f33c3aa1dd4710f94b8c20e2ca49d952bc5d29e36",
-        "capacity_summary.csv": "cbc6833ff31c2c7cdae5d71ca06d766eb7549860fd54d1f56ab43454136b4e5e"
+        "capacity.csv": "9b5a1ec69064bc0652f28fc310a48e6e4ba385d5e9f87d2a2d8e5939feddc7ea",
+        "capacity_summary.csv": "ae338ecdb7314e7909156d5f0ddea7231f468e2c1e3a4c10508f8fb246d274d6"
     },
     "gamma": {
         "gamma_bounds.csv": "73d8e4bd696df67a895a6daf0bdfd7849a93e77333351b6c076c746883a350ab",

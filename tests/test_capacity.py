@@ -74,16 +74,31 @@ def test_recursion_path_series_law(edges):
     assert out.capacity == pytest.approx(1.0 / edges, rel=1e-14)
 
 
+def test_recursion_on_a_path_deeper_than_the_resistance_range():
+    # base^{-n} overflows a double at n = 3,200, base 0.8; the capacity
+    # 0.8^n (sum_{j<n} 0.8^{2j})^{-1/2} at p = 3/2 is subnormal
+    n = 3200
+    exact = 0.8**n * math.fsum(0.8 ** (2 * j) for j in range(n)) ** -0.5
+    assert exact == pytest.approx(4.6356391776287e-311, rel=1e-12)
+    assert capacity_recursion(path_tree(n), 0.8, 1.5).capacity == pytest.approx(exact, rel=1e-9)
+
+
 def test_recursion_binary_depth2():
     out = capacity_recursion(regular_tree(2, 2), 1.0, 2.0)
     assert out.capacity == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
 def test_spherical_examples():
-    assert capacity_spherical([5], [1.0], 2.0) == pytest.approx(5.0)
-    assert capacity_spherical([2, 4], [1.0, 1.0], 2.0) == pytest.approx(4.0 / 3.0)
+    assert capacity_spherical([5], 1.0, 2.0) == pytest.approx(5.0)
+    assert capacity_spherical([2, 4], 1.0, 2.0) == pytest.approx(4.0 / 3.0)
     with pytest.raises(ValueError):
-        capacity_spherical([2, 3], [1.0, 1.0], 2.0)  # 3 not divisible by 2
+        capacity_spherical([2, 3], 1.0, 2.0)  # 3 not divisible by 2
+    for sizes in ([], 4):
+        with pytest.raises(ValueError, match="list of generation sizes"):
+            capacity_spherical(sizes, 1.0, 2.0)
+    for base in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="resistance base"):
+            capacity_spherical([2, 4], base, 2.0)
 
 
 @pytest.mark.parametrize("degree", [2, 3])
@@ -93,8 +108,7 @@ def test_spherical_matches_recursion_on_regular_trees(degree, base, p):
     depth = 8 if degree == 2 else 6
     t = regular_tree(degree, depth)
     sizes = [degree**k for k in range(1, depth + 1)]
-    r_k = [base ** -k for k in range(1, depth + 1)]
-    closed = capacity_spherical(sizes, r_k, p)
+    closed = capacity_spherical(sizes, base, p)
     assert capacity_recursion(t, base, p).capacity == pytest.approx(closed, rel=1e-10)
 
 
@@ -102,9 +116,8 @@ def test_spherical_binary_depth3_ising_weights():
     base = math.tanh(0.8)
     t = regular_tree(2, 3)
     sizes = [2, 4, 8]
-    r_k = [base**-1, base**-2, base**-3]
     assert capacity_recursion(t, base, 1.5).capacity == pytest.approx(
-        capacity_spherical(sizes, r_k, 1.5), rel=1e-10)
+        capacity_spherical(sizes, base, 1.5), rel=1e-10)
 
 
 def test_uniform_flow_examples():
@@ -265,8 +278,7 @@ def test_path_capacity_as_p_tends_to_one(p):
     s = 1.0 / (p - 1.0)
     exact = 0.8**10 * math.fsum(0.8 ** (j * s) for j in range(10)) ** (-1.0 / s)
     assert capacity_recursion(path_tree(10), 0.8, p).capacity == pytest.approx(exact, rel=1e-12)
-    r_k = 0.8 ** -np.arange(1.0, 11.0)
-    assert capacity_spherical(np.ones(10), r_k, p) == pytest.approx(exact, rel=1e-12)
+    assert capacity_spherical(np.ones(10), 0.8, p) == pytest.approx(exact, rel=1e-12)
     # the bound's power sum underflows to 0: its limit is min_k R^k M_{0,k}
     m = 1.5 ** np.arange(1, 23)
     assert expected_capacity_upper(m, 0.8, p) == pytest.approx(

@@ -75,6 +75,18 @@ def test_load_config_requires_schema_version(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+def test_schema_version_must_be_the_json_integer_1(tmp_path, capsys, version):
+    # True == 1 == 1.0 in Python, but only the JSON integer 1 declares the schema
+    cfg = write_config(tmp_path / "c.json", schema_version=version, mode="gamma",
+                       replicas=1, n_grid=[4])
+    with pytest.raises(ConfigError, match="must declare schema_version 1"):
+        load_config(cfg)
+    assert parse_and_dispatch(["--quiet", "gamma-profile", "--config", cfg,
+                               "--out", str(tmp_path / "out")]) == 2
+    assert "schema_version" in capsys.readouterr().err
+
+
 def test_load_config_reports_json_line(tmp_path):
     path = tmp_path / "c.json"
     path.write_text("{\n  broken\n}")
@@ -297,6 +309,27 @@ def test_capacity_scan_columns(tmp_path, capsys):
                                "--out", str(out)]) == 0
     header = (out / "capacity.csv").read_text().splitlines()[0]
     assert header == "n,p_n,replica,capacity_p,alpha_n,ratio"
+    capsys.readouterr()
+
+
+def test_capacity_scan_on_a_deep_tree_stays_finite(tmp_path, capsys):
+    # at n = 1030 and tanh(beta) = 1/2, base^{-n} overflows a double; the
+    # capacities and alpha_n = 6.6e-310 are subnormal.  A RuntimeWarning from
+    # the package is an error here (pyproject.toml), so it would exit 3.
+    cfg = write_config(tmp_path / "c.json", mode="capacity", replicas=4, n_grid=[1030],
+                       beta=0.5493061443340549,
+                       p_schedule={"kind": "geometric", "c": 1.5**5, "lam": 2 / 3})
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["--quiet", "capacity-scan", "--config", cfg,
+                               "--out", str(out)]) == 0
+    with open(out / "capacity.csv") as rows, open(out / "capacity_summary.csv") as summary:
+        values = [float(row[key]) for row in csv.DictReader(rows)
+                  for key in ("capacity_p", "ratio")]
+        values += [float(row[key]) for row in csv.DictReader(summary)
+                   for key in ("mean_capacity", "se_capacity", "mean_capacity_bound",
+                               "ratio_p05", "ratio_p50", "ratio_p95")]
+    assert len(values) == 14
+    assert all(0.0 < value < math.inf for value in values)
     capsys.readouterr()
 
 
