@@ -19,7 +19,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 import typing
 
 import numpy as np
@@ -51,9 +50,14 @@ def _from_json(kind, value):
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to a fresh temporary file beside ``path`` and rename it
+    onto ``path``; the file gets the mode ``open(path, "w")`` would give."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-gwising-")
+    tmp = os.path.join(directory, f".tmp-gwising-{os.getpid()}-{os.urandom(8).hex()}")
+    # O_BINARY (Windows only): newlines are translated once, by the text layer
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
+                 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -62,6 +66,18 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _check_out_dir(out: str) -> None:
+    """Fail closed before any work when ``out`` cannot hold the outputs: it,
+    or its nearest existing ancestor, is not a writable directory.  Nothing
+    is created here; ``atomic_write_text`` makes the directory."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path) or not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {out!r} cannot be a directory: {path!r} "
+                          "is not a writable directory")
 
 
 def load_config(path: str, seed_override: int | None = None,
@@ -157,6 +173,7 @@ def parse_and_dispatch(argv=None) -> int:
             print(message)
 
     try:
+        _check_out_dir(args.out)
         if args.command == "prune-demo":
             return _run_prune_demo(args, say)
         if args.command == "validate":

@@ -15,7 +15,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,12 +267,16 @@ def _sample_scan(cfg: ExperimentConfig, experiment: str,
         tasks += [(experiment, cfg, n, sampler, n_index, block,
                    min(size, cfg.replicas - start))
                   for block, start in enumerate(range(0, cfg.replicas, size))]
-    # no more processes than blocks or CPUs: a fork pool starts all of its
-    # workers at the first submit, whatever the size of the scan
-    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    # no more processes than blocks or usable CPUs: a fork pool starts all of
+    # its workers at the first submit, whatever the size of the scan
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cfg.workers, len(tasks), cpus)
     if workers == 1:
         blocks = [_sample_block(task) for task in tasks]
     else:
+        # imported here, so a run that starts no pool never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_sample_block, tasks, chunksize=chunk))

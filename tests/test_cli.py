@@ -228,15 +228,31 @@ def test_module_entry_point_prints_usage():
     assert "magnetization-scan" in done.stdout
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
+    # nor, on a run that starts no process pool, the pool or tempfile machinery
     src = os.path.dirname(os.path.dirname(gwising.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, gwising.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    scan = write_config(tmp_path / "scan.json", n_grid=[3, 4], workers=1)
+    gamma = write_config(tmp_path / "gamma.json", n_grid=[3, 4], mode="gamma")
+    code = ("import sys\n"
+            "watched = ('scipy', 'multiprocessing', 'concurrent', 'tempfile')\n"
+            # a site-packages hook may load one of these at start-up; forget
+            # it, so that an import by gwising loads it again and shows
+            "for name in [m for m in sys.modules if m.split('.')[0] in watched]:\n"
+            "    del sys.modules[name]\n"
+            "import gwising.cli as cli\n"
+            "cli.load_config(sys.argv[1])\n"
+            "for command, config in (('magnetization-scan', sys.argv[1]),\n"
+            "                        ('gamma-profile', sys.argv[2])):\n"
+            "    assert cli.parse_and_dispatch(['--quiet', command, '--config', config,\n"
+            "                                   '--out', sys.argv[3]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in watched))\n")
+    done = subprocess.run([sys.executable, "-c", code, scan, gamma, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        "gamma_bounds.csv", "gamma_profile.csv", "magnetization.csv"]
 
 
 def test_magnetization_scan_writes_csv(tmp_path, capsys):
@@ -358,6 +374,28 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, command, mode, in
     assert not (tmp_path / "out").exists()
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before --out was checked")
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["magnetization-scan", "--config", None], "run_magnetization_scan"),
+    (["validate", "--instances", "20"], "run_validation"),
+    (["prune-demo", "--pmf", "dirac2", "--n", "6", "--p", "0.3"], "sample_gw"),
+], ids=["magnetization-scan", "validate", "prune-demo"])
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_that_cannot_be_a_directory_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, stage, out):
+    (tmp_path / "taken").write_text("a file, not a directory")
+    monkeypatch.setattr(gwising.cli, stage, _must_not_run)
+    argv = [write_config(tmp_path / "c.json") if a is None else a for a in argv]
+    code = parse_and_dispatch(["--quiet", *argv, "--out", str(tmp_path / out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "--out" in err and err.count("\n") == 1
+    assert (tmp_path / "taken").read_text() == "a file, not a directory"
+
+
 def test_validate_writes_report_and_exit_zero(tmp_path, capsys):
     out = tmp_path / "out"
     code = parse_and_dispatch(["--quiet", "validate", "--seed", "42",
@@ -412,9 +450,26 @@ def test_outputs_match_frozen_digests(tmp_path, name):
     assert output_digests(name, str(tmp_path)) == OUTPUT_DIGESTS[name]
 
 
-def test_atomic_write_replaces_not_appends(tmp_path):
+def test_atomic_write_replaces_not_appends(tmp_path, monkeypatch):
     target = tmp_path / "file.txt"
     atomic_write_text(str(target), "first")
     atomic_write_text(str(target), "second")
     assert target.read_text() == "second"
     assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp")] == []
+    # the mode open(path, "w") gives: 0o666 less the umask
+    umask = os.umask(0o022)
+    try:
+        atomic_write_text(str(tmp_path / "fresh.txt"), "text")
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "fresh.txt").stat().st_mode & 0o777 == 0o644
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    # a failed rename keeps the old file whole and leaves no temporary behind
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        atomic_write_text(str(target), "third")
+    assert target.read_text() == "second"
+    assert sorted(os.listdir(tmp_path)) == ["file.txt", "fresh.txt"]

@@ -1,5 +1,7 @@
+import concurrent.futures
 import itertools
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -146,8 +148,13 @@ def test_block_scans_are_byte_identical_across_workers(mode, method, field_mode)
     (2, 2, (3, 4, 5, 6, 7, 8), 2),
     (2000, None, (3, 4, 5, 6, 7, 8), None),  # CPU count unknown: in process
     (2000, 64, (3,), None),                  # one block: in process
+    # where the platform has an affinity mask, only the CPUs in it count
+    pytest.param(2, {5}, (3, 4, 5, 6, 7, 8), None, id="pinned-to-1-cpu"),
+    pytest.param(2000, {0, 2, 3}, (3, 4, 5, 6, 7, 8), 3, id="pinned-to-3-cpus"),
 ])
 def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_grid, pool):
+    """``cpus`` is ``os.cpu_count()`` on a platform with no affinity mask, or
+    a set: the affinity mask of a process on a 64-CPU machine."""
     sizes = []
 
     class RecordingPool:
@@ -166,8 +173,14 @@ def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_gr
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(gwising.experiments, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(gwising.experiments.os, "cpu_count", lambda: cpus)
+    # the pool is imported when a scan starts one, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    if isinstance(cpus, set):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     cfg = base_config(n_grid=n_grid, replicas=1)  # one block per depth
     rows = run_magnetization_scan(replace(cfg, workers=workers))
     assert sizes == ([] if pool is None else [pool])
