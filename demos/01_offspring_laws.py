@@ -8,7 +8,8 @@ survives", which is a zero-truncated binomial with random trial count.
 
 import numpy as np
 
-from gwising import OffspringPmf, zero_truncated_binomial, ztb_mixture
+from gwising import OffspringPmf, ztb_mixture
+from gwising.validate import zero_truncated_binomial
 
 rng = np.random.default_rng(1)
 

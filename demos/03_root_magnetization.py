@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from gwising import (FieldMode, OffspringPmf, gibbs_bruteforce, lyons_field,
-                     lyons_plus, magnetization, plus_boundary_field,
-                     sample_field, sample_gw)
+from gwising import (FieldMode, OffspringPmf, lyons_field, lyons_plus, magnetization,
+                     plus_boundary_field, sample_field, sample_gw)
+from gwising.validate import gibbs_bruteforce
 
 rng = np.random.default_rng(3)
 mu = OffspringPmf.from_dict({1: 0.5, 2: 0.5})

@@ -8,8 +8,9 @@ pruned tree looks like the original, above k* it thins to near-paths.
 
 import numpy as np
 
-from gwising import (OffspringPmf, PrunedLawSampler, gamma_profile, moments,
-                     mu_star, pruned_tree_probability, tilde_mu0, tv_profile)
+from gwising import (OffspringPmf, PrunedLawSampler, gamma_profile, moments, tilde_mu0,
+                     tv_profile)
+from gwising.validate import pruned_tree_probability
 
 rng = np.random.default_rng(11)
 mu = OffspringPmf.dirac(2)
@@ -48,5 +49,5 @@ sizes = [sampler.sample(rng).num_vertices for _ in range(200)]
 print("\ndirect-sampled surviving pruned sizes: mean", np.mean(sizes),
       "(the unpruned tree would have", 2 ** (n + 1) - 1, "vertices)")
 print("offspring law at k = 20:",
-      dict(zip(mu_star(profile, 20).degrees.tolist(),
-               np.round(mu_star(profile, 20).probs, 4).tolist())))
+      dict(zip(profile.laws[20].degrees.tolist(),
+               np.round(profile.laws[20].probs, 4).tolist())))

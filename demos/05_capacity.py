@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from gwising import (OffspringPmf, capacity_bruteforce, capacity_recursion,
-                     capacity_spherical, flow_energy, lyons_plus, sample_gw,
-                     uniform_flow)
+from gwising import (OffspringPmf, capacity_recursion, capacity_spherical, lyons_plus,
+                     sample_gw)
+from gwising.validate import capacity_bruteforce, flow_energy, uniform_flow
 
 rng = np.random.default_rng(5)
 

@@ -26,7 +26,7 @@ import numpy as np
 from .distributions import OffspringPmf, json_number
 from .experiments import (ConfigError, ExperimentConfig, replica_vertices, rows_to_csv,
                           run_capacity_scan, run_gamma_scan,
-                          run_magnetization_scan, run_tv_scan, run_validation)
+                          run_magnetization_scan, run_tv_scan)
 from .fields import FieldMode, sample_field, to_dot, prune
 from .pruned_law import gamma_profile
 from .tree import sample_gw
@@ -177,6 +177,8 @@ def parse_and_dispatch(argv=None) -> int:
         if args.command == "prune-demo":
             return _run_prune_demo(args, say)
         if args.command == "validate":
+            # imported here, so a scan never loads the oracles
+            from .validate import run_validation
             report = run_validation(args.seed, args.instances, args.oracle_instances)
             path = os.path.join(args.out, "validation.json")
             atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -291,22 +291,6 @@ def _check_q(q: float) -> None:
         raise ValueError(f"fractional moment order must lie in (1, 2], got {q}")
 
 
-def zero_truncated_binomial(n: int, p: float) -> OffspringPmf:
-    """Binomial(n, p) conditioned on being positive, as a pmf on {1, ..., n}.
-
-    Rejects p = 0: conditioning on a null event leaves the law undefined.
-    """
-    if n < 1:
-        raise ValueError("need at least one trial")
-    if not (0.0 < p <= 1.0):
-        raise ValueError("success probability must lie in (0, 1]")
-    # 1 - (1-p)^n without cancellation
-    denom = -math.expm1(n * math.log1p(-p)) if p < 1.0 else 1.0
-    masses = [math.comb(n, n - d) * (1.0 - p) ** (n - d) * p**d / denom
-              for d in range(1, n + 1)]
-    return OffspringPmf(np.arange(1, n + 1), np.array(masses))
-
-
 class LawTable(tuple):
     """A tuple of laws on the degrees 1..m together with their mass matrix:
     row i of ``masses`` holds law i's mass at degree d in column d - 1."""

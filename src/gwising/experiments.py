@@ -11,7 +11,6 @@ significant digits for floats).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import sys
@@ -21,14 +20,11 @@ import numpy as np
 
 from . import capacity as cap
 from . import ising
-from .distributions import (MIXTURE_CONSISTENCY_TOL, OffspringPmf, json_number,
-                            zero_truncated_binomial, ztb_mixture)
-from .fields import FieldAssignment, FieldMode, plus_boundary_field, prune, sample_field
+from .distributions import OffspringPmf, json_number
+from .fields import FieldMode, plus_boundary_field, sample_field
 from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
-                         gamma_profile, k1_bar_star, moments, pruned_tree_probability,
-                         tv_crossing, tv_profile)
-from .tree import (DEFAULT_POPULATION_CAP, PopulationCapError, Tree, enumerate_trees,
-                   sample_gw)
+                         gamma_profile, k1_bar_star, moments, tv_crossing, tv_profile)
+from .tree import DEFAULT_POPULATION_CAP, sample_gw
 
 EXPERIMENT_IDS = {"magnetization": 1, "gamma": 2, "capacity": 3, "tv": 4}
 SCHEDULE_KINDS = ("constant", "geometric", "threshold", "threshold_geometric")
@@ -42,17 +38,11 @@ PREFLIGHT_CAP_FRACTION = 0.1
 TV_CROSSING_WINDOW = 5.0
 # relative slack of every transition-bound comparison
 BOUND_REL_SLACK = 1e-9
-# the couplings the Lyons and pruning suites cycle through, and the capacity
-# orders of the capacity oracle suite
-SUITE_BETAS = (0.3, 0.7, 1.2)
-SUITE_CAPACITY_ORDERS = (1.5, 2.0, 3.0)
 # the largest beta whose e^(2 beta) is a finite double; past it the edge map
 # g_beta overflows
 MAX_BETA = math.log(sys.float_info.max) / 2
 # the normal quantile of the 95% Wilson intervals of the magnetization scan
 WILSON_Z = 1.96
-# random_small_tree draws offspring counts uniformly from 1..SMALL_TREE_MAX_DEGREE
-SMALL_TREE_MAX_DEGREE = 3
 
 
 class ConfigError(ValueError):
@@ -449,178 +439,6 @@ def run_tv_scan(cfg: ExperimentConfig) -> dict:
             "crossing_ok": bool(abs(crossing - profile.k_star) <= TV_CROSSING_WINDOW),
         })
     return {"rows": rows, "summary": summary}
-
-
-# -- validation bundle ------------------------------------------------------
-
-
-def random_small_tree(rng: np.random.Generator, max_vertices: int = 14,
-                      max_depth: int = 4) -> Tree:
-    """Rejection-sample a Galton-Watson tree with uniform offspring on
-    1..SMALL_TREE_MAX_DEGREE, a uniform depth in 1..max_depth and at most
-    ``max_vertices`` vertices."""
-    law = OffspringPmf(np.arange(1, SMALL_TREE_MAX_DEGREE + 1),
-                       np.full(SMALL_TREE_MAX_DEGREE, 1.0 / SMALL_TREE_MAX_DEGREE))
-    while True:
-        depth = int(rng.integers(1, max_depth + 1))
-        try:
-            return sample_gw(law, depth, rng, max_vertices)
-        except PopulationCapError:
-            pass
-
-
-def suite_lyons_vs_bruteforce(instances: int, seed: int = 0) -> dict:
-    """Recursion against exhaustive Gibbs enumeration on random instances."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
-    max_err = 0.0
-    for i in range(instances):
-        tree = random_small_tree(rng)
-        beta = SUITE_BETAS[i % len(SUITE_BETAS)]
-        mode = (FieldMode.WHOLE_TREE, FieldMode.LEAVES_ONLY,
-                FieldMode.PLUS_BOUNDARY)[(i // len(SUITE_BETAS)) % 3]
-        fld = sample_field(tree, mode, float(rng.uniform(0.1, 0.9)), rng)
-        r_rec = float(ising.lyons_field(tree, fld, beta)[0])
-        m_brute, r_brute = ising.gibbs_bruteforce(tree, fld, beta)
-        max_err = max(max_err, abs(r_rec - r_brute),
-                      abs(ising.magnetization(r_rec) - m_brute))
-    return {"suite": "lyons_vs_bruteforce", "instances": instances,
-            "max_error": float(max_err), "tolerance": 1e-10,
-            "pass": bool(max_err <= 1e-10)}
-
-
-def suite_pruning_equivalence(instances: int, seed: int = 0) -> dict:
-    """Field-on-leaves ratios equal plus-field ratios on the pruned tree,
-    vertex by vertex, with exact zeros on pruned-away vertices."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(102,)))
-    max_err = 0.0
-    exact_zero_off_tree = True
-    for i in range(instances):
-        tree = random_small_tree(rng, max_vertices=40, max_depth=5)
-        beta = SUITE_BETAS[i % len(SUITE_BETAS)]
-        fld = sample_field(tree, FieldMode.LEAVES_ONLY, float(rng.uniform(0.1, 0.7)), rng)
-        r_full = ising.lyons_field(tree, fld, beta)
-        outcome = prune(tree, fld)
-        if outcome is None:
-            exact_zero_off_tree &= bool(np.all(r_full == 0.0))
-            continue
-        pruned, mapping = outcome
-        r_pruned = ising.lyons_field(pruned, plus_boundary_field(pruned), beta)
-        kept = mapping >= 0
-        max_err = max(max_err, float(np.abs(r_full[kept] - r_pruned[mapping[kept]]).max()))
-        exact_zero_off_tree &= bool(np.all(r_full[~kept] == 0.0))
-    return {"suite": "pruning_equivalence", "instances": instances,
-            "max_error": float(max_err), "tolerance": 1e-12,
-            "exact_zero_off_tree": exact_zero_off_tree,
-            "pass": bool(max_err <= 1e-12 and exact_zero_off_tree)}
-
-
-def suite_pruned_law_exact() -> dict:
-    """Exhaustive (tree, field) enumeration against the product-law formula
-    for small depths, including the empty-tree atom."""
-    base_laws = [OffspringPmf.dirac(2), OffspringPmf.from_dict({1: 0.5, 2: 0.5})]
-    max_err = 0.0
-    count = 0
-    for pmf in base_laws:
-        for p in (0.3, 0.5, 0.8):
-            for n in (1, 2):
-                exact: dict = {}
-                profile = gamma_profile(pmf, p, n)
-                for tree, tree_prob in enumerate_trees(pmf, n):
-                    leaves = tree.generation_size(n)
-                    for bits in itertools.product((0, 1), repeat=leaves):
-                        h = np.zeros(tree.num_vertices, dtype=np.uint8)
-                        h[tree.gen_offsets[n]:] = bits
-                        fld = FieldAssignment(tree, FieldMode.LEAVES_ONLY, h)
-                        f_prob = p ** sum(bits) * (1 - p) ** (leaves - sum(bits))
-                        outcome = prune(tree, fld)
-                        key = None if outcome is None else outcome[0]
-                        exact[key] = exact.get(key, 0.0) + tree_prob * f_prob
-                for shape, prob in exact.items():
-                    formula = pruned_tree_probability(shape, pmf, p, n, profile=profile)
-                    max_err = max(max_err, abs(prob - formula))
-                    count += 1
-                max_err = max(max_err, abs(sum(exact.values()) - 1.0))
-    return {"suite": "pruned_law_exact", "instances": count,
-            "max_error": float(max_err), "tolerance": 1e-12,
-            "pass": bool(max_err <= 1e-12)}
-
-
-def suite_capacity_oracle(instances: int = 50, seed: int = 0) -> dict:
-    """Capacity recursion against the flow-minimization oracle, plus Thomson
-    dominance of the uniform flow, on random weighted trees."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(103,)))
-    max_rel_gap = 0.0
-    min_slack = math.inf
-    for i in range(instances):
-        tree = random_small_tree(rng, max_vertices=200, max_depth=5)
-        base = float(rng.uniform(0.5, 1.5))
-        for p in SUITE_CAPACITY_ORDERS:
-            exact = cap.capacity_recursion(tree, base, p).capacity
-            oracle = cap.capacity_bruteforce(tree, base, p)
-            max_rel_gap = max(max_rel_gap, abs(oracle.capacity - exact) / exact)
-            if tree.leaves_only_at_bottom:
-                estimate = cap.flow_energy(tree, cap.uniform_flow(tree), base, p)
-                min_slack = min(min_slack, estimate - 1.0 / exact)
-    return {"suite": "capacity_recursion_vs_oracle", "instances": instances,
-            "max_error": float(max_rel_gap), "tolerance": 1e-6,
-            "min_thomson_slack": float(min_slack),
-            "pass": bool(max_rel_gap <= 1e-6 and min_slack >= -1e-10)}
-
-
-def ztb_mixture_by_truncated_binomials(pmf: OffspringPmf, p: float) -> np.ndarray:
-    """Oracle for ``ztb_mixture``: its masses on degrees 1..max_degree, as the
-    mix of ``zero_truncated_binomial(D, p)`` over D ~ ``pmf`` with weights
-    proportional to the per-D survival probabilities 1 - (1-p)^D."""
-    survival_norm = float(pmf.one_minus_gf_at_one_minus(p))  # 1 - G(1-p)
-    masses = np.zeros(pmf.max_degree)
-    for big_d, mass in zip(pmf.degrees, pmf.probs):
-        big_d = int(big_d)
-        surv_d = -math.expm1(big_d * math.log1p(-p)) if p < 1.0 else 1.0
-        ztb = zero_truncated_binomial(big_d, p)
-        masses[ztb.degrees - 1] += mass * surv_d / survival_norm * ztb.probs
-    return masses
-
-
-def suite_ztb_mixture_routes(instances: int, seed: int = 0) -> dict:
-    """``ztb_mixture`` (the double sum) against the survival-weighted mixture
-    of zero-truncated binomials, on random laws over degrees 1..12 with
-    p = 1 or log-uniform in [1e-12, 1]."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(104,)))
-    max_err = 0.0
-    for i in range(instances):
-        degrees = np.sort(rng.choice(np.arange(1, 13), size=int(rng.integers(1, 7)),
-                                     replace=False))
-        weights = rng.uniform(1e-3, 1.0, size=len(degrees))
-        pmf = OffspringPmf(degrees, weights / weights.sum())
-        p = 1.0 if i % 10 == 0 else float(10.0 ** rng.uniform(-12.0, 0.0))
-        law = ztb_mixture(pmf, p)
-        masses = np.zeros(pmf.max_degree)
-        masses[law.degrees - 1] = law.probs
-        err = np.abs(masses - ztb_mixture_by_truncated_binomials(pmf, p)).max()
-        max_err = max(max_err, float(err))
-    return {"suite": "ztb_mixture_routes", "instances": instances,
-            "max_error": max_err, "tolerance": MIXTURE_CONSISTENCY_TOL,
-            "pass": bool(max_err <= MIXTURE_CONSISTENCY_TOL)}
-
-
-def run_validation(seed: int, instances: int, oracle_instances: int) -> dict:
-    """All oracle-equivalence suites; machine-readable, failures enumerated.
-
-    Rejects an instance count below 1 (a suite that checks nothing cannot
-    pass) and a negative seed."""
-    if instances < 1 or oracle_instances < 1:
-        raise ConfigError(f"validation needs at least one instance per suite, got "
-                          f"instances={instances}, oracle_instances={oracle_instances}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    suites = [
-        suite_lyons_vs_bruteforce(instances, seed),
-        suite_pruning_equivalence(instances, seed),
-        suite_pruned_law_exact(),
-        suite_capacity_oracle(oracle_instances, seed),
-        suite_ztb_mixture_routes(instances, seed),
-    ]
-    return {"suites": suites, "pass": all(s["pass"] for s in suites)}
 
 
 # -- CSV --------------------------------------------------------------------

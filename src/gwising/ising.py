@@ -1,6 +1,5 @@
 """Exact root magnetization on trees: the leaf-to-root log-likelihood-ratio
-recursion, a brute-force Gibbs enumeration oracle, and the analytic mean
-upper bounds.
+recursion and the analytic mean upper bounds.
 
 Log-likelihood ratios r are extended reals: finite nonnegative values plus
 ``math.inf``, the ratio of a leaf pinned by the plus boundary condition.  g
@@ -14,11 +13,9 @@ import math
 
 import numpy as np
 
-from .distributions import logsumexp
 from .fields import FieldAssignment
 from .tree import Tree
 
-BRUTEFORCE_MAX_FREE_SPINS = 24
 # nu tanh(beta) within this of 1 counts as critical
 CRITICALITY_TOL = 1e-12
 # critical_fixed_point bisects until its bracket is this narrow
@@ -82,50 +79,6 @@ def lyons_field(tree: Tree, fld: FieldAssignment, beta: float) -> np.ndarray:
     # the sweep reads each vertex's bias before it overwrites it, and the
     # leaves keep theirs: the bias array itself holds the ratios
     return _backward_sweep(tree, bias, bias, beta)
-
-
-def gibbs_bruteforce(tree: Tree, fld: FieldAssignment | None, beta: float,
-                     plus_boundary_condition: bool = False,
-                     chunk: int = 1 << 14) -> tuple[float, float]:
-    """Exhaustive-enumeration oracle for the root magnetization.
-
-    Enumerates all spin configurations of the Ising measure with coupling 1,
-    accumulating the root-conditioned partition sums in log space (streamed
-    log-sum-exp per chunk; direct products would overflow immediately).
-    Returns ``(m, r)`` with r = log Z(+) - log Z(-) and m = tanh(r/2).
-
-    ``plus_boundary_condition`` hard-fixes every leaf spin to +1, matching the
-    +inf initialization of the recursion; a plus boundary *field* is instead
-    passed as an ordinary all-ones-on-leaves field.
-    """
-    nv = tree.num_vertices
-    h = np.zeros(nv) if fld is None else fld.h.astype(float)
-    pinned = np.zeros(nv, dtype=bool)
-    if plus_boundary_condition:
-        pinned = tree.num_children == 0
-    free = np.flatnonzero(~pinned)
-    if pinned[0]:
-        return 1.0, math.inf
-    if len(free) > BRUTEFORCE_MAX_FREE_SPINS:
-        raise ValueError(f"{len(free)} free spins exceed the 2^{BRUTEFORCE_MAX_FREE_SPINS} guard")
-
-    edges_u = tree.parent[1:]
-    edges_v = np.arange(1, nv)
-    total = 1 << len(free)
-    log_terms_plus, log_terms_minus = [], []
-    spins = np.empty((min(chunk, total), nv))
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        s = spins[: len(idx)]
-        s[:, pinned] = 1.0
-        for slot, v in enumerate(free):
-            s[:, v] = (((idx >> np.uint64(slot)) & np.uint64(1)).astype(float) * 2.0) - 1.0
-        energy = beta * ((s[:, edges_u] * s[:, edges_v]).sum(axis=1) + s @ h)
-        is_plus = s[:, 0] > 0
-        log_terms_plus.append(logsumexp(energy[is_plus]))
-        log_terms_minus.append(logsumexp(energy[~is_plus]))
-    r = logsumexp(log_terms_plus) - logsumexp(log_terms_minus)
-    return math.tanh(r / 2.0), r
 
 
 def critical_fixed_point(beta: float, nu: float, p_n: float) -> float:

@@ -5,8 +5,7 @@ branching process, inhomogeneous in the generation and in n.  This module
 computes its parameters exactly: the survival-probability profile gamma_k and
 its leaf-indexed twin, the per-generation offspring laws (zero-truncated
 binomial mixtures), their means, fractional variances and growth factors, the
-transition generation k*, direct samplers, exact tree probabilities, and
-total-variation diagnostics.
+transition generation k*, direct samplers, and total-variation diagnostics.
 
 A profile builds its laws mu*_0, ..., mu*_{n-1} once, in one array call of
 ``ztb_mixture`` (``GammaProfile.laws``); every consumer reads that table.
@@ -259,36 +258,6 @@ class PrunedLawSampler:
         return sample_inhomogeneous_bp(self.profile.laws, rng, roots=roots)
 
 
-def pruned_tree_probability(shape: Tree | None, pmf: OffspringPmf, p_n: float,
-                            n: int, profile: GammaProfile | None = None) -> float:
-    """Exact probability of a pruned-tree outcome under the product law
-    tilde_mu0(d_root) prod_k prod_{u in generation k} mu*_k(d_u).
-
-    ``None`` stands for the empty tree and maps to gamma_0.  Shapes that are
-    impossible outcomes (wrong depth, an internal leaf, a degree off the
-    support) get probability 0.
-    """
-    if profile is None:
-        profile = gamma_profile(pmf, p_n, n)
-    if shape is None:
-        return float(profile.gamma[0])
-    if shape.n != n or (n > 0 and not shape.leaves_only_at_bottom):
-        return 0.0
-    prob = tilde_mu0(profile).mass(int(shape.num_children[0])) if n > 0 else 1.0 - profile.gamma[0]
-    for k, law in enumerate(profile.laws[1:], start=1):
-        for d in shape.offspring_of_generation(k):
-            prob *= law.mass(int(d))
-    return float(prob)
-
-
-def tv_distance(a: OffspringPmf, b: OffspringPmf) -> float:
-    """Total variation distance: half the L1 distance between the mass lists."""
-    diff = np.zeros(max(a.max_degree, b.max_degree) + 1)
-    diff[a.degrees] += a.probs
-    diff[b.degrees] -= b.probs
-    return 0.5 * float(np.abs(diff).sum())
-
-
 def tv_profile(profile: GammaProfile) -> tuple[np.ndarray, np.ndarray]:
     """Per-generation distances d_TV(mu*_k, mu) and d_TV(mu*_k, dirac_1).
 
@@ -385,7 +354,9 @@ def calibrate_constants(pmf: OffspringPmf, q: float) -> dict:
     c4 = min((-log_gamma[k] / (ks - k) for k in below if log_gamma[k] > -math.inf),
              default=math.inf)
     c4 = (1.0 - margin) * c4 if math.isfinite(c4) else 1.0
-    c5 = max([0.0] + [(nu - mom.nu_star[k]) * math.exp(c4 * (ks - k)) for k in below]
+    # a zero gap nu - nu*_k is a zero term, whatever its exp (which can overflow)
+    c5 = max([0.0] + [(nu - mom.nu_star[k]) * math.exp(c4 * (ks - k)) for k in below
+                      if mom.nu_star[k] != nu]
              + [(mom.nu_star[k] - 1.0) * math.exp((k - ks) * log_nu) for k in above])
     c6 = max([0.0] + [mom.sigma_q_star[k] * math.exp((q - 1.0) * (k - ks) * log_nu)
                       for k in above])

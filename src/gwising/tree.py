@@ -20,7 +20,6 @@ of the pruned tree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,8 +28,6 @@ import numpy as np
 from .distributions import OffspringPmf, PmfError
 
 DEFAULT_POPULATION_CAP = 10**8
-# enumerate_trees refuses a (law, depth) with more trees than this
-MAX_ENUMERATED_TREES = 10**6
 
 
 class PopulationCapError(RuntimeError):
@@ -46,10 +43,6 @@ class PopulationCapError(RuntimeError):
         )
         self.cap = cap
         self.partial_sizes = partial_sizes
-
-
-class ExplosionGuardError(RuntimeError):
-    """Exhaustive enumeration would produce too many trees."""
 
 
 def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -144,8 +137,9 @@ class Tree:
         result is bit for bit the dense sweep's, provided the caller meets
         the contract: ``lift`` maps 0 to 0, and a vertex whose children all
         hold 0 already holds ``combine`` of a zero sum.  ``lyons_field``,
-        ``lyons_plus``, ``survival``, ``leaf_counts``, ``capacity_recursion``
-        and the gradient of ``capacity_bruteforce`` meet it.
+        ``lyons_plus``, ``survival`` and ``capacity_recursion`` meet it, and so
+        do ``leaf_counts`` and the gradient of ``capacity_bruteforce`` in
+        ``gwising.validate``.
         """
         offsets = self.gen_offsets.tolist()
         bottom = offsets[-2]
@@ -278,66 +272,3 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
     if not counts:
         counts = [np.zeros(roots, dtype=np.int64)]
     return Tree.from_offspring_counts(counts)
-
-
-def leaf_counts(tree: Tree) -> np.ndarray:
-    """Per-vertex count of bottom-generation descendants (self included at
-    the bottom); the numerator of the uniform flow."""
-    counts = np.zeros(tree.num_vertices, dtype=np.int64)
-    counts[tree.gen_offsets[tree.n]:] = 1
-    return tree.sweep_up(counts, lambda child, _: child, lambda sums, _: sums)
-
-
-def count_trees(pmf: OffspringPmf, depth: int) -> int:
-    """Number of depth-``depth`` trees with out-degrees in the pmf's support."""
-    count = 1
-    for _ in range(depth):
-        count = sum(count**int(d) for d in pmf.degrees if d > 0)
-    return count
-
-
-def enumerate_trees(pmf: OffspringPmf, depth: int):
-    """Yield every depth-``depth`` tree with degrees in the support, with its
-    exact Galton-Watson probability prod_u mu(d_u) over internal vertices.
-
-    Probabilities sum to 1 whenever the support has no mass at 0.  Guarded by
-    ``MAX_ENUMERATED_TREES`` to keep the enumeration from exploding.
-    """
-    if count_trees(pmf, depth) > MAX_ENUMERATED_TREES:
-        raise ExplosionGuardError(
-            f"more than {MAX_ENUMERATED_TREES} trees of depth {depth} for this support"
-        )
-    degrees = [int(d) for d in pmf.degrees if d > 0]
-
-    def shapes(d: int):
-        # a shape is the tuple of child shapes; leaves are empty tuples
-        if d == 0:
-            yield ()
-            return
-        below = list(shapes(d - 1))
-        for root_deg in degrees:
-            yield from itertools.product(below, repeat=root_deg)
-
-    for shape in shapes(depth):
-        tree = tree_from_shape(shape)
-        yield tree, gw_probability(tree, pmf)
-
-
-def tree_from_shape(shape: tuple) -> Tree:
-    """Build the arena for a nested-tuple shape (children given in order)."""
-    counts_per_gen = []
-    level = [shape]
-    while level and any(len(s) for s in level):
-        counts_per_gen.append(np.array([len(s) for s in level], dtype=np.int64))
-        level = [c for s in level for c in s]
-    if not counts_per_gen:
-        counts_per_gen = [np.zeros(1, dtype=np.int64)]
-    return Tree.from_offspring_counts(counts_per_gen)
-
-
-def gw_probability(tree: Tree, pmf: OffspringPmf) -> float:
-    """Exact probability of the tree under the Galton-Watson law."""
-    prob = 1.0
-    for v in range(tree.gen_offsets[tree.n] if tree.n > 0 else 0):
-        prob *= pmf.mass(int(tree.num_children[v]))
-    return prob

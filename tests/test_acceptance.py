@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 import gwising as g
-from gwising.experiments import (ExperimentConfig, PSchedule, random_small_tree,
-                                 run_capacity_scan, run_magnetization_scan,
-                                 suite_lyons_vs_bruteforce,
-                                 suite_pruned_law_exact,
-                                 suite_pruning_equivalence,
-                                 transition_bound_checks)
+from gwising.experiments import (ExperimentConfig, PSchedule, run_capacity_scan,
+                                 run_magnetization_scan, transition_bound_checks)
 from gwising.pruned_law import k1_bar_star, tv_crossing
+from gwising.validate import (capacity_bruteforce, flow_energy, random_small_tree,
+                              suite_lyons_vs_bruteforce, suite_pruned_law_exact,
+                              suite_pruning_equivalence, uniform_flow)
 
 from _frozen import CALIBRATED, RATIO_INTERVAL
 from generate_frozen import ratio_corpus
@@ -157,8 +156,8 @@ def capacity_corpus():
         per_order = {}
         for p in (1.5, 2.0, 3.0):
             exact = g.capacity_recursion(tree, base, p).capacity
-            oracle = g.capacity_bruteforce(tree, base, p)
-            estimate = g.flow_energy(tree, g.uniform_flow(tree), base, p)
+            oracle = capacity_bruteforce(tree, base, p)
+            estimate = flow_energy(tree, uniform_flow(tree), base, p)
             per_order[p] = (exact, oracle, estimate)
         corpus.append((tree, base, per_order))
     return corpus

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from gwising import (OffspringPmf, Tree, alpha_n, capacity_bruteforce,
-                     capacity_recursion, capacity_spherical,
-                     expected_capacity_upper, flow_energy, gamma_profile,
-                     moments, sample_inhomogeneous_bp, uniform_flow)
-from gwising.capacity import _vertex_resistances
-from gwising.experiments import random_small_tree
+from gwising import (OffspringPmf, Tree, alpha_n, capacity_recursion, capacity_spherical,
+                     expected_capacity_upper, gamma_profile, moments,
+                     sample_inhomogeneous_bp)
 from gwising.pruned_law import PrunedLawSampler
 from gwising.tree import segment_sums
+from gwising.validate import (_vertex_resistances, capacity_bruteforce, flow_energy,
+                              random_small_tree, uniform_flow)
 
 from _frozen import CALIBRATED
 

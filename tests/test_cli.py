@@ -255,6 +255,49 @@ def test_cli_import_loads_no_scipy(tmp_path):
         "gamma_bounds.csv", "gamma_profile.csv", "magnetization.csv"]
 
 
+def test_scans_never_load_the_oracles(tmp_path):
+    # gwising.validate is loaded by the validate command alone; the dotted
+    # name is checked, since a filter on the top-level package cannot see it
+    src = os.path.dirname(os.path.dirname(gwising.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    configs = {command: write_config(tmp_path / f"{mode}.json", n_grid=[3, 4], mode=mode)
+               for command, mode in (("magnetization-scan", "magnetization"),
+                                     ("capacity-scan", "capacity"),
+                                     ("gamma-profile", "gamma"), ("tv-scan", "tv"))}
+    code = ("import json, sys\n"
+            "import gwising\n"
+            "loaded = ['gwising.validate' in sys.modules]\n"
+            "import gwising.cli as cli\n"
+            "out = sys.argv[2]\n"
+            "for command, config in json.loads(sys.argv[1]).items():\n"
+            "    assert cli.parse_and_dispatch(['--quiet', command, '--config', config,\n"
+            "                                   '--out', out, '--workers', '1']) == 0\n"
+            "    loaded.append('gwising.validate' in sys.modules)\n"
+            "assert cli.parse_and_dispatch(['--quiet', 'validate', '--instances', '2',\n"
+            "                               '--oracle-instances', '1', '--out', out]) == 0\n"
+            "loaded.append('gwising.validate' in sys.modules)\n"
+            "print(loaded)\n")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(configs),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str([False] * 5 + [True])
+
+
+@pytest.mark.parametrize("q", [2.0, 1.0001])
+def test_gamma_profile_of_a_law_whose_mean_gap_is_zero(tmp_path, capsys, q):
+    # dirac(32): nu*_k = nu exactly below k*, where exp(c4 (k* - k)) overflows;
+    # such a term of c5 is 0 and must not end the scan with exit 3
+    cfg = write_config(tmp_path / "c.json", mode="gamma", pmf={"entries": [[32, 1.0]]},
+                       q=q, p_schedule={"kind": "constant", "c": 0.4})
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["--quiet", "gamma-profile", "--config", cfg,
+                               "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    bounds = list(csv.DictReader(open(out / "gamma_bounds.csv")))
+    assert len(bounds) == 1
+
+
 def test_magnetization_scan_writes_csv(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "out"
@@ -379,15 +422,15 @@ def _must_not_run(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv, stage", [
-    (["magnetization-scan", "--config", None], "run_magnetization_scan"),
-    (["validate", "--instances", "20"], "run_validation"),
-    (["prune-demo", "--pmf", "dirac2", "--n", "6", "--p", "0.3"], "sample_gw"),
+    (["magnetization-scan", "--config", None], "gwising.cli.run_magnetization_scan"),
+    (["validate", "--instances", "20"], "gwising.validate.run_validation"),
+    (["prune-demo", "--pmf", "dirac2", "--n", "6", "--p", "0.3"], "gwising.cli.sample_gw"),
 ], ids=["magnetization-scan", "validate", "prune-demo"])
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])
 def test_out_that_cannot_be_a_directory_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, argv, stage, out):
     (tmp_path / "taken").write_text("a file, not a directory")
-    monkeypatch.setattr(gwising.cli, stage, _must_not_run)
+    monkeypatch.setattr(stage, _must_not_run)
     argv = [write_config(tmp_path / "c.json") if a is None else a for a in argv]
     code = parse_and_dispatch(["--quiet", *argv, "--out", str(tmp_path / out)])
     assert code == 2

@@ -10,17 +10,16 @@ import pytest
 
 import gwising.experiments
 import gwising.ising
+import gwising.validate
 from gwising import FieldMode, OffspringPmf, capacity_recursion, lyons_field
 from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
                                  block_replicas, replica_rng, rows_to_csv,
                                  run_capacity_scan,
                                  run_gamma_scan, run_magnetization_scan,
-                                 run_tv_scan, run_validation,
-                                 suite_ztb_mixture_routes, validate_config,
-                                 wilson_interval)
+                                 run_tv_scan, validate_config, wilson_interval)
 from gwising.fields import FieldAssignment, prune
 from gwising.pruned_law import gamma_profile
-from gwising.tree import enumerate_trees
+from gwising.validate import enumerate_trees, run_validation, suite_ztb_mixture_routes
 
 # the bound on |z| between two estimates of one mean, as the benchmark's
 # direct-vs-pruned check (bench/workloads.py) uses it
@@ -464,8 +463,8 @@ def test_validation_rejects_empty_suites(instances, oracle_instances):
 def test_ztb_mixture_suite_detects_a_perturbed_route(monkeypatch):
     assert suite_ztb_mixture_routes(40, seed=3)["pass"]
     # sentinel: masses computed at a slightly wrong survival probability
-    true_mix = gwising.experiments.ztb_mixture
-    monkeypatch.setattr(gwising.experiments, "ztb_mixture",
+    true_mix = gwising.validate.ztb_mixture
+    monkeypatch.setattr(gwising.validate, "ztb_mixture",
                         lambda pmf, p: true_mix(pmf, p * (1 - 1e-6)))
     broken = suite_ztb_mixture_routes(40, seed=3)
     assert not broken["pass"]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gwising import (FieldAssignment, FieldMode, OffspringPmf, Tree,
                      capacity_recursion, lyons_field, sample_gw,
                      sample_inhomogeneous_bp)
-from gwising.experiments import random_small_tree
+from gwising.validate import random_small_tree
 
 HALF123 = OffspringPmf.from_dict({1: 0.4, 2: 0.4, 3: 0.2})
 

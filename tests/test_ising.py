@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from gwising import (FieldAssignment, FieldMode, OffspringPmf, Tree, g_beta,
-                     gibbs_bruteforce, lyons_field, lyons_plus, magnetization,
-                     plus_boundary_field, sample_field, sample_gw,
-                     sample_inhomogeneous_bp, upper_bound_mean_r)
-from gwising.experiments import random_small_tree
+                     lyons_field, lyons_plus, magnetization, plus_boundary_field,
+                     sample_field, sample_gw, sample_inhomogeneous_bp,
+                     upper_bound_mean_r)
 from gwising.ising import _backward_sweep, critical_fixed_point
+from gwising.validate import gibbs_bruteforce, random_small_tree
 
 from test_sweep import dense_sweep
 

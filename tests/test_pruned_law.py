@@ -11,11 +11,11 @@ from scipy import stats
 
 from gwising import (FieldMode, OffspringPmf, PmfError, Tree,
                      calibrate_constants, gamma_profile, moments, mu_star,
-                     prune, pruned_tree_probability, sample_gw, sample_field,
-                     tilde_mu0, tv_distance, tv_profile, ztb_mixture)
+                     prune, sample_gw, sample_field, tilde_mu0, tv_profile,
+                     ztb_mixture)
 from gwising.pruned_law import (LINEAR_UNDERFLOW, PrunedLawSampler,
                                 fit_g_upper_constant, k1_bar_star, tv_crossing)
-from gwising.tree import enumerate_trees
+from gwising.validate import enumerate_trees, pruned_tree_probability, tv_distance
 
 from _frozen import CALIBRATED
 from test_distributions import log_gf_by_arrays

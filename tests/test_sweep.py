@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwising import (FieldAssignment, FieldMode, Tree, capacity_recursion,
-                     leaf_counts, lyons_field, lyons_plus, survival)
+                     lyons_field, lyons_plus, survival)
 from gwising.tree import segment_sums
+from gwising.validate import leaf_counts
 
 BETAS = (0.0, 0.05, 0.9, 3.0, 20.0)
 CAPACITY_ORDERS = (1.5, 2.0, 3.0)

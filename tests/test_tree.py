@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwising import (OffspringPmf, PopulationCapError, Tree, enumerate_trees,
-                     gw_probability, leaf_counts, sample_gw,
-                     sample_inhomogeneous_bp)
+from gwising import OffspringPmf, PopulationCapError, Tree, sample_gw, sample_inhomogeneous_bp
 from gwising.distributions import PmfError
-from gwising.tree import ExplosionGuardError, count_trees, segment_sums
+from gwising.tree import segment_sums
+from gwising.validate import (ExplosionGuardError, count_trees, enumerate_trees,
+                              gw_probability, leaf_counts)
 
 
 def binary_tree(depth):
