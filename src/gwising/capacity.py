@@ -73,9 +73,11 @@ def _series_capacity(sizes: np.ndarray, base: float, p: float) -> float:
         return float(m * np.sum((g / m) ** -s) ** (-1.0 / s))
 
 
-def capacity_recursion(tree: Tree, base: float, p: float) -> CapacityResult:
+def capacity_recursion(tree: Tree, base: float, p: float, *,
+                       roots_only: bool = False) -> CapacityResult:
     """Exact p-capacity by the leaf-to-root recursion
-    phi(u) = R sum_children contraction(phi(v)), R = ``base``.
+    phi(u) = R sum_children contraction(phi(v)), R = ``base``; ``phi`` holds
+    every vertex's value, or with ``roots_only`` the roots' alone.
 
     R = R_u / R_v is the same on every edge, so each step is one product and
     phi stays in the double range at any depth.  Leaves are perfect boundary
@@ -90,17 +92,20 @@ def capacity_recursion(tree: Tree, base: float, p: float) -> CapacityResult:
     base = _checked_base(base)
     if tree.num_vertices == 1:
         return CapacityResult(1.0, np.ones(1), None)
-    phi = np.zeros(tree.num_vertices)
-    phi[tree.num_children == 0] = math.inf
+    bottom = int(tree.gen_offsets[tree.n])
 
-    def combine(sums: np.ndarray, cur: slice) -> np.ndarray:
-        degree = tree.num_children[cur]
+    def combine(sums: np.ndarray, at) -> np.ndarray:
+        degree = tree.num_children[at]
         # every contraction is at most 1
         if np.any(sums > degree * (1 + 1e-9)):
             raise FloatingPointError("phi exceeded the R * degree envelope")
-        return np.where(degree > 0, base * sums, phi[cur])
+        return np.where(degree > 0, base * sums, math.inf)
 
-    tree.sweep_up(phi, lambda child, nxt: _contraction(child, s), combine)
+    phi = None if roots_only else np.zeros(tree.num_vertices)
+    roots = tree.sweep_up(np.full(tree.num_vertices - bottom, math.inf),
+                          lambda child, _: _contraction(child, s), combine,
+                          np.flatnonzero(tree.num_children[:bottom] == 0), phi)
+    phi = roots if roots_only else phi
     return CapacityResult(float(phi[0]), phi, None)
 
 

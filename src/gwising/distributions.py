@@ -218,13 +218,17 @@ class OffspringPmf:
         if not cuts:
             return np.full(size, self.degrees[0])
         # a uint8 count, when it fits, keeps the temporaries small
+        small = len(cuts) < 254
         idx = np.greater_equal(u, cuts[0])
-        idx = idx.view(np.uint8) if len(cuts) < 254 else idx.astype(np.intp)
+        idx = idx.view(np.uint8) if small else idx.astype(np.intp)
         if len(cuts) > 1:
             above = np.empty(size, dtype=bool)
             for cut in cuts[1:]:
                 idx += np.greater_equal(u, cut, out=above)
         del u  # freed before the degrees are allocated, which can take its place
+        if small and self.degrees[-1] - self.degrees[0] == len(cuts):
+            # consecutive degrees: degrees[idx] is degrees[0] + idx, one add
+            return np.add(idx, self.degrees[0], dtype=np.int64)
         return self.degrees[idx]
 
     @cached_property

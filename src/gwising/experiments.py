@@ -236,10 +236,9 @@ def _sample_block(args) -> np.ndarray:
         forest = sampler.sample(rng, roots=roots)
         fld = None if experiment == "capacity" else plus_boundary_field(forest)
     if experiment == "magnetization":
-        values = ising.lyons_field(forest, fld, cfg.beta)
-    else:
-        values = cap.capacity_recursion(forest, math.tanh(cfg.beta), cfg.capacity_p).phi
-    return values[:roots].copy()
+        return ising.lyons_field(forest, fld, cfg.beta, roots_only=True)
+    return cap.capacity_recursion(forest, math.tanh(cfg.beta), cfg.capacity_p,
+                                  roots_only=True).phi
 
 
 def _sample_scan(cfg: ExperimentConfig, experiment: str,

@@ -78,9 +78,8 @@ def survival(tree: Tree, fld: FieldAssignment) -> np.ndarray:
     survives iff its field bit is set, an internal vertex iff some child
     survives.  Only the bottom-generation bits are read."""
     y = np.zeros(tree.num_vertices, dtype=np.uint8)
-    bottom = slice(int(tree.gen_offsets[tree.n]), tree.num_vertices)
-    y[bottom] = fld.h[bottom]
-    tree.sweep_up(y, lambda child, _: child.astype(np.int64), lambda sums, _: sums > 0)
+    tree.sweep_up(fld.leaf_bits(), lambda child, _: child.astype(np.int64),
+                  lambda sums, _: sums > 0, out=y)
     y.setflags(write=False)
     return y
 

@@ -59,26 +59,45 @@ def magnetization(r):
     return np.tanh(np.asarray(r, dtype=float) / 2.0)
 
 
-def _backward_sweep(tree: Tree, r: np.ndarray, bias: np.ndarray, beta: float) -> np.ndarray:
-    return tree.sweep_up(r, lambda child, _: g_beta(beta, child),
-                         lambda sums, cur: bias[cur] + sums)
+def _lift(beta: float):
+    return lambda child, _: g_beta(beta, child)
 
 
 def lyons_plus(tree: Tree, beta: float) -> np.ndarray:
     """Per-vertex ratios with plus boundary condition: every leaf, at any
     depth, is +inf, and internal vertices accumulate
     r(u) = sum_children g(r(child))."""
-    bias = np.where(tree.num_children == 0, math.inf, 0.0)
-    return _backward_sweep(tree, bias.copy(), bias, beta)
+    bottom = tree.gen_offsets[tree.n]
+    childless = tree.num_children == 0
+    r = np.zeros(tree.num_vertices)
+    tree.sweep_up(np.full(tree.num_vertices - bottom, math.inf), _lift(beta),
+                  lambda sums, at: np.where(childless[at], math.inf, sums),
+                  np.flatnonzero(childless[:bottom]), r)
+    return r
 
 
-def lyons_field(tree: Tree, fld: FieldAssignment, beta: float) -> np.ndarray:
+def lyons_field(tree: Tree, fld: FieldAssignment, beta: float, *,
+                roots_only: bool = False) -> np.ndarray:
     """Per-vertex ratios with a {0,1} external field:
-    r(u) = 2 beta h_u + sum_children g(r(child)), leaves r = 2 beta h_u."""
-    bias = np.multiply(fld.h, 2.0 * beta, dtype=float)
-    # the sweep reads each vertex's bias before it overwrites it, and the
-    # leaves keep theirs: the bias array itself holds the ratios
-    return _backward_sweep(tree, bias, bias, beta)
+    r(u) = 2 beta h_u + sum_children g(r(child)), leaves r = 2 beta h_u;
+    with ``roots_only``, the ratios of the roots alone.
+
+    The sweep starts from the marked leaves, and the field is read in float
+    only where a marked vertex sits above the bottom generation."""
+    two_beta = 2.0 * beta
+    bottom = int(tree.gen_offsets[tree.n])
+    marked = np.flatnonzero(fld.h[bottom:])
+    starts = np.flatnonzero(fld.h[:bottom])
+    if len(starts):
+        def combine(sums, at):
+            return np.multiply(fld.h[at], two_beta, dtype=float) + sums
+    else:
+        def combine(sums, _):
+            return sums
+    r = None if roots_only else np.zeros(tree.num_vertices)
+    roots = tree.sweep_up((marked + bottom, np.full(len(marked), two_beta)),
+                          _lift(beta), combine, starts, r)
+    return roots if roots_only else r
 
 
 def critical_fixed_point(beta: float, nu: float, p_n: float) -> float:

@@ -9,13 +9,17 @@ fine).  A sampler draws a tree, or a forest of independent trees, from one
 stream into one arena, one generation at a time; the population cap bounds
 that whole arena.
 
-The sweep skips the children that hold exactly 0 while fewer than half of
-their generation hold anything else, with the dense sweep's result bit for
-bit.  That asks two things of every caller: ``lift(0) == 0``, and a vertex
-whose children all hold 0 already holds ``combine`` of a zero sum.  With a
-sparse field most ratios are 0 (r(u) != 0 exactly when a field-carrying
-vertex sits below u), so the lifts and child sums run mostly on the vertices
-of the pruned tree.
+The sweep keeps only the generation in hand, and skips the children that
+hold exactly 0 while fewer than half of their generation hold anything else:
+it then carries the live vertices' ids and values alone, with the dense
+sweep's result bit for bit.  That asks two things of every caller:
+``lift(0) == 0``, and the vertices above the bottom whose ``combine`` of a
+zero sum is not 0 are named as starts.  It returns the root values, and
+writes every vertex's value into an arena-sized array only when the caller
+passes one.  With a sparse field most ratios are 0 (r(u) != 0 exactly when a
+field-carrying vertex sits below u), so a scan that reads the roots alone
+lifts and sums mostly on the vertices of the pruned tree, and never builds a
+float array over the arena.
 """
 
 from __future__ import annotations
@@ -64,6 +68,61 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _whole(at, values, lo, hi) -> np.ndarray:
+    """The values of the generation ``lo..hi``, given those at ``at``: a
+    slice over it, or sorted ids with 0 at every other vertex."""
+    if isinstance(at, slice) or len(at) == hi - lo:
+        return values
+    whole = np.zeros(hi - lo, dtype=values.dtype)
+    whole[at - lo] = values
+    return whole
+
+
+def _merge_starts(at, sums, starts):
+    """Sorted ids ``at`` with their sums, joined by the ``starts`` among them
+    and beside them; a start without a live child gets a zero sum."""
+    merged = np.union1d(at, starts)
+    if len(merged) == len(at):
+        return at, sums
+    full = np.zeros(len(merged), dtype=sums.dtype)
+    full[merged.searchsorted(at)] = sums
+    return merged, full
+
+
+def _sparse_sums(at, values, lift, counts, lo, mid, hi):
+    """The parents (sorted ids) of the live children ``at`` of generation
+    ``mid..hi``, which hold ``values``, and their child sums; ``counts`` are
+    the child counts of the parents' generation ``lo..mid``."""
+    if not len(at):
+        return at, values
+    lifted = lift(values, at)
+    if 10 * len(at) > hi - mid:  # above a tenth live, a parent map beats the search
+        parent = np.repeat(np.arange(mid - lo), counts)[at - mid]
+    else:
+        parent = np.cumsum(counts).searchsorted(at - mid, side="right")
+    alone = parent[1:] != parent[:-1]
+    if alone.all():  # no parent has two live children: no sums to take
+        return parent + lo, lifted
+    first = np.flatnonzero(np.concatenate(([True], alone)))
+    sums = np.add.reduceat(lifted, first)
+    if (parent[2:] == parent[:-2]).any():
+        # three or more live children: the dense step's sum needs the
+        # zeros in their places, so their whole segments are summed
+        ends = np.cumsum(counts)
+        runs = np.diff(np.append(first, len(at)))
+        wide = runs > 2
+        j = parent[first[wide]]
+        seg = counts[j]
+        segment = np.zeros(int(seg.sum()), dtype=lifted.dtype)
+        # a child's place in ``segment``: its segment's place there plus
+        # its offset from its parent's first child
+        shift = np.repeat(np.cumsum(seg) - ends[j], runs[wide])
+        member = np.repeat(wide, runs)
+        segment[at[member] - mid + shift] = lifted[member]
+        sums[wide] = segment_sums(segment, seg)
+    return parent[first] + lo, sums
+
+
 @dataclass(frozen=True, eq=False)
 class Tree:
     """Immutable rooted tree (or forest) of depth ``n`` stored breadth-first.
@@ -74,8 +133,8 @@ class Tree:
     v's parent id (-1 for a root), derived on first use, since the
     leaf-to-root sweeps need only the generation slices and the child
     counts.  A forest holds its roots as generation 0; every sweep then runs
-    over all of its trees at once, one generation slice at a time, and reads
-    the root values ``[:num_roots]``.
+    over all of its trees at once, one generation slice at a time, and
+    returns the root values.
     """
 
     gen_offsets: np.ndarray
@@ -116,72 +175,70 @@ class Tree:
         """Child counts of generation-k vertices, in arena order."""
         return self.num_children[self.gen_offsets[k]:self.gen_offsets[k + 1]]
 
-    def sweep_up(self, values: np.ndarray, lift, combine) -> np.ndarray:
-        """The leaf-to-root sweep: fill ``values`` in place, one generation
-        at a time from generation n-1 up to the roots, and return it.
+    def sweep_up(self, bottom, lift, combine, starts=None, out=None) -> np.ndarray:
+        """The leaf-to-root sweep: one generation at a time from generation
+        n-1 up to the roots; returns the root values.
 
-        With ``cur`` the slice of generation k and ``nxt`` that of k+1, each
-        step sets ``values[cur] = combine(segment_sums(lift(values[nxt], nxt),
-        num_children[cur]), cur)``.  The bottom generation keeps the values
-        it came with; a childless vertex above it gets ``combine`` of a zero
-        child sum.
+        ``bottom`` holds the values of generation n, as one array over the
+        generation or as a pair ``(ids, values)`` of sorted arena ids and
+        their values (every other vertex of the generation holds 0).  With
+        ``cur`` the slice of generation k and ``nxt`` that of k+1, each step
+        takes ``combine(segment_sums(lift(values of nxt, nxt),
+        num_children[cur]), cur)`` as the values of generation k; a childless
+        vertex above the bottom gets ``combine`` of a zero child sum.
+        ``starts`` are the sorted ids above the bottom whose ``combine`` of a
+        zero sum is not 0.  Only the values of the generation in hand are
+        kept; ``out``, an arena-sized array of zeros when given, receives
+        every vertex's value.
 
-        Skip rule: while fewer than half of generation k+1 hold a nonzero
-        value, only those live children are lifted, and ``combine`` runs only
-        on their parents (``lift`` and ``combine`` then get index arrays
-        instead of slices).  A parent with one or two live children takes
+        Skip rule: while fewer than half of generation k+1 are live (nonzero,
+        or started), the step carries only their ids and values: only those
+        children are lifted, and ``combine`` runs only on their parents and
+        on the starts of generation k (``lift`` and ``combine`` then get
+        sorted index arrays instead of slices, and the starts without a live
+        child a zero sum).  A parent with one or two live children takes
         their plain sum, which is the bits ``segment_sums`` gives with zeros
         around them; one with three or more is summed over its whole child
-        segment by ``segment_sums``.  The first generation with at least half
-        of it live takes the dense step, and so does every one above it.  The
-        result is bit for bit the dense sweep's, provided the caller meets
-        the contract: ``lift`` maps 0 to 0, and a vertex whose children all
-        hold 0 already holds ``combine`` of a zero sum.  ``lyons_field``,
-        ``lyons_plus``, ``survival`` and ``capacity_recursion`` meet it, and so
-        do ``leaf_counts`` and the gradient of ``capacity_bruteforce`` in
-        ``gwising.validate``.
+        segment by ``segment_sums``, zeros included.  The first generation
+        with at least half of it live takes the dense step, and so does every
+        one above it.  The result is bit for bit the dense sweep's, provided
+        the caller meets the contract: ``lift`` maps 0 to 0, and ``starts``
+        holds every vertex above the bottom whose ``combine`` of a zero sum
+        is not 0.  ``lyons_field``, ``lyons_plus``, ``survival`` and
+        ``capacity_recursion`` meet it, and so do ``leaf_counts`` and the
+        gradient of ``capacity_bruteforce`` in ``gwising.validate``.
         """
         offsets = self.gen_offsets.tolist()
-        bottom = offsets[-2]
-        live = values[bottom:] != 0
-        nonzero = None  # sorted ids of the nonzero values above the bottom; None once dense
-        if 2 * np.count_nonzero(live) < len(live):
-            nonzero = np.flatnonzero(values[:bottom])
-            bounds = nonzero.searchsorted(offsets).tolist()
-            live = np.flatnonzero(live) + bottom
+        lo, hi = offsets[-2:]
+        if isinstance(bottom, tuple):
+            at, values = bottom
+        elif len(bottom) != hi - lo:
+            raise ValueError(f"the bottom generation has {hi - lo} vertices, "
+                             f"not {len(bottom)}")
+        elif 2 * np.count_nonzero(bottom) < hi - lo:
+            at = np.flatnonzero(bottom)
+            at, values = at + lo, bottom[at]
+        else:
+            at, values = slice(lo, hi), bottom
+        if out is not None:
+            out[at] = values
+        bounds = None if starts is None else starts.searchsorted(offsets).tolist()
         for k in range(self.n - 1, -1, -1):
             lo, mid, hi = offsets[k:k + 3]
             cur = slice(lo, mid)
             counts = self.num_children[cur]
-            if nonzero is None or 2 * len(live) >= hi - mid:
-                nonzero = None
+            if isinstance(at, slice) or 2 * len(at) >= hi - mid:
                 nxt = slice(mid, hi)
-                values[cur] = combine(segment_sums(lift(values[nxt], nxt), counts), cur)
-                continue
-            if len(live):
-                ends = np.cumsum(counts)
-                parent = ends.searchsorted(live - mid, side="right")
-                lifted = lift(values[live], live)
-                first = np.empty(len(live), dtype=bool)
-                first[0] = True
-                np.not_equal(parent[1:], parent[:-1], out=first[1:])
-                first = np.flatnonzero(first)
-                sums = np.add.reduceat(lifted, first)
-                if (parent[2:] == parent[:-2]).any():
-                    # three or more live children: the dense step's sum
-                    # needs the zeros in their places
-                    wide = np.append(first[1:], len(live)) - first > 2
-                    j = parent[first[wide]]
-                    seg = counts[j]
-                    idx = np.repeat(mid + ends[j] - np.cumsum(seg), seg) + np.arange(seg.sum())
-                    sums[wide] = segment_sums(lift(values[idx], idx), seg)
-                del ends  # freed before the next generation's cumsum
-                live = parent[first] + lo
-                values[live] = combine(sums, live)
-            incoming = nonzero[bounds[k]:bounds[k + 1]]
-            if len(incoming):
-                live = np.union1d(live, incoming)
-        return values
+                sums = segment_sums(lift(_whole(at, values, mid, hi), nxt), counts)
+                at, values = cur, combine(sums, cur)
+            else:
+                at, sums = _sparse_sums(at, values, lift, counts, lo, mid, hi)
+                if bounds is not None and bounds[k] < bounds[k + 1]:
+                    at, sums = _merge_starts(at, sums, starts[bounds[k]:bounds[k + 1]])
+                values = combine(sums, at) if len(at) else sums
+            if out is not None:
+                out[at] = values
+        return _whole(at, values, 0, offsets[1])
 
     @property
     def leaves_only_at_bottom(self) -> bool:

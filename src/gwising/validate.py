@@ -93,8 +93,9 @@ def leaf_counts(tree: Tree) -> np.ndarray:
     """Per-vertex count of bottom-generation descendants (self included at
     the bottom); the numerator of the uniform flow."""
     counts = np.zeros(tree.num_vertices, dtype=np.int64)
-    counts[tree.gen_offsets[tree.n]:] = 1
-    return tree.sweep_up(counts, lambda child, _: child, lambda sums, _: sums)
+    tree.sweep_up(np.ones(tree.generation_size(tree.n), dtype=np.int64),
+                  lambda child, _: child, lambda sums, _: sums, out=counts)
+    return counts
 
 
 def count_trees(pmf: OffspringPmf, depth: int) -> int:
@@ -295,6 +296,7 @@ def capacity_bruteforce(tree: Tree, base: float, p: float) -> CapacityResult:
     cost[0] = 0.0
     parent = tree.parent
     counts = tree.num_children
+    bottom = int(tree.gen_offsets[tree.n])
     internal = np.flatnonzero(counts > 0)
     block_counts = counts[internal]
     block_ids = parent[1:]
@@ -321,8 +323,8 @@ def capacity_bruteforce(tree: Tree, base: float, p: float) -> CapacityResult:
         # h(v) = cost_v theta_v^{q-1} + sum_children a_w h(w); grad wrt a_v is
         # q * theta(parent) * h(v), finite even as theta -> 0 (q > 1).
         h = cost * theta ** (q - 1.0)
-        tree.sweep_up(h, lambda child, nxt: a_vec[nxt] * child,
-                      lambda sums, cur: h[cur] + sums)
+        tree.sweep_up(h[bottom:], lambda child, nxt: a_vec[nxt] * child,
+                      lambda sums, cur: h[cur] + sums, np.flatnonzero(h[:bottom]), h)
         grad = np.zeros_like(a_vec)
         grad[1:] = q * theta[parent[1:]] * h[1:]
         return grad

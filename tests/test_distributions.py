@@ -152,6 +152,19 @@ def test_sample_many_matches_binary_search_on_wide_supports(atoms):
     assert_draws_match_binary_search(pmf, atoms)
 
 
+@pytest.mark.parametrize("pmf", [
+    OffspringPmf.from_dict({1: 0.5, 2: 0.5}),
+    OffspringPmf.from_dict({d: 0.125 for d in range(1, 9)}),
+    OffspringPmf.from_dict({1: 0.5, 3: 0.5}),
+    OffspringPmf.dirac(2),
+    OffspringPmf(np.arange(5, 305), np.full(300, 1 / 300)),
+], ids=["half12", "uniform8", "half13", "dirac2", "atoms300"])
+def test_sample_many_adds_or_gathers_the_same_degrees(pmf):
+    # consecutive degrees are the first degree plus the index; a gapped
+    # support and the wide index type keep the gather
+    assert_draws_match_binary_search(pmf, 11)
+
+
 law_weights = st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
                        min_size=1, max_size=30).filter(lambda w: sum(w) > 0)
 

@@ -7,10 +7,10 @@ from gwising import (FieldAssignment, FieldMode, OffspringPmf, Tree, g_beta,
                      lyons_field, lyons_plus, magnetization, plus_boundary_field,
                      sample_field, sample_gw, sample_inhomogeneous_bp,
                      upper_bound_mean_r)
-from gwising.ising import _backward_sweep, critical_fixed_point
+from gwising.ising import critical_fixed_point
 from gwising.validate import gibbs_bruteforce, random_small_tree
 
-from test_sweep import dense_sweep
+from test_sweep import dense_sweep_up
 
 
 def g_beta_logaddexp_form(beta, x):
@@ -108,10 +108,10 @@ def lyons_field_zero_then_mask(tree, fld, beta):
     sweep that skips zero children does not allow."""
     bias = 2.0 * beta * fld.h.astype(float)
     r = np.zeros(tree.num_vertices)
-    leaves = tree.num_children == 0
-    r[leaves] = bias[leaves]
-    with dense_sweep():
-        return _backward_sweep(tree, r, bias, beta)
+    bottom = int(tree.gen_offsets[tree.n])
+    dense_sweep_up(tree, bias[bottom:], lambda child, _: g_beta(beta, child),
+                   lambda sums, cur: bias[cur] + sums, out=r)
+    return r
 
 
 @pytest.mark.parametrize("mode", [FieldMode.LEAVES_ONLY, FieldMode.WHOLE_TREE])

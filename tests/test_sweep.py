@@ -1,8 +1,9 @@
 """The leaf-to-root sweep skips children that hold 0, bit for bit.
 
-``Tree.sweep_up`` lifts only the nonzero children of a generation while they
-are fewer than half of it.  Every caller's output is checked here against the
-dense sweep it replaced, kept below verbatim as the oracle, byte for byte.
+``Tree.sweep_up`` carries only the nonzero children of a generation while
+they are fewer than half of it.  Every caller's output, per vertex and for
+the roots alone, is checked here against the dense sweep, kept below as the
+oracle, byte for byte.
 """
 
 import math
@@ -10,6 +11,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,12 +26,21 @@ CAPACITY_ORDERS = (1.5, 2.0, 3.0)
 MAX_EXPECTED_VERTICES = 3000
 
 
-def dense_sweep_up(self, values, lift, combine):
+def dense_sweep_up(self, bottom, lift, combine, starts=None, out=None):
+    lo = int(self.gen_offsets[self.n])
+    if isinstance(bottom, tuple):
+        ids, vals = bottom
+        bottom = np.zeros(self.num_vertices - lo, dtype=vals.dtype)
+        bottom[ids - lo] = vals
+    values = bottom
+    if out is not None:
+        out[lo:] = values
     for k in range(self.n - 1, -1, -1):
         lo, mid, hi = (int(x) for x in self.gen_offsets[k:k + 3])
         cur, nxt = slice(lo, mid), slice(mid, hi)
-        values[cur] = combine(segment_sums(lift(values[nxt], nxt),
-                                           self.num_children[cur]), cur)
+        values = combine(segment_sums(lift(values, nxt), self.num_children[cur]), cur)
+        if out is not None:
+            out[cur] = values
     return values
 
 
@@ -56,27 +67,33 @@ def fields_of(tree, p, rng):
             FieldAssignment(tree, FieldMode.PLUS_BOUNDARY, plus)]
 
 
-def capacity_phi(tree, beta, p):
+def capacity_phi(tree, beta, p, roots_only=False):
     base = math.tanh(beta) if beta > 0 else 0.5
-    return capacity_recursion(tree, base, p).phi
+    return capacity_recursion(tree, base, p, roots_only=roots_only).phi
 
 
-def outputs(tree, beta, p, rng):
-    """Every sweep caller's per-vertex output on one forest."""
-    flds = fields_of(tree, p, rng)
+def outputs(tree, beta, flds):
+    """Every sweep caller's per-vertex output on one forest, given one field
+    per mode, then the root values of the two that give them alone."""
     out = [lyons_field(tree, fld, beta) for fld in flds]
     out += [lyons_plus(tree, beta), survival(tree, flds[1]), leaf_counts(tree)]
     out += [capacity_phi(tree, beta, q) for q in CAPACITY_ORDERS]
+    out += [lyons_field(tree, fld, beta, roots_only=True) for fld in flds]
+    out += [capacity_phi(tree, beta, q, roots_only=True) for q in CAPACITY_ORDERS]
     return out
 
 
-def assert_same_bytes(tree, beta, p, seed):
-    got = outputs(tree, beta, p, np.random.default_rng(seed))
+def assert_same_bytes(tree, beta, flds):
+    got = outputs(tree, beta, flds)
     with dense_sweep():
-        want = outputs(tree, beta, p, np.random.default_rng(seed))
+        want = outputs(tree, beta, flds)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
+    # the root values alone are the per-vertex ones' first entries
+    per_vertex = got[:3] + got[6:9]
+    for whole, roots in zip(per_vertex, got[9:]):
+        assert roots.tobytes() == whole[:tree.num_roots].tobytes()
 
 
 def random_forest(rng, width, zero_mass, roots, depth):
@@ -106,7 +123,47 @@ def test_sweep_matches_dense_sweep_bitwise(seed, width, zero_mass, roots, depth,
                                            log10_p, beta):
     rng = np.random.default_rng(seed)
     tree = random_forest(rng, width, zero_mass, roots, depth)
-    assert_same_bytes(tree, beta, 10.0 ** log10_p, seed)
+    assert_same_bytes(tree, beta, fields_of(tree, 10.0 ** log10_p, rng))
+
+
+def marked_fields(tree, leaves, internal):
+    """One field per mode: marks on the bottom-generation offsets
+    ``leaves``, those and the ids ``internal`` for WHOLE_TREE, and ones on
+    the bottom generation."""
+    bottom = bottom_slice(tree)
+    leaf_bits = np.zeros(tree.num_vertices, dtype=np.uint8)
+    leaf_bits[bottom.start + np.asarray(leaves, dtype=np.int64)] = 1
+    whole = leaf_bits.copy()
+    whole[np.asarray(internal, dtype=np.int64)] = 1
+    plus = np.zeros(tree.num_vertices, dtype=np.uint8)
+    plus[bottom] = 1
+    return [FieldAssignment(tree, FieldMode.WHOLE_TREE, whole),
+            FieldAssignment(tree, FieldMode.LEAVES_ONLY, leaf_bits),
+            FieldAssignment(tree, FieldMode.PLUS_BOUNDARY, plus)]
+
+
+def forest(*counts):
+    return Tree.from_offspring_counts([np.array(c, dtype=np.int64) for c in counts])
+
+
+HAND_FORESTS = {
+    # roots with 12 and 3 children over 40 paths: 11 and 3 live children
+    # under them, in a generation that stays mostly zero
+    "wide parents": (forest([12, 3] + [1] * 40, [1] * 55),
+                     [0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14], [5, 62]),
+    # lone-vertex trees among the roots, childless vertices in generation 1
+    "childless and lone": (forest([0, 3, 0, 1, 2] + [1] * 20,
+                                  [0, 2, 1, 0, 4, 0] + [1] * 20, [1] * 27),
+                           [0, 2, 4, 6], [0, 1, 25, 29]),
+    "lone roots only": (forest([0, 0, 0]), [1], [0]),
+}
+
+
+@pytest.mark.parametrize("beta", (0.05, 0.9, 20.0))
+@pytest.mark.parametrize("name", list(HAND_FORESTS))
+def test_roots_only_matches_per_vertex_and_dense_sweep_bitwise(name, beta):
+    tree, leaves, internal = HAND_FORESTS[name]
+    assert_same_bytes(tree, beta, marked_fields(tree, leaves, internal))
 
 
 def wide_parent_forest(rng, width, live, first_live, others):
@@ -136,22 +193,30 @@ def test_parents_with_many_live_children_keep_dense_sums(seed, width, data, beta
     fld = FieldAssignment(tree, FieldMode.LEAVES_ONLY, h)
     # leaf values spread over many binades, so that the order of the sum shows
     x = rng.random(tree.num_vertices) * 10.0 ** rng.integers(-6, 3, size=tree.num_vertices)
-    got = lyons_field(tree, fld, beta)
-    got_sweep = tree.sweep_up(x * h, lambda child, _: child * 1.0, lambda sums, _: sums)
+    leaves = (x * h)[bottom_slice(tree)]
+
+    def sweeps():
+        out = np.zeros(tree.num_vertices)
+        roots = tree.sweep_up(leaves, lambda child, _: child * 1.0, lambda sums, _: sums,
+                              out=out)
+        return [lyons_field(tree, fld, beta), lyons_field(tree, fld, beta, roots_only=True),
+                out, roots]
+
+    got = sweeps()
     with dense_sweep():
-        want = lyons_field(tree, fld, beta)
-        want_sweep = tree.sweep_up(x * h, lambda child, _: child * 1.0, lambda sums, _: sums)
-    assert got.tobytes() == want.tobytes()
-    assert got_sweep.tobytes() == want_sweep.tobytes()
+        want = sweeps()
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert got[1].tobytes() == got[0][:tree.num_roots].tobytes()
+    assert got[3].tobytes() == got[2][:tree.num_roots].tobytes()
 
 
 def test_plain_sum_of_three_live_children_differs_from_the_dense_sum():
     # the reason the sweep sums such parents over their whole segment
     a, b, c = 0.1, 0.2, 0.3
     tree = Tree.from_offspring_counts([np.array([3] + [1] * 7)])
-    values = np.zeros(tree.num_vertices)
-    values[8:11] = a, b, c
-    got = tree.sweep_up(values.copy(), lambda child, _: child, lambda sums, _: sums)
+    leaves = np.zeros(10)
+    leaves[:3] = a, b, c
+    got = tree.sweep_up(leaves, lambda child, _: child, lambda sums, _: sums)
     assert got[0] == a + (b + c) != (a + b) + c
 
 
@@ -161,20 +226,20 @@ def test_sweep_lifts_only_live_children_until_half_are_live():
     others = 50
     counts = [np.ones(others + 1, dtype=np.int64)] * 4
     tree = Tree.from_offspring_counts(counts)
-    values = np.zeros(tree.num_vertices)
-    values[tree.num_vertices - 1] = 1.0
+    leaves = np.zeros(others + 1)
+    leaves[-1] = 1.0
     seen = []
 
     def lift(child, nxt):
         seen.append((len(child), isinstance(nxt, slice)))
         return child
 
-    tree.sweep_up(values, lift, lambda sums, _: sums)
+    values = np.zeros(tree.num_vertices)
+    roots = tree.sweep_up(leaves, lift, lambda sums, _: sums, out=values)
     assert seen == [(1, False)] * 4
     assert values[others] == 1.0 and values[:others].sum() == 0.0
+    assert roots.tobytes() == values[:others + 1].tobytes()
     # a generation at least half live goes dense, and so does every one above
-    values = np.zeros(tree.num_vertices)
-    values[-(others + 1):] = 1.0
     seen.clear()
-    tree.sweep_up(values, lift, lambda sums, _: sums)
+    tree.sweep_up(np.ones(others + 1), lift, lambda sums, _: sums)
     assert seen == [(others + 1, True)] * 4
