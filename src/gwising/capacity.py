@@ -104,9 +104,9 @@ def capacity_recursion(tree: Tree, base: float, p: float, *,
     phi = None if roots_only else np.zeros(tree.num_vertices)
     roots = tree.sweep_up(np.full(tree.num_vertices - bottom, math.inf),
                           lambda child, _: _contraction(child, s), combine,
-                          np.flatnonzero(tree.num_children[:bottom] == 0), phi)
-    phi = roots if roots_only else phi
-    return CapacityResult(float(phi[0]), phi, None)
+                          starts=np.flatnonzero(tree.num_children[:bottom] == 0),
+                          out=phi)
+    return CapacityResult(float(roots[0]), roots if roots_only else phi, None)
 
 
 def capacity_spherical(generation_sizes, base: float, p: float) -> float:

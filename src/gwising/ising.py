@@ -67,12 +67,12 @@ def lyons_plus(tree: Tree, beta: float) -> np.ndarray:
     """Per-vertex ratios with plus boundary condition: every leaf, at any
     depth, is +inf, and internal vertices accumulate
     r(u) = sum_children g(r(child))."""
-    bottom = tree.gen_offsets[tree.n]
+    bottom = int(tree.gen_offsets[tree.n])
     childless = tree.num_children == 0
     r = np.zeros(tree.num_vertices)
     tree.sweep_up(np.full(tree.num_vertices - bottom, math.inf), _lift(beta),
                   lambda sums, at: np.where(childless[at], math.inf, sums),
-                  np.flatnonzero(childless[:bottom]), r)
+                  starts=np.flatnonzero(childless[:bottom]), out=r)
     return r
 
 
@@ -96,7 +96,7 @@ def lyons_field(tree: Tree, fld: FieldAssignment, beta: float, *,
             return sums
     r = None if roots_only else np.zeros(tree.num_vertices)
     roots = tree.sweep_up((marked + bottom, np.full(len(marked), two_beta)),
-                          _lift(beta), combine, starts, r)
+                          _lift(beta), combine, starts=starts, out=r)
     return roots if roots_only else r
 
 

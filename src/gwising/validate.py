@@ -324,7 +324,8 @@ def capacity_bruteforce(tree: Tree, base: float, p: float) -> CapacityResult:
         # q * theta(parent) * h(v), finite even as theta -> 0 (q > 1).
         h = cost * theta ** (q - 1.0)
         tree.sweep_up(h[bottom:], lambda child, nxt: a_vec[nxt] * child,
-                      lambda sums, cur: h[cur] + sums, np.flatnonzero(h[:bottom]), h)
+                      lambda sums, cur: h[cur] + sums, starts=np.flatnonzero(h[:bottom]),
+                      out=h)
         grad = np.zeros_like(a_vec)
         grad[1:] = q * theta[parent[1:]] * h[1:]
         return grad
