@@ -22,7 +22,9 @@ print("tree of depth", tree.n, "with", tree.num_vertices, "vertices")
 print("generation sizes:", tree.generation_sizes().tolist())
 
 field = sample_field(tree, FieldMode.LEAVES_ONLY, p, rng)
-print("marked leaves:", int(field.leaf_bits().sum()), "of",
+# the field is one read-only uint8 bit per vertex, in arena order; the
+# bottom generation is the last slice of the arena
+print("marked leaves:", int(field[tree.gen_offsets[n]:].sum()), "of",
       tree.generation_size(n))
 
 surv = survival(tree, field)

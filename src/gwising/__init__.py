@@ -22,8 +22,7 @@ Library layout:
 """
 
 from .distributions import ConsistencyError, OffspringPmf, PmfError, ztb_mixture
-from .fields import (FieldAssignment, FieldMode, plus_boundary_field, prune,
-                     sample_field, survival)
+from .fields import FieldMode, plus_boundary_field, prune, sample_field, survival
 from .ising import g_beta, lyons_field, lyons_plus, magnetization, upper_bound_mean_r
 from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
                          gamma_profile, moments, mu_star, tilde_mu0, tv_profile)

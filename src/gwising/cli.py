@@ -230,8 +230,8 @@ def _run_prune_demo(args, say) -> int:
     replica_vertices(pmf, args.n)  # a too-deep tree fails here, before any sampling
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     tree = sample_gw(pmf, args.n, rng)
-    fld = sample_field(tree, FieldMode.LEAVES_ONLY, args.p, rng)
-    outcome = prune(tree, fld)  # None when the root, so every vertex, dies
+    h = sample_field(tree, FieldMode.LEAVES_ONLY, args.p, rng)
+    outcome = prune(tree, h)  # None when the root, so every vertex, dies
     surv = np.zeros(tree.num_vertices, bool) if outcome is None else outcome[1] >= 0
     tree_json = json.dumps(tree.to_json_dict(), sort_keys=True,
                            separators=(",", ":")) + "\n"
@@ -242,7 +242,7 @@ def _run_prune_demo(args, say) -> int:
                                  separators=(",", ":")) + "\n"
     gamma0 = float(gamma_profile(pmf, args.p, args.n).gamma[0])
     for name, text in (("tree.json", tree_json), ("pruned.json", pruned_json),
-                       ("overlay.dot", to_dot(tree, fld, surv))):
+                       ("overlay.dot", to_dot(tree, h, surv))):
         path = os.path.join(args.out, name)
         atomic_write_text(path, text)
         say(f"wrote {path}")

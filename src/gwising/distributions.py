@@ -11,7 +11,7 @@ evaluated without truncation error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +43,6 @@ class OffspringPmf:
 
     degrees: np.ndarray
     probs: np.ndarray
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OffspringPmf)
@@ -59,20 +58,17 @@ class OffspringPmf:
         if degrees.ndim != 1 or probs.shape != degrees.shape or degrees.size == 0:
             raise PmfError("degrees and probs must be matching non-empty 1-d arrays")
         _check_masses(degrees, probs)
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0  # a distribution function whatever the rounding; draws count cum[:-1]
-        _freeze(degrees, probs, cum)
-        self.__dict__.update(degrees=degrees, probs=probs, _cum=cum)
+        _freeze(degrees, probs)
+        self.__dict__.update(degrees=degrees, probs=probs)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _from_checked(cls, degrees, probs, cum) -> "OffspringPmf":
-        """A law from read-only arrays that already satisfy the invariants,
-        ``cum`` being the cumulative masses topped at 1; nothing is checked
-        again."""
+    def _from_checked(cls, degrees, probs) -> "OffspringPmf":
+        """A law from read-only arrays that already satisfy the invariants;
+        nothing is checked again."""
         law = object.__new__(cls)
-        law.__dict__.update(degrees=degrees, probs=probs, _cum=cum)
+        law.__dict__.update(degrees=degrees, probs=probs)
         return law
 
     @classmethod
@@ -233,8 +229,9 @@ class OffspringPmf:
 
     @cached_property
     def _cuts(self) -> list[float]:
-        """The cut points: every cumulative mass but the top one."""
-        return self._cum[:-1].tolist()
+        """The cut points: every cumulative mass but the top one, which no
+        draw reads."""
+        return np.cumsum(self.probs)[:-1].tolist()
 
     # -- serialization ------------------------------------------------------
 
@@ -359,14 +356,11 @@ def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
     degrees = np.arange(1, dmax + 1)
     _check_masses(degrees, masses)
     positive = masses > 0
-    cum = np.cumsum(masses, axis=1)
-    # top each row at its last positive degree, as the constructor does
-    cum[np.arange(len(entries)), dmax - 1 - np.argmax(positive[:, ::-1], axis=1)] = 1.0
-    _freeze(degrees, masses, cum)  # a whole row's arrays are views of these
-    laws = LawTable([OffspringPmf._from_checked(degrees, row, top) if whole else
-                     OffspringPmf._from_checked(*_freeze(degrees[keep], row[keep], top[keep]))
-                     for whole, keep, row, top
-                     in zip(positive.all(axis=1).tolist(), positive, masses, cum)], masses)
+    _freeze(degrees, masses)  # a whole row's arrays are views of these
+    laws = LawTable([OffspringPmf._from_checked(degrees, row) if whole else
+                     OffspringPmf._from_checked(*_freeze(degrees[keep], row[keep]))
+                     for whole, keep, row
+                     in zip(positive.all(axis=1).tolist(), positive, masses)], masses)
     return laws[0] if ps.ndim == 0 else laws
 
 

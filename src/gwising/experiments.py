@@ -231,12 +231,12 @@ def _sample_block(args) -> np.ndarray:
     rng = replica_rng(cfg.master_seed, EXPERIMENT_IDS[experiment], n_index, block)
     if sampler is None:
         forest = sample_gw(cfg.pmf, n, rng, roots=roots)
-        fld = sample_field(forest, cfg.field_mode, cfg.p_n(n), rng)
+        h = sample_field(forest, cfg.field_mode, cfg.p_n(n), rng)
     else:
         forest = sampler.sample(rng, roots=roots)
-        fld = None if experiment == "capacity" else plus_boundary_field(forest)
+        h = None if experiment == "capacity" else plus_boundary_field(forest)
     if experiment == "magnetization":
-        return ising.lyons_field(forest, fld, cfg.beta, roots_only=True)
+        return ising.lyons_field(forest, h, cfg.beta, roots_only=True)
     return cap.capacity_recursion(forest, math.tanh(cfg.beta), cfg.capacity_p,
                                   roots_only=True).phi
 

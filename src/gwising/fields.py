@@ -1,16 +1,17 @@
 """Bernoulli external fields on trees and the pruning of dead branches.
 
-A field assigns a bit to every vertex.  Pruning keeps exactly the vertices
-that have a field-carrying leaf among their depth-n descendants; dead branches
-are removed wholesale.  Pruned trees are rebuilt as fresh contiguous arenas so
-that the downstream recursions stay cache-linear, and the old-to-new index
-mapping is returned for traceability.
+A field is a ``uint8`` array of one bit per vertex of the tree it is drawn
+on, in arena order; it holds no other data, so every function that takes one
+takes the tree too, and checks that the two match.  Pruning keeps exactly the
+vertices that have a field-carrying leaf among their depth-n descendants;
+dead branches are removed wholesale.  Pruned trees are rebuilt as fresh
+contiguous arenas so that the downstream recursions stay cache-linear, and
+the old-to-new index mapping is returned for traceability.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,27 +24,19 @@ class FieldMode(enum.Enum):
     PLUS_BOUNDARY = "plus_boundary"
 
 
-@dataclass(frozen=True, eq=False)
-class FieldAssignment:
-    """Per-vertex {0,1} field on a specific tree."""
-
-    tree: Tree
-    mode: FieldMode
-    h: np.ndarray
-
-    def __post_init__(self):
-        if len(self.h) != self.tree.num_vertices:
-            raise ValueError("field length does not match the tree")
-        self.h.setflags(write=False)
-
-    def leaf_bits(self) -> np.ndarray:
-        lo, hi = self.tree.gen_offsets[self.tree.n], self.tree.gen_offsets[self.tree.n + 1]
-        return self.h[lo:hi]
+def _checked_field(tree: Tree, h: np.ndarray) -> np.ndarray:
+    """The one check of a field against the tree it is used with, which must
+    give it one bit per vertex."""
+    if len(h) != tree.num_vertices:
+        raise ValueError(f"the field has {len(h)} bits, the tree "
+                         f"{tree.num_vertices} vertices")
+    return h
 
 
 def sample_field(tree: Tree, mode: FieldMode, p: float,
-                 rng: np.random.Generator | None = None) -> FieldAssignment:
-    """Independent Bernoulli(p) bits on the mode's vertex set, zeros elsewhere.
+                 rng: np.random.Generator | None = None) -> np.ndarray:
+    """The read-only field of independent Bernoulli(p) bits on the mode's
+    vertex set, zeros elsewhere.
 
     The stream draws one uniform per vertex of the set, in breadth-first
     order: the whole arena for WHOLE_TREE, the bottom generation for
@@ -56,49 +49,50 @@ def sample_field(tree: Tree, mode: FieldMode, p: float,
     bottom = slice(int(tree.gen_offsets[tree.n]), int(tree.gen_offsets[tree.n + 1]))
     if mode is FieldMode.PLUS_BOUNDARY:
         h[bottom] = 1
-        return FieldAssignment(tree, mode, h)
-    if rng is None:
+    elif rng is None:
         raise ValueError("random field modes need a stream")
-    if mode is FieldMode.WHOLE_TREE:
-        bits = slice(0, tree.num_vertices)
-    elif mode is FieldMode.LEAVES_ONLY:
-        bits = bottom
+    elif mode in (FieldMode.WHOLE_TREE, FieldMode.LEAVES_ONLY):
+        bits = h if mode is FieldMode.WHOLE_TREE else h[bottom]
+        np.less(rng.random(len(bits)), p, out=bits.view(bool))
     else:
         raise ValueError(f"unknown field mode {mode!r}")
-    np.less(rng.random(bits.stop - bits.start), p, out=h[bits].view(bool))
-    return FieldAssignment(tree, mode, h)
+    h.setflags(write=False)
+    return h
 
 
-def plus_boundary_field(tree: Tree) -> FieldAssignment:
+def plus_boundary_field(tree: Tree) -> np.ndarray:
     return sample_field(tree, FieldMode.PLUS_BOUNDARY, 1.0)
 
 
-def survival(tree: Tree, fld: FieldAssignment) -> np.ndarray:
+def survival(tree: Tree, h: np.ndarray) -> np.ndarray:
     """The read-only per-vertex survival bits, by a bottom-up OR: a leaf
     survives iff its field bit is set, an internal vertex iff some child
     survives.  Only the bottom-generation bits are read."""
     y = np.zeros(tree.num_vertices, dtype=np.uint8)
-    tree.sweep_up(fld.leaf_bits(), lambda child, _: child.astype(np.int64),
+    tree.sweep_up(_checked_field(tree, h)[tree.gen_offsets[tree.n]:],
+                  lambda child, _: child.astype(np.int64),
                   lambda sums, _: sums > 0, out=y)
     y.setflags(write=False)
     return y
 
 
-def prune(tree: Tree, fld: FieldAssignment) -> tuple[Tree, np.ndarray] | None:
+def prune(tree: Tree, h: np.ndarray) -> tuple[Tree, np.ndarray] | None:
     """Induced subtree on the surviving vertices.
 
     Returns ``(pruned_tree, mapping)`` where ``mapping[v]`` is the new id of
     old vertex v (-1 if pruned away), or ``None`` when the root itself dies.
     The empty outcome is a value, not an error.  Requires a leaf-supported
-    field; with internal field bits the survival indicators would not describe
-    the model's zero-ratio set.  Requires a single tree: a forest raises
-    ValueError, since one root cannot stand for the survival of the others.
+    field: a bit set above the bottom generation raises ValueError, since
+    the survival indicators would then not describe the model's zero-ratio
+    set.  Requires a single tree: a forest raises ValueError, since one root
+    cannot stand for the survival of the others.
     """
-    if fld.mode is FieldMode.WHOLE_TREE:
-        raise ValueError("pruning is defined for leaf-supported fields only")
+    if _checked_field(tree, h)[:tree.gen_offsets[tree.n]].any():
+        raise ValueError("pruning is defined for leaf-supported fields only, "
+                         "but a bit is set above the bottom generation")
     if tree.num_roots > 1:
         raise ValueError("pruning is defined for a single tree, not a forest")
-    y = survival(tree, fld)
+    y = survival(tree, h)
     if not y[0]:
         return None
     keep = y.astype(bool)
@@ -113,15 +107,17 @@ def prune(tree: Tree, fld: FieldAssignment) -> tuple[Tree, np.ndarray] | None:
     return Tree.from_offspring_counts(counts_per_gen), mapping
 
 
-def to_dot(tree: Tree, fld: FieldAssignment | None = None,
+def to_dot(tree: Tree, h: np.ndarray | None = None,
            surv: np.ndarray | None = None) -> str:
-    """DOT rendering: field-carrying vertices are doublecircled and, given
-    the bits ``survival`` returns as ``surv``, surviving branches solid blue
-    and dead branches dashed red."""
+    """DOT rendering: the vertices whose field bit in ``h`` is set are
+    doublecircled and, given the bits ``survival`` returns as ``surv``,
+    surviving branches solid blue and dead branches dashed red."""
+    if h is not None:
+        _checked_field(tree, h)
     lines = ["digraph tree {", "  node [shape=circle, label=\"\", width=0.12];"]
     for v in range(tree.num_vertices):
         attrs = []
-        if fld is not None and fld.h[v]:
+        if h is not None and h[v]:
             attrs.append("shape=doublecircle")
         if surv is not None:
             attrs.append("color=blue" if surv[v] else "color=red")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .fields import FieldAssignment
+from .fields import _checked_field
 from .tree import Tree
 
 # nu tanh(beta) within this of 1 counts as critical
@@ -76,9 +76,9 @@ def lyons_plus(tree: Tree, beta: float) -> np.ndarray:
     return r
 
 
-def lyons_field(tree: Tree, fld: FieldAssignment, beta: float, *,
+def lyons_field(tree: Tree, h: np.ndarray, beta: float, *,
                 roots_only: bool = False) -> np.ndarray:
-    """Per-vertex ratios with a {0,1} external field:
+    """Per-vertex ratios with the {0,1} external field ``h`` on ``tree``:
     r(u) = 2 beta h_u + sum_children g(r(child)), leaves r = 2 beta h_u;
     with ``roots_only``, the ratios of the roots alone.
 
@@ -86,11 +86,11 @@ def lyons_field(tree: Tree, fld: FieldAssignment, beta: float, *,
     only where a marked vertex sits above the bottom generation."""
     two_beta = 2.0 * beta
     bottom = int(tree.gen_offsets[tree.n])
-    marked = np.flatnonzero(fld.h[bottom:])
-    starts = np.flatnonzero(fld.h[:bottom])
+    marked = np.flatnonzero(_checked_field(tree, h)[bottom:])
+    starts = np.flatnonzero(h[:bottom])
     if len(starts):
         def combine(sums, at):
-            return np.multiply(fld.h[at], two_beta, dtype=float) + sums
+            return np.multiply(h[at], two_beta, dtype=float) + sums
     else:
         def combine(sums, _):
             return sums

@@ -100,10 +100,7 @@ def _sparse_sums(at, values, lift, counts, lo, mid, hi):
         parent = np.repeat(np.arange(mid - lo), counts)[at - mid]
     else:
         parent = np.cumsum(counts).searchsorted(at - mid, side="right")
-    alone = parent[1:] != parent[:-1]
-    if alone.all():  # no parent has two live children: no sums to take
-        return parent + lo, lifted
-    first = np.flatnonzero(np.concatenate(([True], alone)))
+    first = np.flatnonzero(np.concatenate(([True], parent[1:] != parent[:-1])))
     sums = np.add.reduceat(lifted, first)
     if (parent[2:] == parent[:-2]).any():
         # three or more live children: the dense step's sum needs the

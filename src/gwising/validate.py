@@ -20,7 +20,7 @@ from . import ising
 from .capacity import CapacityResult, _checked_base
 from .distributions import MIXTURE_CONSISTENCY_TOL, OffspringPmf, logsumexp, ztb_mixture
 from .experiments import ConfigError
-from .fields import FieldAssignment, FieldMode, plus_boundary_field, prune, sample_field
+from .fields import FieldMode, _checked_field, plus_boundary_field, prune, sample_field
 from .pruned_law import GammaProfile, gamma_profile, tilde_mu0
 from .tree import PopulationCapError, Tree, sample_gw, segment_sums
 
@@ -45,7 +45,7 @@ class ExplosionGuardError(RuntimeError):
     """Exhaustive enumeration would produce too many trees."""
 
 
-def gibbs_bruteforce(tree: Tree, fld: FieldAssignment | None, beta: float,
+def gibbs_bruteforce(tree: Tree, h: np.ndarray | None, beta: float,
                      plus_boundary_condition: bool = False,
                      chunk: int = 1 << 14) -> tuple[float, float]:
     """Exhaustive-enumeration oracle for the root magnetization.
@@ -53,14 +53,15 @@ def gibbs_bruteforce(tree: Tree, fld: FieldAssignment | None, beta: float,
     Enumerates all spin configurations of the Ising measure with coupling 1,
     accumulating the root-conditioned partition sums in log space (streamed
     log-sum-exp per chunk; direct products would overflow immediately).
-    Returns ``(m, r)`` with r = log Z(+) - log Z(-) and m = tanh(r/2).
+    Returns ``(m, r)`` with r = log Z(+) - log Z(-) and m = tanh(r/2), under
+    the field ``h`` (None for no field).
 
     ``plus_boundary_condition`` hard-fixes every leaf spin to +1, matching the
     +inf initialization of the recursion; a plus boundary *field* is instead
     passed as an ordinary all-ones-on-leaves field.
     """
     nv = tree.num_vertices
-    h = np.zeros(nv) if fld is None else fld.h.astype(float)
+    h = np.zeros(nv) if h is None else _checked_field(tree, h).astype(float)
     pinned = np.zeros(nv, dtype=bool)
     if plus_boundary_condition:
         pinned = tree.num_children == 0
@@ -416,9 +417,9 @@ def suite_lyons_vs_bruteforce(instances: int, seed: int = 0) -> dict:
         beta = SUITE_BETAS[i % len(SUITE_BETAS)]
         mode = (FieldMode.WHOLE_TREE, FieldMode.LEAVES_ONLY,
                 FieldMode.PLUS_BOUNDARY)[(i // len(SUITE_BETAS)) % 3]
-        fld = sample_field(tree, mode, float(rng.uniform(0.1, 0.9)), rng)
-        r_rec = float(ising.lyons_field(tree, fld, beta)[0])
-        m_brute, r_brute = gibbs_bruteforce(tree, fld, beta)
+        h = sample_field(tree, mode, float(rng.uniform(0.1, 0.9)), rng)
+        r_rec = float(ising.lyons_field(tree, h, beta)[0])
+        m_brute, r_brute = gibbs_bruteforce(tree, h, beta)
         max_err = max(max_err, abs(r_rec - r_brute),
                       abs(ising.magnetization(r_rec) - m_brute))
     return {"suite": "lyons_vs_bruteforce", "instances": instances,
@@ -435,9 +436,9 @@ def suite_pruning_equivalence(instances: int, seed: int = 0) -> dict:
     for i in range(instances):
         tree = random_small_tree(rng, max_vertices=40, max_depth=5)
         beta = SUITE_BETAS[i % len(SUITE_BETAS)]
-        fld = sample_field(tree, FieldMode.LEAVES_ONLY, float(rng.uniform(0.1, 0.7)), rng)
-        r_full = ising.lyons_field(tree, fld, beta)
-        outcome = prune(tree, fld)
+        h = sample_field(tree, FieldMode.LEAVES_ONLY, float(rng.uniform(0.1, 0.7)), rng)
+        r_full = ising.lyons_field(tree, h, beta)
+        outcome = prune(tree, h)
         if outcome is None:
             exact_zero_off_tree &= bool(np.all(r_full == 0.0))
             continue
@@ -468,9 +469,8 @@ def suite_pruned_law_exact() -> dict:
                     for bits in itertools.product((0, 1), repeat=leaves):
                         h = np.zeros(tree.num_vertices, dtype=np.uint8)
                         h[tree.gen_offsets[n]:] = bits
-                        fld = FieldAssignment(tree, FieldMode.LEAVES_ONLY, h)
                         f_prob = p ** sum(bits) * (1 - p) ** (leaves - sum(bits))
-                        outcome = prune(tree, fld)
+                        outcome = prune(tree, h)
                         key = None if outcome is None else outcome[0]
                         exact[key] = exact.get(key, 0.0) + tree_prob * f_prob
                 for shape, prob in exact.items():

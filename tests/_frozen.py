@@ -86,5 +86,8 @@ OUTPUT_DIGESTS = {
         "overlay.dot": "1c28914686437aef79404137577aeb8d6e7dcdef0dd3b4d62f7e15b7a72f4909",
         "pruned.json": "8c0b5d77a78f3c42b624f91cd875cf3329dfa91d64ecc239e8f794561ade3aea",
         "tree.json": "955249e9e9b3fe5d290068bc961916a837489a2378ec12603e7c59458a09745f"
+    },
+    "validate": {
+        "validation.json": "68349c641dbba7c525e409b54f12c646bf185ea3c76b876e57adea75612d78fc"
     }
 }

@@ -18,7 +18,8 @@ import gwising as g
 from gwising.cli import parse_and_dispatch
 
 # small fixed CLI runs whose output bytes are frozen: (subcommand, config
-# fields over OUTPUT_BASE_CONFIG) or, for prune-demo, its argument list
+# fields over OUTPUT_BASE_CONFIG) or, for a command that takes no config
+# (prune-demo, validate), its argument list
 OUTPUT_BASE_CONFIG = {
     "schema_version": 1,
     "pmf": {"entries": [[1, 0.5], [2, 0.5]]},
@@ -52,6 +53,7 @@ OUTPUT_RUNS = {
     "tv_half13": ("tv-scan", {**WIDE_HALF13, "mode": "tv"}),
     "prune_demo": ("prune-demo", ["--pmf", "1:0.5,2:0.5", "--n", "6",
                                   "--p", "0.3", "--seed", "5"]),
+    "validate": ("validate", ["--seed", "1", "--instances", "20", "--oracle-instances", "3"]),
 }
 
 
@@ -59,7 +61,7 @@ def output_digests(name: str, workdir: str) -> dict[str, str]:
     """Run one entry of OUTPUT_RUNS in ``workdir``; sha256 of each output file."""
     command, spec = OUTPUT_RUNS[name]
     out = os.path.join(workdir, name)
-    if command == "prune-demo":
+    if isinstance(spec, list):
         argv = [command, *spec]
     else:
         config = os.path.join(workdir, f"{name}.json")

@@ -113,7 +113,7 @@ def test_sampling_consumes_one_uniform_per_draw():
 # on and next to every cut point
 
 def sample_many_by_binary_search(pmf, u):
-    return pmf.degrees[np.searchsorted(pmf._cum, u, side="right")]
+    return pmf.degrees[np.searchsorted(pmf._cuts, u, side="right")]
 
 
 class FixedUniforms:
@@ -128,7 +128,7 @@ class FixedUniforms:
 
 
 def uniforms_at_cut_points(pmf):
-    cuts = pmf._cum
+    cuts = np.asarray(pmf._cuts)
     u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cuts,
                         np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)])
     return u[u < 1.0]  # the range of Generator.random
@@ -235,7 +235,7 @@ def test_ztb_mixture_laws_are_read_only(half12):
     assert table[2].degrees.tolist() == [1]  # p^2 underflows: a partial row
     assert not table.masses.flags.writeable
     for law in (*table, ztb_mixture(half12, 0.3)):
-        for arr in (law.degrees, law.probs, law._cum):
+        for arr in (law.degrees, law.probs):
             assert not arr.flags.writeable
 
 

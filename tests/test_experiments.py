@@ -17,7 +17,7 @@ from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
                                  run_capacity_scan,
                                  run_gamma_scan, run_magnetization_scan,
                                  run_tv_scan, validate_config, wilson_interval)
-from gwising.fields import FieldAssignment, prune
+from gwising.fields import prune
 from gwising.pruned_law import gamma_profile
 from gwising.validate import enumerate_trees, run_validation, suite_ztb_mixture_routes
 
@@ -400,10 +400,9 @@ def exact_root_means(pmf, beta, p_n, n, capacity_p):
         for bits in itertools.product((0, 1), repeat=leaves):
             h = np.zeros(tree.num_vertices, dtype=np.uint8)
             h[tree.gen_offsets[n]:] = bits
-            fld = FieldAssignment(tree, FieldMode.LEAVES_ONLY, h)
             prob = tree_prob * p_n ** sum(bits) * (1 - p_n) ** (leaves - sum(bits))
-            mean_r += prob * float(lyons_field(tree, fld, beta)[0])
-            outcome = prune(tree, fld)
+            mean_r += prob * float(lyons_field(tree, h, beta)[0])
+            outcome = prune(tree, h)
             if outcome is not None:
                 mean_capacity += prob * capacity_recursion(
                     outcome[0], math.tanh(beta), capacity_p).capacity

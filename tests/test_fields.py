@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from gwising import (FieldAssignment, FieldMode, Tree, gamma_profile,
+from gwising import (FieldMode, Tree, gamma_profile, lyons_field,
                      plus_boundary_field, prune, sample_field, sample_gw,
                      survival)
 from gwising.fields import to_dot
+from gwising.validate import gibbs_bruteforce
+
+from test_distributions import FixedUniforms
 
 
 def binary_tree(depth):
@@ -15,21 +18,22 @@ def binary_tree(depth):
 def test_zero_probability_gives_zero_field(rng):
     t = binary_tree(3)
     for mode in (FieldMode.WHOLE_TREE, FieldMode.LEAVES_ONLY):
-        assert not sample_field(t, mode, 0.0, rng).h.any()
+        assert not sample_field(t, mode, 0.0, rng).any()
 
 
 def test_leaves_only_support(rng):
     t = binary_tree(3)
     fld = sample_field(t, FieldMode.LEAVES_ONLY, 1.0, rng)
     depths = np.repeat(np.arange(t.n + 1), t.generation_sizes())
-    assert np.all(fld.h[depths == 3] == 1)
-    assert not fld.h[depths < 3].any()
+    assert np.all(fld[depths == 3] == 1)
+    assert not fld[depths < 3].any()
 
 
 def test_plus_boundary_is_deterministic_ones_on_leaves():
     t = binary_tree(2)
     fld = plus_boundary_field(t)
-    assert fld.h.tolist() == [0, 0, 0, 1, 1, 1, 1]
+    assert fld.tolist() == [0, 0, 0, 1, 1, 1, 1]
+    assert fld.dtype == np.uint8 and not fld.flags.writeable
 
 
 def test_per_leaf_empirical_rate(rng):
@@ -42,7 +46,7 @@ def test_per_leaf_empirical_rate(rng):
     for mode, first in ((FieldMode.LEAVES_ONLY, 11), (FieldMode.WHOLE_TREE, 0)):
         hits = np.zeros(t.num_vertices)
         for _ in range(reps):
-            hits += sample_field(t, mode, 0.3, rng).h
+            hits += sample_field(t, mode, 0.3, rng)
         rates = hits[first:] / reps
         assert not hits[:first].any()
         assert np.all(np.abs(rates - 0.3) < 4 * se)
@@ -51,11 +55,11 @@ def test_per_leaf_empirical_rate(rng):
 
 def test_survival_examples():
     t = binary_tree(2)
-    zero = FieldAssignment(t, FieldMode.LEAVES_ONLY, np.zeros(7, dtype=np.uint8))
+    zero = np.zeros(7, dtype=np.uint8)
     assert not survival(t, zero).any()
     h = np.zeros(7, dtype=np.uint8)
     h[3] = 1  # first leaf of the left subtree
-    y = survival(t, FieldAssignment(t, FieldMode.LEAVES_ONLY, h))
+    y = survival(t, h)
     assert y.tolist() == [1, 1, 0, 1, 0, 0, 0]
     assert not y.flags.writeable
 
@@ -76,7 +80,7 @@ def test_prune_plus_boundary_is_identity():
 
 def test_prune_all_zero_field_is_empty():
     t = binary_tree(3)
-    zero = FieldAssignment(t, FieldMode.LEAVES_ONLY, np.zeros(15, dtype=np.uint8))
+    zero = np.zeros(15, dtype=np.uint8)
     assert prune(t, zero) is None
 
 
@@ -84,7 +88,7 @@ def test_prune_single_marked_leaf_gives_path():
     t = binary_tree(2)
     h = np.zeros(7, dtype=np.uint8)
     h[3] = 1
-    pruned, mapping = prune(t, FieldAssignment(t, FieldMode.LEAVES_ONLY, h))
+    pruned, mapping = prune(t, h)
     assert pruned.generation_sizes().tolist() == [1, 1, 1]
     assert mapping[0] == 0 and mapping[1] == 1 and mapping[3] == 2
     assert mapping[2] == -1
@@ -92,9 +96,61 @@ def test_prune_single_marked_leaf_gives_path():
 
 def test_prune_rejects_whole_tree_fields(rng):
     t = binary_tree(2)
-    fld = sample_field(t, FieldMode.WHOLE_TREE, 0.5, rng)
+    fld = sample_field(t, FieldMode.WHOLE_TREE, 1.0, rng)
     with pytest.raises(ValueError):
         prune(t, fld)
+
+
+def test_prune_rejects_a_mark_above_the_bottom():
+    # root 0 over 1 and 2, leaf 3 under 1, leaf 4 under 2; vertex 1 and
+    # leaf 3 marked.  Pruned by its leaf bits alone, the root ratio would
+    # read 0.449 at beta 0.7, against the full recursion's 1.046.
+    t = Tree.from_offspring_counts([np.array([2]), np.array([1, 1])])
+    h = np.array([0, 1, 0, 1, 0], dtype=np.uint8)
+    assert lyons_field(t, h, 0.7)[0] == pytest.approx(1.046077667173934)
+    with pytest.raises(ValueError, match="above the bottom"):
+        prune(t, h)
+
+
+def test_whole_tree_draw_without_internal_marks_prunes_like_leaves_only(rng, half12):
+    # prune reads the bits, not the mode they were drawn in
+    p, kept = 0.3, 0
+    for _ in range(40):
+        t = sample_gw(half12, 4, rng)
+        bottom = int(t.gen_offsets[t.n])
+        u = rng.random(t.num_vertices)
+        u[:bottom] = np.maximum(u[:bottom], p)  # no internal vertex is marked
+        whole = sample_field(t, FieldMode.WHOLE_TREE, p, FixedUniforms(u))
+        leaves = sample_field(t, FieldMode.LEAVES_ONLY, p, FixedUniforms(u[bottom:]))
+        assert whole.tobytes() == leaves.tobytes()
+        got, want = prune(t, whole), prune(t, leaves)
+        if want is None:
+            assert got is None
+            continue
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        kept += 1
+    assert kept > 0
+
+
+# two trees with four leaves each, of 7 and 5 vertices: a field of one has
+# the other's bottom-generation length, and not its vertex count
+FIELD_CONSUMERS = {
+    "lyons_field": lambda t, h: lyons_field(t, h, 0.7),
+    "survival": survival,
+    "prune": prune,
+    "to_dot": to_dot,
+    "gibbs_bruteforce": lambda t, h: gibbs_bruteforce(t, h, 0.7),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(FIELD_CONSUMERS))
+def test_field_of_another_tree_is_refused(consumer):
+    binary, star = binary_tree(2), Tree.from_offspring_counts([np.array([4])])
+    for tree, other in ((binary, star), (star, binary)):
+        bits = np.zeros(other.num_vertices, dtype=np.uint8)
+        bits[other.gen_offsets[other.n]:] = 1
+        with pytest.raises(ValueError, match="bits, the tree"):
+            FIELD_CONSUMERS[consumer](tree, bits)
 
 
 def test_prune_rejects_forests():
@@ -103,7 +159,7 @@ def test_prune_rejects_forests():
     h = np.zeros(t.num_vertices, dtype=np.uint8)
     h[3] = 1
     with pytest.raises(ValueError, match="forest"):
-        prune(t, FieldAssignment(t, FieldMode.LEAVES_ONLY, h))
+        prune(t, h)
 
 
 def test_pruned_vertex_set_matches_definitional_scan(rng, half12):
@@ -113,7 +169,7 @@ def test_pruned_vertex_set_matches_definitional_scan(rng, half12):
         fld = sample_field(t, FieldMode.LEAVES_ONLY, 0.3, rng)
         marked = np.zeros(t.num_vertices, dtype=np.int64)
         bottom = slice(int(t.gen_offsets[t.n]), int(t.gen_offsets[t.n + 1]))
-        marked[bottom] = fld.h[bottom]
+        marked[bottom] = fld[bottom]
         counts = np.zeros(t.num_vertices, dtype=np.int64)
         counts[bottom] = marked[bottom]
         for v in range(int(t.gen_offsets[t.n]) - 1, -1, -1):
@@ -144,12 +200,11 @@ def test_prune_monotone_in_field(rng, half12):
     for _ in range(20):
         t = sample_gw(half12, 4, rng)
         fld = sample_field(t, FieldMode.LEAVES_ONLY, 0.3, rng)
-        h2 = fld.h.copy()
+        h2 = fld.copy()
         leaves = np.arange(t.gen_offsets[t.n], t.gen_offsets[t.n + 1])
         h2[int(rng.choice(leaves))] = 1
-        fld2 = FieldAssignment(t, FieldMode.LEAVES_ONLY, h2)
         kept1 = survival(t, fld).astype(bool)
-        kept2 = survival(t, fld2).astype(bool)
+        kept2 = survival(t, h2).astype(bool)
         assert np.all(kept2 | ~kept1)
 
 
@@ -169,8 +224,7 @@ def test_dot_overlay_marks_fields_and_branches(rng):
     t = binary_tree(2)
     h = np.zeros(7, dtype=np.uint8)
     h[3] = 1
-    fld = FieldAssignment(t, FieldMode.LEAVES_ONLY, h)
-    dot = to_dot(t, fld, survival(t, fld))
+    dot = to_dot(t, h, survival(t, h))
     assert dot.startswith("digraph tree {")
     assert "doublecircle" in dot
     assert "color=red, style=dashed" in dot

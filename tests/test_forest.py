@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwising import (FieldAssignment, FieldMode, OffspringPmf, Tree,
-                     capacity_recursion, lyons_field, sample_gw,
-                     sample_inhomogeneous_bp)
+from gwising import (OffspringPmf, Tree, capacity_recursion, lyons_field,
+                     sample_gw, sample_inhomogeneous_bp)
 from gwising.validate import random_small_tree
 
 HALF123 = OffspringPmf.from_dict({1: 0.4, 2: 0.4, 3: 0.2})
@@ -145,12 +144,12 @@ def test_forest_sweeps_equal_per_tree_sweeps(seed, num_trees, same_depth,
         h[where] = bits
     base = float(rng.uniform(0.5, 1.5))
 
-    r_forest = lyons_field(forest, FieldAssignment(forest, FieldMode.WHOLE_TREE, h), beta)
+    r_forest = lyons_field(forest, h, beta)
     phi_forest = capacity_recursion(forest, base, p).phi
     got_r, want_r, got_phi, want_phi = [], [], [], []
     for t, bits, where in zip(trees, fields, ids):
         got_r.append(r_forest[where])
-        want_r.append(lyons_field(t, FieldAssignment(t, FieldMode.WHOLE_TREE, bits), beta))
+        want_r.append(lyons_field(t, bits, beta))
         if t.n > 0:  # a lone vertex has capacity 1 by convention, not a sweep value
             got_phi.append(phi_forest[where])
             want_phi.append(capacity_recursion(t, base, p).phi)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gwising import (FieldAssignment, FieldMode, OffspringPmf, Tree, g_beta,
+from gwising import (FieldMode, OffspringPmf, Tree, g_beta,
                      lyons_field, lyons_plus, magnetization, plus_boundary_field,
                      sample_field, sample_gw, sample_inhomogeneous_bp,
                      upper_bound_mean_r)
@@ -24,9 +24,8 @@ def single_vertex():
     return Tree.from_offspring_counts([np.zeros(1, dtype=np.int64)])
 
 
-def field_on(tree, bits):
-    return FieldAssignment(tree, FieldMode.WHOLE_TREE,
-                           np.array(bits, dtype=np.uint8))
+def field_on(bits):
+    return np.array(bits, dtype=np.uint8)
 
 
 def test_g_beta_fixed_points():
@@ -90,12 +89,12 @@ def test_lyons_plus_examples():
 
 def test_lyons_field_examples():
     t = Tree.from_offspring_counts([np.array([2]), np.array([1, 2])])
-    zero = field_on(t, [0] * t.num_vertices)
+    zero = field_on([0] * t.num_vertices)
     assert np.all(lyons_field(t, zero, 0.9) == 0.0)
     one = single_vertex()
-    assert lyons_field(one, field_on(one, [1]), 0.9)[0] == pytest.approx(1.8)
+    assert lyons_field(one, field_on([1]), 0.9)[0] == pytest.approx(1.8)
     path = Tree.from_offspring_counts([np.array([1])])
-    fld = field_on(path, [0, 1])
+    fld = field_on([0, 1])
     assert lyons_field(path, fld, 0.8)[0] == pytest.approx(g_beta(0.8, 1.6))
     _, r_brute = gibbs_bruteforce(path, fld, 0.8)
     assert lyons_field(path, fld, 0.8)[0] == pytest.approx(r_brute, abs=1e-10)
@@ -106,7 +105,7 @@ def lyons_field_zero_then_mask(tree, fld, beta):
     zeros, with the bias copied onto the childless vertices, swept densely.
     Its internal vertices start at 0 rather than at their bias, which the
     sweep that skips zero children does not allow."""
-    bias = 2.0 * beta * fld.h.astype(float)
+    bias = 2.0 * beta * fld.astype(float)
     r = np.zeros(tree.num_vertices)
     bottom = int(tree.gen_offsets[tree.n])
     dense_sweep_up(tree, bias[bottom:], lambda child, _: g_beta(beta, child),
@@ -136,9 +135,9 @@ def test_magnetization_examples():
 
 def test_bruteforce_single_site():
     one = single_vertex()
-    m, r = gibbs_bruteforce(one, field_on(one, [0]), 1.3)
+    m, r = gibbs_bruteforce(one, field_on([0]), 1.3)
     assert m == 0.0 and r == 0.0
-    m, r = gibbs_bruteforce(one, field_on(one, [1]), 1.0)
+    m, r = gibbs_bruteforce(one, field_on([1]), 1.0)
     assert m == pytest.approx(math.tanh(1.0))
     assert r == pytest.approx(2.0)
 

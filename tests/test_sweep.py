@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwising import (FieldAssignment, FieldMode, Tree, capacity_recursion,
-                     lyons_field, lyons_plus, survival)
+from gwising import Tree, capacity_recursion, lyons_field, lyons_plus, survival
 from gwising.tree import segment_sums
 from gwising.validate import leaf_counts
 
@@ -62,9 +61,7 @@ def fields_of(tree, p, rng):
     leaves[bottom_slice(tree)] = whole[bottom_slice(tree)]
     plus = np.zeros(tree.num_vertices, dtype=np.uint8)
     plus[bottom_slice(tree)] = 1
-    return [FieldAssignment(tree, FieldMode.WHOLE_TREE, whole),
-            FieldAssignment(tree, FieldMode.LEAVES_ONLY, leaves),
-            FieldAssignment(tree, FieldMode.PLUS_BOUNDARY, plus)]
+    return [whole, leaves, plus]
 
 
 def capacity_phi(tree, beta, p, roots_only=False):
@@ -137,9 +134,7 @@ def marked_fields(tree, leaves, internal):
     whole[np.asarray(internal, dtype=np.int64)] = 1
     plus = np.zeros(tree.num_vertices, dtype=np.uint8)
     plus[bottom] = 1
-    return [FieldAssignment(tree, FieldMode.WHOLE_TREE, whole),
-            FieldAssignment(tree, FieldMode.LEAVES_ONLY, leaf_bits),
-            FieldAssignment(tree, FieldMode.PLUS_BOUNDARY, plus)]
+    return [whole, leaf_bits, plus]
 
 
 def forest(*counts):
@@ -190,7 +185,6 @@ def test_parents_with_many_live_children_keep_dense_sums(seed, width, data, beta
     live = data.draw(st.integers(2 if width > 8 else 3, width))
     rng = np.random.default_rng(seed)
     tree, h = wide_parent_forest(rng, width, live, first_live, others=2 * width + 1)
-    fld = FieldAssignment(tree, FieldMode.LEAVES_ONLY, h)
     # leaf values spread over many binades, so that the order of the sum shows
     x = rng.random(tree.num_vertices) * 10.0 ** rng.integers(-6, 3, size=tree.num_vertices)
     leaves = (x * h)[bottom_slice(tree)]
@@ -199,7 +193,7 @@ def test_parents_with_many_live_children_keep_dense_sums(seed, width, data, beta
         out = np.zeros(tree.num_vertices)
         roots = tree.sweep_up(leaves, lambda child, _: child * 1.0, lambda sums, _: sums,
                               out=out)
-        return [lyons_field(tree, fld, beta), lyons_field(tree, fld, beta, roots_only=True),
+        return [lyons_field(tree, h, beta), lyons_field(tree, h, beta, roots_only=True),
                 out, roots]
 
     got = sweeps()
