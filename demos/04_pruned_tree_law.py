@@ -8,8 +8,7 @@ pruned tree looks like the original, above k* it thins to near-paths.
 
 import numpy as np
 
-from gwising import (OffspringPmf, PrunedLawSampler, gamma_profile, moments, tilde_mu0,
-                     tv_profile)
+from gwising import OffspringPmf, PrunedLawSampler, gamma_profile, tilde_mu0, tv_profile
 from gwising.validate import pruned_tree_probability
 
 rng = np.random.default_rng(11)
@@ -21,11 +20,10 @@ print(f"depth n = {n}, leaf mark probability p_n = 2^-12")
 print(f"transition generation k* = {profile.k_star:.2f}")
 print(f"root pruning probability gamma_0 = {profile.gamma[0]:.3e}")
 
-mom = moments(profile, q=2.0)
 print("\n  k   gamma_k      mean nu*_k   M*_0k")
 for k in (0, 4, 8, 12, 16, 20, 23):
-    print(f" {k:3d}  {profile.gamma[k]:.3e}  {mom.nu_star[k]:.6f}"
-          f"   {mom.m_0k[k]:.4g}")
+    print(f" {k:3d}  {profile.gamma[k]:.3e}  {profile.nu_star[k]:.6f}"
+          f"   {profile.m_0k[k]:.4g}")
 print("growth M*_0k rises like nu^k until k*, then flattens.")
 
 # Offspring laws: close to mu below k*, close to a Dirac at 1 above.

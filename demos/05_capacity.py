@@ -3,8 +3,11 @@
 The p-resistance is the Thomson variational value over unit flows; the
 capacity is its inverse.  The exact recursion, the closed form on
 spherically symmetric trees, and a projected-gradient flow minimizer must
-all agree.  With resistances tanh(beta)^{-depth} the 3/2-capacity is
-comparable to the root ratio of the plus-boundary Ising model.
+all agree.  The recursion returns phi, one value per vertex, and the
+tree's capacity is the root's phi[0]; the minimizer returns the capacity,
+its optimal flow and whether it converged.  With resistances
+tanh(beta)^{-depth} the 3/2-capacity is comparable to the root ratio of the
+plus-boundary Ising model.
 """
 
 import math
@@ -22,9 +25,9 @@ from gwising import Tree
 binary = Tree.from_offspring_counts([np.array([2]), np.array([2, 2])])
 unit = 1.0  # resistance base: R_u = 1 at every depth
 print("binary depth 2, p = 2:")
-print("  recursion:  ", capacity_recursion(binary, unit, 2.0).capacity)
+print("  recursion:  ", capacity_recursion(binary, unit, 2.0)[0])
 print("  closed form:", capacity_spherical([2, 4], unit, 2.0))
-print("  flow oracle:", capacity_bruteforce(binary, unit, 2.0).capacity)
+print("  flow oracle:", capacity_bruteforce(binary, unit, 2.0)[0])
 
 # Thomson's principle: every unit flow upper-bounds the resistance; the
 # uniform flow is optimal exactly on spherically symmetric trees.
@@ -37,10 +40,10 @@ tree = sample_gw(mu, 5, rng)
 print(f"\nrandom tree ({tree.num_vertices} vertices), R_u = 0.8^-depth:")
 print("   p     recursion        flow oracle      uniform-flow bound")
 for p in (1.5, 2.0, 3.0):
-    exact = capacity_recursion(tree, 0.8, p).capacity
-    oracle = capacity_bruteforce(tree, 0.8, p)
+    exact = capacity_recursion(tree, 0.8, p)[0]
+    oracle, _, _ = capacity_bruteforce(tree, 0.8, p)
     bound = 1.0 / flow_energy(tree, uniform_flow(tree), 0.8, p)
-    print(f"  {p:.1f}   {exact:.12f}   {oracle.capacity:.12f}   {bound:.12f}")
+    print(f"  {p:.1f}   {exact:.12f}   {oracle:.12f}   {bound:.12f}")
 print("capacity is nonincreasing in p; the uniform-flow bound sits below.")
 
 # The magnetization/capacity comparison: r_root and capa_{3/2} with
@@ -49,5 +52,5 @@ print("\n  beta    r_root     capa_3/2   ratio")
 for beta in (0.8, 1.0, 1.2):
     ratio_tree = sample_gw(OffspringPmf.dirac(2), 6, rng)
     r = lyons_plus(ratio_tree, beta)[0]
-    capa = capacity_recursion(ratio_tree, math.tanh(beta), 1.5).capacity
+    capa = capacity_recursion(ratio_tree, math.tanh(beta), 1.5)[0]
     print(f"  {beta:.1f}   {r:8.4f}   {capa:8.4f}   {r / capa:.4f}")

@@ -26,8 +26,8 @@ from .fields import FieldMode, plus_boundary_field, prune, sample_field, surviva
 from .ising import g_beta, lyons_field, lyons_plus, magnetization, upper_bound_mean_r
 from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
                          gamma_profile, moments, mu_star, tilde_mu0, tv_profile)
-from .capacity import (CapacityResult, alpha_n, capacity_recursion,
-                       capacity_spherical, expected_capacity_upper)
+from .capacity import (alpha_n, capacity_recursion, capacity_spherical,
+                       expected_capacity_upper)
 from .tree import PopulationCapError, Tree, sample_gw, sample_inhomogeneous_bp
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,20 +14,11 @@ conjugate exponent q is always derived from p, never passed separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ising import CRITICALITY_TOL
 from .tree import Tree
-
-
-@dataclass(frozen=True, eq=False)
-class CapacityResult:
-    capacity: float
-    phi: np.ndarray | None
-    witness_flow: np.ndarray | None  # the oracle's read-only optimal theta
-    converged: bool = True
 
 
 def _checked_base(base: float) -> float:
@@ -74,24 +65,22 @@ def _series_capacity(sizes: np.ndarray, base: float, p: float) -> float:
 
 
 def capacity_recursion(tree: Tree, base: float, p: float, *,
-                       roots_only: bool = False) -> CapacityResult:
-    """Exact p-capacity by the leaf-to-root recursion
-    phi(u) = R sum_children contraction(phi(v)), R = ``base``; ``phi`` holds
-    every vertex's value, or with ``roots_only`` the roots' alone.
+                       roots_only: bool = False) -> np.ndarray:
+    """phi by the leaf-to-root recursion phi(u) = R sum_children
+    contraction(phi(v)), R = ``base``: every vertex's value, or with
+    ``roots_only`` the roots' alone.  A tree's p-capacity is ``phi[0]``.
 
     R = R_u / R_v is the same on every edge, so each step is one product and
     phi stays in the double range at any depth.  Leaves are perfect boundary
     contacts: their contraction factor is exactly 1, which reproduces the
-    Thomson value on every tree with at least one edge.  The degenerate
-    single-vertex tree returns capacity 1 (root at unit resistance from the
-    boundary, the same convention that sets R_root = 1).
+    Thomson value on every tree with at least one edge.  A childless root
+    gets 1, alone or in a forest: the root at unit resistance from the
+    boundary, the same convention that sets R_root = 1.
     """
     if p <= 1:
         raise ValueError("capacity order p must exceed 1")
     s = 1.0 / (p - 1.0)
     base = _checked_base(base)
-    if tree.num_vertices == 1:
-        return CapacityResult(1.0, np.ones(1), None)
     bottom = int(tree.gen_offsets[tree.n])
 
     def combine(sums: np.ndarray, at) -> np.ndarray:
@@ -106,7 +95,10 @@ def capacity_recursion(tree: Tree, base: float, p: float, *,
                           lambda child, _: _contraction(child, s), combine,
                           starts=np.flatnonzero(tree.num_children[:bottom] == 0),
                           out=phi)
-    return CapacityResult(float(roots[0]), roots if roots_only else phi, None)
+    roots[tree.num_children[:len(roots)] == 0] = 1.0
+    if phi is not None:
+        phi[:len(roots)] = roots
+    return roots if roots_only else phi
 
 
 def capacity_spherical(generation_sizes, base: float, p: float) -> float:

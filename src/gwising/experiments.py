@@ -238,7 +238,7 @@ def _sample_block(args) -> np.ndarray:
     if experiment == "magnetization":
         return ising.lyons_field(forest, h, cfg.beta, roots_only=True)
     return cap.capacity_recursion(forest, math.tanh(cfg.beta), cfg.capacity_p,
-                                  roots_only=True).phi
+                                  roots_only=True)
 
 
 def _sample_scan(cfg: ExperimentConfig, experiment: str,
@@ -358,12 +358,12 @@ def run_gamma_scan(cfg: ExperimentConfig) -> dict:
     for n in cfg.n_grid:
         p_n = cfg.p_n(n)
         profile = gamma_profile(cfg.pmf, p_n, n)
-        mom = moments(profile, cfg.q)
+        sigma, _ = moments(profile, cfg.q)
         ks = profile.k_star
         # nu*_k and sigma*_{q,k} stop at k = n - 1; row n reads nan
         columns = zip(profile.gamma.tolist(), profile.one_minus_gamma.tolist(),
-                      mom.nu_star.tolist() + [math.nan],
-                      mom.sigma_q_star.tolist() + [math.nan], mom.m_0k.tolist())
+                      profile.nu_star.tolist() + [math.nan],
+                      sigma.tolist() + [math.nan], profile.m_0k.tolist())
         for k, (gamma_k, one_minus, nu_k, sigma_k, m_0k) in enumerate(columns):
             rows.append({
                 "n": n, "p_n": p_n, "k": k,

@@ -111,9 +111,11 @@ def to_dot(tree: Tree, h: np.ndarray | None = None,
            surv: np.ndarray | None = None) -> str:
     """DOT rendering: the vertices whose field bit in ``h`` is set are
     doublecircled and, given the bits ``survival`` returns as ``surv``,
-    surviving branches solid blue and dead branches dashed red."""
-    if h is not None:
-        _checked_field(tree, h)
+    surviving branches solid blue and dead branches dashed red.  Each of
+    ``h`` and ``surv`` must hold one bit per vertex of ``tree``."""
+    for bits in (h, surv):
+        if bits is not None:
+            _checked_field(tree, bits)
     lines = ["digraph tree {", "  node [shape=circle, label=\"\", width=0.12];"]
     for v in range(tree.num_vertices):
         attrs = []

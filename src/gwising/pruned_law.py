@@ -214,24 +214,13 @@ def tilde_mu0(profile: GammaProfile) -> OffspringPmf:
     return OffspringPmf(degrees, probs)
 
 
-@dataclass(frozen=True, eq=False)
-class PrunedMoments:
-    """Moment tables of the pruned law at a fixed fractional order q."""
+def moments(profile: GammaProfile, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The q-variances sigma*_{q,k} of ``profile.laws`` and v*_{k,n}, both
+    for k = 0..n-1; nu*_k and M*_{0,k} are ``profile.nu_star`` and
+    ``profile.m_0k``.
 
-    profile: GammaProfile
-    q: float
-    nu_star: np.ndarray       # length n, means of mu*_k
-    sigma_q_star: np.ndarray  # length n, q-variances of mu*_k
-    m_0k: np.ndarray          # length n+1, M*_{0,k}
-    v_kn: np.ndarray          # length n, v*_{k,n}
-
-
-def moments(profile: GammaProfile, q: float) -> PrunedMoments:
-    """Assemble nu*_k, sigma*_{q,k}, M*_{0,k} and v*_{k,n}.
-
-    The q-variances are those of ``profile.laws``.  Since M*_{k,i} =
-    nu*_k M*_{k+1,i}, v*_{k,n} = 1 + S_k with S_k = sigma*_{q,k} +
-    nu*_k^{-(q-1)} S_{k+1} and S_n = 0.
+    Since M*_{k,i} = nu*_k M*_{k+1,i}, v*_{k,n} = 1 + S_k with S_k =
+    sigma*_{q,k} + nu*_k^{-(q-1)} S_{k+1} and S_n = 0.
     """
     n = profile.n
     sigma = profile.laws.q_variances(q)
@@ -240,7 +229,7 @@ def moments(profile: GammaProfile, q: float) -> PrunedMoments:
     for k in range(n - 1, -1, -1):
         tail = sigma[k] + profile.nu_star[k] ** (-(q - 1.0)) * tail
         v_kn[k] = 1.0 + tail
-    return PrunedMoments(profile, q, profile.nu_star, sigma, profile.m_0k, v_kn)
+    return sigma, v_kn
 
 
 class PrunedLawSampler:
@@ -340,7 +329,8 @@ def calibrate_constants(pmf: OffspringPmf, q: float) -> dict:
     """
     n, p_n, margin = CALIBRATION_N, CALIBRATION_P_N, CALIBRATION_MARGIN
     profile = gamma_profile(pmf, p_n, n)
-    mom = moments(profile, q)
+    sigma, v_kn = moments(profile, q)
+    nu_star = profile.nu_star
     nu = pmf.mean()
     log_nu = math.log(nu)
     ks = profile.k_star
@@ -355,13 +345,13 @@ def calibrate_constants(pmf: OffspringPmf, q: float) -> dict:
              default=math.inf)
     c4 = (1.0 - margin) * c4 if math.isfinite(c4) else 1.0
     # a zero gap nu - nu*_k is a zero term, whatever its exp (which can overflow)
-    c5 = max([0.0] + [(nu - mom.nu_star[k]) * math.exp(c4 * (ks - k)) for k in below
-                      if mom.nu_star[k] != nu]
-             + [(mom.nu_star[k] - 1.0) * math.exp((k - ks) * log_nu) for k in above])
-    c6 = max([0.0] + [mom.sigma_q_star[k] * math.exp((q - 1.0) * (k - ks) * log_nu)
+    c5 = max([0.0] + [(nu - nu_star[k]) * math.exp(c4 * (ks - k)) for k in below
+                      if nu_star[k] != nu]
+             + [(nu_star[k] - 1.0) * math.exp((k - ks) * log_nu) for k in above])
+    c6 = max([0.0] + [sigma[k] * math.exp((q - 1.0) * (k - ks) * log_nu)
                       for k in above])
 
-    growth_ratio = mom.m_0k / nu ** np.minimum(np.arange(n + 1), ks)
+    growth_ratio = profile.m_0k / nu ** np.minimum(np.arange(n + 1), ks)
 
     return {
         "q": q, "calibration_n": n, "calibration_p_n": p_n, "margin": margin,
@@ -369,5 +359,5 @@ def calibrate_constants(pmf: OffspringPmf, q: float) -> dict:
         "c5": float((1.0 + margin) * c5), "c6": float((1.0 + margin) * c6),
         "c7_prime": float((1.0 - margin) * growth_ratio.min()),
         "c8": float((1.0 + margin) * growth_ratio.max()),
-        "C_v": float((1.0 + margin) * mom.v_kn.max()),
+        "C_v": float((1.0 + margin) * v_kn.max()),
     }

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import capacity as cap
 from . import ising
-from .capacity import CapacityResult, _checked_base
+from .capacity import _checked_base
 from .distributions import MIXTURE_CONSISTENCY_TOL, OffspringPmf, logsumexp, ztb_mixture
 from .experiments import ConfigError
 from .fields import FieldMode, _checked_field, plus_boundary_field, prune, sample_field
@@ -272,8 +272,9 @@ def _project_sibling_simplices(x: np.ndarray, block_ids: np.ndarray,
     return out
 
 
-def capacity_bruteforce(tree: Tree, base: float, p: float) -> CapacityResult:
-    """Direct minimization of the Thomson energy over unit flows.
+def capacity_bruteforce(tree: Tree, base: float, p: float) -> tuple[float, np.ndarray, bool]:
+    """Direct minimization of the Thomson energy over unit flows: the
+    capacity, the read-only optimal flow theta and whether it converged.
 
     The flow is parameterized by splitting fractions on each internal
     vertex's child simplex, which makes conservation structural; projected
@@ -281,8 +282,7 @@ def capacity_bruteforce(tree: Tree, base: float, p: float) -> CapacityResult:
     converges to the optimum of the underlying convex problem.  Stops when
     the relative objective change stays below ``BRUTEFORCE_REL_TOL`` for
     ``BRUTEFORCE_PATIENCE`` consecutive iterations; hitting
-    ``BRUTEFORCE_MAX_ITER`` first returns the best value with
-    ``converged=False``.
+    ``BRUTEFORCE_MAX_ITER`` first returns the best value, unconverged.
     """
     if p <= 1:
         raise ValueError("capacity order p must exceed 1")
@@ -290,7 +290,7 @@ def capacity_bruteforce(tree: Tree, base: float, p: float) -> CapacityResult:
         raise ValueError("oracle is limited to 200 vertices")
     r_vertex = _vertex_resistances(tree, base)
     if tree.num_vertices == 1:
-        return CapacityResult(1.0, None, None)
+        return 1.0, uniform_flow(tree), True
     s = 1.0 / (p - 1.0)
     q = p / (p - 1.0)
     cost = r_vertex ** s
@@ -387,7 +387,7 @@ def capacity_bruteforce(tree: Tree, base: float, p: float) -> CapacityResult:
             break
     capacity = energy ** -(p - 1.0) if energy > 0 else math.inf
     theta.setflags(write=False)
-    return CapacityResult(capacity, None, theta, converged)
+    return capacity, theta, converged
 
 
 # -- validation suites ------------------------------------------------------
@@ -493,9 +493,9 @@ def suite_capacity_oracle(instances: int = 50, seed: int = 0) -> dict:
         tree = random_small_tree(rng, max_vertices=200, max_depth=5)
         base = float(rng.uniform(0.5, 1.5))
         for p in SUITE_CAPACITY_ORDERS:
-            exact = cap.capacity_recursion(tree, base, p).capacity
-            oracle = capacity_bruteforce(tree, base, p)
-            max_rel_gap = max(max_rel_gap, abs(oracle.capacity - exact) / exact)
+            exact = cap.capacity_recursion(tree, base, p)[0]
+            oracle, _, _ = capacity_bruteforce(tree, base, p)
+            max_rel_gap = max(max_rel_gap, abs(oracle - exact) / exact)
             if tree.leaves_only_at_bottom:
                 estimate = flow_energy(tree, uniform_flow(tree), base, p)
                 min_slack = min(min_slack, estimate - 1.0 / exact)

@@ -17,6 +17,8 @@ import numpy as np
 import gwising as g
 from gwising.cli import parse_and_dispatch
 
+from _frozen import RATIO_CORPUS_SEED
+
 # small fixed CLI runs whose output bytes are frozen: (subcommand, config
 # fields over OUTPUT_BASE_CONFIG) or, for a command that takes no config
 # (prune-demo, validate), its argument list
@@ -87,7 +89,7 @@ def ratio_corpus(seed: int, reps: int) -> np.ndarray:
                 for _ in range(reps):
                     tree = g.sample_gw(pmf, depth, rng)
                     root_ratio = float(g.lyons_plus(tree, beta)[0])
-                    capa = g.capacity_recursion(tree, base, 1.5).capacity
+                    capa = g.capacity_recursion(tree, base, 1.5)[0]
                     ratios.append(root_ratio / capa)
     return np.array(ratios)
 
@@ -100,5 +102,5 @@ elif __name__ == "__main__":
     for name, pmf in (("dirac2", g.OffspringPmf.dirac(2)),
                       ("half13", g.OffspringPmf.from_dict({1: 0.5, 3: 0.5}))):
         print(name, json.dumps(g.calibrate_constants(pmf, 2.0), indent=2))
-    cal = ratio_corpus(12345, 200)
+    cal = ratio_corpus(RATIO_CORPUS_SEED, 200)
     print("RATIO_INTERVAL =", (float(cal.min()), float(cal.max())))

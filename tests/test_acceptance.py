@@ -19,7 +19,7 @@ from gwising.validate import (capacity_bruteforce, flow_energy, random_small_tre
                               suite_lyons_vs_bruteforce, suite_pruned_law_exact,
                               suite_pruning_equivalence, uniform_flow)
 
-from _frozen import CALIBRATED, RATIO_INTERVAL
+from _frozen import CALIBRATED, RATIO_CORPUS_SEED, RATIO_INTERVAL
 from generate_frozen import ratio_corpus
 
 BETA_16 = math.atanh(0.8)  # nu tanh(beta) = 1.6 at nu = 2
@@ -129,15 +129,15 @@ def test_criterion_06_moment_growth_lemmas():
         m_q = pmf.q_moment(q)
         for n, p_n in ((20, 2.0**-10), (40, 2.0**-12), (60, 2.0**-15)):
             profile = g.gamma_profile(pmf, p_n, n)
-            mom = g.moments(profile, q)
+            sigma, v_kn = g.moments(profile, q)
             for k in range(n + 1):
                 expected = nu**k * profile.one_minus_gamma[k] / profile.one_minus_gamma[0]
                 worst_identity = max(worst_identity,
-                                     abs(mom.m_0k[k] / expected - 1.0))
-            assert np.all(mom.nu_star >= 1.0 - 1e-12)
-            assert np.all(mom.nu_star <= nu + 1e-12)
-            assert np.all(mom.sigma_q_star <= m_q + 1e-12)
-            assert np.all(mom.v_kn <= constants["C_v"] + 1e-9)
+                                     abs(profile.m_0k[k] / expected - 1.0))
+            assert np.all(profile.nu_star >= 1.0 - 1e-12)
+            assert np.all(profile.nu_star <= nu + 1e-12)
+            assert np.all(sigma <= m_q + 1e-12)
+            assert np.all(v_kn <= constants["C_v"] + 1e-9)
     report(6, worst_identity <= 1e-12,
            f"M*_0k identity rel gap {worst_identity:.2e} <= 1e-12; "
            "1 <= nu* <= nu, sigma* <= m_q, v* <= frozen C on the grid")
@@ -155,7 +155,7 @@ def capacity_corpus():
         base = float(rng.uniform(0.5, 1.5))
         per_order = {}
         for p in (1.5, 2.0, 3.0):
-            exact = g.capacity_recursion(tree, base, p).capacity
+            exact = g.capacity_recursion(tree, base, p)[0]
             oracle = capacity_bruteforce(tree, base, p)
             estimate = flow_energy(tree, uniform_flow(tree), base, p)
             per_order[p] = (exact, oracle, estimate)
@@ -166,9 +166,9 @@ def capacity_corpus():
 def test_criterion_07_capacity_recursion_vs_oracle(capacity_corpus):
     worst = 0.0
     for _, _, per_order in capacity_corpus:
-        for exact, oracle, _ in per_order.values():
-            assert oracle.converged
-            worst = max(worst, abs(oracle.capacity - exact) / exact)
+        for exact, (oracle, _, converged), _ in per_order.values():
+            assert converged
+            worst = max(worst, abs(oracle - exact) / exact)
     # spherical closed form against the recursion on regular trees
     worst_sph = 0.0
     for degree, depth in ((2, 8), (3, 6)):
@@ -178,7 +178,7 @@ def test_criterion_07_capacity_recursion_vs_oracle(capacity_corpus):
         for base in (0.5, 1.0, 1.0 / math.tanh(0.8)):
             for p in (1.5, 2.0, 3.0):
                 closed = g.capacity_spherical(sizes, base, p)
-                rec = g.capacity_recursion(tree, base, p).capacity
+                rec = g.capacity_recursion(tree, base, p)[0]
                 worst_sph = max(worst_sph, abs(rec - closed) / closed)
     report(7, worst <= 1e-6 and worst_sph <= 1e-10,
            f"oracle rel gap {worst:.2e} <= 1e-6 on 150 problems; "
@@ -276,6 +276,13 @@ def test_criterion_12_ratio_interval_stability():
     report(12, ok,
            f"fresh-seed ratios in [{fresh.min():.4f}, {fresh.max():.4f}] inside "
            f"frozen [{lo:.4f}, {hi:.4f}] widened by 10%")
+
+
+def test_frozen_ratio_interval_reproduces():
+    # guard against a stale fixture, like test_frozen_constants_reproduce:
+    # the calibration corpus gives the frozen ends up to rounding
+    cal = ratio_corpus(RATIO_CORPUS_SEED, 200)
+    assert (cal.min(), cal.max()) == pytest.approx(RATIO_INTERVAL, rel=1e-12, abs=0)
 
 
 # -- criterion 13: total-variation crossing ------------------------------------

@@ -64,13 +64,18 @@ def test_bad_resistance_base_fails_closed(route, base):
 
 def test_recursion_single_vertex_convention():
     t = Tree.from_offspring_counts([np.zeros(1, dtype=np.int64)])
-    assert capacity_recursion(t, 1.0, 2.0).capacity == 1.0
+    assert capacity_recursion(t, 1.0, 2.0)[0] == 1.0
+    assert capacity_bruteforce(t, 1.0, 2.0)[0] == 1.0
+    # a childless root of a forest gets the same 1, in phi and in the roots
+    forest = Tree.from_offspring_counts([np.array([0, 0, 2]), np.array([0, 0])])
+    assert capacity_recursion(forest, 1.0, 2.0).tolist() == [1.0, 1.0, 2.0, math.inf, math.inf]
+    assert capacity_recursion(forest, 1.0, 2.0, roots_only=True).tolist() == [1.0, 1.0, 2.0]
 
 
 @pytest.mark.parametrize("edges", [1, 2, 5, 9])
 def test_recursion_path_series_law(edges):
-    out = capacity_recursion(path_tree(edges), 1.0, 2.0)
-    assert out.capacity == pytest.approx(1.0 / edges, rel=1e-14)
+    assert capacity_recursion(path_tree(edges), 1.0, 2.0)[0] == pytest.approx(
+        1.0 / edges, rel=1e-14)
 
 
 def test_recursion_on_a_path_deeper_than_the_resistance_range():
@@ -79,12 +84,12 @@ def test_recursion_on_a_path_deeper_than_the_resistance_range():
     n = 3200
     exact = 0.8**n * math.fsum(0.8 ** (2 * j) for j in range(n)) ** -0.5
     assert exact == pytest.approx(4.6356391776287e-311, rel=1e-12)
-    assert capacity_recursion(path_tree(n), 0.8, 1.5).capacity == pytest.approx(exact, rel=1e-9)
+    assert capacity_recursion(path_tree(n), 0.8, 1.5)[0] == pytest.approx(exact, rel=1e-9)
 
 
 def test_recursion_binary_depth2():
-    out = capacity_recursion(regular_tree(2, 2), 1.0, 2.0)
-    assert out.capacity == pytest.approx(4.0 / 3.0, rel=1e-14)
+    assert capacity_recursion(regular_tree(2, 2), 1.0, 2.0)[0] == pytest.approx(
+        4.0 / 3.0, rel=1e-14)
 
 
 def test_spherical_examples():
@@ -108,14 +113,14 @@ def test_spherical_matches_recursion_on_regular_trees(degree, base, p):
     t = regular_tree(degree, depth)
     sizes = [degree**k for k in range(1, depth + 1)]
     closed = capacity_spherical(sizes, base, p)
-    assert capacity_recursion(t, base, p).capacity == pytest.approx(closed, rel=1e-10)
+    assert capacity_recursion(t, base, p)[0] == pytest.approx(closed, rel=1e-10)
 
 
 def test_spherical_binary_depth3_ising_weights():
     base = math.tanh(0.8)
     t = regular_tree(2, 3)
     sizes = [2, 4, 8]
-    assert capacity_recursion(t, base, 1.5).capacity == pytest.approx(
+    assert capacity_recursion(t, base, 1.5)[0] == pytest.approx(
         capacity_spherical(sizes, base, 1.5), rel=1e-10)
 
 
@@ -135,20 +140,20 @@ def test_flow_energy_examples():
     t = regular_tree(2, 2)
     estimate = flow_energy(t, uniform_flow(t), 1.0, 2.0)
     assert estimate == pytest.approx(0.75)
-    assert estimate == pytest.approx(1.0 / capacity_recursion(t, 1.0, 2.0).capacity)
+    assert estimate == pytest.approx(1.0 / capacity_recursion(t, 1.0, 2.0)[0])
     with pytest.raises(ValueError, match="unit strength"):
         flow_energy(t, uniform_flow(t) * 2.0, 1.0, 2.0)
 
 
 def test_bruteforce_examples():
-    out = capacity_bruteforce(path_tree(5), 1.0, 2.0)
-    assert out.converged
-    assert out.capacity == pytest.approx(0.2, abs=1e-8)
+    capacity, _, converged = capacity_bruteforce(path_tree(5), 1.0, 2.0)
+    assert converged
+    assert capacity == pytest.approx(0.2, abs=1e-8)
     t = regular_tree(2, 2)
-    out2 = capacity_bruteforce(t, 1.0, 2.0)
-    assert out2.capacity == pytest.approx(4.0 / 3.0, abs=1e-8)
-    assert not out2.witness_flow.flags.writeable
-    assert np.allclose(conservation_residuals(t, out2.witness_flow), 0.0, atol=1e-12)
+    capacity, theta, _ = capacity_bruteforce(t, 1.0, 2.0)
+    assert capacity == pytest.approx(4.0 / 3.0, abs=1e-8)
+    assert not theta.flags.writeable
+    assert np.allclose(conservation_residuals(t, theta), 0.0, atol=1e-12)
 
 
 def test_bruteforce_size_guard():
@@ -163,13 +168,13 @@ def test_recursion_vs_oracle_and_order_monotonicity(rng):
         base = float(rng.uniform(0.5, 1.5))
         caps = []
         for p in orders:
-            exact = capacity_recursion(t, base, p).capacity
-            oracle = capacity_bruteforce(t, base, p)
-            assert abs(oracle.capacity - exact) / exact <= 1e-6
+            exact = capacity_recursion(t, base, p)[0]
+            oracle, theta, _ = capacity_bruteforce(t, base, p)
+            assert abs(oracle - exact) / exact <= 1e-6
             # Thomson: every admissible flow's estimate dominates the truth
             estimate = flow_energy(t, uniform_flow(t), base, p)
             assert estimate >= 1.0 / exact - 1e-10
-            witness = flow_energy(t, oracle.witness_flow, base, p)
+            witness = flow_energy(t, theta, base, p)
             assert witness == pytest.approx(1.0 / exact, rel=1e-6)
             caps.append(exact)
         assert caps[0] >= caps[1] >= caps[2]
@@ -179,21 +184,21 @@ def test_routes_agree_on_tree_with_internal_leaf():
     # an internal leaf is a boundary contact too: both routes treat it the same
     t = Tree.from_offspring_counts([np.array([2]), np.array([2, 0])])
     for p in (1.5, 2.0, 3.0):
-        exact = capacity_recursion(t, 1.0, p).capacity
-        oracle = capacity_bruteforce(t, 1.0, p)
-        assert oracle.converged
-        assert abs(oracle.capacity - exact) / exact <= 1e-6
+        exact = capacity_recursion(t, 1.0, p)[0]
+        oracle, _, converged = capacity_bruteforce(t, 1.0, p)
+        assert converged
+        assert abs(oracle - exact) / exact <= 1e-6
     # at p = 2: the internal leaf is one unit resistor in parallel with a
     # series-parallel branch of resistance 1 + 1/2
-    assert capacity_recursion(t, 1.0, 2.0).capacity == pytest.approx(1 + 2 / 3)
+    assert capacity_recursion(t, 1.0, 2.0)[0] == pytest.approx(1 + 2 / 3)
 
 
 def test_phi_envelope_on_contracting_resistances(rng, half13):
     from gwising import sample_gw
     t = sample_gw(half13, 6, rng)
-    out = capacity_recursion(t, 0.7, 1.5)
+    phi = capacity_recursion(t, 0.7, 1.5)
     internal = t.num_children > 0
-    assert np.all(out.phi[internal] <= 0.7 * t.num_children[internal] + 1e-12)
+    assert np.all(phi[internal] <= 0.7 * t.num_children[internal] + 1e-12)
 
 
 def test_expected_capacity_upper_examples():
@@ -226,7 +231,7 @@ def test_mean_capacity_dominated_by_bound(rng):
     values = np.empty(reps)
     for i in range(reps):
         t = sample_inhomogeneous_bp(laws, rng)
-        values[i] = capacity_recursion(t, base, 2.0).capacity
+        values[i] = capacity_recursion(t, base, 2.0)[0]
     m_0k = np.cumprod([law.mean() for law in laws])
     bound = expected_capacity_upper(m_0k, base, 2.0)
     se = values.std(ddof=1) / math.sqrt(reps)
@@ -241,8 +246,7 @@ def test_kn_bracket_with_frozen_growth_constants(dirac2):
     base = math.tanh(0.8)
     for n, p_n in ((20, 2.0**-10), (40, 2.0**-12)):
         profile = gamma_profile(dirac2, p_n, n)
-        mom = moments(profile, 2.0)
-        series = float(np.sum((base ** np.arange(1, n + 1) * mom.m_0k[1:]) ** -s))
+        series = float(np.sum((base ** np.arange(1, n + 1) * profile.m_0k[1:]) ** -s))
         k_n = kn_sum(base, 2.0, profile.k_star, n, p)
         assert series >= constants["c8"] ** -s * k_n * (1 - 1e-9)
         assert series <= constants["c7_prime"] ** -s * k_n * (1 + 1e-9)
@@ -253,17 +257,17 @@ def test_population_martingale_and_q_moment_bound(rng, dirac2):
     # small-W tail shrinks with epsilon (reported as a monotone table)
     n, p_n, q = 10, 2.0**-4, 2.0
     profile = gamma_profile(dirac2, p_n, n)
-    mom = moments(profile, q)
+    _, v_kn = moments(profile, q)
     sampler = PrunedLawSampler(profile)
     reps = 3000
     w = np.empty(reps)
     for i in range(reps):  # the sampler conditions on survival, as the theory does
-        w[i] = sampler.sample(rng).generation_size(n) / mom.m_0k[n]
+        w[i] = sampler.sample(rng).generation_size(n) / profile.m_0k[n]
     se = w.std(ddof=1) / math.sqrt(reps)
     assert abs(w.mean() - 1.0) < 4 * se
     q_moment = float((w**q).mean())
     q_se = (w**q).std(ddof=1) / math.sqrt(reps)
-    assert q_moment <= mom.v_kn[0] + 3 * q_se
+    assert q_moment <= v_kn[0] + 3 * q_se
     eps_grid = [0.4, 0.2, 0.1, 0.05]
     tail = [(w <= eps).mean() for eps in eps_grid]
     print("small-W tail table:", dict(zip(eps_grid, tail)))
@@ -276,7 +280,7 @@ def test_path_capacity_as_p_tends_to_one(p):
     # x^{-s} and the plain power sum overflow and used to give 0
     s = 1.0 / (p - 1.0)
     exact = 0.8**10 * math.fsum(0.8 ** (j * s) for j in range(10)) ** (-1.0 / s)
-    assert capacity_recursion(path_tree(10), 0.8, p).capacity == pytest.approx(exact, rel=1e-12)
+    assert capacity_recursion(path_tree(10), 0.8, p)[0] == pytest.approx(exact, rel=1e-12)
     assert capacity_spherical(np.ones(10), 0.8, p) == pytest.approx(exact, rel=1e-12)
     # the bound's power sum underflows to 0: its limit is min_k R^k M_{0,k}
     m = 1.5 ** np.arange(1, 23)

@@ -405,7 +405,7 @@ def exact_root_means(pmf, beta, p_n, n, capacity_p):
             outcome = prune(tree, h)
             if outcome is not None:
                 mean_capacity += prob * capacity_recursion(
-                    outcome[0], math.tanh(beta), capacity_p).capacity
+                    outcome[0], math.tanh(beta), capacity_p)[0]
     return mean_r, mean_capacity
 
 

@@ -229,3 +229,10 @@ def test_dot_overlay_marks_fields_and_branches(rng):
     assert "doublecircle" in dot
     assert "color=red, style=dashed" in dot
     assert dot.count("->") == 6
+
+
+def test_dot_refuses_survival_bits_of_another_size():
+    t = binary_tree(2)
+    for length in (20, 3):
+        with pytest.raises(ValueError, match="bits, the tree"):
+            to_dot(t, None, np.ones(length, dtype=bool))

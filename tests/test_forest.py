@@ -145,14 +145,13 @@ def test_forest_sweeps_equal_per_tree_sweeps(seed, num_trees, same_depth,
     base = float(rng.uniform(0.5, 1.5))
 
     r_forest = lyons_field(forest, h, beta)
-    phi_forest = capacity_recursion(forest, base, p).phi
+    phi_forest = capacity_recursion(forest, base, p)
     got_r, want_r, got_phi, want_phi = [], [], [], []
     for t, bits, where in zip(trees, fields, ids):
         got_r.append(r_forest[where])
         want_r.append(lyons_field(t, bits, beta))
-        if t.n > 0:  # a lone vertex has capacity 1 by convention, not a sweep value
-            got_phi.append(phi_forest[where])
-            want_phi.append(capacity_recursion(t, base, p).phi)
+        got_phi.append(phi_forest[where])
+        want_phi.append(capacity_recursion(t, base, p))
     got = np.concatenate(got_r + got_phi)
     want = np.concatenate(want_r + want_phi)
     np.testing.assert_array_equal(got, want)

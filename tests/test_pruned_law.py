@@ -224,7 +224,7 @@ def test_profile_and_means_match_per_step_forms_bitwise(masses, p_n, n):
                                      for k in range(n + 1)]
     if n <= 60 and pmf.max_degree <= 12:
         for q in (1.5, 2.0):
-            assert moments(profile, q).sigma_q_star.tolist() == [
+            assert moments(profile, q)[0].tolist() == [
                 law.q_variance(q) for law in profile.laws]
 
 
@@ -300,30 +300,30 @@ def test_tilde_mu0_examples(dirac2, half12):
 
 def test_moments_degenerate_examples():
     profile = gamma_profile(OffspringPmf.dirac(1), 0.4, 6)
-    mom = moments(profile, 2.0)
-    assert np.allclose(mom.nu_star, 1.0)
-    assert np.allclose(mom.sigma_q_star, 0.0, atol=1e-14)
-    assert np.allclose(mom.m_0k, 1.0)
+    sigma, _ = moments(profile, 2.0)
+    assert np.allclose(profile.nu_star, 1.0)
+    assert np.allclose(sigma, 0.0, atol=1e-14)
+    assert np.allclose(profile.m_0k, 1.0)
     profile2 = gamma_profile(OffspringPmf.from_dict({1: 0.5, 2: 0.5}), 1.0, 6)
-    assert np.allclose(moments(profile2, 2.0).nu_star, 1.5)
+    assert np.allclose(profile2.nu_star, 1.5)
 
 
 def test_moment_identities_and_bounds(half13, dirac2):
     q = 2.0
     for pmf, p_n, n in ((half13, 0.2, 14), (dirac2, 2.0**-8, 18), (half13, 0.85, 9)):
         profile = gamma_profile(pmf, p_n, n)
-        mom = moments(profile, q)
+        sigma, _ = moments(profile, q)
         nu, m_q = pmf.mean(), pmf.q_moment(q)
-        assert np.all(mom.nu_star >= 1.0 - 1e-12)
-        assert np.all(mom.nu_star <= nu + 1e-12)
-        assert np.all(mom.sigma_q_star <= m_q + 1e-12)
+        assert np.all(profile.nu_star >= 1.0 - 1e-12)
+        assert np.all(profile.nu_star <= nu + 1e-12)
+        assert np.all(sigma <= m_q + 1e-12)
         # exact growth identity M*_{0,k} = nu^k (1-gamma_k)/(1-gamma_0)
         for k in range(n + 1):
             expected = nu**k * profile.one_minus_gamma[k] / profile.one_minus_gamma[0]
-            assert mom.m_0k[k] == pytest.approx(expected, rel=1e-12)
+            assert profile.m_0k[k] == pytest.approx(expected, rel=1e-12)
         # telescoping consistency of the pairwise accessor
         assert profile.mean_generation_size(3, 7) == pytest.approx(
-            np.prod(mom.nu_star[3:7]), rel=1e-12)
+            np.prod(profile.nu_star[3:7]), rel=1e-12)
 
 
 def v_kn_double_sum(profile, q, sigma):
@@ -345,20 +345,19 @@ def test_v_kn_backward_pass_matches_double_sum(law, n, q):
            "half13": OffspringPmf.from_dict({1: 0.5, 3: 0.5})}[law]
     p_n = (pmf.mean() * 0.8) ** -n  # the threshold schedule at tanh(beta) = 0.8
     profile = gamma_profile(pmf, p_n, n)
-    mom = moments(profile, q)
-    np.testing.assert_allclose(mom.v_kn, v_kn_double_sum(profile, q, mom.sigma_q_star),
-                               rtol=1e-13, atol=0)
+    sigma, v_kn = moments(profile, q)
+    np.testing.assert_allclose(v_kn, v_kn_double_sum(profile, q, sigma), rtol=1e-13, atol=0)
 
 
 def test_sigma_bound_by_survival_power(half13):
     # proof-level bound sigma*_{q,k} <= (1 - gamma_{k+1})^{q-1} m_q
     q = 1.5
     profile = gamma_profile(half13, 0.05, 16)
-    mom = moments(profile, q)
+    sigma, _ = moments(profile, q)
     m_q = half13.q_moment(q)
     for k in range(16):
         cap = profile.one_minus_gamma[k + 1] ** (q - 1) * m_q
-        assert mom.sigma_q_star[k] <= cap + 1e-12
+        assert sigma[k] <= cap + 1e-12
 
 
 def test_sampler_never_empty_at_p_one(rng, half12):
@@ -549,16 +548,16 @@ def test_moment_gap_bounds_with_frozen_constants():
         nu, q = pmf.mean(), consts["q"]
         for n, p_n in ((20, 2.0**-10), (44, 2.0**-14)):
             profile = gamma_profile(pmf, p_n, n)
-            mom = moments(profile, q)
+            sigma, _ = moments(profile, q)
             ks = profile.k_star
             for k in range(n):
                 if k <= math.floor(ks):
                     cap = consts["c5"] * math.exp(-consts["c4"] * (ks - k))
-                    assert nu - mom.nu_star[k] <= cap * (1 + 1e-9)
+                    assert nu - profile.nu_star[k] <= cap * (1 + 1e-9)
                 if k >= math.ceil(ks):
-                    assert mom.nu_star[k] - 1.0 <= (
+                    assert profile.nu_star[k] - 1.0 <= (
                         consts["c5"] * nu ** -(k - ks) * (1 + 1e-9))
-                    assert mom.sigma_q_star[k] <= (
+                    assert sigma[k] <= (
                         consts["c6"] * nu ** (-(q - 1) * (k - ks)) * (1 + 1e-9))
 
 
@@ -570,11 +569,10 @@ def test_growth_bracket_with_frozen_constants():
         nu = pmf.mean()
         for n, p_n in ((20, 2.0**-10), (44, 2.0**-14)):
             profile = gamma_profile(pmf, p_n, n)
-            mom = moments(profile, consts["q"])
             ks = profile.k_star
             scale = nu ** np.minimum(np.arange(n + 1), ks)
-            assert np.all(mom.m_0k >= consts["c7_prime"] * scale * (1 - 1e-9))
-            assert np.all(mom.m_0k <= consts["c8"] * scale * (1 + 1e-9))
+            assert np.all(profile.m_0k >= consts["c7_prime"] * scale * (1 - 1e-9))
+            assert np.all(profile.m_0k <= consts["c8"] * scale * (1 + 1e-9))
 
 
 def test_frozen_constants_reproduce():

@@ -66,7 +66,7 @@ def fields_of(tree, p, rng):
 
 def capacity_phi(tree, beta, p, roots_only=False):
     base = math.tanh(beta) if beta > 0 else 0.5
-    return capacity_recursion(tree, base, p, roots_only=roots_only).phi
+    return capacity_recursion(tree, base, p, roots_only=roots_only)
 
 
 def outputs(tree, beta, flds):

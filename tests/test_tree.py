@@ -162,4 +162,4 @@ def test_deep_recursions_have_no_stack_limit():
     assert leaf_counts(path)[0] == 1
     r = gwising.lyons_plus(path, 0.9)
     assert np.isfinite(r[0]) and r[0] > 0
-    assert gwising.capacity_recursion(path, 1.0, 2.0).capacity == pytest.approx(1.0 / deep)
+    assert gwising.capacity_recursion(path, 1.0, 2.0)[0] == pytest.approx(1.0 / deep)
