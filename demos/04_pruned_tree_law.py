@@ -8,8 +8,8 @@ pruned tree looks like the original, above k* it thins to near-paths.
 
 import numpy as np
 
-from gwising import OffspringPmf, PrunedLawSampler, gamma_profile, tilde_mu0, tv_profile
-from gwising.validate import pruned_tree_probability
+from gwising import OffspringPmf, PrunedLawSampler, gamma_profile, tv_profile
+from gwising.validate import pruned_tree_probability, tilde_mu0
 
 rng = np.random.default_rng(11)
 mu = OffspringPmf.dirac(2)

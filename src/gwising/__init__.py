@@ -25,10 +25,18 @@ from .distributions import ConsistencyError, OffspringPmf, PmfError, ztb_mixture
 from .fields import FieldMode, plus_boundary_field, prune, sample_field, survival
 from .ising import g_beta, lyons_field, lyons_plus, magnetization, upper_bound_mean_r
 from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
-                         gamma_profile, moments, mu_star, tilde_mu0, tv_profile)
+                         gamma_profile, moments, mu_star, tv_profile)
 from .capacity import (alpha_n, capacity_recursion, capacity_spherical,
                        expected_capacity_upper)
 from .tree import PopulationCapError, Tree, sample_gw, sample_inhomogeneous_bp
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConsistencyError", "OffspringPmf", "PmfError", "ztb_mixture",
+    "FieldMode", "plus_boundary_field", "prune", "sample_field", "survival",
+    "g_beta", "lyons_field", "lyons_plus", "magnetization", "upper_bound_mean_r",
+    "GammaProfile", "PrunedLawSampler", "calibrate_constants", "gamma_profile",
+    "moments", "mu_star", "tv_profile",
+    "alpha_n", "capacity_recursion", "capacity_spherical", "expected_capacity_upper",
+    "PopulationCapError", "Tree", "sample_gw", "sample_inhomogeneous_bp",
+]
 __version__ = "0.1.0"

@@ -128,7 +128,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("q must lie in (1, 2]")
     if cfg.method not in ("direct", "pruned"):
         raise ConfigError(f"unknown method {cfg.method!r}")
-    if cfg.method == "pruned" and cfg.field_mode is not FieldMode.LEAVES_ONLY:
+    # only a magnetization scan reads method and field_mode
+    if (cfg.mode == "magnetization" and cfg.method == "pruned"
+            and cfg.field_mode is not FieldMode.LEAVES_ONLY):
         raise ConfigError("the pruned fast path models leaf fields only")
     kind = cfg.schedule.kind
     if kind not in SCHEDULE_KINDS:
@@ -392,9 +394,9 @@ def transition_bound_checks(profile: GammaProfile, constants: dict, k1: int) -> 
     ks = profile.k_star
     slack = math.log1p(BOUND_REL_SLACK)
 
-    log_t_bar = profile.log_one_minus_gamma_bar.tolist()
     log_gamma = profile.log_gamma.tolist()
     log_one_minus_gamma = profile.log_one_minus_gamma.tolist()
+    log_t_bar = log_one_minus_gamma[::-1]
     log_p = math.log(profile.p_n)
     upper_all = all(log_t_bar[k] <= k * log_nu + log_p + slack for k in range(n + 1))
     lower_window = all(log_t_bar[k] >= math.log(0.5) + k * log_nu + log_p - slack

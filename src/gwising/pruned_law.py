@@ -2,18 +2,19 @@
 
 A Galton-Watson tree of depth n pruned by Bernoulli(p_n) leaf marks is again a
 branching process, inhomogeneous in the generation and in n.  This module
-computes its parameters exactly: the survival-probability profile gamma_k and
-its leaf-indexed twin, the per-generation offspring laws (zero-truncated
-binomial mixtures), their means, fractional variances and growth factors, the
-transition generation k*, direct samplers, and total-variation diagnostics.
+computes its parameters exactly: the survival-probability profile gamma_k, the
+per-generation offspring laws (zero-truncated binomial mixtures), their means,
+fractional variances and growth factors, the transition generation k*, direct
+samplers, and total-variation diagnostics.
 
 A profile builds its laws mu*_0, ..., mu*_{n-1} once, in one array call of
 ``ztb_mixture`` (``GammaProfile.laws``); every consumer reads that table.
 
-A profile iterates one recursion per generation, on whichever of gamma_bar
-and 1 - gamma_bar is small, and takes the other as the complement.  Both are
-held in linear and in log space; a side below the linear underflow threshold
-(doubly-exponential decay of gamma_bar, or a tiny p_n) is carried by its log.
+A profile iterates one recursion per generation from the leaves, on whichever
+of gamma_bar_k = gamma_{n-k} and 1 - gamma_bar_k is small, and takes the other
+as the complement.  Both are held in linear and in log space, in root order; a
+side below the linear underflow threshold (doubly-exponential decay of
+gamma_bar, or a tiny p_n) is carried by its log.
 """
 
 from __future__ import annotations
@@ -46,41 +47,25 @@ class GammaProfile:
     """Pruning probabilities for a base law ``pmf``, depth ``n``, leaf mark
     probability ``p_n``.
 
-    ``gamma[k]`` is the probability that a depth-k vertex is pruned;
-    ``gamma_bar[k] = gamma[n-k]`` is the same indexed by distance to the
-    leaves and satisfies gamma_bar_0 = 1 - p_n, gamma_bar_k = G(gamma_bar_{k-1}).
-    ``log_gamma_bar`` and ``log_one_minus_gamma_bar`` stay finite past the
-    linear underflow threshold, where the linear values are their exp.
+    ``gamma[k]`` is the probability that a depth-k vertex is pruned, for
+    k = 0..n.  Read from the leaves, gamma_bar_k = ``gamma[n - k]`` satisfies
+    gamma_bar_0 = 1 - p_n, gamma_bar_k = G(gamma_bar_{k-1}).  ``log_gamma`` and
+    ``log_one_minus_gamma`` stay finite past the linear underflow threshold,
+    where the linear values are their exp.  All four arrays are read-only.
     """
 
     pmf: OffspringPmf
     n: int
     p_n: float
-    gamma_bar: np.ndarray
-    one_minus_gamma_bar: np.ndarray
-    log_gamma_bar: np.ndarray
-    log_one_minus_gamma_bar: np.ndarray
+    gamma: np.ndarray
+    one_minus_gamma: np.ndarray
+    log_gamma: np.ndarray
+    log_one_minus_gamma: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.gamma_bar, self.one_minus_gamma_bar,
-                    self.log_gamma_bar, self.log_one_minus_gamma_bar):
+        for arr in (self.gamma, self.one_minus_gamma,
+                    self.log_gamma, self.log_one_minus_gamma):
             arr.setflags(write=False)
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        return self.gamma_bar[::-1].copy()
-
-    @cached_property
-    def one_minus_gamma(self) -> np.ndarray:
-        return self.one_minus_gamma_bar[::-1].copy()
-
-    @cached_property
-    def log_one_minus_gamma(self) -> np.ndarray:
-        return self.log_one_minus_gamma_bar[::-1].copy()
-
-    @cached_property
-    def log_gamma(self) -> np.ndarray:
-        return self.log_gamma_bar[::-1].copy()
 
     @cached_property
     def laws(self) -> LawTable:
@@ -155,6 +140,9 @@ def gamma_profile(pmf: OffspringPmf, p_n: float, n: int) -> GammaProfile:
     that is, or may step, below ``LINEAR_UNDERFLOW`` is carried by its log
     (log t + log nu, as F(t) = nu t there; or log G), its linear value by exp.
 
+    The rows come out leaf first and are reversed once, so gamma_bar_k is
+    ``gamma[n - k]`` of the returned profile.
+
     Rejects p_n = 0, where the pruned law degenerates (conditioning on a null
     event).
     """
@@ -191,7 +179,7 @@ def gamma_profile(pmf: OffspringPmf, p_n: float, n: int) -> GammaProfile:
                 lg = math.log(g)
             t, lt = 1.0 - g, math.log1p(-g)
         rows.append((g, t, lg, lt))
-    g, t, lg, lt = np.array(rows).T.copy()
+    g, t, lg, lt = np.array(rows[::-1]).T.copy()
     return GammaProfile(pmf, n, p_n, g, t, lg, lt)
 
 
@@ -200,18 +188,6 @@ def mu_star(profile: GammaProfile, k: int) -> OffspringPmf:
     if not 0 <= k <= profile.n - 1:
         raise ValueError("generation index must lie in [0, n-1]")
     return profile.laws[k]
-
-
-def tilde_mu0(profile: GammaProfile) -> OffspringPmf:
-    """Root offspring law: an atom gamma_0 at 0 (whole tree pruned) plus
-    (1 - gamma_0) mu*_0."""
-    gamma0 = float(profile.gamma[0])
-    base = profile.laws[0]
-    if gamma0 == 0.0:
-        return base
-    degrees = np.concatenate([[0], base.degrees])
-    probs = np.concatenate([[gamma0], (1.0 - gamma0) * base.probs])
-    return OffspringPmf(degrees, probs)
 
 
 def moments(profile: GammaProfile, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +267,7 @@ def k1_bar_star(profile: GammaProfile, q: float, c_mu: float) -> int:
     """min{ k : sum_{i<=k} C_mu (1 - gamma_bar_i)^{q-1} > 1/2 }, or n when the
     running sum never exceeds 1/2 (the pre-window then covers every k)."""
     acc = 0.0
-    for k, t in enumerate(profile.one_minus_gamma_bar.tolist()):
+    for k, t in enumerate(profile.one_minus_gamma[::-1].tolist()):
         acc += c_mu * t ** (q - 1.0)
         if acc > 0.5:
             return k

@@ -21,7 +21,7 @@ from .capacity import _checked_base
 from .distributions import MIXTURE_CONSISTENCY_TOL, OffspringPmf, logsumexp, ztb_mixture
 from .experiments import ConfigError
 from .fields import FieldMode, _checked_field, plus_boundary_field, prune, sample_field
-from .pruned_law import GammaProfile, gamma_profile, tilde_mu0
+from .pruned_law import GammaProfile, gamma_profile
 from .tree import PopulationCapError, Tree, sample_gw, segment_sums
 
 BRUTEFORCE_MAX_FREE_SPINS = 24
@@ -182,6 +182,18 @@ def ztb_mixture_by_truncated_binomials(pmf: OffspringPmf, p: float) -> np.ndarra
         ztb = zero_truncated_binomial(big_d, p)
         masses[ztb.degrees - 1] += mass * surv_d / survival_norm * ztb.probs
     return masses
+
+
+def tilde_mu0(profile: GammaProfile) -> OffspringPmf:
+    """Root offspring law: an atom gamma_0 at 0 (whole tree pruned) plus
+    (1 - gamma_0) mu*_0."""
+    gamma0 = float(profile.gamma[0])
+    base = profile.laws[0]
+    if gamma0 == 0.0:
+        return base
+    degrees = np.concatenate([[0], base.degrees])
+    probs = np.concatenate([[gamma0], (1.0 - gamma0) * base.probs])
+    return OffspringPmf(degrees, probs)
 
 
 def pruned_tree_probability(shape: Tree | None, pmf: OffspringPmf, p_n: float,

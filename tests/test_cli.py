@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -255,6 +256,11 @@ def test_cli_import_loads_no_scipy(tmp_path):
         "gamma_bounds.csv", "gamma_profile.csv", "magnetization.csv"]
 
 
+def test_public_names_resolve_and_none_is_a_module():
+    for name in gwising.__all__:
+        assert not isinstance(getattr(gwising, name), types.ModuleType), name
+
+
 def test_scans_never_load_the_oracles(tmp_path):
     # gwising.validate is loaded by the validate command alone; the dotted
     # name is checked, since a filter on the top-level package cannot see it
@@ -295,6 +301,24 @@ def test_gamma_profile_of_a_law_whose_mean_gap_is_zero(tmp_path, capsys, q):
                                "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert len((out / "gamma_bounds.csv").read_text().splitlines()) == 2  # header, n = 3
+
+
+@pytest.mark.parametrize("command,mode,expected", [
+    ("magnetization-scan", "magnetization", 2),
+    ("gamma-profile", "gamma", 0),
+    ("tv-scan", "tv", 0),
+    ("capacity-scan", "capacity", 0),
+])
+def test_pruned_whole_tree_pair_is_refused_in_magnetization_mode_only(
+        tmp_path, capsys, command, mode, expected):
+    # only a magnetization scan reads method and field_mode
+    cfg = write_config(tmp_path / "c.json", mode=mode, beta=math.atanh(0.8),
+                       method="pruned", field_mode="whole_tree")
+    code = parse_and_dispatch(["--quiet", command, "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert code == expected
+    err = capsys.readouterr().err
+    assert ("the pruned fast path models leaf fields only" in err) == (expected == 2)
 
 
 def test_magnetization_scan_writes_csv(tmp_path, capsys):

@@ -11,8 +11,9 @@ from scipy.special import comb, logsumexp
 
 from gwising import OffspringPmf, PmfError, ztb_mixture
 from gwising.distributions import MIXTURE_CONSISTENCY_TOL, logsumexp as gw_logsumexp
-from gwising.pruned_law import gamma_profile, tilde_mu0
-from gwising.validate import zero_truncated_binomial, ztb_mixture_by_truncated_binomials
+from gwising.pruned_law import gamma_profile
+from gwising.validate import (tilde_mu0, zero_truncated_binomial,
+                              ztb_mixture_by_truncated_binomials)
 
 
 def test_constructor_rejects_bad_input():

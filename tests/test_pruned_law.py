@@ -11,11 +11,11 @@ from scipy import stats
 
 from gwising import (FieldMode, OffspringPmf, PmfError, Tree,
                      calibrate_constants, gamma_profile, moments, mu_star,
-                     prune, sample_gw, sample_field, tilde_mu0, tv_profile,
+                     prune, sample_gw, sample_field, tv_profile,
                      ztb_mixture)
 from gwising.pruned_law import (LINEAR_UNDERFLOW, PrunedLawSampler,
                                 fit_g_upper_constant, k1_bar_star, tv_crossing)
-from gwising.validate import enumerate_trees, pruned_tree_probability, tv_distance
+from gwising.validate import enumerate_trees, pruned_tree_probability, tilde_mu0, tv_distance
 
 from _frozen import CALIBRATED
 from test_distributions import log_gf_by_arrays
@@ -31,26 +31,36 @@ def test_profile_rejects_degenerate_mark_probability(dirac2):
 def test_profile_p_one_prunes_nothing(half12):
     profile = gamma_profile(half12, 1.0, 6)
     assert np.all(profile.gamma == 0.0)
-    assert np.all(profile.gamma_bar == 0.0)
+    assert np.all(profile.gamma[::-1] == 0.0)
+
+
+def test_profile_arrays_are_read_only(half13):
+    p_n = 0.37
+    profile = gamma_profile(half13, p_n, 12)
+    for arr in (profile.gamma, profile.one_minus_gamma, profile.log_gamma,
+                profile.log_one_minus_gamma):
+        assert not arr.flags.writeable
+    # the leaves are generation n, where 1 - gamma_n is the mark probability
+    assert profile.one_minus_gamma[-1] == p_n
 
 
 def test_profile_dirac2_small(dirac2):
     profile = gamma_profile(dirac2, 0.5, 2)
-    assert profile.gamma_bar.tolist() == [0.5, 0.25, 0.0625]
+    assert profile.gamma[::-1].tolist() == [0.5, 0.25, 0.0625]
     assert profile.gamma.tolist() == [0.0625, 0.25, 0.5]
-    assert profile.one_minus_gamma_bar == pytest.approx([0.5, 0.75, 0.9375])
+    assert profile.one_minus_gamma[::-1] == pytest.approx([0.5, 0.75, 0.9375])
 
 
 def test_profile_iteration_identity(half13):
-    profile = gamma_profile(half13, 0.37, 12)
+    g_bar = gamma_profile(half13, 0.37, 12).gamma[::-1]
     for k in range(1, 13):
-        assert profile.gamma_bar[k] == half13.gf(profile.gamma_bar[k - 1])
+        assert g_bar[k] == half13.gf(g_bar[k - 1])
 
 
 def test_profile_monotone(half13, dirac2):
     for pmf, p in ((half13, 0.1), (dirac2, 0.6), (half13, 0.9)):
         profile = gamma_profile(pmf, p, 15)
-        assert np.all(np.diff(profile.gamma_bar) <= 1e-15)
+        assert np.all(np.diff(profile.gamma[::-1]) <= 1e-15)
         assert np.all(np.diff(profile.gamma) >= -1e-15)
         assert np.all((profile.gamma >= 0) & (profile.gamma <= 1))
 
@@ -61,8 +71,8 @@ def test_profile_dirac2_closed_form_in_log_space(dirac2):
     profile = gamma_profile(dirac2, p, 20)
     for k in range(21):
         expected = 2.0**k * math.log1p(-p)
-        assert profile.log_gamma_bar[k] == pytest.approx(expected, rel=1e-12)
-    assert profile.gamma_bar[20] == 0.0  # linear track underflowed to zero
+        assert profile.log_gamma[::-1][k] == pytest.approx(expected, rel=1e-12)
+    assert profile.gamma[::-1][20] == 0.0  # linear track underflowed to zero
 
 
 def test_profile_log_one_minus_track_below_underflow(half12):
@@ -71,7 +81,7 @@ def test_profile_log_one_minus_track_below_underflow(half12):
     profile = gamma_profile(half12, p, 8)
     nu = half12.mean()
     for k in range(9):
-        assert profile.log_one_minus_gamma_bar[k] == pytest.approx(
+        assert profile.log_one_minus_gamma[::-1][k] == pytest.approx(
             math.log(1e-320) + k * math.log(nu), rel=1e-12)
 
 
@@ -122,14 +132,14 @@ def test_profile_matches_rational_oracle(law, p_n, n):
     profile = gamma_profile(pmf, p_n, n)
     for k, g_bar in enumerate(gamma_bar_oracle(pmf, p_n, n)):
         t = float(1 - g_bar)
-        assert abs(profile.one_minus_gamma_bar[k] - t) <= 1e-14 * t, k
+        assert abs(profile.one_minus_gamma[::-1][k] - t) <= 1e-14 * t, k
         # gamma_bar is doubly-exponentially small for dirac2; its log carries
         # it, and an error of the log is a relative error of gamma_bar
         log_g = _log_fraction(g_bar)
         tol = 1e-14 * max(1.0, abs(log_g))
-        assert abs(profile.log_gamma_bar[k] - log_g) <= tol, k
+        assert abs(profile.log_gamma[::-1][k] - log_g) <= tol, k
         if g_bar >= Fraction(np.finfo(float).tiny):
-            assert abs(profile.gamma_bar[k] - float(g_bar)) <= tol * float(g_bar), k
+            assert abs(profile.gamma[::-1][k] - float(g_bar)) <= tol * float(g_bar), k
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,9 +155,9 @@ def test_profile_property_over_small_mark_probabilities(masses, log2_p, n):
     pmf = OffspringPmf.from_dict({d: w / total for d, w in masses.items()})
     p_n = 2.0**log2_p
     profile = gamma_profile(pmf, p_n, n)
-    g_bar, t_bar = profile.gamma_bar, profile.one_minus_gamma_bar
-    log_g = profile.log_gamma_bar
-    assert np.all(np.isfinite(profile.log_one_minus_gamma_bar))
+    g_bar, t_bar = profile.gamma[::-1], profile.one_minus_gamma[::-1]
+    log_g = profile.log_gamma[::-1]
+    assert np.all(np.isfinite(profile.log_one_minus_gamma[::-1]))
     # log gamma_bar >= d_max^k log(1 - p_n) stays finite for d_max <= 2 and
     # n <= 1000; beyond that it may pass the double range, and is then -inf
     # with gamma_bar == 0
@@ -167,8 +177,8 @@ def test_profile_past_the_log_range_raises_no_warning():
         warnings.simplefilter("error")
         profile = gamma_profile(pmf, 0.5, 209)
         assert pmf.log_gf(-1e307) == -math.inf
-    assert np.isfinite(profile.log_gamma_bar[-2])
-    assert profile.log_gamma_bar[-1] == -math.inf and profile.gamma_bar[-1] == 0.0
+    assert np.isfinite(profile.log_gamma[::-1][-2])
+    assert profile.log_gamma[::-1][-1] == -math.inf and profile.gamma[::-1][-1] == 0.0
 
 
 def gamma_profile_per_step(pmf, p_n, n):
@@ -213,8 +223,8 @@ def test_profile_and_means_match_per_step_forms_bitwise(masses, p_n, n):
     pmf = OffspringPmf.from_dict({d: w / total for d, w in masses.items()})
     profile = gamma_profile(pmf, p_n, n)
     expected = gamma_profile_per_step(pmf, p_n, n)
-    got = (profile.gamma_bar, profile.one_minus_gamma_bar, profile.log_gamma_bar,
-           profile.log_one_minus_gamma_bar)
+    got = (profile.gamma[::-1], profile.one_minus_gamma[::-1], profile.log_gamma[::-1],
+           profile.log_one_minus_gamma[::-1])
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
     # the array forms of nu*_k and M*_{0,k} are the per-entry accessor's values
@@ -235,7 +245,7 @@ def test_gamma_bar_equals_mark_free_generating_function(half12):
     expected = sum(prob * (1 - p) ** tree.generation_size(k)
                    for tree, prob in enumerate_trees(half12, k))
     profile = gamma_profile(half12, p, 5)
-    assert profile.gamma_bar[k] == pytest.approx(expected, abs=1e-13)
+    assert profile.gamma[5 - k] == pytest.approx(expected, abs=1e-13)
 
 
 def test_k_star_value(dirac2):
@@ -530,12 +540,13 @@ def test_k1_window_sandwich(half13):
     k1 = k1_bar_star(profile, q, c_mu)
     nu = half13.mean()
     p = profile.p_n
+    t_bar = profile.one_minus_gamma[::-1]
     for k in range(k1 + 1):
-        t = profile.one_minus_gamma_bar[k]
+        t = t_bar[k]
         assert t <= nu**k * p * (1 + 1e-12)
         assert t >= 0.5 * nu**k * p * (1 - 1e-12)
     for k in range(31):
-        assert profile.one_minus_gamma_bar[k] <= nu**k * p * (1 + 1e-12)
+        assert t_bar[k] <= nu**k * p * (1 + 1e-12)
 
 
 def test_moment_gap_bounds_with_frozen_constants():
