@@ -14,9 +14,8 @@ import math
 
 import numpy as np
 
-from gwising import (OffspringPmf, capacity_recursion, capacity_spherical, lyons_plus,
-                     sample_gw)
-from gwising.validate import capacity_bruteforce, flow_energy, uniform_flow
+from gwising import OffspringPmf, capacity_recursion, lyons_plus, sample_gw
+from gwising.validate import capacity_bruteforce, capacity_spherical, flow_energy, uniform_flow
 
 rng = np.random.default_rng(5)
 

@@ -12,11 +12,12 @@ Library layout:
   tree (gamma profiles, offspring laws, moments, k*, samplers,
   total-variation diagnostics, constant calibration).
 - ``capacity``: nonlinear p-capacities of resistance-weighted trees
-  (recursion, spherical closed form, mean bounds).
+  (recursion, mean bounds).
 - ``experiments``: deterministic Monte Carlo scans and CSV rendering.
 - ``validate``: the oracles that check the modules above (Gibbs
-  enumeration, tree enumeration, exact pruned-tree probabilities, convex
-  flow minimization, Thomson flows) and the ``gwising validate`` suites.
+  enumeration, tree enumeration, exact pruned-tree probabilities, the
+  spherical closed form, convex flow minimization, Thomson flows) and the
+  ``gwising validate`` suites.
   Neither it nor ``experiments`` is imported here.
 - ``cli``: the ``gwising`` command.
 """
@@ -26,8 +27,7 @@ from .fields import FieldMode, plus_boundary_field, prune, sample_field, surviva
 from .ising import g_beta, lyons_field, lyons_plus, magnetization, upper_bound_mean_r
 from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
                          gamma_profile, moments, mu_star, tv_profile)
-from .capacity import (alpha_n, capacity_recursion, capacity_spherical,
-                       expected_capacity_upper)
+from .capacity import alpha_n, capacity_recursion, expected_capacity_upper
 from .tree import PopulationCapError, Tree, sample_gw, sample_inhomogeneous_bp
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "g_beta", "lyons_field", "lyons_plus", "magnetization", "upper_bound_mean_r",
     "GammaProfile", "PrunedLawSampler", "calibrate_constants", "gamma_profile",
     "moments", "mu_star", "tv_profile",
-    "alpha_n", "capacity_recursion", "capacity_spherical", "expected_capacity_upper",
+    "alpha_n", "capacity_recursion", "expected_capacity_upper",
     "PopulationCapError", "Tree", "sample_gw", "sample_inhomogeneous_bp",
 ]
 __version__ = "0.1.0"

@@ -4,11 +4,10 @@ The p-resistance between root and leaves is the Thomson variational value
 inf over unit flows of sum_u R_u^s theta(u)^q (u over non-root vertices,
 s = 1/(p-1), q = p/(p-1)), raised to the power p-1; the p-capacity is its
 inverse.  Every function takes the base R; as R_u / R_v = R on every edge,
-the recursion is phi(u) = R sum_children contraction(phi(v)).  Two routes
-are provided: that exact leaf-to-root recursion and the closed form for
-spherically symmetric trees (generations in series); the convex minimization
-over flows that checks them is ``gwising.validate.capacity_bruteforce``.  The
-conjugate exponent q is always derived from p, never passed separately.
+the recursion is phi(u) = R sum_children contraction(phi(v)).  Here are that
+leaf-to-root recursion and the mean bounds; the checks of the recursion, the
+spherical closed form and the convex minimization over flows, are in
+``gwising.validate``.  The conjugate exponent q is always derived from p.
 """
 
 from __future__ import annotations
@@ -81,36 +80,21 @@ def capacity_recursion(tree: Tree, base: float, p: float, *,
         raise ValueError("capacity order p must exceed 1")
     s = 1.0 / (p - 1.0)
     base = _checked_base(base)
-    bottom = int(tree.gen_offsets[tree.n])
+    childless = np.flatnonzero(tree.num_children == 0)
 
     def combine(sums: np.ndarray, at) -> np.ndarray:
-        degree = tree.num_children[at]
         # every contraction is at most 1
-        if np.any(sums > degree * (1 + 1e-9)):
+        if np.any(sums > tree.num_children[at] * (1 + 1e-9)):
             raise FloatingPointError("phi exceeded the R * degree envelope")
-        return np.where(degree > 0, base * sums, math.inf)
+        return base * sums
 
     phi = None if roots_only else np.zeros(tree.num_vertices)
-    roots = tree.sweep_up(np.full(tree.num_vertices - bottom, math.inf),
-                          lambda child, _: _contraction(child, s), combine,
-                          starts=np.flatnonzero(tree.num_children[:bottom] == 0),
-                          out=phi)
+    roots = tree.sweep_up((childless, np.full(len(childless), math.inf)),
+                          lambda child, _: _contraction(child, s), combine, out=phi)
     roots[tree.num_children[:len(roots)] == 0] = 1.0
     if phi is not None:
         phi[:len(roots)] = roots
     return roots if roots_only else phi
-
-
-def capacity_spherical(generation_sizes, base: float, p: float) -> float:
-    """Closed form for spherically symmetric trees with resistances
-    base^{-k}: generations k = 1..n in series,
-    (sum_k (base^k |t_k|)^{-s})^{-1/s} with s = 1/(p-1)."""
-    sizes = np.asarray(generation_sizes, dtype=float)
-    if sizes.ndim != 1 or sizes.size == 0:
-        raise ValueError("need a list of generation sizes")
-    if np.any(sizes[1:] % sizes[:-1]) or sizes[0] < 1:
-        raise ValueError("generation sizes must be successively divisible")
-    return _series_capacity(sizes, base, p)
 
 
 def expected_capacity_upper(m_0k, resistance_base: float, p: float) -> float:

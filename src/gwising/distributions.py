@@ -32,6 +32,13 @@ class ConsistencyError(RuntimeError):
     """
 
 
+def _setstate_frozen(self, state: dict) -> None:
+    """``__setstate__`` of the frozen dataclasses: the pickled attributes,
+    with every array among them read-only again, as it was when pickled."""
+    _freeze(*(value for value in state.values() if isinstance(value, np.ndarray)))
+    self.__dict__.update(state)
+
+
 @dataclass(frozen=True, eq=False)
 class OffspringPmf:
     """Probability mass function on a finite set of nonnegative integers.
@@ -43,6 +50,7 @@ class OffspringPmf:
 
     degrees: np.ndarray
     probs: np.ndarray
+    __setstate__ = _setstate_frozen
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OffspringPmf)
@@ -298,7 +306,7 @@ class LawTable(tuple):
 
     def __new__(cls, laws, masses: np.ndarray):
         table = super().__new__(cls, laws)
-        table.masses = masses
+        table.masses, = _freeze(masses)  # read-only after unpickling too
         return table
 
     def __reduce__(self):

@@ -68,8 +68,10 @@ def survival(tree: Tree, h: np.ndarray) -> np.ndarray:
     """The read-only per-vertex survival bits, by a bottom-up OR: a leaf
     survives iff its field bit is set, an internal vertex iff some child
     survives.  Only the bottom-generation bits are read."""
+    bottom = int(tree.gen_offsets[tree.n])
+    marked = np.flatnonzero(_checked_field(tree, h)[bottom:]) + bottom
     y = np.zeros(tree.num_vertices, dtype=np.uint8)
-    tree.sweep_up(_checked_field(tree, h)[tree.gen_offsets[tree.n]:],
+    tree.sweep_up((marked, np.ones(len(marked), dtype=np.uint8)),
                   lambda child, _: child.astype(np.int64),
                   lambda sums, _: sums > 0, out=y)
     y.setflags(write=False)

@@ -4,7 +4,7 @@ recursion and the analytic mean upper bounds.
 Log-likelihood ratios r are extended reals: finite nonnegative values plus
 ``math.inf``, the ratio of a leaf pinned by the plus boundary condition.  g
 maps the infinity to exactly 2*beta through an explicit branch, and the only
-arithmetic on it is a childless vertex's inf + 0, so no NaN can occur.
+arithmetic on it is a childless vertex's 0 + inf, so no NaN can occur.
 """
 
 from __future__ import annotations
@@ -67,12 +67,10 @@ def lyons_plus(tree: Tree, beta: float) -> np.ndarray:
     """Per-vertex ratios with plus boundary condition: every leaf, at any
     depth, is +inf, and internal vertices accumulate
     r(u) = sum_children g(r(child))."""
-    bottom = int(tree.gen_offsets[tree.n])
-    childless = tree.num_children == 0
+    childless = np.flatnonzero(tree.num_children == 0)
     r = np.zeros(tree.num_vertices)
-    tree.sweep_up(np.full(tree.num_vertices - bottom, math.inf), _lift(beta),
-                  lambda sums, at: np.where(childless[at], math.inf, sums),
-                  starts=np.flatnonzero(childless[:bottom]), out=r)
+    tree.sweep_up((childless, np.full(len(childless), math.inf)), _lift(beta),
+                  lambda sums, _: sums, out=r)
     return r
 
 
@@ -82,21 +80,15 @@ def lyons_field(tree: Tree, h: np.ndarray, beta: float, *,
     r(u) = 2 beta h_u + sum_children g(r(child)), leaves r = 2 beta h_u;
     with ``roots_only``, the ratios of the roots alone.
 
-    The sweep starts from the marked leaves, and the field is read in float
-    only where a marked vertex sits above the bottom generation."""
-    two_beta = 2.0 * beta
+    The marked vertices seed the sweep with 2 beta each.  They are found
+    above the bottom generation and on it by two scans, since a scan of the
+    field returns at once only over a run of zeros."""
     bottom = int(tree.gen_offsets[tree.n])
-    marked = np.flatnonzero(_checked_field(tree, h)[bottom:])
-    starts = np.flatnonzero(h[:bottom])
-    if len(starts):
-        def combine(sums, at):
-            return np.multiply(h[at], two_beta, dtype=float) + sums
-    else:
-        def combine(sums, _):
-            return sums
+    marked = np.concatenate((np.flatnonzero(_checked_field(tree, h)[:bottom]),
+                             np.flatnonzero(h[bottom:]) + bottom))
     r = None if roots_only else np.zeros(tree.num_vertices)
-    roots = tree.sweep_up((marked + bottom, np.full(len(marked), two_beta)),
-                          _lift(beta), combine, starts=starts, out=r)
+    roots = tree.sweep_up((marked, np.full(len(marked), 2.0 * beta)), _lift(beta),
+                          lambda sums, _: sums, out=r)
     return roots if roots_only else r
 
 

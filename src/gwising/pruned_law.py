@@ -25,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import ConsistencyError, LawTable, OffspringPmf, PmfError, ztb_mixture
+from .distributions import (ConsistencyError, LawTable, OffspringPmf, PmfError,
+                            _setstate_frozen, ztb_mixture)
 from .tree import Tree, sample_inhomogeneous_bp
 
 LINEAR_UNDERFLOW = 1e-300
@@ -61,6 +62,7 @@ class GammaProfile:
     one_minus_gamma: np.ndarray
     log_gamma: np.ndarray
     log_one_minus_gamma: np.ndarray
+    __setstate__ = _setstate_frozen
 
     def __post_init__(self):
         for arr in (self.gamma, self.one_minus_gamma,

@@ -12,14 +12,14 @@ that whole arena.
 The sweep keeps only the generation in hand, and skips the children that
 hold exactly 0 while fewer than half of their generation hold anything else:
 it then carries the live vertices' ids and values alone, with the dense
-sweep's result bit for bit.  That asks two things of every caller:
-``lift(0) == 0``, and the vertices above the bottom whose ``combine`` of a
-zero sum is not 0 are named as starts.  It returns the root values, and
-writes every vertex's value into an arena-sized array only when the caller
-passes one.  With a sparse field most ratios are 0 (r(u) != 0 exactly when a
-field-carrying vertex sits below u), so a scan that reads the roots alone
-lifts and sums mostly on the vertices of the pruned tree, and never builds a
-float array over the arena.
+sweep's result bit for bit.  A vertex's value is ``combine`` of its child
+sums plus its own seed value, which is 0 unless the caller seeds it; that
+asks two things of every caller, ``lift(0) == 0`` and ``combine(0) == 0``.
+It returns the root values, and writes every vertex's value into an
+arena-sized array only when the caller passes one.  With a sparse field most
+ratios are 0 (r(u) != 0 exactly when a field-carrying vertex sits below u),
+so a scan that reads the roots alone lifts and sums mostly on the vertices
+of the pruned tree, and never builds a float array over the arena.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import OffspringPmf, PmfError
+from .distributions import OffspringPmf, PmfError, _setstate_frozen
 
 DEFAULT_POPULATION_CAP = 10**8
 
@@ -78,10 +78,11 @@ def _whole(at, values, lo, hi) -> np.ndarray:
     return whole
 
 
-def _merge_starts(at, sums, starts):
-    """Sorted ids ``at`` with their sums, joined by the ``starts`` among them
-    and beside them; a start without a live child gets a zero sum."""
-    merged = np.union1d(at, starts)
+def _merge_seeded(at, sums, seeded):
+    """Sorted ids ``at`` with their sums, joined by the ``seeded`` ids among
+    them and beside them; a seeded vertex without a live child gets a zero
+    sum."""
+    merged = np.union1d(at, seeded)
     if len(merged) == len(at):
         return at, sums
     full = np.zeros(len(merged), dtype=sums.dtype)
@@ -136,6 +137,7 @@ class Tree:
 
     gen_offsets: np.ndarray
     num_children: np.ndarray
+    __setstate__ = _setstate_frozen
 
     def __post_init__(self):
         for arr in (self.gen_offsets, self.num_children):
@@ -172,67 +174,64 @@ class Tree:
         """Child counts of generation-k vertices, in arena order."""
         return self.num_children[self.gen_offsets[k]:self.gen_offsets[k + 1]]
 
-    def sweep_up(self, bottom, lift, combine, starts=None, out=None) -> np.ndarray:
+    def sweep_up(self, seeds, lift, combine, out=None) -> np.ndarray:
         """The leaf-to-root sweep: one generation at a time from generation
         n-1 up to the roots; returns the root values.
 
-        ``bottom`` holds the values of generation n, as one array over the
-        generation or as a pair ``(ids, values)`` of sorted arena ids and
-        their values (every other vertex of the generation holds 0).  With
-        ``cur`` the slice of generation k and ``nxt`` that of k+1, each step
-        takes ``combine(segment_sums(lift(values of nxt, nxt),
-        num_children[cur]), cur)`` as the values of generation k; a childless
-        vertex above the bottom gets ``combine`` of a zero child sum.
-        ``starts`` are the sorted ids above the bottom whose ``combine`` of a
-        zero sum is not 0.  Only the values of the generation in hand are
-        kept; ``out``, an arena-sized array of zeros when given, receives
-        every vertex's value.
+        ``seeds`` is a pair ``(ids, own)`` of sorted distinct arena ids, in
+        any generations, and their own values; every other vertex's own value
+        is 0.  A vertex of generation n holds its own value.  With ``cur`` the
+        slice of generation k and ``nxt`` that of k+1, each step gives the
+        vertices of generation k ``combine(segment_sums(lift(values of nxt,
+        nxt), num_children[cur]), cur)`` plus their own values; a childless
+        vertex above the bottom holds its own value alone.  Only the values
+        of the generation in hand are kept; ``out``, an arena-sized array of
+        zeros when given, receives every vertex's value.
 
-        Skip rule: while fewer than half of generation k+1 are live (nonzero,
-        or started), the step carries only their ids and values: only those
-        children are lifted, and ``combine`` runs only on their parents and
-        on the starts of generation k (``lift`` and ``combine`` then get
-        sorted index arrays instead of slices, and the starts without a live
-        child a zero sum).  A parent with one or two live children takes
-        their plain sum, which is the bits ``segment_sums`` gives with zeros
-        around them; one with three or more is summed over its whole child
-        segment by ``segment_sums``, zeros included.  The first generation
-        with at least half of it live takes the dense step, and so does every
-        one above it.  The result is bit for bit the dense sweep's, provided
-        the caller meets the contract: ``lift`` maps 0 to 0, and ``starts``
-        holds every vertex above the bottom whose ``combine`` of a zero sum
-        is not 0.  ``lyons_field``, ``lyons_plus``, ``survival`` and
-        ``capacity_recursion`` meet it, and so do ``leaf_counts`` and the
-        gradient of ``capacity_bruteforce`` in ``gwising.validate``.
+        Skip rule: while fewer than half of generation k+1 are live
+        (nonzero, or seeded), the step carries only their ids and values:
+        only those children are lifted, and ``combine`` runs only on their
+        parents and on the seeded vertices of generation k (``lift`` and
+        ``combine`` then get sorted index arrays instead of slices, and a
+        seeded vertex without a live child a zero sum).  A parent with one or
+        two live children takes their plain sum, which is the bits
+        ``segment_sums`` gives with zeros around them; one with three or more
+        is summed over its whole child segment by ``segment_sums``, zeros
+        included.  The first generation with at least half of it live takes
+        the dense step, and so does every one above it.  The result is bit
+        for bit the dense sweep's, provided the caller meets the contract:
+        ``lift`` maps 0 to 0, and ``combine`` maps a zero sum to 0 and
+        returns a new array (the own values are added to it in place).
         """
         offsets = self.gen_offsets.tolist()
-        lo, hi = offsets[-2:]
-        if isinstance(bottom, tuple):
-            at, values = bottom
-        elif len(bottom) != hi - lo:
-            raise ValueError(f"the bottom generation has {hi - lo} vertices, "
-                             f"not {len(bottom)}")
-        elif 2 * np.count_nonzero(bottom) < hi - lo:
-            at = np.flatnonzero(bottom)
-            at, values = at + lo, bottom[at]
-        else:
-            at, values = slice(lo, hi), bottom
+        ids, own = seeds
+        first = int(ids.searchsorted(offsets[-2]))
+        at, values = ids[first:], own[first:]
+        # the seeds above the bottom by generation, cut only when there are any
+        above = {}
+        if first:
+            cuts = ids.searchsorted(offsets).tolist()
+            above = {k: (ids[a:b], own[a:b]) for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
+                     if a < b}
         if out is not None:
             out[at] = values
-        bounds = None if starts is None else starts.searchsorted(offsets).tolist()
         for k in range(self.n - 1, -1, -1):
             lo, mid, hi = offsets[k:k + 3]
             cur = slice(lo, mid)
             counts = self.num_children[cur]
+            seeded = above.get(k)
             if isinstance(at, slice) or 2 * len(at) >= hi - mid:
                 nxt = slice(mid, hi)
                 sums = segment_sums(lift(_whole(at, values, mid, hi), nxt), counts)
                 at, values = cur, combine(sums, cur)
             else:
                 at, sums = _sparse_sums(at, values, lift, counts, lo, mid, hi)
-                if bounds is not None and bounds[k] < bounds[k + 1]:
-                    at, sums = _merge_starts(at, sums, starts[bounds[k]:bounds[k + 1]])
+                if seeded:
+                    at, sums = _merge_seeded(at, sums, seeded[0])
                 values = combine(sums, at) if len(at) else sums
+            if seeded:
+                ids_k, own_k = seeded
+                values[ids_k - lo if at is cur else at.searchsorted(ids_k)] += own_k
             if out is not None:
                 out[at] = values
         return _whole(at, values, 0, offsets[1])

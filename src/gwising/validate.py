@@ -2,10 +2,10 @@
 ``gwising validate`` built on them.
 
 Gibbs enumeration checks the ratio recursion, exhaustive tree enumeration and
-exact pruned-tree probabilities check the pruned law, convex flow
-minimization and Thomson flows check the capacity recursion, and the
-truncated-binomial route checks ``ztb_mixture``.  No scan imports this
-module; the ``validate`` command loads it when it runs.
+exact pruned-tree probabilities check the pruned law, the spherical closed
+form, convex flow minimization and Thomson flows check the capacity
+recursion, and the truncated-binomial route checks ``ztb_mixture``.  No scan
+imports this module; the ``validate`` command loads it when it runs.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ def leaf_counts(tree: Tree) -> np.ndarray:
     """Per-vertex count of bottom-generation descendants (self included at
     the bottom); the numerator of the uniform flow."""
     counts = np.zeros(tree.num_vertices, dtype=np.int64)
-    tree.sweep_up(np.ones(tree.generation_size(tree.n), dtype=np.int64),
+    bottom = np.arange(tree.gen_offsets[tree.n], tree.num_vertices)
+    tree.sweep_up((bottom, np.ones(len(bottom), dtype=np.int64)),
                   lambda child, _: child, lambda sums, _: sums, out=counts)
     return counts
 
@@ -284,6 +285,18 @@ def _project_sibling_simplices(x: np.ndarray, block_ids: np.ndarray,
     return out
 
 
+def capacity_spherical(generation_sizes, base: float, p: float) -> float:
+    """Closed form for spherically symmetric trees with resistances
+    base^{-k}: generations k = 1..n in series,
+    (sum_k (base^k |t_k|)^{-s})^{-1/s} with s = 1/(p-1)."""
+    sizes = np.asarray(generation_sizes, dtype=float)
+    if sizes.ndim != 1 or sizes.size == 0:
+        raise ValueError("need a list of generation sizes")
+    if np.any(sizes[1:] % sizes[:-1]) or sizes[0] < 1:
+        raise ValueError("generation sizes must be successively divisible")
+    return cap._series_capacity(sizes, base, p)
+
+
 def capacity_bruteforce(tree: Tree, base: float, p: float) -> tuple[float, np.ndarray, bool]:
     """Direct minimization of the Thomson energy over unit flows: the
     capacity, the read-only optimal flow theta and whether it converged.
@@ -309,7 +322,6 @@ def capacity_bruteforce(tree: Tree, base: float, p: float) -> tuple[float, np.nd
     cost[0] = 0.0
     parent = tree.parent
     counts = tree.num_children
-    bottom = int(tree.gen_offsets[tree.n])
     internal = np.flatnonzero(counts > 0)
     block_counts = counts[internal]
     block_ids = parent[1:]
@@ -336,9 +348,9 @@ def capacity_bruteforce(tree: Tree, base: float, p: float) -> tuple[float, np.nd
         # h(v) = cost_v theta_v^{q-1} + sum_children a_w h(w); grad wrt a_v is
         # q * theta(parent) * h(v), finite even as theta -> 0 (q > 1).
         h = cost * theta ** (q - 1.0)
-        tree.sweep_up(h[bottom:], lambda child, nxt: a_vec[nxt] * child,
-                      lambda sums, cur: h[cur] + sums, starts=np.flatnonzero(h[:bottom]),
-                      out=h)
+        own = np.flatnonzero(h)
+        tree.sweep_up((own, h[own]), lambda child, nxt: a_vec[nxt] * child,
+                      lambda sums, _: sums, out=h)
         grad = np.zeros_like(a_vec)
         grad[1:] = q * theta[parent[1:]] * h[1:]
         return grad

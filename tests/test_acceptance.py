@@ -15,9 +15,10 @@ import gwising as g
 from gwising.experiments import (ExperimentConfig, PSchedule, run_capacity_scan,
                                  run_magnetization_scan, transition_bound_checks)
 from gwising.pruned_law import k1_bar_star, tv_crossing
-from gwising.validate import (capacity_bruteforce, flow_energy, random_small_tree,
-                              suite_lyons_vs_bruteforce, suite_pruned_law_exact,
-                              suite_pruning_equivalence, uniform_flow)
+from gwising.validate import (capacity_bruteforce, capacity_spherical, flow_energy,
+                              random_small_tree, suite_lyons_vs_bruteforce,
+                              suite_pruned_law_exact, suite_pruning_equivalence,
+                              uniform_flow)
 
 from _frozen import CALIBRATED, RATIO_CORPUS_SEED, RATIO_INTERVAL
 from generate_frozen import ratio_corpus
@@ -177,7 +178,7 @@ def test_criterion_07_capacity_recursion_vs_oracle(capacity_corpus):
             [np.full(degree**k, degree, dtype=np.int64) for k in range(depth)])
         for base in (0.5, 1.0, 1.0 / math.tanh(0.8)):
             for p in (1.5, 2.0, 3.0):
-                closed = g.capacity_spherical(sizes, base, p)
+                closed = capacity_spherical(sizes, base, p)
                 rec = g.capacity_recursion(tree, base, p)[0]
                 worst_sph = max(worst_sph, abs(rec - closed) / closed)
     report(7, worst <= 1e-6 and worst_sph <= 1e-10,

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gwising import (OffspringPmf, Tree, alpha_n, capacity_recursion, capacity_spherical,
+from gwising import (OffspringPmf, Tree, alpha_n, capacity_recursion,
                      expected_capacity_upper, gamma_profile, moments,
                      sample_inhomogeneous_bp)
 from gwising.pruned_law import PrunedLawSampler
 from gwising.tree import segment_sums
-from gwising.validate import (_vertex_resistances, capacity_bruteforce, flow_energy,
-                              random_small_tree, uniform_flow)
+from gwising.validate import (_vertex_resistances, capacity_bruteforce,
+                              capacity_spherical, flow_energy, random_small_tree,
+                              uniform_flow)
 
 from _frozen import CALIBRATED
 

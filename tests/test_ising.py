@@ -108,7 +108,8 @@ def lyons_field_zero_then_mask(tree, fld, beta):
     bias = 2.0 * beta * fld.astype(float)
     r = np.zeros(tree.num_vertices)
     bottom = int(tree.gen_offsets[tree.n])
-    dense_sweep_up(tree, bias[bottom:], lambda child, _: g_beta(beta, child),
+    dense_sweep_up(tree, (np.arange(bottom, tree.num_vertices), bias[bottom:]),
+                   lambda child, _: g_beta(beta, child),
                    lambda sums, cur: bias[cur] + sums, out=r)
     return r
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -32,6 +33,19 @@ def test_profile_p_one_prunes_nothing(half12):
     profile = gamma_profile(half12, 1.0, 6)
     assert np.all(profile.gamma == 0.0)
     assert np.all(profile.gamma[::-1] == 0.0)
+
+
+def test_arrays_stay_read_only_after_a_pickle_round_trip(half12):
+    # a pool task receives its sampler pickled, with the law table built
+    back = pickle.loads(pickle.dumps(PrunedLawSampler(gamma_profile(half12, 0.01, 8))))
+    profile = back.profile
+    assert "laws" in profile.__dict__
+    tree = pickle.loads(pickle.dumps(back.sample(np.random.default_rng(0), roots=3)))
+    arrays = [profile.gamma, profile.one_minus_gamma, profile.log_gamma,
+              profile.log_one_minus_gamma, profile.laws.masses,
+              profile.pmf.degrees, profile.pmf.probs, tree.gen_offsets, tree.num_children]
+    arrays += [arr for law in profile.laws for arr in (law.degrees, law.probs)]
+    assert not any(arr.flags.writeable for arr in arrays)
 
 
 def test_profile_arrays_are_read_only(half13):

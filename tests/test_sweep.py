@@ -1,9 +1,10 @@
 """The leaf-to-root sweep skips children that hold 0, bit for bit.
 
-``Tree.sweep_up`` carries only the nonzero children of a generation while
-they are fewer than half of it.  Every caller's output, per vertex and for
-the roots alone, is checked here against the dense sweep, kept below as the
-oracle, byte for byte.
+``Tree.sweep_up`` gives each vertex ``combine`` of its child sums plus its
+own seed value, and carries only the nonzero or seeded vertices of a
+generation while they are fewer than half of it.  Every caller's output, per
+vertex and for the roots alone, and seeds in every generation, are checked
+here against the dense sweep, kept below as the oracle, byte for byte.
 """
 
 import math
@@ -25,19 +26,19 @@ CAPACITY_ORDERS = (1.5, 2.0, 3.0)
 MAX_EXPECTED_VERTICES = 3000
 
 
-def dense_sweep_up(self, bottom, lift, combine, starts=None, out=None):
+def dense_sweep_up(self, seeds, lift, combine, out=None):
+    ids, own = seeds
+    seeded = np.zeros(self.num_vertices, dtype=own.dtype)
+    seeded[ids] = own
     lo = int(self.gen_offsets[self.n])
-    if isinstance(bottom, tuple):
-        ids, vals = bottom
-        bottom = np.zeros(self.num_vertices - lo, dtype=vals.dtype)
-        bottom[ids - lo] = vals
-    values = bottom
+    values = seeded[lo:]
     if out is not None:
         out[lo:] = values
     for k in range(self.n - 1, -1, -1):
         lo, mid, hi = (int(x) for x in self.gen_offsets[k:k + 3])
         cur, nxt = slice(lo, mid), slice(mid, hi)
-        values = combine(segment_sums(lift(values, nxt), self.num_children[cur]), cur)
+        sums = segment_sums(lift(values, nxt), self.num_children[cur])
+        values = combine(sums, cur) + seeded[cur]
         if out is not None:
             out[cur] = values
     return values
@@ -51,6 +52,13 @@ def dense_sweep():
 
 def bottom_slice(tree):
     return slice(int(tree.gen_offsets[tree.n]), tree.num_vertices)
+
+
+def bottom_seeds(tree, leaves):
+    """The nonzero entries of the bottom-generation values ``leaves``, as
+    the seeds of a sweep."""
+    at = np.flatnonzero(leaves)
+    return at + bottom_slice(tree).start, leaves[at]
 
 
 def fields_of(tree, p, rng):
@@ -123,6 +131,37 @@ def test_sweep_matches_dense_sweep_bitwise(seed, width, zero_mass, roots, depth,
     assert_same_bytes(tree, beta, fields_of(tree, 10.0 ** log10_p, rng))
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 12), zero_mass=st.booleans(),
+       roots=st.integers(1, 40), depth=st.integers(1, 9), log10_p=st.floats(-4.0, 0.0))
+def test_seeds_in_every_generation_match_dense_sweep_bitwise(seed, width, zero_mass,
+                                                             roots, depth, log10_p):
+    # Bernoulli(p) seeds plus one vertex per generation, so that every
+    # generation holds a seed, on vertices with children and without
+    rng = np.random.default_rng(seed)
+    tree = random_forest(rng, width, zero_mass, roots, depth)
+    picked = rng.random(tree.num_vertices) < 10.0 ** log10_p
+    offsets = tree.gen_offsets
+    picked[rng.integers(offsets[:-1], offsets[1:])] = True
+    ids = np.flatnonzero(picked)
+    # own values spread over many binades, so that the order of a sum shows
+    own = rng.random(len(ids)) * 10.0 ** rng.integers(-6, 3, size=len(ids))
+    weight, scale = rng.uniform(0.5, 1.5, size=(2, tree.num_vertices))
+
+    def sweep():
+        out = np.zeros(tree.num_vertices)
+        roots = tree.sweep_up((ids, own), lambda child, nxt: child * weight[nxt],
+                              lambda sums, at: sums * scale[at], out=out)
+        return out, roots
+
+    got = sweep()
+    with dense_sweep():
+        want = sweep()
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert got[1].tobytes() == got[0][:tree.num_roots].tobytes()
+    assert (got[0][ids] != 0).all()
+
+
 def marked_fields(tree, leaves, internal):
     """One field per mode: marks on the bottom-generation offsets
     ``leaves``, those and the ids ``internal`` for WHOLE_TREE, and ones on
@@ -191,8 +230,8 @@ def test_parents_with_many_live_children_keep_dense_sums(seed, width, data, beta
 
     def sweeps():
         out = np.zeros(tree.num_vertices)
-        roots = tree.sweep_up(leaves, lambda child, _: child * 1.0, lambda sums, _: sums,
-                              out=out)
+        roots = tree.sweep_up(bottom_seeds(tree, leaves), lambda child, _: child * 1.0,
+                              lambda sums, _: sums, out=out)
         return [lyons_field(tree, h, beta), lyons_field(tree, h, beta, roots_only=True),
                 out, roots]
 
@@ -210,7 +249,8 @@ def test_plain_sum_of_three_live_children_differs_from_the_dense_sum():
     tree = Tree.from_offspring_counts([np.array([3] + [1] * 7)])
     leaves = np.zeros(10)
     leaves[:3] = a, b, c
-    got = tree.sweep_up(leaves, lambda child, _: child, lambda sums, _: sums)
+    got = tree.sweep_up(bottom_seeds(tree, leaves), lambda child, _: child,
+                        lambda sums, _: sums)
     assert got[0] == a + (b + c) != (a + b) + c
 
 
@@ -229,11 +269,12 @@ def test_sweep_lifts_only_live_children_until_half_are_live():
         return child
 
     values = np.zeros(tree.num_vertices)
-    roots = tree.sweep_up(leaves, lift, lambda sums, _: sums, out=values)
+    roots = tree.sweep_up(bottom_seeds(tree, leaves), lift, lambda sums, _: sums,
+                          out=values)
     assert seen == [(1, False)] * 4
     assert values[others] == 1.0 and values[:others].sum() == 0.0
     assert roots.tobytes() == values[:others + 1].tobytes()
     # a generation at least half live goes dense, and so does every one above
     seen.clear()
-    tree.sweep_up(np.ones(others + 1), lift, lambda sums, _: sums)
+    tree.sweep_up(bottom_seeds(tree, np.ones(others + 1)), lift, lambda sums, _: sums)
     assert seen == [(others + 1, True)] * 4
