@@ -84,8 +84,9 @@ def lyons_field(tree: Tree, h: np.ndarray, beta: float, *,
     above the bottom generation and on it by two scans, since a scan of the
     field returns at once only over a run of zeros."""
     bottom = int(tree.gen_offsets[tree.n])
-    marked = np.concatenate((np.flatnonzero(_checked_field(tree, h)[:bottom]),
-                             np.flatnonzero(h[bottom:]) + bottom))
+    above = np.flatnonzero(_checked_field(tree, h)[:bottom])
+    marked = np.flatnonzero(h[bottom:]) + bottom
+    marked = np.concatenate((above, marked)) if len(above) else marked
     r = None if roots_only else np.zeros(tree.num_vertices)
     roots = tree.sweep_up((marked, np.full(len(marked), 2.0 * beta)), _lift(beta),
                           lambda sums, _: sums, out=r)

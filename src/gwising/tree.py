@@ -208,11 +208,9 @@ class Tree:
         first = int(ids.searchsorted(offsets[-2]))
         at, values = ids[first:], own[first:]
         # the seeds above the bottom by generation, cut only when there are any
-        above = {}
-        if first:
-            cuts = ids.searchsorted(offsets).tolist()
-            above = {k: (ids[a:b], own[a:b]) for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
-                     if a < b}
+        cuts = ids.searchsorted(offsets[:-1]).tolist() if first else []
+        above = {k: (ids[a:b], own[a:b]) for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
+                 if a < b}
         if out is not None:
             out[at] = values
         for k in range(self.n - 1, -1, -1):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import capacity as cap
 from . import ising
-from .capacity import _checked_base
+from .capacity import _checked_base, _series_capacity
 from .distributions import MIXTURE_CONSISTENCY_TOL, OffspringPmf, logsumexp, ztb_mixture
 from .experiments import ConfigError
 from .fields import FieldMode, _checked_field, plus_boundary_field, prune, sample_field
@@ -294,7 +294,7 @@ def capacity_spherical(generation_sizes, base: float, p: float) -> float:
         raise ValueError("need a list of generation sizes")
     if np.any(sizes[1:] % sizes[:-1]) or sizes[0] < 1:
         raise ValueError("generation sizes must be successively divisible")
-    return cap._series_capacity(sizes, base, p)
+    return _series_capacity(sizes, base, p)
 
 
 def capacity_bruteforce(tree: Tree, base: float, p: float) -> tuple[float, np.ndarray, bool]:
@@ -348,8 +348,8 @@ def capacity_bruteforce(tree: Tree, base: float, p: float) -> tuple[float, np.nd
         # h(v) = cost_v theta_v^{q-1} + sum_children a_w h(w); grad wrt a_v is
         # q * theta(parent) * h(v), finite even as theta -> 0 (q > 1).
         h = cost * theta ** (q - 1.0)
-        own = np.flatnonzero(h)
-        tree.sweep_up((own, h[own]), lambda child, nxt: a_vec[nxt] * child,
+        seeded = np.flatnonzero(h)
+        tree.sweep_up((seeded, h[seeded]), lambda child, nxt: a_vec[nxt] * child,
                       lambda sums, _: sums, out=h)
         grad = np.zeros_like(a_vec)
         grad[1:] = q * theta[parent[1:]] * h[1:]
