@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 
@@ -243,34 +244,132 @@ def _sample_block(args) -> np.ndarray:
                                   roots_only=True)
 
 
+def _shares(weights: list[float], processes: int) -> list[list[int]]:
+    """Task indices per process, each share in task order: the heaviest task
+    first, each to the lightest share so far.  The lightest share comes first,
+    for the calling process, which also forks the others and reads them."""
+    shares = [[] for _ in range(processes)]
+    loads = [0.0] * processes
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += weights[i]
+    return [sorted(shares[k]) for k in sorted(range(processes), key=loads.__getitem__)]
+
+
+def _reap(pid: int) -> None:
+    """Kill the child ``pid`` if it still runs, and reap it; a child reaped
+    already is left alone, so that a reused pid is never signalled."""
+    try:
+        if os.waitpid(pid, os.WNOHANG) == (0, 0):
+            # imported here, so a scan that kills no child never loads it
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass
+
+
+def _run_child(tasks: list, share: list[int], pipe_fd: int) -> None:
+    """The body of a forked worker: runs ``share`` and writes its report, a
+    0 byte and the root values as float64 bytes, or a 1 byte and the pickled
+    exception.  Never returns: it ends the process with ``os._exit``, so no
+    handler or buffer of the caller runs twice."""
+    code = 1
+    try:
+        try:
+            values = np.concatenate([_sample_block(tasks[i]) for i in share])
+            report = b"\0" + values.astype(np.float64, copy=False).tobytes()
+        except Exception as exc:
+            try:
+                error = pickle.dumps(exc)
+                pickle.loads(error)
+            except Exception:
+                error = pickle.dumps(RuntimeError(f"scan worker failed: {exc!r}"))
+            report = b"\1" + error
+        with open(pipe_fd, "wb") as pipe:
+            pipe.write(report)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_blocks(tasks: list, shares: list[list[int]]) -> list[np.ndarray]:
+    """``_sample_block`` of every task, in task order.
+
+    ``shares[0]`` runs in this process.  Each other share runs in a child
+    forked for it, which inherits ``tasks`` and writes its root values back
+    through a pipe.  The children are read in order once this process has run
+    its own share.  An error in a child is raised here with its type; a child
+    that ends without a full report raises RuntimeError naming it.  On every
+    path, every child is reaped, and killed first if it still runs."""
+    blocks = [None] * len(tasks)
+    children = []  # (pid, read end of its pipe, share)
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pipe = open(read_fd, "rb")
+            try:
+                pid = os.fork()
+            except BaseException:
+                pipe.close()
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                pipe.close()
+                _run_child(tasks, share, write_fd)
+            # closed before the next fork, so that no later child holds it
+            # open and a dead child's pipe reads to its end
+            os.close(write_fd)
+            children.append((pid, pipe, share))
+        for i in shares[0]:
+            blocks[i] = _sample_block(tasks[i])
+        for number, (pid, pipe, share) in enumerate(children, start=2):
+            report = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code == 0 and report[:1] == b"\1":
+                raise pickle.loads(report[1:])
+            roots = [tasks[i][-1] for i in share]
+            if code != 0 or report[:1] != b"\0" or len(report) != 1 + 8 * sum(roots):
+                ending = f"exit code {code}" if code >= 0 else f"signal {-code}"
+                raise RuntimeError(f"scan worker {number} of {len(shares)} (pid {pid}) "
+                                   f"ended with {ending} before a full report")
+            values = np.frombuffer(report, np.float64, offset=1)
+            for i, block in zip(share, np.split(values, np.cumsum(roots)[:-1])):
+                blocks[i] = block
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            _reap(pid)
+    return blocks
+
+
 def _sample_scan(cfg: ExperimentConfig, experiment: str,
                  pruned: bool) -> tuple[list[GammaProfile | None], np.ndarray]:
     """Each depth's pruned profile (None when sampled directly) and the
     (depths x replicas) matrix of ``_sample_block`` values.  Every depth is
-    sized, so checked against the population cap, before any sampling."""
-    profiles, tasks = [], []
+    sized, so checked against the population cap, before any sampling.
+
+    The blocks run on min(``workers``, blocks, CPUs) processes, this one
+    included, by ``_run_blocks``; each share is fixed before any block runs,
+    and the output does not depend on it."""
+    profiles, tasks, weights = [], [], []
     for n_index, n in enumerate(cfg.n_grid):
         profile = gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None
         size = block_replicas(cfg.pmf, n, profile)
+        vertices = replica_vertices(cfg.pmf, n, profile)
         sampler = None if profile is None else PrunedLawSampler(profile)
         profiles.append(profile)
         # one task per block; the last block takes the remainder
-        tasks += [(experiment, cfg, n, sampler, n_index, block,
-                   min(size, cfg.replicas - start))
-                  for block, start in enumerate(range(0, cfg.replicas, size))]
-    # no more processes than blocks or usable CPUs: a fork pool starts all of
-    # its workers at the first submit, whatever the size of the scan
+        for block, start in enumerate(range(0, cfg.replicas, size)):
+            roots = min(size, cfg.replicas - start)
+            tasks.append((experiment, cfg, n, sampler, n_index, block, roots))
+            weights.append(roots * vertices)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(cfg.workers, len(tasks), cpus)
-    if workers == 1:
-        blocks = [_sample_block(task) for task in tasks]
-    else:
-        # imported here, so a run that starts no pool never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_sample_block, tasks, chunksize=chunk))
+    # where the platform cannot fork, every block runs in process
+    processes = min(cfg.workers, len(tasks), cpus) if hasattr(os, "fork") else 1
+    blocks = _run_blocks(tasks, _shares(weights, processes))
     return profiles, np.concatenate(blocks).reshape(len(cfg.n_grid), cfg.replicas)
 
 

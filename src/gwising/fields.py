@@ -33,6 +33,15 @@ def _checked_field(tree: Tree, h: np.ndarray) -> np.ndarray:
     return h
 
 
+def _marked_ids(bits: np.ndarray) -> np.ndarray:
+    """``np.flatnonzero(bits)``, a one-byte field scanned through a bool
+    view: numpy returns at once only over a run of zeros in a ``uint8``
+    array, and scans a bool one about seven times faster.  Both views read a
+    byte as set when it is nonzero, so the ids are the same."""
+    bits = np.asarray(bits)
+    return np.flatnonzero(bits.view(bool) if bits.dtype.itemsize == 1 else bits)
+
+
 def sample_field(tree: Tree, mode: FieldMode, p: float,
                  rng: np.random.Generator | None = None) -> np.ndarray:
     """The read-only field of independent Bernoulli(p) bits on the mode's
@@ -69,7 +78,7 @@ def survival(tree: Tree, h: np.ndarray) -> np.ndarray:
     survives iff its field bit is set, an internal vertex iff some child
     survives.  Only the bottom-generation bits are read."""
     bottom = int(tree.gen_offsets[tree.n])
-    marked = np.flatnonzero(_checked_field(tree, h)[bottom:]) + bottom
+    marked = _marked_ids(_checked_field(tree, h)[bottom:]) + bottom
     y = np.zeros(tree.num_vertices, dtype=np.uint8)
     tree.sweep_up((marked, np.ones(len(marked), dtype=np.uint8)),
                   lambda child, _: child.astype(np.int64),

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .fields import _checked_field
+from .fields import _checked_field, _marked_ids
 from .tree import Tree
 
 # nu tanh(beta) within this of 1 counts as critical
@@ -84,8 +84,8 @@ def lyons_field(tree: Tree, h: np.ndarray, beta: float, *,
     above the bottom generation and on it by two scans, since a scan of the
     field returns at once only over a run of zeros."""
     bottom = int(tree.gen_offsets[tree.n])
-    above = np.flatnonzero(_checked_field(tree, h)[:bottom])
-    marked = np.flatnonzero(h[bottom:]) + bottom
+    above = _marked_ids(_checked_field(tree, h)[:bottom])
+    marked = _marked_ids(h[bottom:]) + bottom
     marked = np.concatenate((above, marked)) if len(above) else marked
     r = None if roots_only else np.zeros(tree.num_vertices)
     roots = tree.sweep_up((marked, np.full(len(marked), 2.0 * beta)), _lift(beta),

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,16 @@ def half12():
 @pytest.fixture
 def half13():
     return OffspringPmf.from_dict({1: 0.5, 3: 0.5})
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_its_test():
+    """Fails a test that leaves a child process unreaped, running or ended:
+    a scan must reap every worker it forks, on every path."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid} unreaped" if pid
+                else "the test left a child process running")

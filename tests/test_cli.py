@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import types
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import gwising
+import gwising.experiments
 from gwising import OffspringPmf
 from gwising.cli import (_KEY_FIELDS, atomic_write_text, load_config, parse_and_dispatch,
                          parse_pmf_spec)
@@ -343,6 +345,79 @@ def test_worker_count_does_not_change_bytes(tmp_path, capsys):
         outs.append((out / "magnetization.csv").read_bytes())
     assert outs[0] == outs[1]
     capsys.readouterr()
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Lets a scan run on three processes on any machine; its blocks are small."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+def forked_scan_argv(tmp_path, workers):
+    """A scan of three one-block depths, so three workers run one block each."""
+    cfg = write_config(tmp_path / "c.json", n_grid=[3, 4, 5], replicas=4)
+    return ["--quiet", "magnetization-scan", "--config", cfg,
+            "--out", str(tmp_path / f"w{workers}"), "--workers", str(workers)]
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_forked_scan_writes_the_in_process_bytes(tmp_path, capsys, three_cpus):
+    for workers in (1, 3):
+        assert parse_and_dispatch(forked_scan_argv(tmp_path, workers)) == 0
+        assert_no_child_process()
+    assert ((tmp_path / "w1" / "magnetization.csv").read_bytes()
+            == (tmp_path / "w3" / "magnetization.csv").read_bytes())
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("error, code", [(ConfigError("bad block"), 2),
+                                         (ValueError("bad block"), 3)])
+def test_an_error_in_a_forked_block_exits_as_in_process(tmp_path, capsys, monkeypatch,
+                                                       three_cpus, error, code):
+    caller = os.getpid()
+    real_block = gwising.experiments._sample_block
+
+    def raising_block(task):
+        raise error
+
+    def raising_in_a_child(task):
+        if os.getpid() != caller:
+            raise error
+        return real_block(task)
+
+    monkeypatch.setattr(gwising.experiments, "_sample_block", raising_block)
+    assert parse_and_dispatch(forked_scan_argv(tmp_path, 1)) == code
+    in_process = capsys.readouterr().err
+    monkeypatch.setattr(gwising.experiments, "_sample_block", raising_in_a_child)
+    assert parse_and_dispatch(forked_scan_argv(tmp_path, 3)) == code
+    assert capsys.readouterr().err == in_process
+    assert in_process.count("\n") == 1 and "bad block" in in_process
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("death, ending", [("exit", "exit code 1"), ("kill", "signal 9")])
+def test_a_forked_worker_that_dies_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                                        three_cpus, death, ending):
+    caller = os.getpid()
+    real_block = gwising.experiments._sample_block
+
+    def dying_in_a_child(task):
+        if os.getpid() != caller:
+            if death == "exit":
+                os._exit(1)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_block(task)
+
+    monkeypatch.setattr(gwising.experiments, "_sample_block", dying_in_a_child)
+    assert parse_and_dispatch(forked_scan_argv(tmp_path, 3)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "scan worker 2 of 3" in err and ending in err
+    assert_no_child_process()
 
 
 def test_gamma_profile_columns(tmp_path, capsys):

@@ -1,7 +1,8 @@
-import concurrent.futures
+import errno
 import itertools
 import math
 import os
+import time
 import warnings
 from dataclasses import replace
 
@@ -140,40 +141,33 @@ def test_block_scans_are_byte_identical_across_workers(mode, method, field_mode)
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("workers, cpus, n_grid, pool", [
+@pytest.mark.parametrize("workers, cpus, n_grid, processes", [
     (2000, 64, (3, 4, 5, 6, 7, 8), 6),  # one process per block at most
     (2000, 4, (3, 4, 5, 6, 7, 8), 4),   # and one per CPU
     (3, 64, (3, 4, 5, 6, 7, 8), 3),
     (2, 2, (3, 4, 5, 6, 7, 8), 2),
-    (2000, None, (3, 4, 5, 6, 7, 8), None),  # CPU count unknown: in process
-    (2000, 64, (3,), None),                  # one block: in process
+    (2000, None, (3, 4, 5, 6, 7, 8), 1),  # CPU count unknown: in process
+    (2000, 64, (3,), 1),                  # one block: in process
     # where the platform has an affinity mask, only the CPUs in it count
-    pytest.param(2, {5}, (3, 4, 5, 6, 7, 8), None, id="pinned-to-1-cpu"),
+    pytest.param(2, {5}, (3, 4, 5, 6, 7, 8), 1, id="pinned-to-1-cpu"),
     pytest.param(2000, {0, 2, 3}, (3, 4, 5, 6, 7, 8), 3, id="pinned-to-3-cpus"),
 ])
-def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_grid, pool):
+def test_process_count_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_grid,
+                                                    processes):
     """``cpus`` is ``os.cpu_count()`` on a platform with no affinity mask, or
-    a set: the affinity mask of a process on a 64-CPU machine."""
-    sizes = []
+    a set: the affinity mask of a process on a 64-CPU machine.  ``processes``
+    counts the calling process too."""
+    counts = []
 
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records the pool size asked
-        for and maps in process, so no process is started."""
+    def recording_run_blocks(tasks, shares):
+        """Stands in for the forking runner: records the number of shares,
+        checks that they split the tasks, and runs them in process, so no
+        process is started."""
+        counts.append(len(shares))
+        assert sorted(itertools.chain(*shares)) == list(range(len(tasks)))
+        return [gwising.experiments._sample_block(task) for task in tasks]
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    # the pool is imported when a scan starts one, so patch it at its source
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(gwising.experiments, "_run_blocks", recording_run_blocks)
     if isinstance(cpus, set):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -182,8 +176,95 @@ def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_gr
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     cfg = base_config(n_grid=n_grid, replicas=1)  # one block per depth
     rows = run_magnetization_scan(replace(cfg, workers=workers))
-    assert sizes == ([] if pool is None else [pool])
+    assert counts == [processes]
+    monkeypatch.undo()
     assert rows_to_csv(rows) == rows_to_csv(run_magnetization_scan(cfg))
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Lets a scan run on three processes on any machine; its blocks are small."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+def test_an_interrupt_in_the_callers_share_kills_and_reaps_every_child(monkeypatch,
+                                                                       three_cpus):
+    caller = os.getpid()
+
+    def block(task):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(gwising.experiments, "_sample_block", block)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_magnetization_scan(base_config(n_grid=(3, 4, 5), replicas=1, workers=3))
+    assert time.perf_counter() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_fork_reaps_the_children_started_and_raises(monkeypatch, three_cpus):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(BlockingIOError):
+        run_magnetization_scan(base_config(n_grid=(3, 4, 5), replicas=1, workers=3))
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class UnpicklableError(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle")
+
+
+def test_an_error_that_cannot_be_pickled_reaches_the_caller_by_its_repr(monkeypatch,
+                                                                          three_cpus):
+    caller = os.getpid()
+    real_block = gwising.experiments._sample_block
+
+    def block(task):
+        if os.getpid() != caller:
+            raise UnpicklableError("lost")
+        return real_block(task)
+
+    monkeypatch.setattr(gwising.experiments, "_sample_block", block)
+    with pytest.raises(RuntimeError, match=r"scan worker failed: UnpicklableError\('lost'\)"):
+        run_magnetization_scan(base_config(n_grid=(3, 4, 5), replicas=1, workers=3))
+
+
+def test_a_platform_without_fork_scans_in_process(monkeypatch):
+    counts = []
+
+    def recording_run_blocks(tasks, shares):
+        counts.append(len(shares))
+        return [gwising.experiments._sample_block(task) for task in tasks]
+
+    monkeypatch.setattr(gwising.experiments, "_run_blocks", recording_run_blocks)
+    monkeypatch.delattr(os, "fork")
+    run_magnetization_scan(base_config(n_grid=(3, 4, 5), replicas=1, workers=3))
+    assert counts == [1]
+
+
+@pytest.mark.parametrize("weights, processes, shares", [
+    ([1.0, 1.0, 1.0], 1, [[0, 1, 2]]),
+    ([6.0, 1.0, 1.0, 1.0, 1.0, 1.0], 2, [[1, 2, 3, 4, 5], [0]]),
+    ([3.0, 3.0, 2.0, 2.0, 2.0], 2, [[1, 3], [0, 2, 4]]),
+    ([1.0, 2.0, 3.0, 4.0], 3, [[2], [0, 1], [3]]),
+])
+def test_shares_take_the_heaviest_block_first_and_the_caller_the_lightest(
+        weights, processes, shares):
+    assert gwising.experiments._shares(weights, processes) == shares
 
 
 def test_block_replicas_examples():

@@ -64,6 +64,19 @@ def test_survival_examples():
     assert not y.flags.writeable
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, bool, np.int64, np.float64])
+def test_marks_are_the_same_whatever_the_field_dtype(rng, half13, dtype):
+    # a one-byte field is scanned through a bool view, any other as it is;
+    # a nonzero byte other than 1 is a mark in both
+    t = sample_gw(half13, 6, rng)
+    bits = sample_field(t, FieldMode.WHOLE_TREE, 0.3, rng)
+    h = bits.astype(dtype)
+    if np.dtype(dtype).itemsize == 1 and dtype is not bool:
+        h[bits == 1] = rng.choice([1, 2, 127], size=int(bits.sum())).astype(dtype)
+    assert np.array_equal(survival(t, h), survival(t, bits))
+    assert np.array_equal(lyons_field(t, h, 0.7), lyons_field(t, bits, 0.7))
+
+
 def test_survival_monotone_along_ancestry(rng, half13):
     t = sample_gw(half13, 5, rng)
     fld = sample_field(t, FieldMode.LEAVES_ONLY, 0.2, rng)
