@@ -4,7 +4,9 @@ Replicas are sampled and swept in blocks: one forest of R(n) trees per
 block, drawn from one random stream derived from (master seed, experiment id,
 depth index, block index), and swept once.  R(n) depends on the configuration
 alone, so results are bit-identical for a given configuration no matter how
-blocks are distributed over workers.  Scans return plain row dicts; CSV
+blocks are distributed over processes.  With ``workers`` above 1 the calling
+process runs a fixed share of the blocks and forks a child for each other
+share, which sends its root values back through a pipe.  Scans return plain row dicts; CSV
 rendering lives here so that the byte output is deterministic too (17
 significant digits for floats).
 """
@@ -16,6 +18,7 @@ import os
 import pickle
 import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -270,10 +273,10 @@ def _reap(pid: int) -> None:
         pass
 
 
-def _run_child(tasks: list, share: list[int], pipe_fd: int) -> None:
+def _run_child(tasks: list, share: list[int], pipe_fd: int) -> NoReturn:
     """The body of a forked worker: runs ``share`` and writes its report, a
     0 byte and the root values as float64 bytes, or a 1 byte and the pickled
-    exception.  Never returns: it ends the process with ``os._exit``, so no
+    exception with its formatted traceback.  Never returns: it ends the process with ``os._exit``, so no
     handler or buffer of the caller runs twice."""
     code = 1
     try:
@@ -281,11 +284,14 @@ def _run_child(tasks: list, share: list[int], pipe_fd: int) -> None:
             values = np.concatenate([_sample_block(tasks[i]) for i in share])
             report = b"\0" + values.astype(np.float64, copy=False).tobytes()
         except Exception as exc:
+            # imported here, so a scan whose workers all succeed never loads it
+            import traceback
+            text = traceback.format_exc()
             try:
-                error = pickle.dumps(exc)
+                error = pickle.dumps((exc, text))
                 pickle.loads(error)
             except Exception:
-                error = pickle.dumps(RuntimeError(f"scan worker failed: {exc!r}"))
+                error = pickle.dumps((RuntimeError(f"scan worker failed: {exc!r}"), text))
             report = b"\1" + error
         with open(pipe_fd, "wb") as pipe:
             pipe.write(report)
@@ -301,7 +307,8 @@ def _run_blocks(tasks: list, shares: list[list[int]]) -> list[np.ndarray]:
     forked for it, which inherits ``tasks`` and writes its root values back
     through a pipe.  The children are read in order once this process has run
     its own share.  An error in a child is raised here with its type; a child
-    that ends without a full report raises RuntimeError naming it.  On every
+    that ends without a full report raises RuntimeError naming it by its
+    number, this process being worker 1.  On every
     path, every child is reaped, and killed first if it still runs."""
     blocks = [None] * len(tasks)
     children = []  # (pid, read end of its pipe, share)
@@ -328,7 +335,8 @@ def _run_blocks(tasks: list, shares: list[list[int]]) -> list[np.ndarray]:
             report = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code == 0 and report[:1] == b"\1":
-                raise pickle.loads(report[1:])
+                error, text = pickle.loads(report[1:])
+                raise error from RuntimeError(f"in scan worker {number}:\n{text}")
             roots = [tasks[i][-1] for i in share]
             if code != 0 or report[:1] != b"\0" or len(report) != 1 + 8 * sum(roots):
                 ending = f"exit code {code}" if code >= 0 else f"signal {-code}"

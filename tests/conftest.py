@@ -1,4 +1,5 @@
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -42,3 +43,19 @@ def no_child_process_outlives_its_test():
         return
     pytest.fail(f"the test left child process {pid} unreaped" if pid
                 else "the test left a child process running")
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Lets a scan run on three processes on any machine, its blocks being
+    small, and ends with TimeoutError a test that waits a minute for them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+    def timeout(signum, frame):
+        raise TimeoutError("a scan waited a minute for its workers")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

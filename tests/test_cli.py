@@ -232,7 +232,7 @@ def test_module_entry_point_prints_usage():
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # nor, on a run that starts no process pool, the pool or tempfile machinery
+    # nor the pool or tempfile machinery, also on a scan that forks a worker
     src = os.path.dirname(os.path.dirname(gwising.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     scan = write_config(tmp_path / "scan.json", n_grid=[3, 4], workers=1)
@@ -245,10 +245,12 @@ def test_cli_import_loads_no_scipy(tmp_path):
             "    del sys.modules[name]\n"
             "import gwising.cli as cli\n"
             "cli.load_config(sys.argv[1])\n"
-            "for command, config in (('magnetization-scan', sys.argv[1]),\n"
-            "                        ('gamma-profile', sys.argv[2])):\n"
+            "for command, config, workers in (('magnetization-scan', sys.argv[1], '1'),\n"
+            "                                 ('magnetization-scan', sys.argv[1], '2'),\n"
+            "                                 ('gamma-profile', sys.argv[2], '1')):\n"
             "    assert cli.parse_and_dispatch(['--quiet', command, '--config', config,\n"
-            "                                   '--out', sys.argv[3]]) == 0\n"
+            "                                   '--out', sys.argv[3],\n"
+            "                                   '--workers', workers]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in watched))\n")
     done = subprocess.run([sys.executable, "-c", code, scan, gamma, str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=60)
@@ -345,12 +347,6 @@ def test_worker_count_does_not_change_bytes(tmp_path, capsys):
         outs.append((out / "magnetization.csv").read_bytes())
     assert outs[0] == outs[1]
     capsys.readouterr()
-
-
-@pytest.fixture
-def three_cpus(monkeypatch):
-    """Lets a scan run on three processes on any machine; its blocks are small."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
 
 def forked_scan_argv(tmp_path, workers):

@@ -152,8 +152,8 @@ def test_block_scans_are_byte_identical_across_workers(mode, method, field_mode)
     pytest.param(2, {5}, (3, 4, 5, 6, 7, 8), 1, id="pinned-to-1-cpu"),
     pytest.param(2000, {0, 2, 3}, (3, 4, 5, 6, 7, 8), 3, id="pinned-to-3-cpus"),
 ])
-def test_process_count_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_grid,
-                                                    processes):
+def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_grid,
+                                                processes):
     """``cpus`` is ``os.cpu_count()`` on a platform with no affinity mask, or
     a set: the affinity mask of a process on a 64-CPU machine.  ``processes``
     counts the calling process too."""
@@ -179,12 +179,6 @@ def test_process_count_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, 
     assert counts == [processes]
     monkeypatch.undo()
     assert rows_to_csv(rows) == rows_to_csv(run_magnetization_scan(cfg))
-
-
-@pytest.fixture
-def three_cpus(monkeypatch):
-    """Lets a scan run on three processes on any machine; its blocks are small."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
 
 def test_an_interrupt_in_the_callers_share_kills_and_reaps_every_child(monkeypatch,
@@ -239,8 +233,12 @@ def test_an_error_that_cannot_be_pickled_reaches_the_caller_by_its_repr(monkeypa
         return real_block(task)
 
     monkeypatch.setattr(gwising.experiments, "_sample_block", block)
-    with pytest.raises(RuntimeError, match=r"scan worker failed: UnpicklableError\('lost'\)"):
+    with pytest.raises(RuntimeError,
+                       match=r"scan worker failed: UnpicklableError\('lost'\)") as info:
         run_magnetization_scan(base_config(n_grid=(3, 4, 5), replicas=1, workers=3))
+    # the child's traceback comes along as the cause
+    assert "in scan worker" in str(info.value.__cause__)
+    assert "raise UnpicklableError" in str(info.value.__cause__)
 
 
 def test_a_platform_without_fork_scans_in_process(monkeypatch):
