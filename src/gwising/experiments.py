@@ -6,9 +6,9 @@ depth index, block index), and swept once.  R(n) depends on the configuration
 alone, so results are bit-identical for a given configuration no matter how
 blocks are distributed over processes.  With ``workers`` above 1 the calling
 process runs a fixed share of the blocks and forks a child for each other
-share, which sends its root values back through a pipe.  Scans return plain row dicts; CSV
-rendering lives here so that the byte output is deterministic too (17
-significant digits for floats).
+share, which sends its root values back through a pipe.  Scans return plain
+row dicts; CSV rendering lives here so that the byte output is deterministic
+too (17 significant digits for floats).
 """
 
 from __future__ import annotations
@@ -276,8 +276,9 @@ def _reap(pid: int) -> None:
 def _run_child(tasks: list, share: list[int], pipe_fd: int) -> NoReturn:
     """The body of a forked worker: runs ``share`` and writes its report, a
     0 byte and the root values as float64 bytes, or a 1 byte and the pickled
-    exception with its formatted traceback.  Never returns: it ends the process with ``os._exit``, so no
-    handler or buffer of the caller runs twice."""
+    exception with its formatted traceback.  Never returns: it ends the
+    process with ``os._exit``, so no handler or buffer of the caller runs
+    twice."""
     code = 1
     try:
         try:
@@ -308,8 +309,8 @@ def _run_blocks(tasks: list, shares: list[list[int]]) -> list[np.ndarray]:
     through a pipe.  The children are read in order once this process has run
     its own share.  An error in a child is raised here with its type; a child
     that ends without a full report raises RuntimeError naming it by its
-    number, this process being worker 1.  On every
-    path, every child is reaped, and killed first if it still runs."""
+    number, this process being worker 1.  On every path, every child is
+    reaped, and killed first if it still runs."""
     blocks = [None] * len(tasks)
     children = []  # (pid, read end of its pipe, share)
     try:

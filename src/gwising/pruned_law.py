@@ -217,7 +217,7 @@ class PrunedLawSampler:
 
     def __init__(self, profile: GammaProfile):
         self.profile = profile
-        profile.laws  # built now, so pool tasks receive the table, not rebuild it
+        profile.laws  # built now, so forked scan workers inherit the table, not rebuild it
 
     def sample(self, rng: np.random.Generator, roots: int = 1) -> Tree:
         """A forest of ``roots`` independent surviving pruned trees, one

@@ -141,6 +141,22 @@ def test_block_scans_are_byte_identical_across_workers(mode, method, field_mode)
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.fixture
+def process_counts(monkeypatch):
+    """The number of processes each scan asks ``_run_blocks`` for.  Stands in
+    for the forking runner: checks that the shares split the tasks and runs
+    them in process, so no process is started."""
+    counts = []
+
+    def recording_run_blocks(tasks, shares):
+        counts.append(len(shares))
+        assert sorted(itertools.chain(*shares)) == list(range(len(tasks)))
+        return [gwising.experiments._sample_block(task) for task in tasks]
+
+    monkeypatch.setattr(gwising.experiments, "_run_blocks", recording_run_blocks)
+    return counts
+
+
 @pytest.mark.parametrize("workers, cpus, n_grid, processes", [
     (2000, 64, (3, 4, 5, 6, 7, 8), 6),  # one process per block at most
     (2000, 4, (3, 4, 5, 6, 7, 8), 4),   # and one per CPU
@@ -152,22 +168,11 @@ def test_block_scans_are_byte_identical_across_workers(mode, method, field_mode)
     pytest.param(2, {5}, (3, 4, 5, 6, 7, 8), 1, id="pinned-to-1-cpu"),
     pytest.param(2000, {0, 2, 3}, (3, 4, 5, 6, 7, 8), 3, id="pinned-to-3-cpus"),
 ])
-def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_grid,
-                                                processes):
+def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, process_counts, workers, cpus,
+                                                n_grid, processes):
     """``cpus`` is ``os.cpu_count()`` on a platform with no affinity mask, or
     a set: the affinity mask of a process on a 64-CPU machine.  ``processes``
     counts the calling process too."""
-    counts = []
-
-    def recording_run_blocks(tasks, shares):
-        """Stands in for the forking runner: records the number of shares,
-        checks that they split the tasks, and runs them in process, so no
-        process is started."""
-        counts.append(len(shares))
-        assert sorted(itertools.chain(*shares)) == list(range(len(tasks)))
-        return [gwising.experiments._sample_block(task) for task in tasks]
-
-    monkeypatch.setattr(gwising.experiments, "_run_blocks", recording_run_blocks)
     if isinstance(cpus, set):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -176,7 +181,7 @@ def test_pool_size_is_capped_by_blocks_and_cpus(monkeypatch, workers, cpus, n_gr
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     cfg = base_config(n_grid=n_grid, replicas=1)  # one block per depth
     rows = run_magnetization_scan(replace(cfg, workers=workers))
-    assert counts == [processes]
+    assert process_counts == [processes]
     monkeypatch.undo()
     assert rows_to_csv(rows) == rows_to_csv(run_magnetization_scan(cfg))
 
@@ -241,17 +246,10 @@ def test_an_error_that_cannot_be_pickled_reaches_the_caller_by_its_repr(monkeypa
     assert "raise UnpicklableError" in str(info.value.__cause__)
 
 
-def test_a_platform_without_fork_scans_in_process(monkeypatch):
-    counts = []
-
-    def recording_run_blocks(tasks, shares):
-        counts.append(len(shares))
-        return [gwising.experiments._sample_block(task) for task in tasks]
-
-    monkeypatch.setattr(gwising.experiments, "_run_blocks", recording_run_blocks)
+def test_a_platform_without_fork_scans_in_process(monkeypatch, process_counts):
     monkeypatch.delattr(os, "fork")
     run_magnetization_scan(base_config(n_grid=(3, 4, 5), replicas=1, workers=3))
-    assert counts == [1]
+    assert process_counts == [1]
 
 
 @pytest.mark.parametrize("weights, processes, shares", [

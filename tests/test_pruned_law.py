@@ -36,7 +36,7 @@ def test_profile_p_one_prunes_nothing(half12):
 
 
 def test_arrays_stay_read_only_after_a_pickle_round_trip(half12):
-    # a pool task receives its sampler pickled, with the law table built
+    # a sampler pickled with its law table built
     back = pickle.loads(pickle.dumps(PrunedLawSampler(gamma_profile(half12, 0.01, 8))))
     profile = back.profile
     assert "laws" in profile.__dict__
