@@ -37,10 +37,12 @@ def g_beta(beta: float, x):
     if beta < 0:
         raise ValueError("inverse temperature must be nonnegative")
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0:  # the same arithmetic on an array of one value
+        return float(g_beta(beta, x.reshape(1))[0])
     tb = math.tanh(beta)
     eb = math.exp(-2.0 * beta)
     one_minus_tb = 2.0 * eb / (1.0 + eb)
-    neg_x = -np.atleast_1d(x)
+    neg_x = -x
     den = np.exp(neg_x)
     num = np.expm1(neg_x, out=neg_x)
     den *= one_minus_tb + 2.0 * tb
@@ -48,8 +50,9 @@ def g_beta(beta: float, x):
     num *= -2.0 * tb
     num /= den
     out = np.log1p(num, out=num)
-    np.copyto(out, 2.0 * beta, where=x == math.inf)
-    return float(out[0]) if x.ndim == 0 else out
+    if x.size and x.max() == math.inf:
+        np.copyto(out, 2.0 * beta, where=x == math.inf)
+    return out
 
 
 def magnetization(r):

@@ -32,6 +32,9 @@ import numpy as np
 from .distributions import OffspringPmf, PmfError, _setstate_frozen
 
 DEFAULT_POPULATION_CAP = 10**8
+# segment_sums sums a generation of at least this many parents, each with one
+# or two children, by gathers; below it one np.add.reduceat call is cheaper
+GATHER_MIN_PARENTS = 2048
 
 
 class PopulationCapError(RuntimeError):
@@ -50,15 +53,34 @@ class PopulationCapError(RuntimeError):
 
 
 def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum ``values`` over consecutive segments of the given lengths.
+    """Sum ``values`` over consecutive segments of the given lengths, which
+    must sum to ``len(values)``; always a new array.
 
-    One ``np.add.reduceat`` over the nonempty segments, with zeros written
+    At least ``GATHER_MIN_PARENTS`` segments, each of one or two values, are
+    summed by gathers: each segment's first value, plus its second where it
+    has one.  ``np.add.reduceat`` starts a segment from its first value and
+    adds the rest in order, so for one or two values it makes that same
+    addition and the bits match.  Every other call (fewer segments, where
+    its one call is cheaper, or an empty segment, or one of three or more)
+    is one ``np.add.reduceat`` over the nonempty segments, with zeros written
     for the empty ones (plain ``reduceat`` gets those wrong).  The sum of a
     segment therefore depends on its own values alone, not on where it sits.
     """
     values = np.asarray(values)
     counts = np.asarray(counts)
-    starts = np.cumsum(counts) - counts
+    starts = np.cumsum(counts)
+    total = int(starts[-1]) if len(starts) else 0
+    if total != len(values):
+        raise ValueError(
+            f"segment lengths sum to {total}, not to the {len(values)} values")
+    # in place: from about 20,000 parents on, one more array alive during
+    # the gathers made every call fault in about a hundred pages
+    starts -= counts
+    if len(counts) >= GATHER_MIN_PARENTS and counts.min() >= 1 and counts.max() <= 2:
+        out = values[starts]
+        two = np.flatnonzero(counts == 2)
+        out[two] += values[starts[two] + 1]
+        return out
     nonempty = counts > 0
     if nonempty.all():  # the same sums, without the masking copies
         return np.add.reduceat(values, starts)
@@ -194,8 +216,10 @@ class Tree:
         parents and on the seeded vertices of generation k (``lift`` and
         ``combine`` then get sorted index arrays instead of slices, and a
         seeded vertex without a live child a zero sum).  A parent with one or
-        two live children takes their plain sum, which is the bits
-        ``segment_sums`` gives with zeros around them; one with three or more
+        two live children takes their plain sum: ``segment_sums`` adds a
+        segment's values in order from its first, by gathers or by
+        ``np.add.reduceat``, and adding a zero to a nonzero value changes
+        none of its bits, so the dense step gives the same; one with three or more
         is summed over its whole child segment by ``segment_sums``, zeros
         included.  The first generation with at least half of it live takes
         the dense step, and so does every one above it.  The result is bit

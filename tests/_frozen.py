@@ -58,6 +58,13 @@ OUTPUT_DIGESTS = {
         "capacity.csv": "9b5a1ec69064bc0652f28fc310a48e6e4ba385d5e9f87d2a2d8e5939feddc7ea",
         "capacity_summary.csv": "ae338ecdb7314e7909156d5f0ddea7231f468e2c1e3a4c10508f8fb246d274d6"
     },
+    "magnetization_pruned_n14": {
+        "magnetization.csv": "95153a6052b9c8494684e438a88453b9c35ad4c34b96002c32538b691df79d07"
+    },
+    "capacity_n14": {
+        "capacity.csv": "3c28d56261c199302c33eb9044102df6f11124e85bc9320e4d9ad6b86a395b55",
+        "capacity_summary.csv": "091db57f9646c0bf8c53009215e22652aeaf5584c60a0968085e51c2c000cc8a"
+    },
     "gamma": {
         "gamma_bounds.csv": "73d8e4bd696df67a895a6daf0bdfd7849a93e77333351b6c076c746883a350ab",
         "gamma_profile.csv": "81bb9fccf52508ec349507d1fb74a4d671ea361857447f434b68138407521a18"

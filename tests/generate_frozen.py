@@ -38,6 +38,10 @@ WIDE_UNIFORM8 = {"pmf": {"entries": [[d, 0.125] for d in range(1, 9)]},
 WIDE_HALF13 = {"pmf": {"entries": [[1, 0.5], [3, 0.5]]},
                "p_schedule": {"kind": "threshold", "c": 1.0},
                "n_grid": [25, 100], "replicas": 1}
+# the bench's law and schedule at a size whose largest generation holds about
+# 11,000 parents, so the sweep sums it by gathers (tree.GATHER_MIN_PARENTS)
+BENCH_N14 = {"beta": math.atanh(0.8), "p_schedule": {"kind": "threshold", "c": 1.0},
+             "n_grid": [14], "replicas": 500}
 OUTPUT_RUNS = {
     "magnetization_direct_leaves_only": (
         "magnetization-scan", {"method": "direct", "field_mode": "leaves_only"}),
@@ -45,6 +49,8 @@ OUTPUT_RUNS = {
         "magnetization-scan", {"method": "direct", "field_mode": "whole_tree"}),
     "magnetization_pruned": ("magnetization-scan", {"method": "pruned"}),
     "capacity": ("capacity-scan", {"mode": "capacity", "beta": 0.8, "replicas": 30}),
+    "magnetization_pruned_n14": ("magnetization-scan", {**BENCH_N14, "method": "pruned"}),
+    "capacity_n14": ("capacity-scan", {**BENCH_N14, "mode": "capacity"}),
     "gamma": ("gamma-profile", {"mode": "gamma", "n_grid": [6, 12], "replicas": 1}),
     "tv": ("tv-scan", {"mode": "tv", "n_grid": [6, 12], "replicas": 1}),
     # wide supports: eight-entry normalisers and row sums (uniform on 1..8),

@@ -329,3 +329,39 @@ def test_criterion_14_worker_count_determinism(tmp_path):
         outputs.append((out_dir / "magnetization.csv").read_bytes())
     report(14, outputs[0] == outputs[1],
            "scan CSV byte-identical for 1 and 3 workers")
+
+
+# -- criterion 15: the analytic bounds at criticality ---------------------------
+
+
+@pytest.fixture(scope="module")
+def critical_scans():
+    # half-{1,2} at beta = atanh(2/3), so nu tanh(beta) = 1, with every leaf
+    # marked (p_n = 1): the pruned law is the base law, and alpha_n = n^-1/2
+    common = dict(pmf=PMFS["half12"], beta=math.atanh(2.0 / 3.0),
+                  schedule=PSchedule("constant", 1.0), n_grid=(12, 16, 20),
+                  replicas=1000, master_seed=20240815)
+    rows = run_magnetization_scan(
+        ExperimentConfig(mode="magnetization", method="pruned", **common))
+    summary = run_capacity_scan(ExperimentConfig(mode="capacity", **common))["summary"]
+    return rows, summary
+
+
+def test_criterion_15a_mean_capacity_bound_at_criticality(critical_scans):
+    _, summary = critical_scans
+    details = []
+    ok = len(summary) == 3
+    for row in summary:
+        margin = row["mean_capacity_bound"] + 3 * row["se_capacity"]
+        ok = ok and row["mean_capacity"] <= margin
+        details.append(f"n={row['n']}: {row['mean_capacity']:.4f} <= "
+                       f"{row['mean_capacity_bound']:.4f}+3se")
+    report(15, ok, "(a) " + "; ".join(details))
+
+
+def test_criterion_15b_mean_r_bound_at_criticality(critical_scans):
+    rows, _ = critical_scans
+    by_n = {r["n"]: (r["mean_r"], r["mean_r_bound"]) for r in rows}
+    ok = sorted(by_n) == [12, 16, 20] and all(m <= b for m, b in by_n.values())
+    report(15, ok, "(b) " + "; ".join(f"n={n}: {m:.4f} <= {b:.4f}"
+                                      for n, (m, b) in sorted(by_n.items())))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gwising import OffspringPmf, PopulationCapError, Tree, sample_gw, sample_inhomogeneous_bp
 from gwising.distributions import PmfError
-from gwising.tree import segment_sums
+from gwising.tree import GATHER_MIN_PARENTS, segment_sums
 from gwising.validate import (ExplosionGuardError, count_trees, enumerate_trees,
                               gw_probability, leaf_counts)
 
@@ -21,6 +21,13 @@ def test_segment_sums_handles_zero_segments():
     assert segment_sums(values, counts).tolist() == [3.0, 0.0, 3.0]
     assert segment_sums(np.array([1.0, 1.0]), np.array([1, 1])).tolist() == [1.0, 1.0]
     assert segment_sums(np.zeros(0), np.zeros(0, dtype=int)).size == 0
+    # values left over past the last segment, or missing from it, are refused
+    with pytest.raises(ValueError, match="sum to 2, not to the 3 values"):
+        segment_sums(np.array([1.0, 2.0, 3.0]), np.array([1, 1]))
+    with pytest.raises(ValueError, match="sum to 1, not to the 2 values"):
+        segment_sums(np.array([1.0, 2.0]), np.array([0, 1]))
+    with pytest.raises(ValueError, match=f"sum to {GATHER_MIN_PARENTS}, not"):
+        segment_sums(np.ones(GATHER_MIN_PARENTS + 1), np.ones(GATHER_MIN_PARENTS, dtype=int))
 
 
 @settings(max_examples=100, deadline=None)
@@ -36,6 +43,35 @@ def test_segment_sums_equal_each_segment_summed_alone(head, tail, seed):
     want = [np.add.reduceat(values[end - c:end], [0])[0] if c else 0.0
             for c, end in zip(counts, ends)]
     np.testing.assert_array_equal(segment_sums(values, counts), want)
+
+
+def _spread(rng, size, dtype):
+    """Values over many binades with both signs and some -0.0, or int64s of
+    any size."""
+    if dtype == np.int64:
+        return rng.integers(-2**62, 2**62, size=size)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 31, size=size)
+    values[rng.random(size) < 0.05] = -0.0
+    return values
+
+
+@settings(max_examples=30, deadline=None)
+@given(extra=st.integers(0, 3000), kind=st.sampled_from(["random", "ones", "twos"]),
+       dtype=st.sampled_from([np.float64, np.int64]), seed=st.integers(0, 2**32 - 1))
+def test_segment_sums_by_gathers_equal_reduceat(extra, kind, dtype, seed):
+    # at and above GATHER_MIN_PARENTS segments of one or two values the
+    # gathers give np.add.reduceat's bits; one segment fewer, reduceat runs
+    rng = np.random.default_rng(seed)
+    for parents in (GATHER_MIN_PARENTS + extra, GATHER_MIN_PARENTS - 1):
+        counts = {"random": rng.integers(1, 3, size=parents),
+                  "ones": np.ones(parents, dtype=np.int64),
+                  "twos": np.full(parents, 2, dtype=np.int64)}[kind]
+        ends = np.cumsum(counts)
+        values = _spread(rng, int(ends[-1]), dtype)
+        got = segment_sums(values, counts)
+        assert got.dtype == values.dtype
+        assert got.tobytes() == np.add.reduceat(values, ends - counts).tobytes()
+        assert not np.shares_memory(got, values)
 
 
 def test_arena_layout():
