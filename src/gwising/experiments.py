@@ -6,13 +6,15 @@ depth index, block index), and swept once.  R(n) depends on the configuration
 alone, so results are bit-identical for a given configuration no matter how
 blocks are distributed over processes.  With ``workers`` above 1 the calling
 process runs a fixed share of the blocks and forks a child for each other
-share, which sends its root values back through a pipe.  Scans return plain
-row dicts; CSV rendering lives here so that the byte output is deterministic
-too (17 significant digits for floats).
+share, which sends its root values back through a pipe.  Scans return tables
+as lists of segments (see ``rows_to_csv``), one per depth for the per-replica
+and per-generation tables; CSV rendering lives here so that the byte output is
+deterministic too (17 significant digits for floats).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -419,11 +421,12 @@ def run_magnetization_scan(cfg: ExperimentConfig) -> list[dict]:
 def run_capacity_scan(cfg: ExperimentConfig) -> dict:
     """Capacities of directly-sampled pruned trees with R = tanh(beta).
 
-    Emits one row per replica (capacity, the benchmark alpha_n, their ratio)
-    plus one summary row per depth with the empirical mean against the
-    mean-capacity bound.  Rows and ratio quantiles are over surviving trees,
-    so a ratio divides by alpha_n / (1 - gamma_0), the benchmark on the same
-    event; the mean, its SE and the bound carry the weight 1 - gamma_0.
+    Emits one segment per depth of rows per replica (capacity, the benchmark
+    alpha_n, their ratio) plus one summary row per depth with the empirical
+    mean against the mean-capacity bound.  Rows and ratio quantiles are over
+    surviving trees, so a ratio divides by alpha_n / (1 - gamma_0), the
+    benchmark on the same event; the mean, its SE and the bound carry the
+    weight 1 - gamma_0.
     """
     _validate_scan(cfg, "capacity")
     profiles, values_by_n = _sample_scan(cfg, "capacity", pruned=True)
@@ -433,9 +436,9 @@ def run_capacity_scan(cfg: ExperimentConfig) -> dict:
         w = float(profile.one_minus_gamma[0])
         a_n = cap.alpha_n(cfg.beta, cfg.pmf.mean(), p_n, n, cfg.capacity_p)
         ratios = values / (a_n / w)
-        for rep, (value, ratio) in enumerate(zip(values.tolist(), ratios.tolist())):
-            rows.append({"n": n, "p_n": p_n, "replica": rep,
-                         "capacity_p": value, "alpha_n": a_n, "ratio": ratio})
+        rows.append({"n": n, "p_n": p_n, "replica": range(cfg.replicas),
+                     "capacity_p": values.tolist(), "alpha_n": a_n,
+                     "ratio": ratios.tolist()})
         bound = cap.expected_capacity_upper(profile.m_0k[1:], math.tanh(cfg.beta),
                                             cfg.capacity_p)
         summary.append({
@@ -459,8 +462,8 @@ def run_gamma_scan(cfg: ExperimentConfig) -> dict:
     """Exact gamma profiles plus the transition-bound report.
 
     No sampling: emits the per-generation table (gamma_k, nu*_k, sigma*_{q,k},
-    M*_{0,k}) for every depth in the grid, and booleans for each transition
-    inequality evaluated with the frozen calibration constants.
+    M*_{0,k}), one segment per depth in the grid, and booleans for each
+    transition inequality evaluated with the frozen calibration constants.
     """
     _validate_scan(cfg, "gamma")
     constants = calibrate_constants(cfg.pmf, cfg.q)
@@ -471,16 +474,14 @@ def run_gamma_scan(cfg: ExperimentConfig) -> dict:
         sigma, _ = moments(profile, cfg.q)
         ks = profile.k_star
         # nu*_k and sigma*_{q,k} stop at k = n - 1; row n reads nan
-        columns = zip(profile.gamma.tolist(), profile.one_minus_gamma.tolist(),
-                      profile.nu_star.tolist() + [math.nan],
-                      sigma.tolist() + [math.nan], profile.m_0k.tolist())
-        for k, (gamma_k, one_minus, nu_k, sigma_k, m_0k) in enumerate(columns):
-            rows.append({
-                "n": n, "p_n": p_n, "k": k,
-                "gamma_k": gamma_k, "one_minus_gamma_k": one_minus,
-                "nu_star_k": nu_k, "sigma_q_star_k": sigma_k,
-                "M_star_0k": m_0k, "k_star": ks,
-            })
+        rows.append({
+            "n": n, "p_n": p_n, "k": range(n + 1),
+            "gamma_k": profile.gamma.tolist(),
+            "one_minus_gamma_k": profile.one_minus_gamma.tolist(),
+            "nu_star_k": profile.nu_star.tolist() + [math.nan],
+            "sigma_q_star_k": sigma.tolist() + [math.nan],
+            "M_star_0k": profile.m_0k.tolist(), "k_star": ks,
+        })
         k1 = k1_bar_star(profile, cfg.q, constants["C_mu"])
         checks = transition_bound_checks(profile, constants, k1)
         checks.update({"n": n, "p_n": p_n, "k1_bar_star": k1})
@@ -531,16 +532,16 @@ def transition_bound_checks(profile: GammaProfile, constants: dict, k1: int) -> 
 
 def run_tv_scan(cfg: ExperimentConfig) -> dict:
     """Exact total-variation curves d(mu*_k, mu) and d(mu*_k, dirac_1) per
-    generation, with the crossing generation against k*."""
+    generation, one segment per depth, with the crossing generation against
+    k*."""
     _validate_scan(cfg, "tv")
     rows, summary = [], []
     for n in cfg.n_grid:
         p_n = cfg.p_n(n)
         profile = gamma_profile(cfg.pmf, p_n, n)
         to_mu, to_dirac = tv_profile(profile)
-        for k, (tv_to_mu, tv_to_dirac1) in enumerate(zip(to_mu.tolist(), to_dirac.tolist())):
-            rows.append({"n": n, "p_n": p_n, "k": k,
-                         "tv_to_mu": tv_to_mu, "tv_to_dirac1": tv_to_dirac1})
+        rows.append({"n": n, "p_n": p_n, "k": range(len(to_mu)),
+                     "tv_to_mu": to_mu.tolist(), "tv_to_dirac1": to_dirac.tolist()})
         crossing = tv_crossing(to_mu, to_dirac)
         summary.append({
             "n": n, "p_n": p_n, "k_star": profile.k_star,
@@ -561,20 +562,49 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    """Render rows (uniform keys) as CSV with round-trippable floats.
+def _segment_csv(header: list, segment: dict) -> str:
+    """The CSV lines of one segment, rendered by a single ``%`` operation."""
+    cells, columns = [], []
+    for key in header:
+        value = segment[key]
+        if not isinstance(value, (list, range)):
+            cells.append(_format_cell(value).replace("%", "%%"))
+            continue
+        if columns and len(value) != len(columns[0]):
+            raise ValueError(f"column {key!r} has {len(value)} rows, "
+                             f"not {len(columns[0])} as the segment's first list")
+        types = {int} if isinstance(value, range) else set(map(type, value))
+        if types <= {float}:
+            cells.append("%.17g")
+        elif types <= {int}:
+            cells.append("%d")
+        else:
+            cells.append("%s")
+            value = [_format_cell(cell) for cell in value]
+        columns.append(value)
+    line = ",".join(cells) + "\n"
+    return (line * (len(columns[0]) if columns else 1)) % tuple(
+        itertools.chain.from_iterable(zip(*columns)))
 
-    Formats column by column: a column of floats alone by ``"%.17g"``, which
-    gives the bytes of ``_format_cell``, any other column cell by cell."""
+
+def rows_to_csv(rows: list[dict]) -> str:
+    """Render a table, given as a list of segments, as CSV with
+    round-trippable floats.
+
+    A segment maps each column either to one value shared by all its rows or
+    to a per-row ``list`` or ``range``; one without lists is a single row, so
+    a row dict is a one-row segment.  Every segment has the first one's keys,
+    and its lists one length; a ragged table raises ValueError.  A shared cell
+    is formatted once by ``_format_cell``, a list of floats alone by
+    ``"%.17g"`` and one of ints alone by ``"%d"``, which give its bytes, and
+    any other list cell by cell."""
     if not rows:
         return "\n"
-    header = list(rows[0].keys())
-    columns = []
-    for key in header:
-        values = [row[key] for row in rows]
-        if all(isinstance(value, float) for value in values):
-            columns.append(["%.17g" % value for value in values])
-        else:
-            columns.append([_format_cell(value) for value in values])
-    lines = [",".join(header)] + [",".join(cells) for cells in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    header = list(rows[0])
+    parts = [",".join(header) + "\n"]
+    for segment in rows:
+        if segment.keys() != rows[0].keys():
+            raise ValueError(f"segment keys {list(segment)} differ from the "
+                             f"table's {header}")
+        parts.append(_segment_csv(header, segment))
+    return "".join(parts)

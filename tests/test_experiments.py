@@ -35,6 +35,19 @@ def base_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def segment_rows(segments):
+    """The row dicts of a table given as segments, as ``rows_to_csv`` reads
+    them: a ``list`` or ``range`` column gives one value per row, any other
+    column one value shared by the segment's rows."""
+    rows = []
+    for segment in segments:
+        lists = [value for value in segment.values() if isinstance(value, (list, range))]
+        for i in range(len(lists[0]) if lists else 1):
+            rows.append({key: value[i] if isinstance(value, (list, range)) else value
+                         for key, value in segment.items()})
+    return rows
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         validate_config(base_config(mode="nonsense"))
@@ -319,13 +332,13 @@ def test_gamma_scan_p_one_and_monotone(dirac2):
     cfg = base_config(pmf=dirac2, mode="gamma", schedule=PSchedule("constant", 1.0),
                       n_grid=(8,), replicas=1)
     out = run_gamma_scan(cfg)
-    gammas = [row["gamma_k"] for row in out["rows"]]
+    gammas = [row["gamma_k"] for row in segment_rows(out["rows"])]
     assert gammas == [0.0] * 9
     cfg2 = base_config(pmf=dirac2, mode="gamma",
                        schedule=PSchedule("geometric", 1.0, 0.5), n_grid=(16,),
                        replicas=1)
     out2 = run_gamma_scan(cfg2)
-    gam = [row["gamma_k"] for row in out2["rows"]]
+    gam = [row["gamma_k"] for row in segment_rows(out2["rows"])]
     assert all(a <= b + 1e-15 for a, b in zip(gam, gam[1:]))
     assert all(all(v for k, v in b.items() if isinstance(v, bool))
                for b in out2["bounds"])
@@ -334,7 +347,7 @@ def test_gamma_scan_p_one_and_monotone(dirac2):
 def test_gamma_scan_closed_form_column(dirac2):
     cfg = base_config(pmf=dirac2, mode="gamma",
                       schedule=PSchedule("constant", 0.5), n_grid=(20,), replicas=1)
-    rows = run_gamma_scan(cfg)["rows"]
+    rows = segment_rows(run_gamma_scan(cfg)["rows"])
     for row in rows:
         k_bar = 20 - row["k"]
         expected = math.exp(2.0**k_bar * math.log1p(-0.5)) if k_bar < 40 else 0.0
@@ -344,15 +357,15 @@ def test_gamma_scan_closed_form_column(dirac2):
 def test_tv_scan_examples(half13):
     cfg = base_config(pmf=half13, mode="tv", schedule=PSchedule("constant", 1.0),
                       n_grid=(10,), replicas=1)
-    rows = run_tv_scan(cfg)["rows"]
+    rows = segment_rows(run_tv_scan(cfg)["rows"])
     assert all(row["tv_to_mu"] <= 1e-15 for row in rows)
     cfg2 = base_config(pmf=half13, mode="tv",
                        schedule=PSchedule("geometric", 1.0, 2.0**-0.5),
                        n_grid=(30,), replicas=1)
     out = run_tv_scan(cfg2)
     assert out["summary"][0]["crossing_ok"]
-    first = [r for r in out["rows"] if r["k"] == 0][0]
-    last = [r for r in out["rows"] if r["k"] == 29][0]
+    first = [r for r in segment_rows(out["rows"]) if r["k"] == 0][0]
+    last = [r for r in segment_rows(out["rows"]) if r["k"] == 29][0]
     assert first["tv_to_mu"] < 0.01
     assert last["tv_to_dirac1"] < 0.01
 
@@ -362,12 +375,12 @@ def test_capacity_scan_rows_and_summary(dirac2):
                       schedule=PSchedule("geometric", 1.0, 0.5),
                       n_grid=(6,), replicas=64, capacity_p=1.5)
     out = run_capacity_scan(cfg)
-    assert len(out["rows"]) == 64
+    assert len(segment_rows(out["rows"])) == 64
     # the rows are surviving trees, so the ratio's scale is alpha_n on that
     # event: alpha_n / (1 - gamma_0)
     w = float(gamma_profile(dirac2, cfg.p_n(6), 6).one_minus_gamma[0])
     assert w < 0.9
-    for row in out["rows"]:
+    for row in segment_rows(out["rows"]):
         assert row["capacity_p"] >= 0.0
         assert row["ratio"] == pytest.approx(row["capacity_p"] * w / row["alpha_n"])
     summary = out["summary"][0]
@@ -413,7 +426,7 @@ def test_capacity_scan_near_p_one_stays_positive_and_finite(half12):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         out = run_capacity_scan(cfg)
-    assert all(row["capacity_p"] > 0.0 for row in out["rows"])
+    assert all(row["capacity_p"] > 0.0 for row in segment_rows(out["rows"]))
     assert 0.0 < out["summary"][0]["mean_capacity_bound"] < math.inf
 
 
@@ -434,7 +447,7 @@ def test_capacity_scan_records_empty_trees_as_zero(dirac2):
                       schedule=PSchedule("geometric", 1.0, 0.25),
                       n_grid=(4,), replicas=300, capacity_p=1.5)
     out = run_capacity_scan(cfg)
-    values = np.array([row["capacity_p"] for row in out["rows"]])
+    values = np.array([row["capacity_p"] for row in segment_rows(out["rows"])])
     assert np.all(values > 0.0)
     w = float(gamma_profile(dirac2, 2.0**-8, 4).one_minus_gamma[0])
     assert w < 0.5
@@ -608,3 +621,31 @@ def test_rows_to_csv_matches_per_cell_bytes(column):
     rows = [{"a": value, "b": float(i) / 7.0, "c": i} for i, value in enumerate(column)]
     assert rows_to_csv(rows) == rows_to_csv_by_cell(rows)
     assert rows_to_csv([]) == rows_to_csv_by_cell([]) == "\n"
+    # the column as the list of a multi-row segment, beside shared, range and
+    # %-bearing string columns; then a one-row list segment, an empty one and
+    # a row dict
+    size = len(column)
+    segments = [
+        {"s": "5%d%%", "a": column, "r": range(-2, size - 2), "f": 0.1,
+         "t": [f"{i}%s%" for i in range(size)], "c": 7},
+        {"s": True, "a": column[-1:], "r": range(3, 4), "f": np.int64(-2),
+         "t": ["%"], "c": -0.0},
+        {"s": "x", "a": [], "r": range(0), "f": 1, "t": [], "c": math.nan},
+        {"s": "%s", "a": column[0], "r": 7, "f": math.inf, "t": "%%", "c": None},
+    ]
+    assert rows_to_csv(segments) == rows_to_csv_by_cell(segment_rows(segments))
+
+
+def test_rows_to_csv_refuses_segments_with_other_keys():
+    for rows in ([{"a": 1}, {"a": 2, "b": 3}], [{"a": 1, "b": 2}, {"a": 2}],
+                 [{"a": [1, 2]}, {"b": [3]}]):
+        with pytest.raises(ValueError, match="keys"):
+            rows_to_csv(rows)
+    # the same keys in another order are no mismatch
+    assert rows_to_csv([{"a": 1, "b": 2}, {"b": 3, "a": 4}]) == "a,b\n1,2\n4,3\n"
+
+
+def test_rows_to_csv_refuses_lists_of_unequal_length():
+    for segment in ({"a": [1, 2], "b": [0.5]}, {"a": range(3), "b": 1, "c": ["x", "y"]}):
+        with pytest.raises(ValueError, match="rows"):
+            rows_to_csv([segment])
