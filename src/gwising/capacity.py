@@ -36,10 +36,10 @@ def _contraction(phi: np.ndarray, s: float) -> np.ndarray:
     """
     with np.errstate(divide="ignore", over="ignore"):
         out = phi ** -s
-    small = out == math.inf
+    small = out == math.inf if out.size and out.max() == math.inf else None
     out += 1.0
     out **= -1.0 / s
-    if small.any():
+    if small is not None:
         x = phi[small]
         out[small] = x * (1.0 + x ** s) ** (-1.0 / s)
     return out
@@ -82,15 +82,17 @@ def capacity_recursion(tree: Tree, base: float, p: float, *,
     base = _checked_base(base)
     childless = np.flatnonzero(tree.num_children == 0)
 
-    def combine(sums: np.ndarray, at) -> np.ndarray:
-        # every contraction is at most 1
-        if np.any(sums > tree.num_children[at] * (1 + 1e-9)):
+    def lift(child: np.ndarray, _) -> np.ndarray:
+        # every contraction is at most 1, so phi at most R * degree; a NaN
+        # fails the test too
+        contracted = _contraction(child, s)
+        if contracted.size and not contracted.max() <= 1.0:
             raise FloatingPointError("phi exceeded the R * degree envelope")
-        return base * sums
+        return contracted
 
     phi = None if roots_only else np.zeros(tree.num_vertices)
-    roots = tree.sweep_up((childless, np.full(len(childless), math.inf)),
-                          lambda child, _: _contraction(child, s), combine, out=phi)
+    roots = tree.sweep_up((childless, np.full(len(childless), math.inf)), lift,
+                          lambda sums, _: base * sums, out=phi)
     roots[tree.num_children[:len(roots)] == 0] = 1.0
     if phi is not None:
         phi[:len(roots)] = roots

@@ -426,12 +426,18 @@ def run_capacity_scan(cfg: ExperimentConfig) -> dict:
     mean against the mean-capacity bound.  Rows and ratio quantiles are over
     surviving trees, so a ratio divides by alpha_n / (1 - gamma_0), the
     benchmark on the same event; the mean, its SE and the bound carry the
-    weight 1 - gamma_0.
+    weight 1 - gamma_0.  Every replica survives, so its capacity is
+    positive: a capacity of 0 has underflowed the double range, and the scan
+    raises ConfigError rather than write it.
     """
     _validate_scan(cfg, "capacity")
     profiles, values_by_n = _sample_scan(cfg, "capacity", pruned=True)
     rows, summary = [], []
     for n, profile, values in zip(cfg.n_grid, profiles, values_by_n):
+        if not values.min() > 0.0:
+            raise ConfigError(
+                f"capacity_p {cfg.capacity_p} underflows at n = {n}: "
+                f"{int(np.count_nonzero(values == 0.0))} of {cfg.replicas} capacities are 0")
         p_n = profile.p_n
         w = float(profile.one_minus_gamma[0])
         a_n = cap.alpha_n(cfg.beta, cfg.pmf.mean(), p_n, n, cfg.capacity_p)

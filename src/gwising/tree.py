@@ -32,9 +32,14 @@ import numpy as np
 from .distributions import OffspringPmf, PmfError, _setstate_frozen
 
 DEFAULT_POPULATION_CAP = 10**8
-# segment_sums sums a generation of at least this many parents, each with one
-# or two children, by gathers; below it one np.add.reduceat call is cheaper
+# in a generation of at least this many parents, each with one or two
+# children, segment_sums sums by gathers and a sparse step finds the parents
+# among the second children alone; below it one np.add.reduceat call, or one
+# prefix sum of the counts, is cheaper
 GATHER_MIN_PARENTS = 2048
+# a uniform bottom's first step reads its child sums from a table of
+# d(d + 1) / 2 lifted values, d the most children of a vertex, up to this d
+TABLE_MAX_CHILDREN = 64
 
 
 class PopulationCapError(RuntimeError):
@@ -56,31 +61,44 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum ``values`` over consecutive segments of the given lengths, which
     must sum to ``len(values)``; always a new array.
 
-    At least ``GATHER_MIN_PARENTS`` segments, each of one or two values, are
-    summed by gathers: each segment's first value, plus its second where it
-    has one.  ``np.add.reduceat`` starts a segment from its first value and
-    adds the rest in order, so for one or two values it makes that same
-    addition and the bits match.  Every other call (fewer segments, where
-    its one call is cheaper, or an empty segment, or one of three or more)
-    is one ``np.add.reduceat`` over the nonempty segments, with zeros written
-    for the empty ones (plain ``reduceat`` gets those wrong).  The sum of a
+    ``np.add.reduceat`` starts a segment from its first value and adds to it
+    the sum of the rest, which numpy forms pairwise; only for one or two
+    values is that the sum in order.  At least ``GATHER_MIN_PARENTS``
+    segments, each of one or two values, are summed without it: each
+    segment's first value, plus its second where it has one, the same
+    addition, so the bits match.  The first values are taken by one boolean
+    compress when at most an eighth of the segments have two, else by a
+    gather.  Every other call (fewer segments, where its one call is
+    cheaper, or an empty segment, or one of three or more) is one
+    ``np.add.reduceat`` over the nonempty segments, with zeros written for
+    the empty ones (plain ``reduceat`` gets those wrong).  The sum of a
     segment therefore depends on its own values alone, not on where it sits.
     """
     values = np.asarray(values)
     counts = np.asarray(counts)
+    if len(counts) >= GATHER_MIN_PARENTS and counts.min() >= 1:
+        pairs = _one_or_two(counts, len(values))
+        if pairs is not None:
+            two, second = pairs
+            if 8 * len(two) <= len(counts):
+                first = np.ones(len(values), dtype=bool)
+                first[second] = False
+                out = values[first]
+            else:
+                # in place: from about 20,000 parents on, one more array
+                # alive during the gathers made every call fault in about a
+                # hundred pages
+                starts = np.cumsum(counts)
+                starts -= counts
+                out = values[starts]
+            out[two] += values[second]
+            return out
     starts = np.cumsum(counts)
     total = int(starts[-1]) if len(starts) else 0
     if total != len(values):
         raise ValueError(
             f"segment lengths sum to {total}, not to the {len(values)} values")
-    # in place: from about 20,000 parents on, one more array alive during
-    # the gathers made every call fault in about a hundred pages
     starts -= counts
-    if len(counts) >= GATHER_MIN_PARENTS and counts.min() >= 1 and counts.max() <= 2:
-        out = values[starts]
-        two = np.flatnonzero(counts == 2)
-        out[two] += values[starts[two] + 1]
-        return out
     nonempty = counts > 0
     if nonempty.all():  # the same sums, without the masking copies
         return np.add.reduceat(values, starts)
@@ -88,6 +106,22 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if values.size:
         out[nonempty] = np.add.reduceat(values, starts[nonempty])
     return out
+
+
+def _one_or_two(counts: np.ndarray, children: int):
+    """When each of ``counts`` is 1 or 2 and they sum to ``children``, the
+    offsets of the two-child parents and of their second children, else
+    None; ``counts`` must be positive, or nonnegative and sum to
+    ``children``.  The i-th two-child parent j has its first child at j + i
+    and its second at j + i + 1, so neither needs a prefix sum."""
+    if counts.max() > 2:
+        return None
+    two = np.flatnonzero(counts == 2)
+    if len(counts) + len(two) != children:  # some parent has no child
+        return None
+    second = np.arange(1, len(two) + 1)
+    second += two
+    return two, second
 
 
 def _whole(at, values, lo, hi) -> np.ndarray:
@@ -119,10 +153,14 @@ def _sparse_sums(at, values, lift, counts, lo, mid, hi):
     if not len(at):
         return at, values
     lifted = lift(values, at)
+    rel = at - mid
     if 10 * len(at) > hi - mid:  # above a tenth live, a parent map beats the search
-        parent = np.repeat(np.arange(mid - lo), counts)[at - mid]
+        parent = np.repeat(np.arange(mid - lo), counts)[rel]
+    elif mid - lo >= GATHER_MIN_PARENTS and (pairs := _one_or_two(counts, hi - mid)):
+        # a child's parent is its offset less the second children up to it
+        parent = rel - pairs[1].searchsorted(rel, side="right")
     else:
-        parent = np.cumsum(counts).searchsorted(at - mid, side="right")
+        parent = np.cumsum(counts).searchsorted(rel, side="right")
     first = np.flatnonzero(np.concatenate(([True], parent[1:] != parent[:-1])))
     sums = np.add.reduceat(lifted, first)
     if (parent[2:] == parent[:-2]).any():
@@ -138,9 +176,27 @@ def _sparse_sums(at, values, lift, counts, lo, mid, hi):
         # its offset from its parent's first child
         shift = np.repeat(np.cumsum(seg) - ends[j], runs[wide])
         member = np.repeat(wide, runs)
-        segment[at[member] - mid + shift] = lifted[member]
+        segment[rel[member] + shift] = lifted[member]
         sums[wide] = segment_sums(segment, seg)
     return parent[first] + lo, sums
+
+
+def _uniform_sums(values, lift, counts, mid, hi):
+    """The child sums of the parents, with child counts ``counts``, of a
+    whole generation ``mid..hi`` that holds one nonzero value everywhere,
+    given as ``values``, by a table of the sums of 0..d copies of its lift;
+    None for any other generation, or when d, the most children of a
+    parent, exceeds ``TABLE_MAX_CHILDREN``."""
+    # a nonzero value equal to another has its bits, where 0.0 == -0.0
+    if not 0 < len(values) == hi - mid or not values[0] or (values != values[0]).any():
+        return None
+    most = int(counts.max())
+    if most > TABLE_MAX_CHILDREN:
+        return None
+    lifted = lift(values[:1], slice(mid, mid + 1))
+    # by segment_sums itself: reduceat sums three or more values pairwise
+    table = segment_sums(np.repeat(lifted, most * (most + 1) // 2), np.arange(most + 1))
+    return table[counts]
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,16 +272,29 @@ class Tree:
         parents and on the seeded vertices of generation k (``lift`` and
         ``combine`` then get sorted index arrays instead of slices, and a
         seeded vertex without a live child a zero sum).  A parent with one or
-        two live children takes their plain sum: ``segment_sums`` adds a
-        segment's values in order from its first, by gathers or by
-        ``np.add.reduceat``, and adding a zero to a nonzero value changes
-        none of its bits, so the dense step gives the same; one with three or more
-        is summed over its whole child segment by ``segment_sums``, zeros
-        included.  The first generation with at least half of it live takes
-        the dense step, and so does every one above it.  The result is bit
-        for bit the dense sweep's, provided the caller meets the contract:
-        ``lift`` maps 0 to 0, and ``combine`` maps a zero sum to 0 and
-        returns a new array (the own values are added to it in place).
+        two live children takes their plain sum: ``segment_sums`` sums one
+        or two values in order, from the first, and adding a zero to a
+        nonzero value changes none of its bits, so the dense step gives the
+        same.  ``np.add.reduceat`` sums three or more values pairwise, not in
+        order, so a parent with three or more live children is summed over
+        its whole child segment by ``segment_sums``, zeros included.  The
+        first generation with at least half of it live takes the dense step,
+        and so does every one above it.
+
+        Uniform bottom: when every vertex of generation n is seeded with one
+        nonzero value, generation n-1 holds no seeds and no vertex has more
+        than ``TABLE_MAX_CHILDREN`` children, the first step lifts that value
+        once, at the first vertex of generation n, and reads each child sum
+        from a table of the sums of 0..d copies of it.  ``segment_sums``
+        builds the table, so each entry has the dense step's bits.  A
+        ``lift`` that reads the vertex (the flow gradient in
+        ``gwising.validate``) gets the same value on the whole bottom only
+        when generation n-1 holds seeds, as every such caller's does.
+
+        The result is bit for bit the dense sweep's, provided the caller
+        meets the contract: ``lift`` maps 0 to 0, and ``combine`` maps a
+        zero sum to 0 and returns a new array (the own values are added to
+        it in place).
         """
         offsets = self.gen_offsets.tolist()
         ids, own = seeds
@@ -243,8 +312,11 @@ class Tree:
             counts = self.num_children[cur]
             seeded = above.get(k)
             if isinstance(at, slice) or 2 * len(at) >= hi - mid:
-                nxt = slice(mid, hi)
-                sums = segment_sums(lift(_whole(at, values, mid, hi), nxt), counts)
+                sums = (_uniform_sums(values, lift, counts, mid, hi)
+                        if k == self.n - 1 and not seeded else None)
+                if sums is None:
+                    nxt = slice(mid, hi)
+                    sums = segment_sums(lift(_whole(at, values, mid, hi), nxt), counts)
                 at, values = cur, combine(sums, cur)
             else:
                 at, sums = _sparse_sums(at, values, lift, counts, lo, mid, hi)
@@ -331,11 +403,15 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
     only if some law permits zero children and a whole generation dies out.
     ``max_vertices`` caps the whole arena.
     """
+    if roots < 1:
+        raise ValueError("generation 0 must hold at least one root")
     counts = []
     size = total = roots
     sizes = [roots]
     for pmf in pmfs:
         c = pmf.sample_many(rng, size)
+        if c.min() < 0:
+            raise ValueError("negative child count")
         counts.append(c)
         size = int(c.sum())
         total += size
@@ -343,7 +419,12 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
         if total > max_vertices:
             raise PopulationCapError(max_vertices, sizes)
         if size == 0:
+            sizes.pop()  # the lines died out: no empty generation
             break
-    if not counts:
-        counts = [np.zeros(roots, dtype=np.int64)]
-    return Tree.from_offspring_counts(counts)
+    # the arena is filled in place, as in from_offspring_counts: the counts,
+    # then one zero per vertex of the last generation unless it died out
+    gen_offsets = np.cumsum([0, *sizes])
+    num_children = np.zeros(total, dtype=np.int64)
+    if counts:
+        np.concatenate(counts, out=num_children[:total - size])
+    return Tree(gen_offsets, num_children)

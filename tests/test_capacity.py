@@ -202,6 +202,23 @@ def test_phi_envelope_on_contracting_resistances(rng, half13):
     assert np.all(phi[internal] <= 0.7 * t.num_children[internal] + 1e-12)
 
 
+@pytest.mark.parametrize("bad", [1.0 + 2.0**-52, math.nan])
+@pytest.mark.parametrize("roots_only", [False, True])
+def test_envelope_guard_refuses_a_contraction_above_one_or_nan(monkeypatch, bad, roots_only):
+    # one contraction past 1, or one NaN, among the correct ones
+    from gwising import capacity
+    contraction = capacity._contraction
+
+    def one_bad(phi, s):
+        out = contraction(phi, s)
+        out[-1] = bad
+        return out
+
+    monkeypatch.setattr(capacity, "_contraction", one_bad)
+    with pytest.raises(FloatingPointError, match="R \\* degree envelope"):
+        capacity_recursion(regular_tree(2, 3), 0.7, 1.5, roots_only=roots_only)
+
+
 def test_expected_capacity_upper_examples():
     assert expected_capacity_upper([3.0], 0.5, 2.0) == pytest.approx(1.5)
     # geometric growth: finite large-n limit when R nu > 1

@@ -188,6 +188,22 @@ def test_bad_config_exits_2(tmp_path, capsys, command, overrides):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("capacity_p, depth", [(300, 22), (1000, 10)])
+def test_capacity_that_underflows_exits_2(tmp_path, capsys, capacity_p, depth):
+    # every replica survives, so a capacity of 0 has underflowed: at p = 300
+    # all 200 are 0 at n = 22, at p = 1000 already at n = 10
+    cfg = write_config(tmp_path / "c.json", mode="capacity", beta=math.atanh(0.8),
+                       p_schedule={"kind": "threshold", "c": 1.0}, n_grid=[10, 22],
+                       replicas=200, capacity_p=capacity_p)
+    code = parse_and_dispatch(["--quiet", "capacity-scan", "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert f"capacity_p {capacity_p:.1f} underflows at n = {depth}: 200 of 200" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_flag_below_one_exits_2(tmp_path, capsys, workers):
     cfg = write_config(tmp_path / "c.json")

@@ -103,6 +103,14 @@ def test_arena_builder_rejects_bad_counts():
         Tree.from_offspring_counts([np.array([2]), np.array([1, -1])])
 
 
+def test_sampler_of_no_generations_gives_the_roots_alone(rng):
+    forest = sample_inhomogeneous_bp([], rng, roots=3)
+    assert forest.n == 0 and forest.num_vertices == 3
+    assert forest.num_children.tolist() == [0, 0, 0]
+    with pytest.raises(ValueError, match="at least one root"):
+        sample_inhomogeneous_bp([HALF123], rng, roots=0)
+
+
 def test_one_root_samplers_reproduce_the_per_generation_loop():
     dying = OffspringPmf.from_dict({0: 0.35, 1: 0.3, 2: 0.35})
     for seed in range(25):

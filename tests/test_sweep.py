@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwising import Tree, capacity_recursion, lyons_field, lyons_plus, survival
-from gwising.tree import segment_sums
+from gwising.tree import TABLE_MAX_CHILDREN, segment_sums
 from gwising.validate import leaf_counts
 
 BETAS = (0.0, 0.05, 0.9, 3.0, 20.0)
@@ -243,6 +243,78 @@ def test_parents_with_many_live_children_keep_dense_sums(seed, width, data, beta
     assert got[3].tobytes() == got[2][:tree.num_roots].tobytes()
 
 
+def uniform_bottom_forest(rng, most, childless):
+    """Twenty roots with one or two children each, whose children have 1 to
+    ``most`` children, one of them ``most``; with ``childless``, one of them
+    none, so that it is a leaf in generation n-1."""
+    top = rng.integers(1, 3, size=20)
+    below = rng.integers(1, most + 1, size=int(top.sum()))
+    below[-1] = most
+    if childless:
+        below[0] = 0
+    return forest(top, below)
+
+
+@pytest.mark.parametrize("beta", (0.05, 0.9, 20.0))
+@pytest.mark.parametrize("childless", [False, True])
+@pytest.mark.parametrize("most", [9, 10, 11, 12, TABLE_MAX_CHILDREN, TABLE_MAX_CHILDREN + 1])
+def test_uniform_bottom_matches_dense_sweep_bitwise(most, childless, beta):
+    # a bottom of one value throughout: the plus boundary, the capacity's
+    # leaves, survival's uint8 seeds and the leaf counts; beyond eight
+    # children reduceat sums pairwise, and a leaf in generation n-1 seeds it
+    rng = np.random.default_rng([most, childless])
+    tree = uniform_bottom_forest(rng, most, childless)
+    assert_same_bytes(tree, beta, fields_of(tree, 1.0, rng))
+
+
+@pytest.mark.parametrize("most", [1, 12, TABLE_MAX_CHILDREN, TABLE_MAX_CHILDREN + 1])
+@pytest.mark.parametrize("seeded", [False, True])
+def test_uniform_bottom_is_lifted_once_unless_generation_n_minus_1_is_seeded(most, seeded):
+    # a lift that reads the vertex (as the flow gradient's does) sees every
+    # vertex of the bottom once generation n-1 holds seeds too; without
+    # them its weight is one value on the bottom here
+    rng = np.random.default_rng(most)
+    tree = uniform_bottom_forest(rng, most, childless=False)
+    lo, mid = (int(x) for x in tree.gen_offsets[1:3])
+    ids = np.arange(lo if seeded else mid, tree.num_vertices)
+    own = np.full(len(ids), 0.5)
+    if seeded:
+        own[:mid - lo] = rng.random(mid - lo)
+    weight = rng.uniform(0.5, 1.5, size=tree.num_vertices)
+    if not seeded:
+        weight[mid:] = 0.75
+    seen = []
+
+    def lift(child, nxt):
+        seen.append(len(child))
+        return child * weight[nxt]
+
+    def sweep():
+        out = np.zeros(tree.num_vertices)
+        roots = tree.sweep_up((ids, own), lift, lambda sums, _: sums * 1.5, out=out)
+        return out, roots
+
+    got = sweep()
+    once = most <= TABLE_MAX_CHILDREN and not seeded
+    assert seen[0] == (1 if once else tree.num_vertices - mid)
+    with dense_sweep():
+        want = sweep()
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_bottom_of_zeros_of_both_signs_is_lifted_vertex_by_vertex():
+    # 0.0 == -0.0, but a lone child's -0.0 keeps its sign in its parent's sum
+    tree = forest([1] * 10, [1] * 10)
+    bottom = np.arange(int(tree.gen_offsets[2]), tree.num_vertices)
+    own = np.zeros(len(bottom))
+    own[3] = -0.0
+    out = np.zeros(tree.num_vertices)
+    tree.sweep_up((bottom, own), lambda child, _: child * 2.0, lambda sums, _: sums * 1.5,
+                  out=out)
+    assert not out.any()
+    assert [math.copysign(1.0, x) for x in out[10:20]] == [1.0] * 3 + [-1.0] + [1.0] * 6
+
+
 def test_plain_sum_of_three_live_children_differs_from_the_dense_sum():
     # the reason the sweep sums such parents over their whole segment
     a, b, c = 0.1, 0.2, 0.3
@@ -274,7 +346,8 @@ def test_sweep_lifts_only_live_children_until_half_are_live():
     assert seen == [(1, False)] * 4
     assert values[others] == 1.0 and values[:others].sum() == 0.0
     assert roots.tobytes() == values[:others + 1].tobytes()
-    # a generation at least half live goes dense, and so does every one above
+    # a generation at least half live goes dense, and so does every one
+    # above; a bottom of ones throughout is lifted as one value
     seen.clear()
     tree.sweep_up(bottom_seeds(tree, np.ones(others + 1)), lift, lambda sums, _: sums)
-    assert seen == [(others + 1, True)] * 4
+    assert seen == [(1, True)] + [(others + 1, True)] * 3

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gwising import OffspringPmf, PopulationCapError, Tree, sample_gw, sample_inhomogeneous_bp
 from gwising.distributions import PmfError
-from gwising.tree import GATHER_MIN_PARENTS, segment_sums
+from gwising.tree import GATHER_MIN_PARENTS, _sparse_sums, segment_sums
 from gwising.validate import (ExplosionGuardError, count_trees, enumerate_trees,
                               gw_probability, leaf_counts)
 
@@ -72,6 +72,55 @@ def test_segment_sums_by_gathers_equal_reduceat(extra, kind, dtype, seed):
         assert got.dtype == values.dtype
         assert got.tobytes() == np.add.reduceat(values, ends - counts).tobytes()
         assert not np.shares_memory(got, values)
+
+
+def _one_or_two_counts(rng, parents, twos):
+    """One or two per parent, ``twos`` of them two: the first and the last
+    parent, and others at random."""
+    counts = np.ones(parents, dtype=np.int64)
+    counts[[0, -1]] = 2
+    counts[1 + rng.choice(parents - 2, size=twos - 2, replace=False)] = 2
+    return counts
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("parents", [GATHER_MIN_PARENTS - 1, GATHER_MIN_PARENTS,
+                                     GATHER_MIN_PARENTS + 1, 8 * GATHER_MIN_PARENTS + 3])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_segment_sums_by_compress_equal_reduceat(parents, shift, dtype):
+    # one two-child parent fewer than an eighth, an eighth, and one more:
+    # the first values by a boolean compress, then by a gather
+    rng = np.random.default_rng([parents, shift + 1])
+    counts = _one_or_two_counts(rng, parents, parents // 8 + shift)
+    ends = np.cumsum(counts)
+    values = _spread(rng, int(ends[-1]), dtype)
+    got = segment_sums(values, counts)
+    assert got.dtype == values.dtype
+    assert got.tobytes() == np.add.reduceat(values, ends - counts).tobytes()
+    assert not np.shares_memory(got, values)
+
+
+@pytest.mark.parametrize("parents", [GATHER_MIN_PARENTS - 1, GATHER_MIN_PARENTS])
+@pytest.mark.parametrize("kind", ["one or two", "a childless parent", "a parent of three"])
+def test_sparse_parents_equal_the_prefix_sum_search(parents, kind):
+    # at GATHER_MIN_PARENTS parents of one or two children each the parents
+    # are found among the second children, one fewer by the prefix sum
+    rng = np.random.default_rng(parents)
+    counts = _one_or_two_counts(rng, parents, parents // 3)
+    if kind != "one or two":
+        counts[[5, 9]] = (0, 2) if kind == "a childless parent" else (3, 1)
+    lo, mid = 40, 40 + parents
+    hi = mid + int(counts.sum())
+    # a twentieth of the children live, both of the first parent's among them
+    at = np.union1d(rng.choice(np.arange(mid, hi), size=(hi - mid) // 20, replace=False),
+                    [mid, mid + 1])
+    values = rng.random(len(at))
+    ids, sums = _sparse_sums(at, values, lambda child, _: child * 1.0, counts, lo, mid, hi)
+    parent = np.cumsum(counts).searchsorted(at - mid, side="right")
+    first = np.flatnonzero(np.diff(parent, prepend=-1))
+    assert ids.tolist() == (parent[first] + lo).tolist()
+    assert sums.tobytes() == np.add.reduceat(values, first).tobytes()
+    assert len(first) < len(at)
 
 
 def test_arena_layout():
