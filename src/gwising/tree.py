@@ -37,9 +37,6 @@ DEFAULT_POPULATION_CAP = 10**8
 # among the second children alone; below it one np.add.reduceat call, or one
 # prefix sum of the counts, is cheaper
 GATHER_MIN_PARENTS = 2048
-# a uniform bottom's first step reads its child sums from a table of
-# d(d + 1) / 2 lifted values, d the most children of a vertex, up to this d
-TABLE_MAX_CHILDREN = 64
 
 
 class PopulationCapError(RuntimeError):
@@ -68,7 +65,8 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     segment's first value, plus its second where it has one, the same
     addition, so the bits match.  The first values are taken by one boolean
     compress when at most an eighth of the segments have two, else by a
-    gather.  Every other call (fewer segments, where its one call is
+    gather: the compress is the faster up to an eighth and the gather from
+    a half on, at 2,048 to 80,000 segments.  Every other call (fewer segments, where its one call is
     cheaper, or an empty segment, or one of three or more) is one
     ``np.add.reduceat`` over the nonempty segments, with zeros written for
     the empty ones (plain ``reduceat`` gets those wrong).  The sum of a
@@ -184,18 +182,19 @@ def _sparse_sums(at, values, lift, counts, lo, mid, hi):
 def _uniform_sums(values, lift, counts, mid, hi):
     """The child sums of the parents, with child counts ``counts``, of a
     whole generation ``mid..hi`` that holds one nonzero value everywhere,
-    given as ``values``, by a table of the sums of 0..d copies of its lift;
-    None for any other generation, or when d, the most children of a
-    parent, exceeds ``TABLE_MAX_CHILDREN``."""
+    given as ``values``, by a table of the sums of 0..d copies of its lift,
+    d the most children of a parent; None for any other generation, or when
+    the table's d(d + 1) / 2 values outnumber the generation."""
     # a nonzero value equal to another has its bits, where 0.0 == -0.0
     if not 0 < len(values) == hi - mid or not values[0] or (values != values[0]).any():
         return None
     most = int(counts.max())
-    if most > TABLE_MAX_CHILDREN:
+    size = most * (most + 1) // 2
+    if size > hi - mid:
         return None
     lifted = lift(values[:1], slice(mid, mid + 1))
     # by segment_sums itself: reduceat sums three or more values pairwise
-    table = segment_sums(np.repeat(lifted, most * (most + 1) // 2), np.arange(most + 1))
+    table = segment_sums(np.repeat(lifted, size), np.arange(most + 1))
     return table[counts]
 
 
@@ -282,19 +281,20 @@ class Tree:
         and so does every one above it.
 
         Uniform bottom: when every vertex of generation n is seeded with one
-        nonzero value, generation n-1 holds no seeds and no vertex has more
-        than ``TABLE_MAX_CHILDREN`` children, the first step lifts that value
-        once, at the first vertex of generation n, and reads each child sum
-        from a table of the sums of 0..d copies of it.  ``segment_sums``
-        builds the table, so each entry has the dense step's bits.  A
-        ``lift`` that reads the vertex (the flow gradient in
-        ``gwising.validate``) gets the same value on the whole bottom only
-        when generation n-1 holds seeds, as every such caller's does.
+        nonzero value, generation n-1 holds no seeds and the d(d + 1) / 2
+        sums of 0..d copies, d the most children of a vertex, are no more
+        than the bottom's vertices, the first step lifts that value once, at
+        the first vertex of generation n, and reads each child sum from a
+        table of those sums.  ``segment_sums`` builds the table, so each
+        entry has the dense step's bits.
 
         The result is bit for bit the dense sweep's, provided the caller
-        meets the contract: ``lift`` maps 0 to 0, and ``combine`` maps a
-        zero sum to 0 and returns a new array (the own values are added to
-        it in place).
+        meets the contract: ``lift`` maps 0 to 0, and depends on the value
+        alone, not on the vertex, whenever generation n-1 holds no seeds;
+        ``combine`` maps a zero sum to 0 and returns a new array (the own
+        values are added to it in place).  The one lift that reads the
+        vertex, the flow gradient of ``gwising.validate``, seeds its root,
+        so that a depth-1 tree's generation n-1 holds a seed too.
         """
         offsets = self.gen_offsets.tolist()
         ids, own = seeds
@@ -350,13 +350,12 @@ class Tree:
         counts = [np.asarray(c, dtype=np.int64) for c in counts_per_gen]
         if not counts or len(counts[0]) == 0:
             raise ValueError("generation 0 must hold at least one root")
-        # the arena holds the given counts, then one zero per child of the last
-        # generation (none when the lines died out); the counts are written
-        # straight into it, and its zeros are never copied
+        # one zero per child of the last generation (none when the lines
+        # died out) follows the given counts
         lengths = [len(c) for c in counts]
         given = sum(lengths)
-        num_children = np.zeros(given + max(int(counts[-1].sum()), 0), dtype=np.int64)
-        flat = np.concatenate(counts, out=num_children[:given])
+        num_children = _arena(counts, given + max(int(counts[-1].sum()), 0))
+        flat = num_children[:given]
         if flat.min() < 0:
             raise ValueError("negative child count")
         totals = segment_sums(flat, lengths).tolist()
@@ -410,8 +409,6 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
     sizes = [roots]
     for pmf in pmfs:
         c = pmf.sample_many(rng, size)
-        if c.min() < 0:
-            raise ValueError("negative child count")
         counts.append(c)
         size = int(c.sum())
         total += size
@@ -421,10 +418,16 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
         if size == 0:
             sizes.pop()  # the lines died out: no empty generation
             break
-    # the arena is filled in place, as in from_offspring_counts: the counts,
-    # then one zero per vertex of the last generation unless it died out
-    gen_offsets = np.cumsum([0, *sizes])
+    # the sizes are the counts' own sums, so Tree.from_offspring_counts'
+    # checks are skipped
+    return Tree(np.cumsum([0, *sizes]), _arena(counts, total))
+
+
+def _arena(counts: list[np.ndarray], total: int) -> np.ndarray:
+    """``total`` child counts: the arrays ``counts`` one after another, then
+    zeros.  The counts are written straight into the zeroed arena, so its
+    zeros are never copied."""
     num_children = np.zeros(total, dtype=np.int64)
     if counts:
-        np.concatenate(counts, out=num_children[:total - size])
-    return Tree(gen_offsets, num_children)
+        np.concatenate(counts, out=num_children[:sum(map(len, counts))])
+    return num_children

@@ -348,7 +348,9 @@ def capacity_bruteforce(tree: Tree, base: float, p: float) -> tuple[float, np.nd
         # h(v) = cost_v theta_v^{q-1} + sum_children a_w h(w); grad wrt a_v is
         # q * theta(parent) * h(v), finite even as theta -> 0 (q > 1).
         h = cost * theta ** (q - 1.0)
-        seeded = np.flatnonzero(h)
+        # the lift reads the vertex, so generation n-1 must hold a seed when
+        # the leaves do: the root's h is 0, and it is seeded too
+        seeded = np.append(0, np.flatnonzero(h[1:]) + 1)
         tree.sweep_up((seeded, h[seeded]), lambda child, nxt: a_vec[nxt] * child,
                       lambda sums, _: sums, out=h)
         grad = np.zeros_like(a_vec)

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwising import Tree, capacity_recursion, lyons_field, lyons_plus, survival
-from gwising.tree import TABLE_MAX_CHILDREN, segment_sums
-from gwising.validate import leaf_counts
+from gwising.tree import segment_sums
+from gwising.validate import capacity_bruteforce, leaf_counts
 
 BETAS = (0.0, 0.05, 0.9, 3.0, 20.0)
 CAPACITY_ORDERS = (1.5, 2.0, 3.0)
@@ -257,17 +257,18 @@ def uniform_bottom_forest(rng, most, childless):
 
 @pytest.mark.parametrize("beta", (0.05, 0.9, 20.0))
 @pytest.mark.parametrize("childless", [False, True])
-@pytest.mark.parametrize("most", [9, 10, 11, 12, TABLE_MAX_CHILDREN, TABLE_MAX_CHILDREN + 1])
+@pytest.mark.parametrize("most", [9, 10, 11, 12, 40, 65])
 def test_uniform_bottom_matches_dense_sweep_bitwise(most, childless, beta):
     # a bottom of one value throughout: the plus boundary, the capacity's
     # leaves, survival's uint8 seeds and the leaf counts; beyond eight
-    # children reduceat sums pairwise, and a leaf in generation n-1 seeds it
+    # children reduceat sums pairwise, a leaf in generation n-1 seeds it, and
+    # from about 30 children on the table would outnumber the bottom
     rng = np.random.default_rng([most, childless])
     tree = uniform_bottom_forest(rng, most, childless)
     assert_same_bytes(tree, beta, fields_of(tree, 1.0, rng))
 
 
-@pytest.mark.parametrize("most", [1, 12, TABLE_MAX_CHILDREN, TABLE_MAX_CHILDREN + 1])
+@pytest.mark.parametrize("most", [1, 12, 40, 65])
 @pytest.mark.parametrize("seeded", [False, True])
 def test_uniform_bottom_is_lifted_once_unless_generation_n_minus_1_is_seeded(most, seeded):
     # a lift that reads the vertex (as the flow gradient's does) sees every
@@ -295,11 +296,46 @@ def test_uniform_bottom_is_lifted_once_unless_generation_n_minus_1_is_seeded(mos
         return out, roots
 
     got = sweep()
-    once = most <= TABLE_MAX_CHILDREN and not seeded
+    once = most * (most + 1) // 2 <= tree.num_vertices - mid and not seeded
+    assert once == (most <= 12 and not seeded)
     assert seen[0] == (1 if once else tree.num_vertices - mid)
     with dense_sweep():
         want = sweep()
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("others", [65, 66])
+def test_uniform_bottom_table_is_no_larger_than_the_bottom(others):
+    # one root of 12 children beside ``others`` roots of one: the table's
+    # 78 sums fit a bottom of 78 vertices, not one of 77
+    tree = forest([12] + [1] * others)
+    bottom = bottom_slice(tree)
+    ids = np.arange(bottom.start, tree.num_vertices)
+    seen = []
+
+    def lift(child, nxt):
+        seen.append(len(child))
+        return child * 0.75
+
+    def sweep():
+        return tree.sweep_up((ids, np.full(len(ids), 0.1)), lift, lambda sums, _: sums * 1.5)
+
+    got = sweep()
+    assert seen == [1 if 12 + others >= 78 else 12 + others]
+    with dense_sweep():
+        assert got.tobytes() == sweep().tobytes()
+
+
+@pytest.mark.parametrize("counts", [[[1]], [[3]], [[12]], [[2], [1, 3]], [[1], [2], [1, 1]]])
+def test_flow_gradient_matches_dense_sweep_bitwise(counts):
+    # its lift reads the vertex; a depth-1 tree's generation n-1 is the
+    # root, which is seeded so that the leaves are lifted one by one
+    tree = forest(*counts)
+    got = capacity_bruteforce(tree, 0.7, 1.5)
+    with dense_sweep():
+        want = capacity_bruteforce(tree, 0.7, 1.5)
+    assert got[0] == want[0] and got[2] == want[2]
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_bottom_of_zeros_of_both_signs_is_lifted_vertex_by_vertex():
