@@ -281,12 +281,13 @@ class Tree:
         and so does every one above it.
 
         Uniform bottom: when every vertex of generation n is seeded with one
-        nonzero value, generation n-1 holds no seeds and the d(d + 1) / 2
-        sums of 0..d copies, d the most children of a vertex, are no more
-        than the bottom's vertices, the first step lifts that value once, at
-        the first vertex of generation n, and reads each child sum from a
-        table of those sums.  ``segment_sums`` builds the table, so each
-        entry has the dense step's bits.
+        nonzero value, generation n-1 holds no seeds and d(d + 1) / 2, d the
+        most children of a vertex, is at most the size of generation n, the
+        first step lifts that value once, at the first vertex of generation
+        n, and reads each child sum from a table of the sums of 0..d copies
+        of it.  ``segment_sums`` builds the table from d(d + 1) / 2 copies,
+        so each entry has the dense step's bits, and the table is no larger
+        than the step it replaces.
 
         The result is bit for bit the dense sweep's, provided the caller
         meets the contract: ``lift`` maps 0 to 0, and depends on the value
