@@ -6,7 +6,7 @@ s = 1/(p-1), q = p/(p-1)), raised to the power p-1; the p-capacity is its
 inverse.  Every function takes the base R; as R_u / R_v = R on every edge,
 the recursion is phi(u) = R sum_children contraction(phi(v)).  Here are that
 leaf-to-root recursion and the mean bounds; the checks of the recursion, the
-spherical closed form and the convex minimization over flows, are in
+spherical closed form and the duality certificate, are in
 ``gwising.validate``.  The conjugate exponent q is always derived from p.
 """
 
@@ -82,7 +82,7 @@ def capacity_recursion(tree: Tree, base: float, p: float, *,
     base = _checked_base(base)
     childless = np.flatnonzero(tree.num_children == 0)
 
-    def lift(child: np.ndarray, _) -> np.ndarray:
+    def lift(child: np.ndarray) -> np.ndarray:
         # every contraction is at most 1, so phi at most R * degree; a NaN
         # fails the test too
         contracted = _contraction(child, s)

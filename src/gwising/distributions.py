@@ -356,9 +356,20 @@ def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
     keep_pow = _powers([1.0 - s for s in entries], range(dmax))
     surv_pow = _powers(entries, range(1, dmax + 1))
     masses = np.zeros((len(entries), dmax))
+    top = int(np.finfo(float).max)
     for big_d, mass in zip(pmf.degrees.tolist(), pmf.probs):
-        coef = np.array([mass * math.comb(big_d, big_d - d) for d in range(1, big_d + 1)])
-        masses[:, :big_d] += coef * keep_pow[:, big_d - 1::-1] * surv_pow[:, :big_d]
+        combs = [math.comb(big_d, big_d - d) for d in range(1, big_d + 1)]
+        coef = np.array([mass * c if c <= top else 0.0 for c in combs])
+        term = coef * keep_pow[:, big_d - 1::-1] * surv_pow[:, :big_d]
+        wide = [(d, math.log(c)) for d, c in enumerate(combs, 1) if c > top]
+        if wide:
+            # C(D, d) past the double range (from D = 1,030): the term by logarithms
+            d, log_c = np.array(wide).T
+            with np.errstate(divide="ignore"):
+                log_term = (np.log(mass) + log_c + (big_d - d) * np.log1p(-rows)[:, None]
+                            + d * np.log(rows)[:, None])
+            term[:, d.astype(np.int64) - 1] = np.exp(log_term)
+        masses[:, :big_d] += term
     masses /= pmf.one_minus_gf_at_one_minus(rows)[:, None]  # 1 - G(1-p)
     masses /= masses.sum(axis=1, keepdims=True)
     degrees = np.arange(1, dmax + 1)

@@ -81,7 +81,7 @@ def survival(tree: Tree, h: np.ndarray) -> np.ndarray:
     marked = _marked_ids(_checked_field(tree, h)[bottom:]) + bottom
     y = np.zeros(tree.num_vertices, dtype=np.uint8)
     tree.sweep_up((marked, np.ones(len(marked), dtype=np.uint8)),
-                  lambda child, _: child.astype(np.int64),
+                  lambda child: child.astype(np.int64),
                   lambda sums, _: sums > 0, out=y)
     y.setflags(write=False)
     return y

@@ -63,7 +63,7 @@ def magnetization(r):
 
 
 def _lift(beta: float):
-    return lambda child, _: g_beta(beta, child)
+    return lambda child: g_beta(beta, child)
 
 
 def lyons_plus(tree: Tree, beta: float) -> np.ndarray:

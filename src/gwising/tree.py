@@ -150,7 +150,7 @@ def _sparse_sums(at, values, lift, counts, lo, mid, hi):
     the child counts of the parents' generation ``lo..mid``."""
     if not len(at):
         return at, values
-    lifted = lift(values, at)
+    lifted = lift(values)
     rel = at - mid
     if 10 * len(at) > hi - mid:  # above a tenth live, a parent map beats the search
         parent = np.repeat(np.arange(mid - lo), counts)[rel]
@@ -192,7 +192,7 @@ def _uniform_sums(values, lift, counts, mid, hi):
     size = most * (most + 1) // 2
     if size > hi - mid:
         return None
-    lifted = lift(values[:1], slice(mid, mid + 1))
+    lifted = lift(values[:1])
     # by segment_sums itself: reduceat sums three or more values pairwise
     table = segment_sums(np.repeat(lifted, size), np.arange(most + 1))
     return table[counts]
@@ -258,44 +258,41 @@ class Tree:
         ``seeds`` is a pair ``(ids, own)`` of sorted distinct arena ids, in
         any generations, and their own values; every other vertex's own value
         is 0.  A vertex of generation n holds its own value.  With ``cur`` the
-        slice of generation k and ``nxt`` that of k+1, each step gives the
-        vertices of generation k ``combine(segment_sums(lift(values of nxt,
-        nxt), num_children[cur]), cur)`` plus their own values; a childless
-        vertex above the bottom holds its own value alone.  Only the values
-        of the generation in hand are kept; ``out``, an arena-sized array of
-        zeros when given, receives every vertex's value.
+        slice of generation k, each step gives the vertices of generation k
+        ``combine(segment_sums(lift(values of generation k+1),
+        num_children[cur]), cur)`` plus their own values; a childless vertex
+        above the bottom holds its own value alone.  ``lift`` takes the
+        values alone, ``combine`` the sums and the vertices they belong to.
+        Only the values of the generation in hand are kept; ``out``, an
+        arena-sized array of zeros when given, receives every vertex's value.
 
         Skip rule: while fewer than half of generation k+1 are live
         (nonzero, or seeded), the step carries only their ids and values:
         only those children are lifted, and ``combine`` runs only on their
-        parents and on the seeded vertices of generation k (``lift`` and
-        ``combine`` then get sorted index arrays instead of slices, and a
-        seeded vertex without a live child a zero sum).  A parent with one or
-        two live children takes their plain sum: ``segment_sums`` sums one
-        or two values in order, from the first, and adding a zero to a
-        nonzero value changes none of its bits, so the dense step gives the
-        same.  ``np.add.reduceat`` sums three or more values pairwise, not in
-        order, so a parent with three or more live children is summed over
-        its whole child segment by ``segment_sums``, zeros included.  The
-        first generation with at least half of it live takes the dense step,
-        and so does every one above it.
+        parents and on the seeded vertices of generation k (it then gets a
+        sorted index array instead of a slice, and a seeded vertex without a
+        live child a zero sum).  A parent with one or two live children
+        takes their plain sum: ``segment_sums`` sums one or two values in
+        order, from the first, and adding a zero to a nonzero value changes
+        none of its bits, so the dense step gives the same.
+        ``np.add.reduceat`` sums three or more values pairwise, not in order,
+        so a parent with three or more live children is summed over its
+        whole child segment by ``segment_sums``, zeros included.  The first
+        generation with at least half of it live takes the dense step, and
+        so does every one above it.
 
         Uniform bottom: when every vertex of generation n is seeded with one
         nonzero value, generation n-1 holds no seeds and d(d + 1) / 2, d the
         most children of a vertex, is at most the size of generation n, the
-        first step lifts that value once, at the first vertex of generation
-        n, and reads each child sum from a table of the sums of 0..d copies
-        of it.  ``segment_sums`` builds the table from d(d + 1) / 2 copies,
-        so each entry has the dense step's bits, and the table is no larger
-        than the step it replaces.
+        first step lifts that value once and reads each child sum from a
+        table of the sums of 0..d copies of it.  ``segment_sums`` builds the
+        table from d(d + 1) / 2 copies, so each entry has the dense step's
+        bits, and the table is no larger than the step it replaces.
 
         The result is bit for bit the dense sweep's, provided the caller
-        meets the contract: ``lift`` maps 0 to 0, and depends on the value
-        alone, not on the vertex, whenever generation n-1 holds no seeds;
-        ``combine`` maps a zero sum to 0 and returns a new array (the own
-        values are added to it in place).  The one lift that reads the
-        vertex, the flow gradient of ``gwising.validate``, seeds its root,
-        so that a depth-1 tree's generation n-1 holds a seed too.
+        meets the contract: ``lift`` maps 0 to 0, and ``combine`` maps a
+        zero sum to 0 and returns a new array (the own values are added to
+        it in place).
         """
         offsets = self.gen_offsets.tolist()
         ids, own = seeds
@@ -316,8 +313,7 @@ class Tree:
                 sums = (_uniform_sums(values, lift, counts, mid, hi)
                         if k == self.n - 1 and not seeded else None)
                 if sums is None:
-                    nxt = slice(mid, hi)
-                    sums = segment_sums(lift(_whole(at, values, mid, hi), nxt), counts)
+                    sums = segment_sums(lift(_whole(at, values, mid, hi)), counts)
                 at, values = cur, combine(sums, cur)
             else:
                 at, sums = _sparse_sums(at, values, lift, counts, lo, mid, hi)

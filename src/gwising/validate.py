@@ -3,9 +3,9 @@
 
 Gibbs enumeration checks the ratio recursion, exhaustive tree enumeration and
 exact pruned-tree probabilities check the pruned law, the spherical closed
-form, convex flow minimization and Thomson flows check the capacity
-recursion, and the truncated-binomial route checks ``ztb_mixture``.  No scan
-imports this module; the ``validate`` command loads it when it runs.
+form, a duality certificate and Thomson flows check the capacity recursion,
+and the truncated-binomial route checks ``ztb_mixture``.  No scan imports
+this module; the ``validate`` command loads it when it runs.
 """
 
 from __future__ import annotations
@@ -27,12 +27,6 @@ from .tree import PopulationCapError, Tree, sample_gw, segment_sums
 BRUTEFORCE_MAX_FREE_SPINS = 24
 # enumerate_trees refuses a (law, depth) with more trees than this
 MAX_ENUMERATED_TREES = 10**6
-# capacity_bruteforce stops once the relative energy change stays below
-# BRUTEFORCE_REL_TOL for BRUTEFORCE_PATIENCE iterations in a row, or after
-# BRUTEFORCE_MAX_ITER iterations, unconverged
-BRUTEFORCE_REL_TOL = 1e-12
-BRUTEFORCE_PATIENCE = 50
-BRUTEFORCE_MAX_ITER = 100_000
 # the couplings the Lyons and pruning suites cycle through, and the capacity
 # orders of the capacity oracle suite
 SUITE_BETAS = (0.3, 0.7, 1.2)
@@ -96,7 +90,7 @@ def leaf_counts(tree: Tree) -> np.ndarray:
     counts = np.zeros(tree.num_vertices, dtype=np.int64)
     bottom = np.arange(tree.gen_offsets[tree.n], tree.num_vertices)
     tree.sweep_up((bottom, np.ones(len(bottom), dtype=np.int64)),
-                  lambda child, _: child, lambda sums, _: sums, out=counts)
+                  lambda child: child, lambda sums, _: sums, out=counts)
     return counts
 
 
@@ -244,45 +238,29 @@ def uniform_flow(tree: Tree) -> np.ndarray:
     return theta
 
 
+def _resistance_powers(tree: Tree, base: float, x: np.ndarray, a: float, b: float):
+    """R_u^a x(u)^b of each vertex u below the root, given x there, as one
+    exponential: no value in the double range is lost to a factor outside it
+    (near p = 1, R_u^s overflows and theta(u)^q underflows); x = 0 gives 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(a * np.log(_vertex_resistances(tree, base)[1:]) + b * np.log(x))
+
+
 def flow_energy(tree: Tree, theta: np.ndarray, base: float, p: float) -> float:
     """Thomson resistance estimate (sum_{u != root} R_u^s theta(u)^q)^{p-1}
     of the vertex flow ``theta``.
 
-    An upper bound on the exact p-resistance for every admissible unit flow,
-    tight exactly at the optimizer.
+    An upper bound on the exact p-resistance for every unit flow, tight
+    exactly at the optimizer; a flow whose root is not 1, or that leaks at a
+    vertex with children, by more than 1e-9, raises ValueError.
     """
-    r_vertex = _vertex_resistances(tree, base)
-    degree = int(tree.num_children[0])  # the root's outflow is its strength
-    strength = float(theta[1:1 + degree].sum()) if degree else float(theta[0])
-    if abs(strength - 1.0) > 1e-9:
+    if not abs(theta[0] - 1.0) <= 1e-9:
         raise ValueError("flow must have unit strength")
-    s = 1.0 / (p - 1.0)
-    q = p / (p - 1.0)
-    energy = float(np.sum(r_vertex[1:] ** s * theta[1:] ** q))
-    return energy ** (p - 1.0)
-
-
-def _project_sibling_simplices(x: np.ndarray, block_ids: np.ndarray,
-                               counts: np.ndarray) -> np.ndarray:
-    """Simplex-project every contiguous sibling block of ``x`` at once.
-
-    ``block_ids`` must be nondecreasing (children of consecutive parents are
-    consecutive in the arena) and ``counts`` gives each block's length.
-    """
-    order = np.lexsort((-x, block_ids))
-    xs = x[order]
-    offsets = np.zeros(len(counts), dtype=np.int64)
-    offsets[1:] = np.cumsum(counts[:-1])
-    head = np.repeat(np.cumsum(xs)[offsets] - xs[offsets], counts)
-    block_cumsum = np.cumsum(xs) - head
-    pos = np.arange(len(x)) - np.repeat(offsets, counts) + 1
-    cond = xs - (block_cumsum - 1.0) / pos > 0
-    rho = segment_sums(cond.astype(np.int64), counts)
-    tau_idx = offsets + rho - 1
-    tau = (block_cumsum[tau_idx] - 1.0) / rho
-    out = np.empty_like(x)
-    out[order] = np.maximum(xs - np.repeat(tau, counts), 0.0)
-    return out
+    leak = theta - segment_sums(theta[tree.num_roots:], tree.num_children)
+    if not np.all(np.abs(leak[tree.num_children > 0]) <= 1e-9):
+        raise ValueError("flow must be conserved at every vertex with children")
+    s, q = 1.0 / (p - 1.0), p / (p - 1.0)
+    return float(np.sum(_resistance_powers(tree, base, theta[1:], s, q))) ** (p - 1.0)
 
 
 def capacity_spherical(generation_sizes, base: float, p: float) -> float:
@@ -297,123 +275,52 @@ def capacity_spherical(generation_sizes, base: float, p: float) -> float:
     return _series_capacity(sizes, base, p)
 
 
-def capacity_bruteforce(tree: Tree, base: float, p: float) -> tuple[float, np.ndarray, bool]:
-    """Direct minimization of the Thomson energy over unit flows: the
-    capacity, the read-only optimal flow theta and whether it converged.
+def capacity_certificate(tree: Tree, base: float, p: float) -> tuple[float, float]:
+    """Lower and upper bounds on the p-capacity of a single tree by weak
+    duality, for ``capacity_recursion``'s phi[0] to lie between.
 
-    The flow is parameterized by splitting fractions on each internal
-    vertex's child simplex, which makes conservation structural; projected
-    gradient descent with a backtracking (and adaptively grown) step then
-    converges to the optimum of the underlying convex problem.  Stops when
-    the relative objective change stays below ``BRUTEFORCE_REL_TOL`` for
-    ``BRUTEFORCE_PATIENCE`` consecutive iterations; hitting
-    ``BRUTEFORCE_MAX_ITER`` first returns the best value, unconverged.
+    The capacity is E_min^{-(p-1)}, E_min the least energy E(theta) over
+    unit flows.  The flow that splits each vertex's flow over its children in
+    proportion to ``_contraction`` of their phi bounds E_min from above, by
+    ``flow_energy``.  Any potential V that is 0 at each childless vertex
+    bounds it from below: E_min >= t V(root) - t^p C for all t > 0, with
+    C = (q-1) q^{-p} sum_{u != root} max(V(parent u) - V(u), 0)^p / R_u, at
+    best t V(root) / q at t = (V(root) / (p C))^s.  Here theta(u) V(u) sums
+    the optimal drops q R_w^s theta(w)^{q-1} of the vertices w below u,
+    weighted by flow.  Neither bound assumes theta or V optimal, so a wrong
+    phi or ``_contraction`` opens the gap or leaves phi[0] outside it.
+
+    The single vertex gets (1, 1), the recursion's convention.  Where a sum
+    leaves the double range (p near 1, large p, a deep tree), ValueError.
     """
-    if p <= 1:
-        raise ValueError("capacity order p must exceed 1")
-    if tree.num_vertices > 200:
-        raise ValueError("oracle is limited to 200 vertices")
-    r_vertex = _vertex_resistances(tree, base)
+    phi = cap.capacity_recursion(tree, base, p)  # checks p and the base
+    if tree.num_roots != 1:
+        raise ValueError("the certificate takes a single tree, not a forest")
     if tree.num_vertices == 1:
-        return 1.0, uniform_flow(tree), True
-    s = 1.0 / (p - 1.0)
-    q = p / (p - 1.0)
-    cost = r_vertex ** s
-    cost[0] = 0.0
-    parent = tree.parent
-    counts = tree.num_children
-    internal = np.flatnonzero(counts > 0)
-    block_counts = counts[internal]
-    block_ids = parent[1:]
-
-    theta0 = uniform_flow(tree) if tree.leaves_only_at_bottom else None
-    a = np.ones(tree.num_vertices)
-    if theta0 is not None:
-        a[1:] = theta0[1:] / theta0[parent[1:]]
-    else:
-        a[1:] = 1.0 / counts[parent[1:]]
-
-    def forward(a_vec: np.ndarray) -> np.ndarray:
+        return 1.0, 1.0
+    s, q = 1.0 / (p - 1.0), p / (p - 1.0)
+    parent, offsets = tree.parent, tree.gen_offsets.tolist()
+    with np.errstate(all="ignore"):  # a value out of range fails the check below
+        weight = cap._contraction(phi[1:], s)
+        share = weight / segment_sums(weight, tree.num_children)[parent[1:]]
         theta = np.ones(tree.num_vertices)
-        for k in range(1, tree.n + 1):
-            lo, hi = tree.gen_offsets[k], tree.gen_offsets[k + 1]
-            theta[lo:hi] = theta[parent[lo:hi]] * a_vec[lo:hi]
-        return theta
-
-    def energy_of(theta: np.ndarray) -> float:
-        return float(np.sum(cost[1:] * theta[1:] ** q))
-
-    def gradient(a_vec: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        # h(v) = (subtree energy below v) / theta(v), via
-        # h(v) = cost_v theta_v^{q-1} + sum_children a_w h(w); grad wrt a_v is
-        # q * theta(parent) * h(v), finite even as theta -> 0 (q > 1).
-        h = cost * theta ** (q - 1.0)
-        # the lift reads the vertex, so generation n-1 must hold a seed when
-        # the leaves do: the root's h is 0, and it is seeded too
-        seeded = np.append(0, np.flatnonzero(h[1:]) + 1)
-        tree.sweep_up((seeded, h[seeded]), lambda child, nxt: a_vec[nxt] * child,
-                      lambda sums, _: sums, out=h)
-        grad = np.zeros_like(a_vec)
-        grad[1:] = q * theta[parent[1:]] * h[1:]
-        return grad
-
-    def project(vec: np.ndarray) -> np.ndarray:
-        out = np.ones_like(vec)
-        out[1:] = _project_sibling_simplices(vec[1:], block_ids, block_counts)
-        return out
-
-    theta = forward(a)
-    energy = energy_of(theta)
-    previous = None
-    step = 1.0
-    quiet = 0
-    converged = False
-    for _ in range(BRUTEFORCE_MAX_ITER):
-        grad = gradient(a, theta)
-        moved = False
-        while step >= 1e-18:
-            trial = project(a - step * grad)
-            trial_theta = forward(trial)
-            trial_energy = energy_of(trial_theta)
-            if trial_energy <= energy:
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            # no step down to float resolution decreases the energy: for this
-            # convex problem that is the optimum
-            converged = True
-            break
-        # opportunistic monotone extrapolations: extend along the accepted
-        # displacement, and heavy-ball along the previous iterate's secant;
-        # both break the slow creep in the flat small-flow directions
-        scale = 2.0
-        while scale <= 4096.0:
-            cand = project(a + scale * (trial - a))
-            cand_theta = forward(cand)
-            cand_energy = energy_of(cand_theta)
-            if cand_energy < trial_energy:
-                trial, trial_theta, trial_energy = cand, cand_theta, cand_energy
-                scale *= 2.0
-            else:
-                break
-        if previous is not None:
-            cand = project(trial + 0.9 * (trial - previous))
-            cand_theta = forward(cand)
-            cand_energy = energy_of(cand_theta)
-            if cand_energy < trial_energy:
-                trial, trial_theta, trial_energy = cand, cand_theta, cand_energy
-        change = energy - trial_energy
-        previous = a
-        a, theta, energy = trial, trial_theta, trial_energy
-        step *= 1.25
-        quiet = quiet + 1 if change <= BRUTEFORCE_REL_TOL * max(energy, 1e-300) else 0
-        if quiet >= BRUTEFORCE_PATIENCE:
-            converged = True
-            break
-    capacity = energy ** -(p - 1.0) if energy > 0 else math.inf
-    theta.setflags(write=False)
-    return capacity, theta, converged
+        for lo, hi in zip(offsets[1:-1], offsets[2:]):
+            theta[lo:hi] = theta[parent[lo:hi]] * share[lo - 1:hi - 1]
+        own = q * _resistance_powers(tree, base, theta[1:], s, q)  # theta(u) times its drop
+        below = np.zeros(tree.num_vertices)
+        tree.sweep_up((np.arange(1, tree.num_vertices), own), lambda x: x,
+                      lambda sums, _: sums, out=below)
+        potential = segment_sums(below[1:], tree.num_children) / theta
+        drop = np.maximum(potential[parent[1:]] - potential[1:], 0.0)
+        penalty = (q - 1.0) * q ** -p * np.sum(_resistance_powers(tree, base, drop, -1.0, p))
+        t = (potential[0] / (p * penalty)) ** s
+        energy = t * potential[0] / q
+        upper = float(energy ** (1.0 - p))
+    # V(root) = q E(theta) and t is about 1, so E(theta)^{p-1} is in range too
+    if not (energy >= np.finfo(float).tiny and 0.0 < upper < math.inf):
+        raise ValueError(f"the certificate's sums leave the double range at p = {p}, "
+                         f"base {base}, depth {tree.n}")
+    return 1.0 / flow_energy(tree, theta, base, p), upper
 
 
 # -- validation suites ------------------------------------------------------
@@ -510,25 +417,31 @@ def suite_pruned_law_exact() -> dict:
 
 
 def suite_capacity_oracle(instances: int = 50, seed: int = 0) -> dict:
-    """Capacity recursion against the flow-minimization oracle, plus Thomson
-    dominance of the uniform flow, on random weighted trees."""
+    """Capacity recursion against its duality certificate, plus Thomson
+    dominance of the uniform flow, on random weighted trees and on sampled
+    half-{1,2} trees of depths 10, 13 and 16.  ``max_error`` is the larger of
+    the certificate's relative gap and phi[0]'s relative distance outside it."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(103,)))
-    max_rel_gap = 0.0
+    cases = [(random_small_tree(rng, max_vertices=200, max_depth=5),
+              float(rng.uniform(0.5, 1.5))) for _ in range(instances)]
+    half12 = OffspringPmf.from_dict({1: 0.5, 2: 0.5})
+    cases += [(sample_gw(half12, depth, rng), float(rng.uniform(0.5, 1.5)))
+              for depth in (10, 13, 16)]
+    max_err = 0.0
     min_slack = math.inf
-    for i in range(instances):
-        tree = random_small_tree(rng, max_vertices=200, max_depth=5)
-        base = float(rng.uniform(0.5, 1.5))
+    for tree, base in cases:
         for p in SUITE_CAPACITY_ORDERS:
             exact = cap.capacity_recursion(tree, base, p)[0]
-            oracle, _, _ = capacity_bruteforce(tree, base, p)
-            max_rel_gap = max(max_rel_gap, abs(oracle - exact) / exact)
+            lower, upper = capacity_certificate(tree, base, p)
+            max_err = max(max_err, abs(upper - lower) / upper,
+                          (lower - exact) / exact, (exact - upper) / exact)
             if tree.leaves_only_at_bottom:
                 estimate = flow_energy(tree, uniform_flow(tree), base, p)
                 min_slack = min(min_slack, estimate - 1.0 / exact)
-    return {"suite": "capacity_recursion_vs_oracle", "instances": instances,
-            "max_error": float(max_rel_gap), "tolerance": 1e-6,
+    return {"suite": "capacity_recursion_vs_oracle", "instances": len(cases),
+            "max_error": float(max_err), "tolerance": 1e-12,
             "min_thomson_slack": float(min_slack),
-            "pass": bool(max_rel_gap <= 1e-6 and min_slack >= -1e-10)}
+            "pass": bool(max_err <= 1e-12 and min_slack >= -1e-10)}
 
 
 def suite_ztb_mixture_routes(instances: int, seed: int = 0) -> dict:

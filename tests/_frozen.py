@@ -95,6 +95,6 @@ OUTPUT_DIGESTS = {
         "tree.json": "955249e9e9b3fe5d290068bc961916a837489a2378ec12603e7c59458a09745f"
     },
     "validate": {
-        "validation.json": "68349c641dbba7c525e409b54f12c646bf185ea3c76b876e57adea75612d78fc"
+        "validation.json": "18f2134e5c9cd5af1db2f20f0e6039ab1627ce6c463c470245895bb7ee9ca231"
     }
 }

@@ -8,7 +8,7 @@ from gwising import (OffspringPmf, Tree, alpha_n, capacity_recursion,
                      sample_inhomogeneous_bp)
 from gwising.pruned_law import PrunedLawSampler
 from gwising.tree import segment_sums
-from gwising.validate import (_vertex_resistances, capacity_bruteforce,
+from gwising.validate import (_vertex_resistances, capacity_certificate,
                               capacity_spherical, flow_energy, random_small_tree,
                               uniform_flow)
 
@@ -49,7 +49,7 @@ def test_resistance_profiles():
 
 
 @pytest.mark.parametrize("base", [0.0, -0.5, -math.inf, math.nan, math.inf])
-@pytest.mark.parametrize("route", ["recursion", "bruteforce", "flow_energy"])
+@pytest.mark.parametrize("route", ["recursion", "certificate", "flow_energy"])
 def test_bad_resistance_base_fails_closed(route, base):
     # each route checks the base, also on the single-vertex tree it
     # otherwise answers by convention
@@ -57,8 +57,8 @@ def test_bad_resistance_base_fails_closed(route, base):
         with pytest.raises(ValueError, match="resistance base"):
             if route == "recursion":
                 capacity_recursion(t, base, 1.5)
-            elif route == "bruteforce":
-                capacity_bruteforce(t, base, 1.5)
+            elif route == "certificate":
+                capacity_certificate(t, base, 1.5)
             else:
                 flow_energy(t, uniform_flow(t), base, 1.5)
 
@@ -66,7 +66,7 @@ def test_bad_resistance_base_fails_closed(route, base):
 def test_recursion_single_vertex_convention():
     t = Tree.from_offspring_counts([np.zeros(1, dtype=np.int64)])
     assert capacity_recursion(t, 1.0, 2.0)[0] == 1.0
-    assert capacity_bruteforce(t, 1.0, 2.0)[0] == 1.0
+    assert capacity_certificate(t, 1.0, 2.0) == (1.0, 1.0)
     # a childless root of a forest gets the same 1, in phi and in the roots
     forest = Tree.from_offspring_counts([np.array([0, 0, 2]), np.array([0, 0])])
     assert capacity_recursion(forest, 1.0, 2.0).tolist() == [1.0, 1.0, 2.0, math.inf, math.inf]
@@ -144,22 +144,74 @@ def test_flow_energy_examples():
     assert estimate == pytest.approx(1.0 / capacity_recursion(t, 1.0, 2.0)[0])
     with pytest.raises(ValueError, match="unit strength"):
         flow_energy(t, uniform_flow(t) * 2.0, 1.0, 2.0)
+    # unit strength, but vertex 1 passes on 0.02 of its 0.5: the leak's
+    # energy, 0.6252, would sit below the exact resistance 0.75
+    leaking = np.array([1.0, 0.5, 0.5, 0.01, 0.01, 0.25, 0.25])
+    assert conservation_residuals(t, leaking).tolist() == [0.0, 0.48, 0.0]
+    with pytest.raises(ValueError, match="conserved"):
+        flow_energy(t, leaking, 1.0, 2.0)
 
 
-def test_bruteforce_examples():
-    capacity, _, converged = capacity_bruteforce(path_tree(5), 1.0, 2.0)
-    assert converged
-    assert capacity == pytest.approx(0.2, abs=1e-8)
-    t = regular_tree(2, 2)
-    capacity, theta, _ = capacity_bruteforce(t, 1.0, 2.0)
-    assert capacity == pytest.approx(4.0 / 3.0, abs=1e-8)
-    assert not theta.flags.writeable
-    assert np.allclose(conservation_residuals(t, theta), 0.0, atol=1e-12)
+def test_certificate_examples():
+    # series and series-parallel laws, and a tree of 511 vertices
+    for t, exact in ((path_tree(5), 0.2), (regular_tree(2, 2), 4.0 / 3.0),
+                     (regular_tree(2, 8), capacity_spherical(2 ** np.arange(1, 9), 1.0, 2.0))):
+        lower, upper = capacity_certificate(t, 1.0, 2.0)
+        assert lower == pytest.approx(exact, rel=1e-12)
+        assert upper == pytest.approx(exact, rel=1e-12)
+    with pytest.raises(ValueError, match="single tree"):
+        capacity_certificate(Tree.from_offspring_counts([np.array([1, 2])]), 1.0, 2.0)
 
 
-def test_bruteforce_size_guard():
-    with pytest.raises(ValueError):
-        capacity_bruteforce(regular_tree(2, 8), 1.0, 2.0)
+def test_certificate_gap_opens_under_one_wrong_phi(monkeypatch):
+    # phi of vertex 1, which has a sibling, 1% off: the flow leaves the
+    # optimum, and the duality gap opens
+    from gwising import capacity
+    recursion = capacity.capacity_recursion
+    t = regular_tree(2, 3)
+    for p in (1.5, 2.0, 3.0):
+        lower, upper = capacity_certificate(t, 0.8, p)
+        assert upper - lower <= 1e-12 * upper
+
+    def one_wrong(tree, base, p):
+        phi = recursion(tree, base, p)
+        phi[1] *= 1.01
+        return phi
+
+    monkeypatch.setattr(capacity, "capacity_recursion", one_wrong)
+    for p in (1.5, 2.0, 3.0):
+        lower, upper = capacity_certificate(t, 0.8, p)
+        assert upper - lower > 1e-12 * upper
+
+
+def test_certificate_leaves_a_scaled_contraction_outside(monkeypatch, rng):
+    # every contraction 1e-6 low: the flow splits as before, so the bracket
+    # stays tight, but the recursion's root falls below it
+    from gwising import capacity
+    contraction = capacity._contraction
+    monkeypatch.setattr(capacity, "_contraction",
+                        lambda phi, s: contraction(phi, s) * (1.0 - 1e-6))
+    t = random_small_tree(rng, max_vertices=120, max_depth=5)
+    for p in (1.5, 2.0, 3.0):
+        lower, upper = capacity_certificate(t, 0.8, p)
+        assert upper - lower <= 1e-12 * upper
+        assert capacity_recursion(t, 0.8, p)[0] < lower * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.001, 1000.0])
+def test_certificate_refuses_orders_whose_sums_leave_the_double_range(p):
+    # every energy term of the ternary tree underflows at p = 1.001, and the
+    # capacity itself at p = 1000: the plain sums would give nan
+    with pytest.raises(ValueError, match=f"at p = {p}"):
+        capacity_certificate(regular_tree(3, 6), 0.8, p)
+    # one edge of resistance 2.065^{-1}: its energy 2.065^{-1000} is a
+    # subnormal of a few digits, though the capacity 2.065 is in range
+    with pytest.raises(ValueError, match="at p = 1.001"):
+        capacity_certificate(path_tree(1), 2.065, 1.001)
+    # on the binary tree at p = 1.001 the terms of generation 1 stay in range,
+    # where R_u^s and theta(u)^q alone overflow and underflow
+    lower, upper = capacity_certificate(regular_tree(2, 6), 0.8, 1.001)
+    assert lower == pytest.approx(1.6, rel=1e-12) and upper == pytest.approx(1.6, rel=1e-12)
 
 
 def test_recursion_vs_oracle_and_order_monotonicity(rng):
@@ -170,13 +222,12 @@ def test_recursion_vs_oracle_and_order_monotonicity(rng):
         caps = []
         for p in orders:
             exact = capacity_recursion(t, base, p)[0]
-            oracle, theta, _ = capacity_bruteforce(t, base, p)
-            assert abs(oracle - exact) / exact <= 1e-6
+            lower, upper = capacity_certificate(t, base, p)
+            assert lower <= exact * (1 + 1e-12) and exact <= upper * (1 + 1e-12)
+            assert upper - lower <= 1e-12 * upper
             # Thomson: every admissible flow's estimate dominates the truth
             estimate = flow_energy(t, uniform_flow(t), base, p)
             assert estimate >= 1.0 / exact - 1e-10
-            witness = flow_energy(t, theta, base, p)
-            assert witness == pytest.approx(1.0 / exact, rel=1e-6)
             caps.append(exact)
         assert caps[0] >= caps[1] >= caps[2]
 
@@ -186,9 +237,9 @@ def test_routes_agree_on_tree_with_internal_leaf():
     t = Tree.from_offspring_counts([np.array([2]), np.array([2, 0])])
     for p in (1.5, 2.0, 3.0):
         exact = capacity_recursion(t, 1.0, p)[0]
-        oracle, _, converged = capacity_bruteforce(t, 1.0, p)
-        assert converged
-        assert abs(oracle - exact) / exact <= 1e-6
+        lower, upper = capacity_certificate(t, 1.0, p)
+        assert exact == pytest.approx(lower, rel=1e-12)
+        assert exact == pytest.approx(upper, rel=1e-12)
     # at p = 2: the internal leaf is one unit resistor in parallel with a
     # series-parallel branch of resistance 1 + 1/2
     assert capacity_recursion(t, 1.0, 2.0)[0] == pytest.approx(1 + 2 / 3)

@@ -461,6 +461,23 @@ def test_gamma_profile_where_nu_power_overflows(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gamma_profile_of_a_law_whose_binomials_pass_the_double_range(tmp_path, capsys):
+    # C(1030, d) passes the largest double; the mixture used to raise
+    # OverflowError and exit 3.  Only the bottom row, which has no law, is nan
+    cfg = write_config(tmp_path / "c.json", mode="gamma", replicas=1, n_grid=[3, 6],
+                       pmf={"entries": [[1, 0.999], [1030, 0.001]]})
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["--quiet", "gamma-profile", "--config", cfg,
+                               "--out", str(out)]) == 0
+    with open(out / "gamma_profile.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 11
+    for row in rows:
+        law_free = {"nu_star_k", "sigma_q_star_k"} if row["k"] == row["n"] else set()
+        assert all(math.isfinite(float(v)) for key, v in row.items() if key not in law_free)
+    capsys.readouterr()
+
+
 def test_workers_environment_variable_is_ignored(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GWISING_WORKERS", "two")
     cfg = write_config(tmp_path / "c.json", mode="gamma", replicas=1, n_grid=[4])

@@ -240,6 +240,22 @@ def test_ztb_mixture_laws_are_read_only(half12):
             assert not arr.flags.writeable
 
 
+def test_ztb_mixture_of_a_degree_whose_binomials_pass_the_double_range():
+    # C(1030, d) exceeds the largest double for 31 values of d; the row at
+    # p = 1/2 of the table against exact rational arithmetic
+    pmf = OffspringPmf.from_dict({1: 0.999, 1030: 0.001})
+    table = ztb_mixture(pmf, np.array([0.5, 1e-3]))
+    exact = [Fraction(0)] * 1030
+    for big_d, mass in ((1, Fraction(0.999)), (1030, Fraction(0.001))):
+        for d in range(1, big_d + 1):
+            exact[d - 1] += mass * Fraction(math.comb(big_d, d), 2 ** big_d)
+    total = sum(exact)
+    masses = np.zeros(1030)
+    masses[table[0].degrees - 1] = table[0].probs
+    assert np.abs(masses - [float(m / total) for m in exact]).max() <= 1e-12
+    assert table[0] == ztb_mixture(pmf, 0.5)
+
+
 def test_ztb_mixture_rejects_zero_mass_trial_law():
     with pytest.raises(PmfError):
         ztb_mixture(OffspringPmf.from_dict({0: 0.5, 2: 0.5}), 0.5)

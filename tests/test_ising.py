@@ -109,7 +109,7 @@ def lyons_field_zero_then_mask(tree, fld, beta):
     r = np.zeros(tree.num_vertices)
     bottom = int(tree.gen_offsets[tree.n])
     dense_sweep_up(tree, (np.arange(bottom, tree.num_vertices), bias[bottom:]),
-                   lambda child, _: g_beta(beta, child),
+                   lambda child: g_beta(beta, child),
                    lambda sums, cur: bias[cur] + sums, out=r)
     return r
 

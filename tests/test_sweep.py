@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from gwising import Tree, capacity_recursion, lyons_field, lyons_plus, survival
 from gwising.tree import segment_sums
-from gwising.validate import capacity_bruteforce, leaf_counts
+from gwising.validate import leaf_counts
 
 BETAS = (0.0, 0.05, 0.9, 3.0, 20.0)
 CAPACITY_ORDERS = (1.5, 2.0, 3.0)
@@ -36,8 +36,8 @@ def dense_sweep_up(self, seeds, lift, combine, out=None):
         out[lo:] = values
     for k in range(self.n - 1, -1, -1):
         lo, mid, hi = (int(x) for x in self.gen_offsets[k:k + 3])
-        cur, nxt = slice(lo, mid), slice(mid, hi)
-        sums = segment_sums(lift(values, nxt), self.num_children[cur])
+        cur = slice(lo, mid)
+        sums = segment_sums(lift(values), self.num_children[cur])
         values = combine(sums, cur) + seeded[cur]
         if out is not None:
             out[cur] = values
@@ -146,11 +146,11 @@ def test_seeds_in_every_generation_match_dense_sweep_bitwise(seed, width, zero_m
     ids = np.flatnonzero(picked)
     # own values spread over many binades, so that the order of a sum shows
     own = rng.random(len(ids)) * 10.0 ** rng.integers(-6, 3, size=len(ids))
-    weight, scale = rng.uniform(0.5, 1.5, size=(2, tree.num_vertices))
+    scale = rng.uniform(0.5, 1.5, size=tree.num_vertices)
 
     def sweep():
         out = np.zeros(tree.num_vertices)
-        roots = tree.sweep_up((ids, own), lambda child, nxt: child * weight[nxt],
+        roots = tree.sweep_up((ids, own), lambda child: child * 0.75,
                               lambda sums, at: sums * scale[at], out=out)
         return out, roots
 
@@ -230,7 +230,7 @@ def test_parents_with_many_live_children_keep_dense_sums(seed, width, data, beta
 
     def sweeps():
         out = np.zeros(tree.num_vertices)
-        roots = tree.sweep_up(bottom_seeds(tree, leaves), lambda child, _: child * 1.0,
+        roots = tree.sweep_up(bottom_seeds(tree, leaves), lambda child: child * 1.0,
                               lambda sums, _: sums, out=out)
         return [lyons_field(tree, h, beta), lyons_field(tree, h, beta, roots_only=True),
                 out, roots]
@@ -271,9 +271,8 @@ def test_uniform_bottom_matches_dense_sweep_bitwise(most, childless, beta):
 @pytest.mark.parametrize("most", [1, 12, 40, 65])
 @pytest.mark.parametrize("seeded", [False, True])
 def test_uniform_bottom_is_lifted_once_unless_generation_n_minus_1_is_seeded(most, seeded):
-    # a lift that reads the vertex (as the flow gradient's does) sees every
-    # vertex of the bottom once generation n-1 holds seeds too; without
-    # them its weight is one value on the bottom here
+    # with generation n-1 seeded too, the bottom is lifted vertex by vertex;
+    # combine reads the vertices, through the ids it is given
     rng = np.random.default_rng(most)
     tree = uniform_bottom_forest(rng, most, childless=False)
     lo, mid = (int(x) for x in tree.gen_offsets[1:3])
@@ -282,17 +281,15 @@ def test_uniform_bottom_is_lifted_once_unless_generation_n_minus_1_is_seeded(mos
     if seeded:
         own[:mid - lo] = rng.random(mid - lo)
     weight = rng.uniform(0.5, 1.5, size=tree.num_vertices)
-    if not seeded:
-        weight[mid:] = 0.75
     seen = []
 
-    def lift(child, nxt):
+    def lift(child):
         seen.append(len(child))
-        return child * weight[nxt]
+        return child * 0.75
 
     def sweep():
         out = np.zeros(tree.num_vertices)
-        roots = tree.sweep_up((ids, own), lift, lambda sums, _: sums * 1.5, out=out)
+        roots = tree.sweep_up((ids, own), lift, lambda sums, at: sums * weight[at], out=out)
         return out, roots
 
     got = sweep()
@@ -313,7 +310,7 @@ def test_uniform_bottom_table_is_no_larger_than_the_bottom(others):
     ids = np.arange(bottom.start, tree.num_vertices)
     seen = []
 
-    def lift(child, nxt):
+    def lift(child):
         seen.append(len(child))
         return child * 0.75
 
@@ -326,18 +323,6 @@ def test_uniform_bottom_table_is_no_larger_than_the_bottom(others):
         assert got.tobytes() == sweep().tobytes()
 
 
-@pytest.mark.parametrize("counts", [[[1]], [[3]], [[12]], [[2], [1, 3]], [[1], [2], [1, 1]]])
-def test_flow_gradient_matches_dense_sweep_bitwise(counts):
-    # its lift reads the vertex; a depth-1 tree's generation n-1 is the
-    # root, which is seeded so that the leaves are lifted one by one
-    tree = forest(*counts)
-    got = capacity_bruteforce(tree, 0.7, 1.5)
-    with dense_sweep():
-        want = capacity_bruteforce(tree, 0.7, 1.5)
-    assert got[0] == want[0] and got[2] == want[2]
-    assert got[1].tobytes() == want[1].tobytes()
-
-
 def test_bottom_of_zeros_of_both_signs_is_lifted_vertex_by_vertex():
     # 0.0 == -0.0, but a lone child's -0.0 keeps its sign in its parent's sum
     tree = forest([1] * 10, [1] * 10)
@@ -345,7 +330,7 @@ def test_bottom_of_zeros_of_both_signs_is_lifted_vertex_by_vertex():
     own = np.zeros(len(bottom))
     own[3] = -0.0
     out = np.zeros(tree.num_vertices)
-    tree.sweep_up((bottom, own), lambda child, _: child * 2.0, lambda sums, _: sums * 1.5,
+    tree.sweep_up((bottom, own), lambda child: child * 2.0, lambda sums, _: sums * 1.5,
                   out=out)
     assert not out.any()
     assert [math.copysign(1.0, x) for x in out[10:20]] == [1.0] * 3 + [-1.0] + [1.0] * 6
@@ -357,14 +342,15 @@ def test_plain_sum_of_three_live_children_differs_from_the_dense_sum():
     tree = Tree.from_offspring_counts([np.array([3] + [1] * 7)])
     leaves = np.zeros(10)
     leaves[:3] = a, b, c
-    got = tree.sweep_up(bottom_seeds(tree, leaves), lambda child, _: child,
+    got = tree.sweep_up(bottom_seeds(tree, leaves), lambda child: child,
                         lambda sums, _: sums)
     assert got[0] == a + (b + c) != (a + b) + c
 
 
 def test_sweep_lifts_only_live_children_until_half_are_live():
     # one marked leaf under a deep path among many unmarked ones: every step
-    # lifts at most the one live child, given as an index array
+    # lifts at most the one live child, and combines its parent, given as an
+    # index array
     others = 50
     counts = [np.ones(others + 1, dtype=np.int64)] * 4
     tree = Tree.from_offspring_counts(counts)
@@ -372,18 +358,21 @@ def test_sweep_lifts_only_live_children_until_half_are_live():
     leaves[-1] = 1.0
     seen = []
 
-    def lift(child, nxt):
-        seen.append((len(child), isinstance(nxt, slice)))
+    def lift(child):
+        seen.append(len(child))
         return child
 
+    def combine(sums, at):
+        seen.append(isinstance(at, slice))
+        return sums
+
     values = np.zeros(tree.num_vertices)
-    roots = tree.sweep_up(bottom_seeds(tree, leaves), lift, lambda sums, _: sums,
-                          out=values)
-    assert seen == [(1, False)] * 4
+    roots = tree.sweep_up(bottom_seeds(tree, leaves), lift, combine, out=values)
+    assert seen == [1, False] * 4
     assert values[others] == 1.0 and values[:others].sum() == 0.0
     assert roots.tobytes() == values[:others + 1].tobytes()
     # a generation at least half live goes dense, and so does every one
     # above; a bottom of ones throughout is lifted as one value
     seen.clear()
-    tree.sweep_up(bottom_seeds(tree, np.ones(others + 1)), lift, lambda sums, _: sums)
-    assert seen == [(1, True)] + [(others + 1, True)] * 3
+    tree.sweep_up(bottom_seeds(tree, np.ones(others + 1)), lift, combine)
+    assert seen == [1, True] + [others + 1, True] * 3

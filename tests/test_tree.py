@@ -115,7 +115,7 @@ def test_sparse_parents_equal_the_prefix_sum_search(parents, kind):
     at = np.union1d(rng.choice(np.arange(mid, hi), size=(hi - mid) // 20, replace=False),
                     [mid, mid + 1])
     values = rng.random(len(at))
-    ids, sums = _sparse_sums(at, values, lambda child, _: child * 1.0, counts, lo, mid, hi)
+    ids, sums = _sparse_sums(at, values, lambda child: child * 1.0, counts, lo, mid, hi)
     parent = np.cumsum(counts).searchsorted(at - mid, side="right")
     first = np.flatnonzero(np.diff(parent, prepend=-1))
     assert ids.tolist() == (parent[first] + lo).tolist()
