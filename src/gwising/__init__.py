@@ -16,8 +16,8 @@ Library layout:
 - ``experiments``: deterministic Monte Carlo scans and CSV rendering.
 - ``validate``: the oracles that check the modules above (Gibbs
   enumeration, tree enumeration, exact pruned-tree probabilities, the
-  spherical closed form, convex flow minimization, Thomson flows) and the
-  ``gwising validate`` suites.
+  spherical closed form, the capacity duality certificate, Thomson flows)
+  and the ``gwising validate`` suites.
   Neither it nor ``experiments`` is imported here.
 - ``cli``: the ``gwising`` command.
 """

@@ -70,11 +70,12 @@ def capacity_recursion(tree: Tree, base: float, p: float, *,
     ``roots_only`` the roots' alone.  A tree's p-capacity is ``phi[0]``.
 
     R = R_u / R_v is the same on every edge, so each step is one product and
-    phi stays in the double range at any depth.  Leaves are perfect boundary
-    contacts: their contraction factor is exactly 1, which reproduces the
-    Thomson value on every tree with at least one edge.  A childless root
-    gets 1, alone or in a forest: the root at unit resistance from the
-    boundary, the same convention that sets R_root = 1.
+    phi stays in the double range at any depth.  The sweep carries the child
+    sums R^{-1} phi, and its lift forms each phi as that one product.  Leaves
+    are perfect boundary contacts: their contraction factor is exactly 1,
+    which reproduces the Thomson value on every tree with at least one edge.
+    A childless root gets 1, alone or in a forest: the root at unit
+    resistance from the boundary, the same convention that sets R_root = 1.
     """
     if p <= 1:
         raise ValueError("capacity order p must exceed 1")
@@ -85,16 +86,17 @@ def capacity_recursion(tree: Tree, base: float, p: float, *,
     def lift(child: np.ndarray) -> np.ndarray:
         # every contraction is at most 1, so phi at most R * degree; a NaN
         # fails the test too
-        contracted = _contraction(child, s)
+        contracted = _contraction(base * child, s)
         if contracted.size and not contracted.max() <= 1.0:
             raise FloatingPointError("phi exceeded the R * degree envelope")
         return contracted
 
     phi = None if roots_only else np.zeros(tree.num_vertices)
-    roots = tree.sweep_up((childless, np.full(len(childless), math.inf)), lift,
-                          lambda sums, _: base * sums, out=phi)
+    seeds = (childless, np.full(len(childless), math.inf))
+    roots = base * tree.sweep_up(seeds, lift, out=phi)
     roots[tree.num_children[:len(roots)] == 0] = 1.0
     if phi is not None:
+        phi *= base
         phi[:len(roots)] = roots
     return roots if roots_only else phi
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -358,7 +359,7 @@ def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
     masses = np.zeros((len(entries), dmax))
     top = int(np.finfo(float).max)
     for big_d, mass in zip(pmf.degrees.tolist(), pmf.probs):
-        combs = [math.comb(big_d, big_d - d) for d in range(1, big_d + 1)]
+        combs = _binomial_row(big_d)
         coef = np.array([mass * c if c <= top else 0.0 for c in combs])
         term = coef * keep_pow[:, big_d - 1::-1] * surv_pow[:, :big_d]
         wide = [(d, math.log(c)) for d, c in enumerate(combs, 1) if c > top]
@@ -381,6 +382,13 @@ def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
                      for whole, keep, row
                      in zip(positive.all(axis=1).tolist(), positive, masses)], masses)
     return laws[0] if ps.ndim == 0 else laws
+
+
+def _binomial_row(big_d: int) -> list[int]:
+    """C(D, d), d = 1..D = ``big_d``, by C(D, d) = C(D, d-1) (D-d+1) / d, exact
+    in integers; ``math.comb`` per entry took 10 s a call at D = 10^4."""
+    return list(accumulate(range(1, big_d + 1), lambda c, d: c * (big_d - d + 1) // d,
+                           initial=1))[1:]
 
 
 def _powers(bases: list[float], exponents: range) -> np.ndarray:

@@ -74,15 +74,15 @@ def plus_boundary_field(tree: Tree) -> np.ndarray:
 
 
 def survival(tree: Tree, h: np.ndarray) -> np.ndarray:
-    """The read-only per-vertex survival bits, by a bottom-up OR: a leaf
-    survives iff its field bit is set, an internal vertex iff some child
-    survives.  Only the bottom-generation bits are read."""
+    """The read-only per-vertex survival bits: whether the count of marked
+    leaves below a vertex (itself, for a leaf) is positive.  The counts are
+    int64, as a byte would wrap at 256; only bottom-generation bits are read."""
     bottom = int(tree.gen_offsets[tree.n])
     marked = _marked_ids(_checked_field(tree, h)[bottom:]) + bottom
-    y = np.zeros(tree.num_vertices, dtype=np.uint8)
-    tree.sweep_up((marked, np.ones(len(marked), dtype=np.uint8)),
-                  lambda child: child.astype(np.int64),
-                  lambda sums, _: sums > 0, out=y)
+    counts = np.zeros(tree.num_vertices, dtype=np.int64)
+    tree.sweep_up((marked, np.ones(len(marked), dtype=np.int64)), lambda child: child,
+                  out=counts)
+    y = (counts > 0).view(np.uint8)
     y.setflags(write=False)
     return y
 

@@ -72,8 +72,7 @@ def lyons_plus(tree: Tree, beta: float) -> np.ndarray:
     r(u) = sum_children g(r(child))."""
     childless = np.flatnonzero(tree.num_children == 0)
     r = np.zeros(tree.num_vertices)
-    tree.sweep_up((childless, np.full(len(childless), math.inf)), _lift(beta),
-                  lambda sums, _: sums, out=r)
+    tree.sweep_up((childless, np.full(len(childless), math.inf)), _lift(beta), out=r)
     return r
 
 
@@ -91,8 +90,7 @@ def lyons_field(tree: Tree, h: np.ndarray, beta: float, *,
     marked = _marked_ids(h[bottom:]) + bottom
     marked = np.concatenate((above, marked)) if len(above) else marked
     r = None if roots_only else np.zeros(tree.num_vertices)
-    roots = tree.sweep_up((marked, np.full(len(marked), 2.0 * beta)), _lift(beta),
-                          lambda sums, _: sums, out=r)
+    roots = tree.sweep_up((marked, np.full(len(marked), 2.0 * beta)), _lift(beta), out=r)
     return roots if roots_only else r
 
 

@@ -12,14 +12,14 @@ that whole arena.
 The sweep keeps only the generation in hand, and skips the children that
 hold exactly 0 while fewer than half of their generation hold anything else:
 it then carries the live vertices' ids and values alone, with the dense
-sweep's result bit for bit.  A vertex's value is ``combine`` of its child
-sums plus its own seed value, which is 0 unless the caller seeds it; that
-asks two things of every caller, ``lift(0) == 0`` and ``combine(0) == 0``.
-It returns the root values, and writes every vertex's value into an
-arena-sized array only when the caller passes one.  With a sparse field most
-ratios are 0 (r(u) != 0 exactly when a field-carrying vertex sits below u),
-so a scan that reads the roots alone lifts and sums mostly on the vertices
-of the pruned tree, and never builds a float array over the arena.
+sweep's result bit for bit.  A vertex's value is the sum of ``lift`` over
+its children's values plus its own seed value, which is 0 unless the caller
+seeds it; that asks one thing of every caller, ``lift(0) == 0``.  It returns
+the root values, and writes every vertex's value into an arena-sized array
+only when the caller passes one.  With a sparse field most ratios are 0
+(r(u) != 0 exactly when a field-carrying vertex sits below u), so a scan
+that reads the roots alone lifts and sums mostly on the vertices of the
+pruned tree, and never builds a float array over the arena.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class Tree:
         """Child counts of generation-k vertices, in arena order."""
         return self.num_children[self.gen_offsets[k]:self.gen_offsets[k + 1]]
 
-    def sweep_up(self, seeds, lift, combine, out=None) -> np.ndarray:
+    def sweep_up(self, seeds, lift, out=None) -> np.ndarray:
         """The leaf-to-root sweep: one generation at a time from generation
         n-1 up to the roots; returns the root values.
 
@@ -259,40 +259,35 @@ class Tree:
         any generations, and their own values; every other vertex's own value
         is 0.  A vertex of generation n holds its own value.  With ``cur`` the
         slice of generation k, each step gives the vertices of generation k
-        ``combine(segment_sums(lift(values of generation k+1),
-        num_children[cur]), cur)`` plus their own values; a childless vertex
-        above the bottom holds its own value alone.  ``lift`` takes the
-        values alone, ``combine`` the sums and the vertices they belong to.
-        Only the values of the generation in hand are kept; ``out``, an
-        arena-sized array of zeros when given, receives every vertex's value.
+        ``segment_sums(lift(values of generation k+1), num_children[cur])``
+        plus their own values; a childless vertex above the bottom holds its
+        own value alone.  ``lift`` takes the values alone.  Only the values of
+        the generation in hand are kept; ``out``, an arena-sized array of
+        zeros when given, receives every vertex's value.
 
-        Skip rule: while fewer than half of generation k+1 are live
-        (nonzero, or seeded), the step carries only their ids and values:
-        only those children are lifted, and ``combine`` runs only on their
-        parents and on the seeded vertices of generation k (it then gets a
-        sorted index array instead of a slice, and a seeded vertex without a
-        live child a zero sum).  A parent with one or two live children
-        takes their plain sum: ``segment_sums`` sums one or two values in
-        order, from the first, and adding a zero to a nonzero value changes
-        none of its bits, so the dense step gives the same.
-        ``np.add.reduceat`` sums three or more values pairwise, not in order,
-        so a parent with three or more live children is summed over its
-        whole child segment by ``segment_sums``, zeros included.  The first
-        generation with at least half of it live takes the dense step, and
-        so does every one above it.
+        Skip rule: while fewer than half of generation k+1 are live (nonzero,
+        or seeded), the step carries only their ids and values: only those
+        children are lifted, and only their parents and the seeded vertices of
+        generation k get a sum (a seeded vertex without a live child a zero
+        one).  A parent with one or two live children takes their plain sum:
+        ``segment_sums`` sums one or two values in order, from the first, and
+        adding a zero to a nonzero value changes none of its bits, so the
+        dense step gives the same.  ``np.add.reduceat`` sums three or more
+        values pairwise, not in order, so a parent with three or more live
+        children is summed over its whole child segment by ``segment_sums``,
+        zeros included.  The first generation with at least half of it live
+        takes the dense step, and so does every one above it.
 
         Uniform bottom: when every vertex of generation n is seeded with one
-        nonzero value, generation n-1 holds no seeds and d(d + 1) / 2, d the
-        most children of a vertex, is at most the size of generation n, the
-        first step lifts that value once and reads each child sum from a
-        table of the sums of 0..d copies of it.  ``segment_sums`` builds the
-        table from d(d + 1) / 2 copies, so each entry has the dense step's
-        bits, and the table is no larger than the step it replaces.
+        nonzero value and d(d + 1) / 2, d the most children of a vertex, is at
+        most the size of generation n, the first step lifts that value once
+        and reads each child sum from a table of the sums of 0..d copies of
+        it.  ``segment_sums`` builds the table from d(d + 1) / 2 copies, so
+        each entry has the dense step's bits, and the table is no larger than
+        the step it replaces.
 
-        The result is bit for bit the dense sweep's, provided the caller
-        meets the contract: ``lift`` maps 0 to 0, and ``combine`` maps a
-        zero sum to 0 and returns a new array (the own values are added to
-        it in place).
+        The result is bit for bit the dense sweep's, provided the caller meets
+        the contract: ``lift`` maps 0 to 0.
         """
         offsets = self.gen_offsets.tolist()
         ids, own = seeds
@@ -310,16 +305,14 @@ class Tree:
             counts = self.num_children[cur]
             seeded = above.get(k)
             if isinstance(at, slice) or 2 * len(at) >= hi - mid:
-                sums = (_uniform_sums(values, lift, counts, mid, hi)
-                        if k == self.n - 1 and not seeded else None)
+                sums = _uniform_sums(values, lift, counts, mid, hi) if k == self.n - 1 else None
                 if sums is None:
                     sums = segment_sums(lift(_whole(at, values, mid, hi)), counts)
-                at, values = cur, combine(sums, cur)
+                at, values = cur, sums
             else:
-                at, sums = _sparse_sums(at, values, lift, counts, lo, mid, hi)
+                at, values = _sparse_sums(at, values, lift, counts, lo, mid, hi)
                 if seeded:
-                    at, sums = _merge_seeded(at, sums, seeded[0])
-                values = combine(sums, at) if len(at) else sums
+                    at, values = _merge_seeded(at, values, seeded[0])
             if seeded:
                 ids_k, own_k = seeded
                 values[ids_k - lo if at is cur else at.searchsorted(ids_k)] += own_k

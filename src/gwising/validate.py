@@ -89,8 +89,8 @@ def leaf_counts(tree: Tree) -> np.ndarray:
     the bottom); the numerator of the uniform flow."""
     counts = np.zeros(tree.num_vertices, dtype=np.int64)
     bottom = np.arange(tree.gen_offsets[tree.n], tree.num_vertices)
-    tree.sweep_up((bottom, np.ones(len(bottom), dtype=np.int64)),
-                  lambda child: child, lambda sums, _: sums, out=counts)
+    tree.sweep_up((bottom, np.ones(len(bottom), dtype=np.int64)), lambda child: child,
+                  out=counts)
     return counts
 
 
@@ -308,8 +308,7 @@ def capacity_certificate(tree: Tree, base: float, p: float) -> tuple[float, floa
             theta[lo:hi] = theta[parent[lo:hi]] * share[lo - 1:hi - 1]
         own = q * _resistance_powers(tree, base, theta[1:], s, q)  # theta(u) times its drop
         below = np.zeros(tree.num_vertices)
-        tree.sweep_up((np.arange(1, tree.num_vertices), own), lambda x: x,
-                      lambda sums, _: sums, out=below)
+        tree.sweep_up((np.arange(1, tree.num_vertices), own), lambda x: x, out=below)
         potential = segment_sums(below[1:], tree.num_children) / theta
         drop = np.maximum(potential[parent[1:]] - potential[1:], 0.0)
         penalty = (q - 1.0) * q ** -p * np.sum(_resistance_powers(tree, base, drop, -1.0, p))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import comb, logsumexp
 
-from gwising import OffspringPmf, PmfError, ztb_mixture
+from gwising import OffspringPmf, PmfError, distributions, ztb_mixture
 from gwising.distributions import MIXTURE_CONSISTENCY_TOL, logsumexp as gw_logsumexp
 from gwising.pruned_law import gamma_profile
 from gwising.validate import (tilde_mu0, zero_truncated_binomial,
@@ -254,6 +254,26 @@ def test_ztb_mixture_of_a_degree_whose_binomials_pass_the_double_range():
     masses[table[0].degrees - 1] = table[0].probs
     assert np.abs(masses - [float(m / total) for m in exact]).max() <= 1e-12
     assert table[0] == ztb_mixture(pmf, 0.5)
+
+
+@pytest.mark.parametrize("masses", [{1: 0.5, 3: 0.3, 40: 0.2}, {1: 0.5, 1029: 0.5},
+                                    {2: 0.3, 1100: 0.7}])
+def test_ztb_mixture_binomial_rows_match_math_comb_bitwise(masses, monkeypatch):
+    # the rows by recurrence against one math.comb call per entry, up to
+    # degrees whose binomials pass the double range
+    pmf = OffspringPmf.from_dict(masses)
+    ps = np.append(np.logspace(-6, 0, 12), [0.5, 1e-3])
+    got = ztb_mixture(pmf, ps).masses
+    monkeypatch.setattr(distributions, "_binomial_row",
+                        lambda big_d: [math.comb(big_d, d) for d in range(1, big_d + 1)])
+    assert got.tobytes() == ztb_mixture(pmf, ps).masses.tobytes()
+
+
+@pytest.mark.parametrize("p", [0.5, 1e-3, 1.0])
+def test_ztb_mixture_mean_formula_at_degree_ten_thousand(p):
+    pmf = OffspringPmf.from_dict({1: 0.999, 10000: 0.001})
+    expected = pmf.mean() * p / float(pmf.one_minus_gf_at_one_minus(p))
+    assert ztb_mixture(pmf, p).mean() == pytest.approx(expected, rel=1e-12)
 
 
 def test_ztb_mixture_rejects_zero_mass_trial_law():

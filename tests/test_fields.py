@@ -64,6 +64,19 @@ def test_survival_examples():
     assert not y.flags.writeable
 
 
+@pytest.mark.parametrize("width", [256, 300])
+def test_survival_counts_past_a_byte(width):
+    # the root's first child has ``width`` marked leaves, a count that wraps
+    # in a byte at 256; its second child has one unmarked leaf
+    t = Tree.from_offspring_counts([np.array([2]), np.array([width, 1])])
+    h = np.zeros(t.num_vertices, dtype=np.uint8)
+    h[3:3 + width] = 1
+    y = survival(t, h)
+    assert y.dtype == np.uint8 and not y.flags.writeable
+    assert y[0] == y[1] == 1 and y[2] == 0
+    assert set(np.unique(y).tolist()) == {0, 1}
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.int8, bool, np.int64, np.float64])
 def test_marks_are_the_same_whatever_the_field_dtype(rng, half13, dtype):
     # a one-byte field is scanned through a bool view, any other as it is;

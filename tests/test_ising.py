@@ -8,9 +8,9 @@ from gwising import (FieldMode, OffspringPmf, Tree, g_beta,
                      sample_field, sample_gw, sample_inhomogeneous_bp,
                      upper_bound_mean_r)
 from gwising.ising import critical_fixed_point
+from gwising.tree import segment_sums
 from gwising.validate import gibbs_bruteforce, random_small_tree
 
-from test_sweep import dense_sweep_up
 
 
 def g_beta_logaddexp_form(beta, x):
@@ -102,15 +102,19 @@ def test_lyons_field_examples():
 
 def lyons_field_zero_then_mask(tree, fld, beta):
     """The set-up lyons_field had before it started from a copy of the bias:
-    zeros, with the bias copied onto the childless vertices, swept densely.
-    Its internal vertices start at 0 rather than at their bias, which the
-    sweep that skips zero children does not allow."""
+    zeros, with the bias copied onto the childless vertices, swept densely,
+    the bias of each vertex above the bottom added after its child sum.  Its
+    internal vertices start at 0 rather than at their bias, which the sweep
+    that skips zero children does not allow."""
     bias = 2.0 * beta * fld.astype(float)
+    offsets = tree.gen_offsets.tolist()
     r = np.zeros(tree.num_vertices)
-    bottom = int(tree.gen_offsets[tree.n])
-    dense_sweep_up(tree, (np.arange(bottom, tree.num_vertices), bias[bottom:]),
-                   lambda child: g_beta(beta, child),
-                   lambda sums, cur: bias[cur] + sums, out=r)
+    r[offsets[-2]:] = bias[offsets[-2]:]
+    for k in range(tree.n - 1, -1, -1):
+        cur = slice(offsets[k], offsets[k + 1])
+        sums = segment_sums(g_beta(beta, r[offsets[k + 1]:offsets[k + 2]]),
+                            tree.num_children[cur])
+        r[cur] = bias[cur] + sums
     return r
 
 

@@ -1,10 +1,11 @@
 """The leaf-to-root sweep skips children that hold 0, bit for bit.
 
-``Tree.sweep_up`` gives each vertex ``combine`` of its child sums plus its
-own seed value, and carries only the nonzero or seeded vertices of a
-generation while they are fewer than half of it.  Every caller's output, per
-vertex and for the roots alone, and seeds in every generation, are checked
-here against the dense sweep, kept below as the oracle, byte for byte.
+``Tree.sweep_up`` gives each vertex the sum of ``lift`` over its children's
+values plus its own seed value, and carries only the nonzero or seeded
+vertices of a generation while they are fewer than half of it.  Every
+caller's output, per vertex and for the roots alone, and seeds in every
+generation, are checked here against the dense sweep, kept below as the
+oracle, byte for byte.
 """
 
 import math
@@ -26,7 +27,7 @@ CAPACITY_ORDERS = (1.5, 2.0, 3.0)
 MAX_EXPECTED_VERTICES = 3000
 
 
-def dense_sweep_up(self, seeds, lift, combine, out=None):
+def dense_sweep_up(self, seeds, lift, out=None):
     ids, own = seeds
     seeded = np.zeros(self.num_vertices, dtype=own.dtype)
     seeded[ids] = own
@@ -38,7 +39,7 @@ def dense_sweep_up(self, seeds, lift, combine, out=None):
         lo, mid, hi = (int(x) for x in self.gen_offsets[k:k + 3])
         cur = slice(lo, mid)
         sums = segment_sums(lift(values), self.num_children[cur])
-        values = combine(sums, cur) + seeded[cur]
+        values = sums + seeded[cur]
         if out is not None:
             out[cur] = values
     return values
@@ -146,12 +147,11 @@ def test_seeds_in_every_generation_match_dense_sweep_bitwise(seed, width, zero_m
     ids = np.flatnonzero(picked)
     # own values spread over many binades, so that the order of a sum shows
     own = rng.random(len(ids)) * 10.0 ** rng.integers(-6, 3, size=len(ids))
-    scale = rng.uniform(0.5, 1.5, size=tree.num_vertices)
 
     def sweep():
+        # a lift that is not linear, so that a misrouted sum shows
         out = np.zeros(tree.num_vertices)
-        roots = tree.sweep_up((ids, own), lambda child: child * 0.75,
-                              lambda sums, at: sums * scale[at], out=out)
+        roots = tree.sweep_up((ids, own), np.log1p, out=out)
         return out, roots
 
     got = sweep()
@@ -231,7 +231,7 @@ def test_parents_with_many_live_children_keep_dense_sums(seed, width, data, beta
     def sweeps():
         out = np.zeros(tree.num_vertices)
         roots = tree.sweep_up(bottom_seeds(tree, leaves), lambda child: child * 1.0,
-                              lambda sums, _: sums, out=out)
+                              out=out)
         return [lyons_field(tree, h, beta), lyons_field(tree, h, beta, roots_only=True),
                 out, roots]
 
@@ -270,9 +270,10 @@ def test_uniform_bottom_matches_dense_sweep_bitwise(most, childless, beta):
 
 @pytest.mark.parametrize("most", [1, 12, 40, 65])
 @pytest.mark.parametrize("seeded", [False, True])
-def test_uniform_bottom_is_lifted_once_unless_generation_n_minus_1_is_seeded(most, seeded):
-    # with generation n-1 seeded too, the bottom is lifted vertex by vertex;
-    # combine reads the vertices, through the ids it is given
+def test_uniform_bottom_is_lifted_once_whether_or_not_generation_n_minus_1_is_seeded(
+        most, seeded):
+    # seeds in generation n-1 are added after the table's sums; beyond the
+    # table's size the bottom is lifted vertex by vertex
     rng = np.random.default_rng(most)
     tree = uniform_bottom_forest(rng, most, childless=False)
     lo, mid = (int(x) for x in tree.gen_offsets[1:3])
@@ -280,21 +281,20 @@ def test_uniform_bottom_is_lifted_once_unless_generation_n_minus_1_is_seeded(mos
     own = np.full(len(ids), 0.5)
     if seeded:
         own[:mid - lo] = rng.random(mid - lo)
-    weight = rng.uniform(0.5, 1.5, size=tree.num_vertices)
     seen = []
 
     def lift(child):
         seen.append(len(child))
-        return child * 0.75
+        return np.log1p(child)
 
     def sweep():
         out = np.zeros(tree.num_vertices)
-        roots = tree.sweep_up((ids, own), lift, lambda sums, at: sums * weight[at], out=out)
+        roots = tree.sweep_up((ids, own), lift, out=out)
         return out, roots
 
     got = sweep()
-    once = most * (most + 1) // 2 <= tree.num_vertices - mid and not seeded
-    assert once == (most <= 12 and not seeded)
+    once = most * (most + 1) // 2 <= tree.num_vertices - mid
+    assert once == (most <= 12)
     assert seen[0] == (1 if once else tree.num_vertices - mid)
     with dense_sweep():
         want = sweep()
@@ -315,7 +315,7 @@ def test_uniform_bottom_table_is_no_larger_than_the_bottom(others):
         return child * 0.75
 
     def sweep():
-        return tree.sweep_up((ids, np.full(len(ids), 0.1)), lift, lambda sums, _: sums * 1.5)
+        return tree.sweep_up((ids, np.full(len(ids), 0.1)), lift)
 
     got = sweep()
     assert seen == [1 if 12 + others >= 78 else 12 + others]
@@ -330,8 +330,7 @@ def test_bottom_of_zeros_of_both_signs_is_lifted_vertex_by_vertex():
     own = np.zeros(len(bottom))
     own[3] = -0.0
     out = np.zeros(tree.num_vertices)
-    tree.sweep_up((bottom, own), lambda child: child * 2.0, lambda sums, _: sums * 1.5,
-                  out=out)
+    tree.sweep_up((bottom, own), lambda child: child * 2.0, out=out)
     assert not out.any()
     assert [math.copysign(1.0, x) for x in out[10:20]] == [1.0] * 3 + [-1.0] + [1.0] * 6
 
@@ -342,15 +341,13 @@ def test_plain_sum_of_three_live_children_differs_from_the_dense_sum():
     tree = Tree.from_offspring_counts([np.array([3] + [1] * 7)])
     leaves = np.zeros(10)
     leaves[:3] = a, b, c
-    got = tree.sweep_up(bottom_seeds(tree, leaves), lambda child: child,
-                        lambda sums, _: sums)
+    got = tree.sweep_up(bottom_seeds(tree, leaves), lambda child: child)
     assert got[0] == a + (b + c) != (a + b) + c
 
 
 def test_sweep_lifts_only_live_children_until_half_are_live():
     # one marked leaf under a deep path among many unmarked ones: every step
-    # lifts at most the one live child, and combines its parent, given as an
-    # index array
+    # lifts at most the one live child
     others = 50
     counts = [np.ones(others + 1, dtype=np.int64)] * 4
     tree = Tree.from_offspring_counts(counts)
@@ -362,17 +359,13 @@ def test_sweep_lifts_only_live_children_until_half_are_live():
         seen.append(len(child))
         return child
 
-    def combine(sums, at):
-        seen.append(isinstance(at, slice))
-        return sums
-
     values = np.zeros(tree.num_vertices)
-    roots = tree.sweep_up(bottom_seeds(tree, leaves), lift, combine, out=values)
-    assert seen == [1, False] * 4
+    roots = tree.sweep_up(bottom_seeds(tree, leaves), lift, out=values)
+    assert seen == [1] * 4
     assert values[others] == 1.0 and values[:others].sum() == 0.0
     assert roots.tobytes() == values[:others + 1].tobytes()
     # a generation at least half live goes dense, and so does every one
     # above; a bottom of ones throughout is lifted as one value
     seen.clear()
-    tree.sweep_up(bottom_seeds(tree, np.ones(others + 1)), lift, combine)
-    assert seen == [1, True] + [others + 1, True] * 3
+    tree.sweep_up(bottom_seeds(tree, np.ones(others + 1)), lift)
+    assert seen == [1] + [others + 1] * 3
