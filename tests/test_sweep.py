@@ -270,10 +270,11 @@ def test_uniform_bottom_matches_dense_sweep_bitwise(most, childless, beta):
 
 @pytest.mark.parametrize("most", [1, 12, 40, 65])
 @pytest.mark.parametrize("seeded", [False, True])
-def test_uniform_bottom_is_lifted_once_whether_or_not_generation_n_minus_1_is_seeded(
-        most, seeded):
-    # seeds in generation n-1 are added after the table's sums; beyond the
-    # table's size the bottom is lifted vertex by vertex
+def test_uniform_bottom_is_lifted_once_unless_generation_n_minus_1_is_seeded(most, seeded):
+    # the name dates from when a seeded generation n-1 skipped the table; it
+    # no longer does, and both cases are lifted once: seeds in generation n-1
+    # are added after the table's sums.  Beyond the table's size the bottom
+    # is lifted vertex by vertex
     rng = np.random.default_rng(most)
     tree = uniform_bottom_forest(rng, most, childless=False)
     lo, mid = (int(x) for x in tree.gen_offsets[1:3])
