@@ -27,6 +27,13 @@ def _checked_base(base: float) -> float:
     return float(base)
 
 
+def _checked_order(p: float) -> float:
+    """The one check of a capacity order p, which must be finite and exceed 1."""
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"capacity order p must be finite and exceed 1, got {p}")
+    return float(p)
+
+
 def _contraction(phi: np.ndarray, s: float) -> np.ndarray:
     """x -> x / (1 + x^s)^{1/s}, evaluated as (1 + x^{-s})^{-1/s}.
 
@@ -53,7 +60,7 @@ def _series_capacity(sizes: np.ndarray, base: float, p: float) -> float:
     conductance m is factored out of it: sum_k g_k^{-s} = m^{-s} sum_k
     (g_k / m)^{-s}, so the result is m times the root of a sum between 1 and
     the term count (a ratio that overflows is a term of 0)."""
-    s = 1.0 / (p - 1.0)
+    s = 1.0 / (_checked_order(p) - 1.0)
     g = _checked_base(base) ** np.arange(1, len(sizes) + 1, dtype=float) * sizes
     m = g.min()
     with np.errstate(over="ignore"):
@@ -77,9 +84,7 @@ def capacity_recursion(tree: Tree, base: float, p: float, *,
     A childless root gets 1, alone or in a forest: the root at unit
     resistance from the boundary, the same convention that sets R_root = 1.
     """
-    if p <= 1:
-        raise ValueError("capacity order p must exceed 1")
-    s = 1.0 / (p - 1.0)
+    s = 1.0 / (_checked_order(p) - 1.0)
     base = _checked_base(base)
     childless = np.flatnonzero(tree.num_children == 0)
 
@@ -114,6 +119,7 @@ def expected_capacity_upper(m_0k, resistance_base: float, p: float) -> float:
 def alpha_n(beta: float, nu: float, p_n: float, n: int, p: float) -> float:
     """Benchmark scale for capa_p of the pruned tree: p_n (nu tanh beta)^n off
     criticality, min(n^{-1/(q-1)}, p_n) at criticality."""
+    p = _checked_order(p)
     q = p / (p - 1.0)
     t = nu * math.tanh(beta)
     if abs(t - 1.0) < CRITICALITY_TOL:

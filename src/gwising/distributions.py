@@ -249,6 +249,9 @@ class OffspringPmf:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OffspringPmf":
+        unknown = set(data) - {"entries"}
+        if unknown:
+            raise ValueError(f"unknown pmf keys {sorted(unknown)}")
         pairs = [(json_number(int, d), json_number(float, p)) for d, p in data["entries"]]
         return cls(np.array([d for d, _ in pairs], dtype=np.int64),
                    np.array([p for _, p in pairs], dtype=np.float64))

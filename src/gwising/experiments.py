@@ -6,10 +6,10 @@ depth index, block index), and swept once.  R(n) depends on the configuration
 alone, so results are bit-identical for a given configuration no matter how
 blocks are distributed over processes.  With ``workers`` above 1 the calling
 process runs a fixed share of the blocks and forks a child for each other
-share, which sends its root values back through a pipe.  Scans return tables
-as lists of segments (see ``rows_to_csv``), one per depth for the per-replica
-and per-generation tables; CSV rendering lives here so that the byte output is
-deterministic too (17 significant digits for floats).
+share, which sends its blocks back through a pipe as one pickle.  Scans return
+tables as lists of segments (see ``rows_to_csv``), one per depth for the
+per-replica and per-generation tables; CSV rendering lives here so that the
+byte output is deterministic too (17 significant digits for floats).
 """
 
 from __future__ import annotations
@@ -276,26 +276,24 @@ def _reap(pid: int) -> None:
 
 
 def _run_child(tasks: list, share: list[int], pipe_fd: int) -> NoReturn:
-    """The body of a forked worker: runs ``share`` and writes its report, a
-    0 byte and the root values as float64 bytes, or a 1 byte and the pickled
-    exception with its formatted traceback.  Never returns: it ends the
-    process with ``os._exit``, so no handler or buffer of the caller runs
-    twice."""
+    """The body of a forked worker: runs ``share`` and writes one pickle,
+    ``(blocks, None)`` with its ``_sample_block`` results in share order, or
+    ``(None, (exception, formatted traceback))``.  Never returns: it ends
+    the process with ``os._exit``, so no handler or buffer of the caller runs twice."""
     code = 1
     try:
         try:
-            values = np.concatenate([_sample_block(tasks[i]) for i in share])
-            report = b"\0" + values.astype(np.float64, copy=False).tobytes()
+            report = pickle.dumps(([_sample_block(tasks[i]) for i in share], None))
         except Exception as exc:
             # imported here, so a scan whose workers all succeed never loads it
             import traceback
             text = traceback.format_exc()
             try:
-                error = pickle.dumps((exc, text))
-                pickle.loads(error)
+                report = pickle.dumps((None, (exc, text)))
+                pickle.loads(report)
             except Exception:
-                error = pickle.dumps((RuntimeError(f"scan worker failed: {exc!r}"), text))
-            report = b"\1" + error
+                error = RuntimeError(f"scan worker failed: {exc!r}")
+                report = pickle.dumps((None, (error, text)))
         with open(pipe_fd, "wb") as pipe:
             pipe.write(report)
         code = 0
@@ -307,12 +305,12 @@ def _run_blocks(tasks: list, shares: list[list[int]]) -> list[np.ndarray]:
     """``_sample_block`` of every task, in task order.
 
     ``shares[0]`` runs in this process.  Each other share runs in a child
-    forked for it, which inherits ``tasks`` and writes its root values back
-    through a pipe.  The children are read in order once this process has run
-    its own share.  An error in a child is raised here with its type; a child
-    that ends without a full report raises RuntimeError naming it by its
-    number, this process being worker 1.  On every path, every child is
-    reaped, and killed first if it still runs."""
+    forked for it, which inherits ``tasks`` and sends its blocks back through
+    a pipe as one pickle.  The children are read in order once this process
+    has run its own share.  An error in a child is raised here with its type;
+    a child that exits non-zero, or whose report does not load, raises
+    RuntimeError naming it by its number, this process being worker 1.  On
+    every path, every child is reaped, and killed first if it still runs."""
     blocks = [None] * len(tasks)
     children = []  # (pid, read end of its pipe, share)
     try:
@@ -337,16 +335,18 @@ def _run_blocks(tasks: list, shares: list[list[int]]) -> list[np.ndarray]:
         for number, (pid, pipe, share) in enumerate(children, start=2):
             report = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code == 0 and report[:1] == b"\1":
-                error, text = pickle.loads(report[1:])
+            try:
+                done, failure = pickle.loads(report) if code == 0 else (None, None)
+            except (pickle.UnpicklingError, EOFError):  # a report cut short
+                done = failure = None
+            if failure is not None:
+                error, text = failure
                 raise error from RuntimeError(f"in scan worker {number}:\n{text}")
-            roots = [tasks[i][-1] for i in share]
-            if code != 0 or report[:1] != b"\0" or len(report) != 1 + 8 * sum(roots):
+            if done is None:
                 ending = f"exit code {code}" if code >= 0 else f"signal {-code}"
                 raise RuntimeError(f"scan worker {number} of {len(shares)} (pid {pid}) "
                                    f"ended with {ending} before a full report")
-            values = np.frombuffer(report, np.float64, offset=1)
-            for i, block in zip(share, np.split(values, np.cumsum(roots)[:-1])):
+            for i, block in zip(share, done):
                 blocks[i] = block
     finally:
         for pid, pipe, _ in children:

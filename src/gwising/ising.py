@@ -34,7 +34,7 @@ def g_beta(beta: float, x):
     at large beta and x, where atanh of a rounded tanh(beta) tanh(x/2) would
     lose digits.  Increasing, concave, g(0) = 0, slope tanh(beta) at 0.
     """
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("inverse temperature must be nonnegative")
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:  # the same arithmetic on an array of one value

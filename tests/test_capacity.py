@@ -93,6 +93,25 @@ def test_recursion_binary_depth2():
         4.0 / 3.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("p", [1.0, math.nan, math.inf])
+@pytest.mark.parametrize("route", ["recursion", "certificate", "upper", "spherical",
+                                   "alpha_n"])
+def test_bad_capacity_order_fails_closed(route, p):
+    tree = regular_tree(2, 2)
+    with pytest.raises(ValueError, match="capacity order p must be finite and exceed 1"):
+        if route == "recursion":
+            capacity_recursion(tree, 0.8, p)
+        elif route == "certificate":
+            capacity_certificate(tree, 0.8, p)
+        elif route == "upper":
+            expected_capacity_upper([2.0, 4.0], 0.8, p)
+        elif route == "spherical":
+            capacity_spherical([2, 4], 0.8, p)
+        else:
+            # at criticality: nu tanh(beta) = 1
+            alpha_n(math.atanh(0.5), 2.0, 0.1, 5, p)
+
+
 def test_spherical_examples():
     assert capacity_spherical([5], 1.0, 2.0) == pytest.approx(5.0)
     assert capacity_spherical([2, 4], 1.0, 2.0) == pytest.approx(4.0 / 3.0)

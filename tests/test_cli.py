@@ -188,6 +188,17 @@ def test_bad_config_exits_2(tmp_path, capsys, command, overrides):
     assert not (tmp_path / "out").exists()
 
 
+def test_pmf_with_an_unknown_key_exits_2_naming_it(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json",
+                       pmf={"entries": [[1, 0.5], [2, 0.5]], "bogus": 1})
+    code = parse_and_dispatch(["--quiet", "magnetization-scan", "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bogus" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("capacity_p, depth", [(300, 22), (1000, 10)])
 def test_capacity_that_underflows_exits_2(tmp_path, capsys, capacity_p, depth):
     # every replica survives, so a capacity of 0 has underflowed: at p = 300
@@ -429,6 +440,40 @@ def test_a_forked_worker_that_dies_exits_3_with_one_line(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "scan worker 2 of 3" in err and ending in err
+    assert_no_child_process()
+
+
+class ShortWriter:
+    """A file whose writes lose their last byte."""
+
+    def __init__(self, file):
+        self.file = file
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def write(self, data):
+        return self.file.write(data[:-1])
+
+
+def test_a_forked_report_cut_short_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                                         three_cpus):
+    caller = os.getpid()
+
+    def cutting_open(file, *args, **kwargs):
+        opened = open(file, *args, **kwargs)
+        return opened if os.getpid() == caller else ShortWriter(opened)
+
+    # each child still exits 0, having written all but the last byte
+    monkeypatch.setattr(gwising.experiments, "open", cutting_open, raising=False)
+    assert parse_and_dispatch(forked_scan_argv(tmp_path, 3)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "scan worker 2 of 3" in err and "exit code 0" in err
+    assert "pickl" not in err.lower()
     assert_no_child_process()
 
 

@@ -79,6 +79,19 @@ def test_g_beta_value_bracket_at_one():
     assert 0 < val < math.tanh(1.0)
 
 
+@pytest.mark.parametrize("beta", [-0.5, math.nan])
+@pytest.mark.parametrize("route", ["g_beta", "lyons_field", "lyons_plus"])
+def test_bad_inverse_temperature_fails_closed(route, beta):
+    t = Tree.from_offspring_counts([np.array([2]), np.array([1, 2])])
+    with pytest.raises(ValueError, match="inverse temperature must be nonnegative"):
+        if route == "g_beta":
+            g_beta(beta, 1.0)
+        elif route == "lyons_field":
+            lyons_field(t, field_on([0, 0, 1, 1, 0, 1]), beta)
+        else:
+            lyons_plus(t, beta)
+
+
 def test_lyons_plus_examples():
     assert lyons_plus(single_vertex(), 0.7)[0] == math.inf
     path = Tree.from_offspring_counts([np.array([1])])
