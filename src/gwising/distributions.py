@@ -208,7 +208,8 @@ class OffspringPmf:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample_many(self, rng: np.random.Generator, size: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
         """``size`` i.i.d. draws by inversion with a sequential search: draw i
         takes the degree whose index is the number of cut points
         cum_0 <= ... <= cum_{m-2} at or below its uniform u_i.
@@ -216,12 +217,18 @@ class OffspringPmf:
         That is the index a binary search ``searchsorted(cum, u, side="right")``
         finds, so the draws are the same; counting costs one pass over the
         draws per cut point, which is cheaper on small supports.  Consumes
-        exactly ``size`` uniforms, one per draw, before anything else.
+        exactly ``size`` uniforms, one per draw, before anything else.  The
+        draws are a new int64 array, or are written into ``out``, an integer
+        array of ``size`` entries whose type holds the top degree, which is
+        returned.
         """
         u = rng.random(size)
+        if out is None:
+            out = np.empty(size, dtype=np.int64)
         cuts = self._cuts
         if not cuts:
-            return np.full(size, self.degrees[0])
+            out.fill(self.degrees[0])
+            return out
         # a uint8 count, when it fits, keeps the temporaries small
         small = len(cuts) < 254
         idx = np.greater_equal(u, cuts[0])
@@ -230,11 +237,12 @@ class OffspringPmf:
             above = np.empty(size, dtype=bool)
             for cut in cuts[1:]:
                 idx += np.greater_equal(u, cut, out=above)
-        del u  # freed before the degrees are allocated, which can take its place
         if small and self.degrees[-1] - self.degrees[0] == len(cuts):
             # consecutive degrees: degrees[idx] is degrees[0] + idx, one add
-            return np.add(idx, self.degrees[0], dtype=np.int64)
-        return self.degrees[idx]
+            return np.add(idx, int(self.degrees[0]), out=out, dtype=out.dtype)
+        # every index is in range, and with the degrees in ``out``'s type
+        # "clip" writes straight into it, where "raise" copies
+        return np.take(self.degrees.astype(out.dtype, copy=False), idx, out=out, mode="clip")
 
     @cached_property
     def _cuts(self) -> list[float]:

@@ -22,6 +22,14 @@ CRITICALITY_TOL = 1e-12
 FIXED_POINT_TOL = 1e-12
 
 
+def _checked_beta(beta: float) -> float:
+    """The one check of an inverse temperature, which must be nonnegative (a
+    NaN fails too)."""
+    if not beta >= 0:
+        raise ValueError(f"inverse temperature must be nonnegative, got {beta}")
+    return float(beta)
+
+
 def g_beta(beta: float, x):
     """g(x) = log((e^{2b} e^x + 1) / (e^{2b} + e^x)), the edge transfer map,
     for x >= 0 (g(inf) = 2*beta exactly).
@@ -34,8 +42,7 @@ def g_beta(beta: float, x):
     at large beta and x, where atanh of a rounded tanh(beta) tanh(x/2) would
     lose digits.  Increasing, concave, g(0) = 0, slope tanh(beta) at 0.
     """
-    if not beta >= 0:
-        raise ValueError("inverse temperature must be nonnegative")
+    beta = _checked_beta(beta)
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:  # the same arithmetic on an array of one value
         return float(g_beta(beta, x.reshape(1))[0])
@@ -70,6 +77,7 @@ def lyons_plus(tree: Tree, beta: float) -> np.ndarray:
     """Per-vertex ratios with plus boundary condition: every leaf, at any
     depth, is +inf, and internal vertices accumulate
     r(u) = sum_children g(r(child))."""
+    beta = _checked_beta(beta)
     childless = np.flatnonzero(tree.num_children == 0)
     r = np.zeros(tree.num_vertices)
     tree.sweep_up((childless, np.full(len(childless), math.inf)), _lift(beta), out=r)
@@ -85,6 +93,7 @@ def lyons_field(tree: Tree, h: np.ndarray, beta: float, *,
     The marked vertices seed the sweep with 2 beta each.  They are found
     above the bottom generation and on it by two scans, since a scan of the
     field returns at once only over a run of zeros."""
+    beta = _checked_beta(beta)
     bottom = int(tree.gen_offsets[tree.n])
     above = _marked_ids(_checked_field(tree, h)[:bottom])
     marked = _marked_ids(h[bottom:]) + bottom
@@ -101,6 +110,8 @@ def critical_fixed_point(beta: float, nu: float, p_n: float) -> float:
     The bracket starts at [0, 1 + 2 beta p_n] and is widened until f(hi) < hi;
     since g <= 2 beta, hi = 2 beta (p_n + nu) + 1 always suffices.
     """
+    beta = _checked_beta(beta)
+
     def f(x: float) -> float:
         return 2.0 * beta * p_n + nu * g_beta(beta, x)
 
@@ -124,6 +135,7 @@ def upper_bound_mean_r(beta: float, nu: float, p_n: float, n: int) -> float:
     at criticality (nu tanh(beta) within ``CRITICALITY_TOL`` of 1) it is
     max(2 beta p_n, x_n) with x_n the critical fixed point.
     """
+    beta = _checked_beta(beta)
     if p_n == 0.0:
         return 0.0
     t = nu * math.tanh(beta)

@@ -7,7 +7,8 @@ leaf-to-root recursion in the package is one call of ``Tree.sweep_up``: a
 linear sweep over generation slices (no call stack, depths up to 10^4 are
 fine).  A sampler draws a tree, or a forest of independent trees, from one
 stream into one arena, one generation at a time; the population cap bounds
-that whole arena.
+that whole arena.  ``join_forests`` lays forests drawn from several streams
+out as one arena, so that one sweep covers them all.
 
 The sweep keeps only the generation in hand, and skips the children that
 hold exactly 0 while fewer than half of their generation hold anything else:
@@ -86,12 +87,12 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
                 # in place: from about 20,000 parents on, one more array
                 # alive during the gathers made every call fault in about a
                 # hundred pages
-                starts = np.cumsum(counts)
+                starts = np.cumsum(counts, dtype=np.int64)
                 starts -= counts
                 out = values[starts]
             out[two] += values[second]
             return out
-    starts = np.cumsum(counts)
+    starts = np.cumsum(counts, dtype=np.int64)
     total = int(starts[-1]) if len(starts) else 0
     if total != len(values):
         raise ValueError(
@@ -158,13 +159,13 @@ def _sparse_sums(at, values, lift, counts, lo, mid, hi):
         # a child's parent is its offset less the second children up to it
         parent = rel - pairs[1].searchsorted(rel, side="right")
     else:
-        parent = np.cumsum(counts).searchsorted(rel, side="right")
+        parent = np.cumsum(counts, dtype=np.int64).searchsorted(rel, side="right")
     first = np.flatnonzero(np.concatenate(([True], parent[1:] != parent[:-1])))
     sums = np.add.reduceat(lifted, first)
     if (parent[2:] == parent[:-2]).any():
         # three or more live children: the dense step's sum needs the
         # zeros in their places, so their whole segments are summed
-        ends = np.cumsum(counts)
+        ends = np.cumsum(counts, dtype=np.int64)
         runs = np.diff(np.append(first, len(at)))
         wide = runs > 2
         j = parent[first[wide]]
@@ -172,7 +173,7 @@ def _sparse_sums(at, values, lift, counts, lo, mid, hi):
         segment = np.zeros(int(seg.sum()), dtype=lifted.dtype)
         # a child's place in ``segment``: its segment's place there plus
         # its offset from its parent's first child
-        shift = np.repeat(np.cumsum(seg) - ends[j], runs[wide])
+        shift = np.repeat(np.cumsum(seg, dtype=np.int64) - ends[j], runs[wide])
         member = np.repeat(wide, runs)
         segment[rel[member] + shift] = lifted[member]
         sums[wide] = segment_sums(segment, seg)
@@ -204,7 +205,10 @@ class Tree:
 
     ``gen_offsets[k]`` is the first id of generation k (length n+2, last
     entry = vertex count) and ``num_children[v]`` the child count of v; the
-    children of consecutive vertices are consecutive ids.  ``parent[v]`` is
+    children of consecutive vertices are consecutive ids.  ``num_children``
+    is ``uint8`` when every count is below 256, else int64; every prefix sum
+    of it is taken with ``dtype=np.int64``, as numpy would take a ``uint8``
+    one in ``uint64``, which mixed with int64 gives float64.  ``parent[v]`` is
     v's parent id (-1 for a root), derived on first use, since the
     leaf-to-root sweeps need only the generation slices and the child
     counts.  A forest holds its roots as generation 0; every sweep then runs
@@ -346,14 +350,15 @@ class Tree:
         given = sum(lengths)
         num_children = _arena(counts, given + max(int(counts[-1].sum()), 0))
         flat = num_children[:given]
-        if flat.min() < 0:
+        if flat.min() < 0:  # before the counts narrow, where -1 would be 255
             raise ValueError("negative child count")
         totals = segment_sums(flat, lengths).tolist()
         if lengths[1:] != totals[:-1]:
             raise ValueError("offspring array length does not match generation size")
         depth = totals.index(0) if 0 in totals else len(counts)
         gen_offsets = np.cumsum([0, lengths[0], *totals[:depth]])
-        return cls(gen_offsets, num_children)
+        return cls(gen_offsets, num_children.astype(_count_dtype(int(flat.max())),
+                                                    copy=False))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "parent": [int(p) for p in self.parent]}
@@ -388,9 +393,10 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
     from ``roots`` independent roots drawn from the stream ``rng``.
 
     Each generation is one ``sample_many`` call for all of its vertices, in
-    arena order.  The arena has depth at most ``len(pmfs)``; it is shallower
-    only if some law permits zero children and a whole generation dies out.
-    ``max_vertices`` caps the whole arena.
+    arena order, into a buffer of one byte per count when the law's top
+    degree is below 256.  The arena has depth at most ``len(pmfs)``; it is
+    shallower only if some law permits zero children and a whole generation
+    dies out.  ``max_vertices`` caps the whole arena.
     """
     if roots < 1:
         raise ValueError("generation 0 must hold at least one root")
@@ -398,7 +404,7 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
     size = total = roots
     sizes = [roots]
     for pmf in pmfs:
-        c = pmf.sample_many(rng, size)
+        c = pmf.sample_many(rng, size, out=np.empty(size, _count_dtype(pmf.max_degree)))
         counts.append(c)
         size = int(c.sum())
         total += size
@@ -413,11 +419,42 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
     return Tree(np.cumsum([0, *sizes]), _arena(counts, total))
 
 
+def join_forests(forests: list[Tree], *arrays: list[np.ndarray]) -> tuple:
+    """One forest of the trees of ``forests``, in order, then each of
+    ``arrays``, a list of one per-vertex array per forest, joined the same
+    way: generation k of the joined arena holds each forest's generation k
+    in turn.  The children of consecutive vertices stay consecutive, so
+    every vertex keeps its children, and the roots of forest i follow those
+    of forest i - 1.  A sweep gives each root its own forest's value, bit
+    for bit, since a segment's sum depends on its own values alone.  The
+    counts stay ``uint8`` when every forest's are."""
+    if len(forests) == 1:
+        return (forests[0], *(per_forest[0] for per_forest in arrays))
+    depth = max(forest.n for forest in forests)
+    # a shallower forest's generations below its bottom are empty
+    offsets = [forest.gen_offsets.tolist() + [forest.num_vertices] * (depth - forest.n)
+               for forest in forests]
+    pieces = [(i, at[k], at[k + 1]) for k in range(depth + 1)
+              for i, at in enumerate(offsets)]
+
+    def join(per_forest):
+        return np.concatenate([per_forest[i][lo:hi] for i, lo, hi in pieces])
+
+    sizes = [sum(at[k + 1] - at[k] for at in offsets) for k in range(depth + 1)]
+    tree = Tree(np.cumsum([0, *sizes]), join([forest.num_children for forest in forests]))
+    return (tree, *map(join, arrays))
+
+
+def _count_dtype(top: int) -> np.dtype:
+    """The type of child counts up to ``top``: one byte below 256, else int64."""
+    return np.dtype(np.uint8 if top < 256 else np.int64)
+
+
 def _arena(counts: list[np.ndarray], total: int) -> np.ndarray:
     """``total`` child counts: the arrays ``counts`` one after another, then
-    zeros.  The counts are written straight into the zeroed arena, so its
-    zeros are never copied."""
-    num_children = np.zeros(total, dtype=np.int64)
+    zeros, ``uint8`` when every array is, else int64.  The counts are
+    written straight into the zeroed arena, so its zeros are never copied."""
+    num_children = np.zeros(total, dtype=np.result_type(np.uint8, *counts))
     if counts:
         np.concatenate(counts, out=num_children[:sum(map(len, counts))])
     return num_children

@@ -166,6 +166,26 @@ def test_sample_many_adds_or_gathers_the_same_degrees(pmf):
     assert_draws_match_binary_search(pmf, 11)
 
 
+@pytest.mark.parametrize("pmf", [
+    OffspringPmf.from_dict({1: 0.5, 2: 0.5}),
+    OffspringPmf.from_dict({1: 0.5, 3: 0.5}),
+    OffspringPmf.dirac(2),
+    OffspringPmf(np.arange(255), np.full(255, 1 / 255)),
+    OffspringPmf(np.arange(5, 305), np.full(300, 1 / 300)),
+], ids=["half12", "half13", "dirac2", "atoms255", "atoms300"])
+def test_sample_many_into_a_buffer_gives_the_int64_draws_and_stream(pmf):
+    # one byte per draw when the top degree is below 256: the consecutive
+    # add, the gather, the single atom and the wide index type
+    dtype = np.uint8 if pmf.max_degree < 256 else np.int64
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    want = pmf.sample_many(a, 1000)
+    out = np.empty(1000, dtype=dtype)
+    got = pmf.sample_many(b, 1000, out=out)
+    assert got is out and got.dtype == dtype
+    assert want.dtype == np.int64 and np.array_equal(got, want)
+    assert a.random() == b.random()
+
+
 law_weights = st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
                        min_size=1, max_size=30).filter(lambda w: sum(w) > 0)
 

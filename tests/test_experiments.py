@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import time
+import types
 import warnings
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ import pytest
 
 import gwising.experiments
 import gwising.ising
+import gwising.tree
 import gwising.validate
 from gwising import FieldMode, OffspringPmf, capacity_recursion, lyons_field
 from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
@@ -154,29 +156,127 @@ def test_block_scans_are_byte_identical_across_workers(mode, method, field_mode)
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def scan_bytes(cfg):
+    """The scan's CSV, and the bytes of its matrix of root values, whose
+    order the magnetization table's means and counts would not show."""
+    pruned = cfg.method == "pruned" or cfg.mode == "capacity"
+    _, values = gwising.experiments._sample_scan(cfg, cfg.mode, pruned)
+    return scan_csv(cfg), values.tobytes()
+
+
+@pytest.mark.parametrize("mode, method", [("magnetization", "direct"),
+                                          ("magnetization", "pruned"),
+                                          ("capacity", "pruned")])
+def test_batches_split_across_workers_move_no_byte(monkeypatch, three_cpus, mode, method):
+    # direct at n = 20 has 15 replicas a block and 4 blocks a batch, pruned
+    # 21 and 4: 300 replicas make 20 and 15 blocks, in 5 and 4 batches, the
+    # last pruned one short
+    cfg = base_config(mode=mode, method=method, n_grid=(20,), replicas=300)
+    run_batches = gwising.experiments._run_batches
+    runs = []  # blocks per batch, and processes
+
+    def recording_run_batches(tasks, shares):
+        runs.append(([len(task[-1]) for task in tasks], len(shares)))
+        return run_batches(tasks, shares)
+
+    monkeypatch.setattr(gwising.experiments, "_run_batches", recording_run_batches)
+    outputs = [scan_bytes(replace(cfg, workers=workers)) for workers in (1, 2, 3)]
+    batches = [4] * 5 if method == "direct" else [4, 4, 4, 3]
+    assert runs[::2] == [(batches, 1), (batches, 2), (batches, 3)]
+    # a budget of one block a batch
+    monkeypatch.setattr(gwising.experiments, "BATCH_VERTICES",
+                        gwising.experiments.BLOCK_VERTICES)
+    outputs.append(scan_bytes(cfg))
+    assert runs[-1] == ([1] * sum(batches), 1)
+    assert outputs[1:] == outputs[:1] * 3
+
+
+def wide_law():
+    """A law whose top degree, 300, takes int64 child counts."""
+    return OffspringPmf.from_dict({1: 0.995, 300: 0.005})
+
+
+@pytest.mark.parametrize("mode, method", [("magnetization", "direct"),
+                                          ("magnetization", "pruned"),
+                                          ("capacity", "direct")])
+@pytest.mark.parametrize("pmf", [base_config().pmf, wide_law()], ids=["half12", "wide300"])
+def test_one_byte_child_counts_move_no_byte(monkeypatch, pmf, mode, method):
+    # a narrow law's scan against the same scan on int64 arenas throughout;
+    # the wide law's arenas are int64 either way
+    cfg = base_config(pmf=pmf, mode=mode, method=method, n_grid=(3, 7), replicas=60)
+    arenas = []
+    join = gwising.experiments.join_forests
+
+    def recording_join(forests, *arrays):
+        arenas.extend(forest.num_children.dtype for forest in forests)
+        return join(forests, *arrays)
+
+    monkeypatch.setattr(gwising.experiments, "join_forests", recording_join)
+    narrow = scan_csv(cfg)
+    assert set(arenas) == {np.dtype(np.int64 if pmf.max_degree > 255 else np.uint8)}
+    monkeypatch.setattr(gwising.tree, "_count_dtype", lambda top: np.dtype(np.int64))
+    arenas.clear()
+    assert scan_csv(cfg) == narrow
+    assert set(arenas) == {np.dtype(np.int64)}
+
+
+class NoMallopt:
+    """``ctypes.CDLL(None)`` of a C library without ``mallopt``."""
+
+
+def test_a_scan_without_mallopt_writes_the_same_bytes(monkeypatch):
+    import ctypes
+    cfg = base_config(n_grid=(3, 12), replicas=100)
+    want = scan_csv(cfg)
+    monkeypatch.setattr(gwising.experiments, "_malloc_fixed", False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: NoMallopt())
+    assert scan_csv(cfg) == want
+    assert gwising.experiments._malloc_fixed
+
+
+def test_the_malloc_policy_is_applied_once_per_process(monkeypatch):
+    import ctypes
+    libraries, calls = [], []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def cdll(name):
+        libraries.append(name)
+        return types.SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(gwising.experiments, "_malloc_fixed", False)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    for mode in ("magnetization", "capacity", "magnetization"):
+        scan_csv(base_config(mode=mode, n_grid=(3,), replicas=4))
+    assert libraries == [None]
+    assert calls == [(-1, 64 << 20), (-3, 32 << 20)]
+
+
 @pytest.fixture
 def process_counts(monkeypatch):
-    """The number of processes each scan asks ``_run_blocks`` for.  Stands in
+    """The number of processes each scan asks ``_run_batches`` for.  Stands in
     for the forking runner: checks that the shares split the tasks and runs
     them in process, so no process is started."""
     counts = []
 
-    def recording_run_blocks(tasks, shares):
+    def recording_run_batches(tasks, shares):
         counts.append(len(shares))
         assert sorted(itertools.chain(*shares)) == list(range(len(tasks)))
-        return [gwising.experiments._sample_block(task) for task in tasks]
+        return [gwising.experiments._sample_batch(task) for task in tasks]
 
-    monkeypatch.setattr(gwising.experiments, "_run_blocks", recording_run_blocks)
+    monkeypatch.setattr(gwising.experiments, "_run_batches", recording_run_batches)
     return counts
 
 
 @pytest.mark.parametrize("workers, cpus, n_grid, processes", [
-    (2000, 64, (3, 4, 5, 6, 7, 8), 6),  # one process per block at most
+    (2000, 64, (3, 4, 5, 6, 7, 8), 6),  # one process per batch at most
     (2000, 4, (3, 4, 5, 6, 7, 8), 4),   # and one per CPU
     (3, 64, (3, 4, 5, 6, 7, 8), 3),
     (2, 2, (3, 4, 5, 6, 7, 8), 2),
     (2000, None, (3, 4, 5, 6, 7, 8), 1),  # CPU count unknown: in process
-    (2000, 64, (3,), 1),                  # one block: in process
+    (2000, 64, (3,), 1),                  # one batch: in process
     # where the platform has an affinity mask, only the CPUs in it count
     pytest.param(2, {5}, (3, 4, 5, 6, 7, 8), 1, id="pinned-to-1-cpu"),
     pytest.param(2000, {0, 2, 3}, (3, 4, 5, 6, 7, 8), 3, id="pinned-to-3-cpus"),
@@ -208,7 +308,7 @@ def test_an_interrupt_in_the_callers_share_kills_and_reaps_every_child(monkeypat
             time.sleep(60)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(gwising.experiments, "_sample_block", block)
+    monkeypatch.setattr(gwising.experiments, "_sample_batch", block)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         run_magnetization_scan(base_config(n_grid=(3, 4, 5), replicas=1, workers=3))
@@ -243,14 +343,14 @@ class UnpicklableError(Exception):
 def test_an_error_that_cannot_be_pickled_reaches_the_caller_by_its_repr(monkeypatch,
                                                                           three_cpus):
     caller = os.getpid()
-    real_block = gwising.experiments._sample_block
+    real_block = gwising.experiments._sample_batch
 
     def block(task):
         if os.getpid() != caller:
             raise UnpicklableError("lost")
         return real_block(task)
 
-    monkeypatch.setattr(gwising.experiments, "_sample_block", block)
+    monkeypatch.setattr(gwising.experiments, "_sample_batch", block)
     with pytest.raises(RuntimeError,
                        match=r"scan worker failed: UnpicklableError\('lost'\)") as info:
         run_magnetization_scan(base_config(n_grid=(3, 4, 5), replicas=1, workers=3))
@@ -294,7 +394,7 @@ def test_preflight_rejects_depths_past_the_population_cap(monkeypatch, method, n
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a replica")
 
-    monkeypatch.setattr(gwising.experiments, "_sample_block", no_sampling)
+    monkeypatch.setattr(gwising.experiments, "_sample_batch", no_sampling)
     cfg = base_config(beta=math.atanh(0.8), schedule=PSchedule("threshold", 1.0),
                       n_grid=(n,), method=method)
     with pytest.raises(ConfigError, match=f"depth {n}: ") as caught:

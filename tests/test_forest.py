@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from gwising import (OffspringPmf, Tree, capacity_recursion, lyons_field,
                      sample_gw, sample_inhomogeneous_bp)
+from gwising.tree import join_forests
 from gwising.validate import random_small_tree
 
 HALF123 = OffspringPmf.from_dict({1: 0.4, 2: 0.4, 3: 0.2})
+# a top degree past one byte
+WIDE = OffspringPmf.from_dict({1: 0.9, 300: 0.1})
 
 
 def reference_arena(counts_per_gen):
@@ -103,6 +106,24 @@ def test_arena_builder_rejects_bad_counts():
         Tree.from_offspring_counts([np.array([2]), np.array([1, -1])])
 
 
+def test_counts_narrow_to_one_byte_below_256_after_the_sign_check():
+    assert Tree.from_offspring_counts([np.array([255])]).num_children.dtype == np.uint8
+    assert Tree.from_offspring_counts([np.array([256])]).num_children.dtype == np.int64
+    # as one byte, -1 would read 255
+    for counts in ([np.array([-1])], [np.array([1]), np.array([-1])],
+                   [np.array([1, 0]), np.array([-1])]):
+        with pytest.raises(ValueError, match="negative child count"):
+            Tree.from_offspring_counts(counts)
+
+
+def test_sampled_counts_are_one_byte_unless_a_law_reaches_256(rng):
+    assert sample_gw(HALF123, 4, rng, roots=3).num_children.dtype == np.uint8
+    assert sample_inhomogeneous_bp([], rng, roots=3).num_children.dtype == np.uint8
+    assert sample_gw(WIDE, 2, rng, roots=3).num_children.dtype == np.int64
+    mixed = sample_inhomogeneous_bp([HALF123, WIDE, HALF123], rng, roots=3)
+    assert mixed.num_children.dtype == np.int64
+
+
 def test_sampler_of_no_generations_gives_the_roots_alone(rng):
     forest = sample_inhomogeneous_bp([], rng, roots=3)
     assert forest.n == 0 and forest.num_vertices == 3
@@ -163,3 +184,37 @@ def test_forest_sweeps_equal_per_tree_sweeps(seed, num_trees, same_depth,
     got = np.concatenate(got_r + got_phi)
     want = np.concatenate(want_r + want_phi)
     np.testing.assert_array_equal(got, want)
+
+
+def widened(tree):
+    return Tree(tree.gen_offsets, tree.num_children.astype(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_forests=st.integers(1, 5),
+       same_depth=st.booleans(), wide=st.booleans(), beta=st.floats(0.05, 2.0))
+def test_joined_forests_match_the_reference_layout_and_roots(seed, num_forests,
+                                                            same_depth, wide, beta):
+    rng = np.random.default_rng(seed)
+    if same_depth:
+        depth = int(rng.integers(0, 5))
+        forests = [sample_gw(HALF123, depth, rng, roots=int(rng.integers(1, 4)))
+                   for _ in range(num_forests)]
+    else:
+        forests = [random_small_tree(rng, max_vertices=30) for _ in range(num_forests)]
+    if wide:  # one forest of int64 counts makes the joined ones int64
+        forests[0] = widened(forests[0])
+    fields = [(rng.random(f.num_vertices) < 0.4).astype(np.uint8) for f in forests]
+    joined, h = join_forests(forests, fields)
+    reference, ids = forest_of(forests)
+    np.testing.assert_array_equal(joined.gen_offsets, reference.gen_offsets)
+    np.testing.assert_array_equal(joined.num_children, reference.num_children)
+    assert joined.num_children.dtype == (np.int64 if wide else np.uint8)
+    for bits, where in zip(fields, ids):
+        assert h[where].tobytes() == bits.tobytes()
+    roots = np.concatenate([lyons_field(f, bits, beta, roots_only=True)
+                            for f, bits in zip(forests, fields)])
+    assert lyons_field(joined, h, beta, roots_only=True).tobytes() == roots.tobytes()
+    phi = np.concatenate([capacity_recursion(f, 0.8, 2.0, roots_only=True)
+                          for f in forests])
+    assert capacity_recursion(joined, 0.8, 2.0, roots_only=True).tobytes() == phi.tobytes()

@@ -92,6 +92,25 @@ def test_bad_inverse_temperature_fails_closed(route, beta):
             lyons_plus(t, beta)
 
 
+@pytest.mark.parametrize("beta", [-1.0, math.nan])
+@pytest.mark.parametrize("route", ["g_beta", "lyons_field", "lyons_plus",
+                                   "upper_bound_mean_r", "critical_fixed_point"])
+def test_bad_inverse_temperature_fails_closed_where_nothing_is_lifted(route, beta):
+    # on one vertex the sweep lifts nothing, so only the entry point's own
+    # check can refuse beta: lyons_field gave [-2.] and [nan], lyons_plus
+    # [inf] and upper_bound_mean_r nan
+    t = single_vertex()
+    calls = {
+        "g_beta": lambda: g_beta(beta, 0.0),
+        "lyons_field": lambda: lyons_field(t, field_on([1]), beta),
+        "lyons_plus": lambda: lyons_plus(t, beta),
+        "upper_bound_mean_r": lambda: upper_bound_mean_r(beta, 2.0, 0.1, 5),
+        "critical_fixed_point": lambda: critical_fixed_point(beta, 2.0, 0.1),
+    }
+    with pytest.raises(ValueError, match="inverse temperature must be nonnegative"):
+        calls[route]()
+
+
 def test_lyons_plus_examples():
     assert lyons_plus(single_vertex(), 0.7)[0] == math.inf
     path = Tree.from_offspring_counts([np.array([1])])

@@ -5,7 +5,8 @@ values plus its own seed value, and carries only the nonzero or seeded
 vertices of a generation while they are fewer than half of it.  Every
 caller's output, per vertex and for the roots alone, and seeds in every
 generation, are checked here against the dense sweep, kept below as the
-oracle, byte for byte.
+oracle, byte for byte, on one-byte and on int64 child counts of the same
+forests.
 """
 
 import math
@@ -89,17 +90,27 @@ def outputs(tree, beta, flds):
     return out
 
 
+def arenas(tree):
+    """The forest with one-byte child counts and with int64 ones."""
+    assert tree.num_children.dtype == np.uint8
+    return [tree, Tree(tree.gen_offsets, tree.num_children.astype(np.int64))]
+
+
 def assert_same_bytes(tree, beta, flds):
-    got = outputs(tree, beta, flds)
     with dense_sweep():
-        want = outputs(tree, beta, flds)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        assert g.tobytes() == w.tobytes()
-    # the root values alone are the per-vertex ones' first entries
-    per_vertex = got[:3] + got[6:9]
-    for whole, roots in zip(per_vertex, got[9:]):
-        assert roots.tobytes() == whole[:tree.num_roots].tobytes()
+        want = outputs(arenas(tree)[1], beta, flds)
+    for arena in arenas(tree):
+        got = outputs(arena, beta, flds)
+        with dense_sweep():
+            assert [w.tobytes() for w in outputs(arena, beta, flds)] == \
+                [w.tobytes() for w in want]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        # the root values alone are the per-vertex ones' first entries
+        per_vertex = got[:3] + got[6:9]
+        for whole, roots in zip(per_vertex, got[9:]):
+            assert roots.tobytes() == whole[:tree.num_roots].tobytes()
 
 
 def random_forest(rng, width, zero_mass, roots, depth):
@@ -154,12 +165,13 @@ def test_seeds_in_every_generation_match_dense_sweep_bitwise(seed, width, zero_m
         roots = tree.sweep_up((ids, own), np.log1p, out=out)
         return out, roots
 
-    got = sweep()
-    with dense_sweep():
-        want = sweep()
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-    assert got[1].tobytes() == got[0][:tree.num_roots].tobytes()
-    assert (got[0][ids] != 0).all()
+    for tree in arenas(tree):
+        got = sweep()
+        with dense_sweep():
+            want = sweep()
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert got[1].tobytes() == got[0][:tree.num_roots].tobytes()
+        assert (got[0][ids] != 0).all()
 
 
 def marked_fields(tree, leaves, internal):
