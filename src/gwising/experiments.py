@@ -1,18 +1,16 @@
 """Deterministic Monte Carlo harness for the phase-transition experiments.
 
-Replicas are drawn in stream blocks: R(n) trees per block, drawn as one
-forest from one random stream derived from (master seed, experiment id,
-depth index, block index).  R(n) depends on the configuration alone.  Blocks
-are swept in sweep batches: consecutive blocks of one depth, joined into one
-forest and swept once.  A root's value depends on its own block alone, so
-results are bit-identical for a given configuration no matter how blocks
-are batched or batches distributed over processes.  With ``workers`` above
-1 the calling process runs a fixed share of the batches and forks a child
-for each other share, which sends its results back through a pipe as one
-pickle.  Scans return tables as lists of segments (see ``rows_to_csv``),
-one per depth for the per-replica and per-generation tables; CSV rendering
-lives here so that the byte output is deterministic too (17 significant
-digits for floats).
+Replicas are sampled and swept in stream blocks: one forest of R(n) trees
+per block, drawn from one random stream derived from (master seed,
+experiment id, depth index, block index), and swept once.  R(n) depends on
+the configuration alone, so results are bit-identical for a given
+configuration no matter how blocks are distributed over processes.  With
+``workers`` above 1 the calling process runs a fixed share of the blocks and
+forks a child for each other share, which sends its blocks back through a
+pipe as one pickle.  Scans return tables as lists of segments (see
+``rows_to_csv``), one per depth for the per-replica and per-generation
+tables; CSV rendering lives here so that the byte output is deterministic
+too (17 significant digits for floats).
 """
 
 from __future__ import annotations
@@ -33,15 +31,13 @@ from .distributions import OffspringPmf, json_number
 from .fields import FieldMode, plus_boundary_field, sample_field
 from .pruned_law import (GammaProfile, PrunedLawSampler, calibrate_constants,
                          gamma_profile, k1_bar_star, moments, tv_crossing, tv_profile)
-from .tree import DEFAULT_POPULATION_CAP, join_forests, sample_gw
+from .tree import DEFAULT_POPULATION_CAP, sample_gw
 
 EXPERIMENT_IDS = {"magnetization": 1, "gamma": 2, "capacity": 3, "tv": 4}
 SCHEDULE_KINDS = ("constant", "geometric", "threshold", "threshold_geometric")
-# expected vertices per stream block; sets the replicas per block, and so
-# the streams
-BLOCK_VERTICES = 150_000
-# expected vertices per sweep batch, of whole blocks; moves no byte
-BATCH_VERTICES = 4 * BLOCK_VERTICES
+# expected vertices per stream block, the unit drawn and swept; sets the
+# replicas per block, and so the streams
+BLOCK_VERTICES = 600_000
 # glibc's mallopt parameters, from malloc.h, and the values a sampled scan
 # sets them to
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
@@ -245,26 +241,19 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # -- sampled scans: magnetization and capacity ------------------------------
 
 
-def _sample_batch(args) -> np.ndarray:
-    """Root values of one sweep batch.  Each of its blocks is drawn from its
-    own stream: directly (trees, then their field) when ``sampler`` is None,
-    else from the pruned law conditioned on survival.  The blocks' forests
-    are joined, in order, into one, which is swept once; a magnetization
-    batch returns root ratios, a capacity batch root capacities."""
-    experiment, cfg, n, sampler, n_index, blocks = args
-    forests, fields = [], []
-    for block, roots in blocks:
-        rng = replica_rng(cfg.master_seed, EXPERIMENT_IDS[experiment], n_index, block)
-        if sampler is None:
-            forests.append(sample_gw(cfg.pmf, n, rng, roots=roots))
-            fields.append(sample_field(forests[-1], cfg.field_mode, cfg.p_n(n), rng))
-        else:
-            forests.append(sampler.sample(rng, roots=roots))
+def _sample_block(args) -> np.ndarray:
+    """Root values of one stream block: one forest of ``roots`` trees drawn
+    from the block's own stream, directly (trees, then their field) when
+    ``sampler`` is None, else from the pruned law conditioned on survival,
+    and swept once; a magnetization block returns root ratios, a capacity
+    block root capacities."""
+    experiment, cfg, n, sampler, n_index, block, roots = args
+    rng = replica_rng(cfg.master_seed, EXPERIMENT_IDS[experiment], n_index, block)
     if sampler is None:
-        forest, h = join_forests(forests, fields)
+        forest = sample_gw(cfg.pmf, n, rng, roots=roots)
+        h = sample_field(forest, cfg.field_mode, cfg.p_n(n), rng)
     else:
-        # a pruned forest reaches depth n, so its bottom is the joined one's
-        forest, = join_forests(forests)
+        forest = sampler.sample(rng, roots=roots)
         h = None if experiment == "capacity" else plus_boundary_field(forest)
     if experiment == "magnetization":
         return ising.lyons_field(forest, h, cfg.beta, roots_only=True)
@@ -300,13 +289,13 @@ def _reap(pid: int) -> None:
 
 def _run_child(tasks: list, share: list[int], pipe_fd: int) -> NoReturn:
     """The body of a forked worker: runs ``share`` and writes one pickle,
-    ``(values, None)`` with its ``_sample_batch`` results in share order, or
+    ``(blocks, None)`` with its ``_sample_block`` results in share order, or
     ``(None, (exception, formatted traceback))``.  Never returns: it ends
     the process with ``os._exit``, so no handler or buffer of the caller runs twice."""
     code = 1
     try:
         try:
-            report = pickle.dumps(([_sample_batch(tasks[i]) for i in share], None))
+            report = pickle.dumps(([_sample_block(tasks[i]) for i in share], None))
         except Exception as exc:
             # imported here, so a scan whose workers all succeed never loads it
             import traceback
@@ -324,17 +313,17 @@ def _run_child(tasks: list, share: list[int], pipe_fd: int) -> NoReturn:
         os._exit(code)
 
 
-def _run_batches(tasks: list, shares: list[list[int]]) -> list[np.ndarray]:
-    """``_sample_batch`` of every task, in task order.
+def _run_blocks(tasks: list, shares: list[list[int]]) -> list[np.ndarray]:
+    """``_sample_block`` of every task, in task order.
 
     ``shares[0]`` runs in this process.  Each other share runs in a child
-    forked for it, which inherits ``tasks`` and sends its results back through
+    forked for it, which inherits ``tasks`` and sends its blocks back through
     a pipe as one pickle.  The children are read in order once this process
     has run its own share.  An error in a child is raised here with its type;
     a child that exits non-zero, or whose report does not load, raises
     RuntimeError naming it by its number, this process being worker 1.  On
     every path, every child is reaped, and killed first if it still runs."""
-    values = [None] * len(tasks)
+    blocks = [None] * len(tasks)
     children = []  # (pid, read end of its pipe, share)
     try:
         for share in shares[1:]:
@@ -354,7 +343,7 @@ def _run_batches(tasks: list, shares: list[list[int]]) -> list[np.ndarray]:
             os.close(write_fd)
             children.append((pid, pipe, share))
         for i in shares[0]:
-            values[i] = _sample_batch(tasks[i])
+            blocks[i] = _sample_block(tasks[i])
         for number, (pid, pipe, share) in enumerate(children, start=2):
             report = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -369,30 +358,27 @@ def _run_batches(tasks: list, shares: list[list[int]]) -> list[np.ndarray]:
                 ending = f"exit code {code}" if code >= 0 else f"signal {-code}"
                 raise RuntimeError(f"scan worker {number} of {len(shares)} (pid {pid}) "
                                    f"ended with {ending} before a full report")
-            for i, batch in zip(share, done):
-                values[i] = batch
+            for i, block in zip(share, done):
+                blocks[i] = block
     finally:
         for pid, pipe, _ in children:
             pipe.close()
             _reap(pid)
-    return values
+    return blocks
 
 
 def _sample_scan(cfg: ExperimentConfig, experiment: str,
                  pruned: bool) -> tuple[list[GammaProfile | None], np.ndarray]:
     """Each depth's pruned profile (None when sampled directly) and the
-    (depths x replicas) matrix of ``_sample_batch`` values.  Every depth is
+    (depths x replicas) matrix of ``_sample_block`` values.  Every depth is
     sized, so checked against the population cap, before any sampling.
 
-    A stream block is the unit that is drawn: ``block_replicas`` replicas
-    (the last block of a depth takes the remainder) from one stream of
-    ``replica_rng``.  A sweep batch is the unit that is swept, and the task
-    of a process: consecutive blocks of one depth, as many as fit
-    ``BATCH_VERTICES`` expected vertices, at least one, joined into one
-    forest.  A root's value depends on its own block alone, so the batches
-    move no byte.  The batches run on min(``workers``, batches, CPUs)
-    processes, this one included, by ``_run_batches``; each share is fixed
-    before any batch runs, and the output does not depend on it."""
+    A stream block is the one unit that is drawn, swept and run as a task:
+    ``block_replicas`` replicas (the last block of a depth takes the
+    remainder) drawn as one forest from one stream of ``replica_rng``.  The
+    blocks run on min(``workers``, blocks, CPUs) processes, this one
+    included, by ``_run_blocks``; each share is fixed before any block runs,
+    and the output does not depend on it."""
     _fix_malloc()
     profiles, tasks, weights = [], [], []
     for n_index, n in enumerate(cfg.n_grid):
@@ -401,19 +387,16 @@ def _sample_scan(cfg: ExperimentConfig, experiment: str,
         vertices = replica_vertices(cfg.pmf, n, profile)
         sampler = None if profile is None else PrunedLawSampler(profile)
         profiles.append(profile)
-        blocks = [(block, min(size, cfg.replicas - start))
-                  for block, start in enumerate(range(0, cfg.replicas, size))]
-        per_batch = max(1, int(BATCH_VERTICES // (size * vertices)))
-        for first in range(0, len(blocks), per_batch):
-            batch = blocks[first:first + per_batch]
-            tasks.append((experiment, cfg, n, sampler, n_index, batch))
-            weights.append(sum(roots for _, roots in batch) * vertices)
+        for block, start in enumerate(range(0, cfg.replicas, size)):
+            roots = min(size, cfg.replicas - start)
+            tasks.append((experiment, cfg, n, sampler, n_index, block, roots))
+            weights.append(roots * vertices)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    # where the platform cannot fork, every batch runs in process
+    # where the platform cannot fork, every block runs in process
     processes = min(cfg.workers, len(tasks), cpus) if hasattr(os, "fork") else 1
-    values = _run_batches(tasks, _shares(weights, processes))
-    return profiles, np.concatenate(values).reshape(len(cfg.n_grid), cfg.replicas)
+    blocks = _run_blocks(tasks, _shares(weights, processes))
+    return profiles, np.concatenate(blocks).reshape(len(cfg.n_grid), cfg.replicas)
 
 
 def _fix_malloc() -> None:
@@ -421,8 +404,8 @@ def _fix_malloc() -> None:
     forks, once, where ``mallopt`` exists: freed memory is returned to the
     system only past ``MALLOC_TRIM_THRESHOLD`` bytes, and only blocks of
     ``MALLOC_MMAP_THRESHOLD`` bytes or more are mapped on their own.  Under
-    glibc's defaults every batch's arrays were unmapped when freed and
-    faulted in again by the next batch."""
+    glibc's defaults every block's arrays were unmapped when freed and
+    faulted in again by the next block."""
     global _malloc_fixed
     if _malloc_fixed:
         return

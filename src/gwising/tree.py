@@ -7,8 +7,7 @@ leaf-to-root recursion in the package is one call of ``Tree.sweep_up``: a
 linear sweep over generation slices (no call stack, depths up to 10^4 are
 fine).  A sampler draws a tree, or a forest of independent trees, from one
 stream into one arena, one generation at a time; the population cap bounds
-that whole arena.  ``join_forests`` lays forests drawn from several streams
-out as one arena, so that one sweep covers them all.
+that whole arena.
 
 The sweep keeps only the generation in hand, and skips the children that
 hold exactly 0 while fewer than half of their generation hold anything else:
@@ -417,32 +416,6 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
     # the sizes are the counts' own sums, so Tree.from_offspring_counts'
     # checks are skipped
     return Tree(np.cumsum([0, *sizes]), _arena(counts, total))
-
-
-def join_forests(forests: list[Tree], *arrays: list[np.ndarray]) -> tuple:
-    """One forest of the trees of ``forests``, in order, then each of
-    ``arrays``, a list of one per-vertex array per forest, joined the same
-    way: generation k of the joined arena holds each forest's generation k
-    in turn.  The children of consecutive vertices stay consecutive, so
-    every vertex keeps its children, and the roots of forest i follow those
-    of forest i - 1.  A sweep gives each root its own forest's value, bit
-    for bit, since a segment's sum depends on its own values alone.  The
-    counts stay ``uint8`` when every forest's are."""
-    if len(forests) == 1:
-        return (forests[0], *(per_forest[0] for per_forest in arrays))
-    depth = max(forest.n for forest in forests)
-    # a shallower forest's generations below its bottom are empty
-    offsets = [forest.gen_offsets.tolist() + [forest.num_vertices] * (depth - forest.n)
-               for forest in forests]
-    pieces = [(i, at[k], at[k + 1]) for k in range(depth + 1)
-              for i, at in enumerate(offsets)]
-
-    def join(per_forest):
-        return np.concatenate([per_forest[i][lo:hi] for i, lo, hi in pieces])
-
-    sizes = [sum(at[k + 1] - at[k] for at in offsets) for k in range(depth + 1)]
-    tree = Tree(np.cumsum([0, *sizes]), join([forest.num_children for forest in forests]))
-    return (tree, *map(join, arrays))
 
 
 def _count_dtype(top: int) -> np.dtype:

@@ -402,7 +402,7 @@ def test_a_forked_scan_writes_the_in_process_bytes(tmp_path, capsys, three_cpus)
 def test_an_error_in_a_forked_block_exits_as_in_process(tmp_path, capsys, monkeypatch,
                                                        three_cpus, error, code):
     caller = os.getpid()
-    real_block = gwising.experiments._sample_batch
+    real_block = gwising.experiments._sample_block
 
     def raising_block(task):
         raise error
@@ -412,10 +412,10 @@ def test_an_error_in_a_forked_block_exits_as_in_process(tmp_path, capsys, monkey
             raise error
         return real_block(task)
 
-    monkeypatch.setattr(gwising.experiments, "_sample_batch", raising_block)
+    monkeypatch.setattr(gwising.experiments, "_sample_block", raising_block)
     assert parse_and_dispatch(forked_scan_argv(tmp_path, 1)) == code
     in_process = capsys.readouterr().err
-    monkeypatch.setattr(gwising.experiments, "_sample_batch", raising_in_a_child)
+    monkeypatch.setattr(gwising.experiments, "_sample_block", raising_in_a_child)
     assert parse_and_dispatch(forked_scan_argv(tmp_path, 3)) == code
     assert capsys.readouterr().err == in_process
     assert in_process.count("\n") == 1 and "bad block" in in_process
@@ -426,7 +426,7 @@ def test_an_error_in_a_forked_block_exits_as_in_process(tmp_path, capsys, monkey
 def test_a_forked_worker_that_dies_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
                                                         three_cpus, death, ending):
     caller = os.getpid()
-    real_block = gwising.experiments._sample_batch
+    real_block = gwising.experiments._sample_block
 
     def dying_in_a_child(task):
         if os.getpid() != caller:
@@ -435,7 +435,7 @@ def test_a_forked_worker_that_dies_exits_3_with_one_line(tmp_path, capsys, monke
             os.kill(os.getpid(), signal.SIGKILL)
         return real_block(task)
 
-    monkeypatch.setattr(gwising.experiments, "_sample_batch", dying_in_a_child)
+    monkeypatch.setattr(gwising.experiments, "_sample_block", dying_in_a_child)
     assert parse_and_dispatch(forked_scan_argv(tmp_path, 3)) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1

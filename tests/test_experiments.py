@@ -20,8 +20,9 @@ from gwising.experiments import (ConfigError, ExperimentConfig, PSchedule,
                                  run_capacity_scan,
                                  run_gamma_scan, run_magnetization_scan,
                                  run_tv_scan, validate_config, wilson_interval)
-from gwising.fields import prune
-from gwising.pruned_law import gamma_profile
+from gwising.fields import plus_boundary_field, prune, sample_field
+from gwising.pruned_law import PrunedLawSampler, gamma_profile
+from gwising.tree import sample_gw
 from gwising.validate import enumerate_trees, run_validation, suite_ztb_mixture_routes
 
 # the bound on |z| between two estimates of one mean, as the benchmark's
@@ -143,17 +144,29 @@ def scan_csv(cfg):
     pytest.param("magnetization", "pruned", FieldMode.LEAVES_ONLY, id="magnetization-pruned"),
     pytest.param("capacity", "direct", FieldMode.LEAVES_ONLY, id="capacity-direct"),
 ])
-def test_block_scans_are_byte_identical_across_workers(mode, method, field_mode):
+def test_block_scans_are_byte_identical_across_workers(monkeypatch, three_cpus, mode, method,
+                                                       field_mode):
+    # direct blocks hold 135 and 60 replicas at n = 18 and 20, pruned ones
+    # 197 and 87: 200 replicas make 2 and 4 blocks, or 2 and 3
     cfg = base_config(mode=mode, method=method, field_mode=field_mode, n_grid=(18, 20),
-                      replicas=50)
+                      replicas=200)
     pruned = method == "pruned" or mode == "capacity"
     for n in cfg.n_grid:
         size = block_replicas(cfg.pmf, n,
                               gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None)
         assert 1 < size < cfg.replicas and cfg.replicas % size  # a short last block
 
-    outputs = [scan_csv(replace(cfg, workers=workers)) for workers in (1, 2, 3)]
-    assert outputs[0] == outputs[1] == outputs[2]
+    run_blocks = gwising.experiments._run_blocks
+    processes = []
+
+    def recording_run_blocks(tasks, shares):
+        processes.append(len(shares))
+        return run_blocks(tasks, shares)
+
+    monkeypatch.setattr(gwising.experiments, "_run_blocks", recording_run_blocks)
+    outputs = [scan_bytes(replace(cfg, workers=workers)) for workers in (1, 2, 3)]
+    assert processes == [1, 1, 2, 2, 3, 3]
+    assert outputs[1:] == outputs[:1] * 2
 
 
 def scan_bytes(cfg):
@@ -167,28 +180,35 @@ def scan_bytes(cfg):
 @pytest.mark.parametrize("mode, method", [("magnetization", "direct"),
                                           ("magnetization", "pruned"),
                                           ("capacity", "pruned")])
-def test_batches_split_across_workers_move_no_byte(monkeypatch, three_cpus, mode, method):
-    # direct at n = 20 has 15 replicas a block and 4 blocks a batch, pruned
-    # 21 and 4: 300 replicas make 20 and 15 blocks, in 5 and 4 batches, the
-    # last pruned one short
-    cfg = base_config(mode=mode, method=method, n_grid=(20,), replicas=300)
-    run_batches = gwising.experiments._run_batches
-    runs = []  # blocks per batch, and processes
-
-    def recording_run_batches(tasks, shares):
-        runs.append(([len(task[-1]) for task in tasks], len(shares)))
-        return run_batches(tasks, shares)
-
-    monkeypatch.setattr(gwising.experiments, "_run_batches", recording_run_batches)
-    outputs = [scan_bytes(replace(cfg, workers=workers)) for workers in (1, 2, 3)]
-    batches = [4] * 5 if method == "direct" else [4, 4, 4, 3]
-    assert runs[::2] == [(batches, 1), (batches, 2), (batches, 3)]
-    # a budget of one block a batch
-    monkeypatch.setattr(gwising.experiments, "BATCH_VERTICES",
-                        gwising.experiments.BLOCK_VERTICES)
-    outputs.append(scan_bytes(cfg))
-    assert runs[-1] == ([1] * sum(batches), 1)
-    assert outputs[1:] == outputs[:1] * 3
+def test_each_block_is_one_forest_of_its_own_stream_swept_once(mode, method):
+    # at n = 20 a direct block holds 60 replicas and a pruned one 87, so 130
+    # replicas make blocks of 60, 60 and 10, or 87 and 43; at n = 4 one
+    # block holds them all
+    cfg = base_config(mode=mode, method=method, n_grid=(4, 20), replicas=130)
+    pruned = method == "pruned"
+    _, values = gwising.experiments._sample_scan(cfg, mode, pruned)
+    blocks = []
+    for n_index, (n, row) in enumerate(zip(cfg.n_grid, values)):
+        profile = gamma_profile(cfg.pmf, cfg.p_n(n), n) if pruned else None
+        size = block_replicas(cfg.pmf, n, profile)
+        for block, start in enumerate(range(0, cfg.replicas, size)):
+            roots = min(size, cfg.replicas - start)
+            rng = replica_rng(cfg.master_seed, gwising.experiments.EXPERIMENT_IDS[mode],
+                              n_index, block)
+            if profile is None:
+                forest = sample_gw(cfg.pmf, n, rng, roots=roots)
+                h = sample_field(forest, cfg.field_mode, cfg.p_n(n), rng)
+            else:
+                forest = PrunedLawSampler(profile).sample(rng, roots=roots)
+                h = plus_boundary_field(forest)
+            if mode == "magnetization":
+                want = lyons_field(forest, h, cfg.beta, roots_only=True)
+            else:
+                want = capacity_recursion(forest, math.tanh(cfg.beta), cfg.capacity_p,
+                                          roots_only=True)
+            assert row[start:start + roots].tobytes() == want.tobytes()
+            blocks.append(roots)
+    assert blocks == ([130, 60, 60, 10] if method == "direct" else [130, 87, 43])
 
 
 def wide_law():
@@ -205,13 +225,14 @@ def test_one_byte_child_counts_move_no_byte(monkeypatch, pmf, mode, method):
     # the wide law's arenas are int64 either way
     cfg = base_config(pmf=pmf, mode=mode, method=method, n_grid=(3, 7), replicas=60)
     arenas = []
-    join = gwising.experiments.join_forests
+    arena = gwising.tree._arena
 
-    def recording_join(forests, *arrays):
-        arenas.extend(forest.num_children.dtype for forest in forests)
-        return join(forests, *arrays)
+    def recording_arena(counts, total):
+        num_children = arena(counts, total)
+        arenas.append(num_children.dtype)
+        return num_children
 
-    monkeypatch.setattr(gwising.experiments, "join_forests", recording_join)
+    monkeypatch.setattr(gwising.tree, "_arena", recording_arena)
     narrow = scan_csv(cfg)
     assert set(arenas) == {np.dtype(np.int64 if pmf.max_degree > 255 else np.uint8)}
     monkeypatch.setattr(gwising.tree, "_count_dtype", lambda top: np.dtype(np.int64))
@@ -256,27 +277,27 @@ def test_the_malloc_policy_is_applied_once_per_process(monkeypatch):
 
 @pytest.fixture
 def process_counts(monkeypatch):
-    """The number of processes each scan asks ``_run_batches`` for.  Stands in
+    """The number of processes each scan asks ``_run_blocks`` for.  Stands in
     for the forking runner: checks that the shares split the tasks and runs
     them in process, so no process is started."""
     counts = []
 
-    def recording_run_batches(tasks, shares):
+    def recording_run_blocks(tasks, shares):
         counts.append(len(shares))
         assert sorted(itertools.chain(*shares)) == list(range(len(tasks)))
-        return [gwising.experiments._sample_batch(task) for task in tasks]
+        return [gwising.experiments._sample_block(task) for task in tasks]
 
-    monkeypatch.setattr(gwising.experiments, "_run_batches", recording_run_batches)
+    monkeypatch.setattr(gwising.experiments, "_run_blocks", recording_run_blocks)
     return counts
 
 
 @pytest.mark.parametrize("workers, cpus, n_grid, processes", [
-    (2000, 64, (3, 4, 5, 6, 7, 8), 6),  # one process per batch at most
+    (2000, 64, (3, 4, 5, 6, 7, 8), 6),  # one process per block at most
     (2000, 4, (3, 4, 5, 6, 7, 8), 4),   # and one per CPU
     (3, 64, (3, 4, 5, 6, 7, 8), 3),
     (2, 2, (3, 4, 5, 6, 7, 8), 2),
     (2000, None, (3, 4, 5, 6, 7, 8), 1),  # CPU count unknown: in process
-    (2000, 64, (3,), 1),                  # one batch: in process
+    (2000, 64, (3,), 1),                  # one block: in process
     # where the platform has an affinity mask, only the CPUs in it count
     pytest.param(2, {5}, (3, 4, 5, 6, 7, 8), 1, id="pinned-to-1-cpu"),
     pytest.param(2000, {0, 2, 3}, (3, 4, 5, 6, 7, 8), 3, id="pinned-to-3-cpus"),
@@ -308,7 +329,7 @@ def test_an_interrupt_in_the_callers_share_kills_and_reaps_every_child(monkeypat
             time.sleep(60)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(gwising.experiments, "_sample_batch", block)
+    monkeypatch.setattr(gwising.experiments, "_sample_block", block)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         run_magnetization_scan(base_config(n_grid=(3, 4, 5), replicas=1, workers=3))
@@ -343,14 +364,14 @@ class UnpicklableError(Exception):
 def test_an_error_that_cannot_be_pickled_reaches_the_caller_by_its_repr(monkeypatch,
                                                                           three_cpus):
     caller = os.getpid()
-    real_block = gwising.experiments._sample_batch
+    real_block = gwising.experiments._sample_block
 
     def block(task):
         if os.getpid() != caller:
             raise UnpicklableError("lost")
         return real_block(task)
 
-    monkeypatch.setattr(gwising.experiments, "_sample_batch", block)
+    monkeypatch.setattr(gwising.experiments, "_sample_block", block)
     with pytest.raises(RuntimeError,
                        match=r"scan worker failed: UnpicklableError\('lost'\)") as info:
         run_magnetization_scan(base_config(n_grid=(3, 4, 5), replicas=1, workers=3))
@@ -378,11 +399,11 @@ def test_shares_take_the_heaviest_block_first_and_the_caller_the_lightest(
 
 def test_block_replicas_examples():
     half12 = base_config().pmf
-    assert block_replicas(half12, 20) == 15         # 150,000 // sum_{k<=20} 1.5^k
-    assert block_replicas(half12, 0) == 150_000
-    assert block_replicas(half12, 20, gamma_profile(half12, 0.5, 20)) == 21
+    assert block_replicas(half12, 20) == 60         # 600,000 // sum_{k<=20} 1.5^k
+    assert block_replicas(half12, 0) == 600_000
+    assert block_replicas(half12, 20, gamma_profile(half12, 0.5, 20)) == 87
     # gamma_0 = 1: a surviving draw is nearly a path of 7 vertices
-    assert block_replicas(half12, 6, gamma_profile(half12, 1e-300, 6)) == 21428
+    assert block_replicas(half12, 6, gamma_profile(half12, 1e-300, 6)) == 85714
 
 
 @pytest.mark.parametrize("method, n, expected", [("pruned", 70, 1.98e8),
@@ -394,7 +415,7 @@ def test_preflight_rejects_depths_past_the_population_cap(monkeypatch, method, n
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a replica")
 
-    monkeypatch.setattr(gwising.experiments, "_sample_batch", no_sampling)
+    monkeypatch.setattr(gwising.experiments, "_sample_block", no_sampling)
     cfg = base_config(beta=math.atanh(0.8), schedule=PSchedule("threshold", 1.0),
                       n_grid=(n,), method=method)
     with pytest.raises(ConfigError, match=f"depth {n}: ") as caught:

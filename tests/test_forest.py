@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from gwising import (OffspringPmf, Tree, capacity_recursion, lyons_field,
                      sample_gw, sample_inhomogeneous_bp)
-from gwising.tree import join_forests
 from gwising.validate import random_small_tree
 
 HALF123 = OffspringPmf.from_dict({1: 0.4, 2: 0.4, 3: 0.2})
@@ -185,36 +184,3 @@ def test_forest_sweeps_equal_per_tree_sweeps(seed, num_trees, same_depth,
     want = np.concatenate(want_r + want_phi)
     np.testing.assert_array_equal(got, want)
 
-
-def widened(tree):
-    return Tree(tree.gen_offsets, tree.num_children.astype(np.int64))
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), num_forests=st.integers(1, 5),
-       same_depth=st.booleans(), wide=st.booleans(), beta=st.floats(0.05, 2.0))
-def test_joined_forests_match_the_reference_layout_and_roots(seed, num_forests,
-                                                            same_depth, wide, beta):
-    rng = np.random.default_rng(seed)
-    if same_depth:
-        depth = int(rng.integers(0, 5))
-        forests = [sample_gw(HALF123, depth, rng, roots=int(rng.integers(1, 4)))
-                   for _ in range(num_forests)]
-    else:
-        forests = [random_small_tree(rng, max_vertices=30) for _ in range(num_forests)]
-    if wide:  # one forest of int64 counts makes the joined ones int64
-        forests[0] = widened(forests[0])
-    fields = [(rng.random(f.num_vertices) < 0.4).astype(np.uint8) for f in forests]
-    joined, h = join_forests(forests, fields)
-    reference, ids = forest_of(forests)
-    np.testing.assert_array_equal(joined.gen_offsets, reference.gen_offsets)
-    np.testing.assert_array_equal(joined.num_children, reference.num_children)
-    assert joined.num_children.dtype == (np.int64 if wide else np.uint8)
-    for bits, where in zip(fields, ids):
-        assert h[where].tobytes() == bits.tobytes()
-    roots = np.concatenate([lyons_field(f, bits, beta, roots_only=True)
-                            for f, bits in zip(forests, fields)])
-    assert lyons_field(joined, h, beta, roots_only=True).tobytes() == roots.tobytes()
-    phi = np.concatenate([capacity_recursion(f, 0.8, 2.0, roots_only=True)
-                          for f in forests])
-    assert capacity_recursion(joined, 0.8, 2.0, roots_only=True).tobytes() == phi.tobytes()
