@@ -403,9 +403,10 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
     size = total = roots
     sizes = [roots]
     for pmf in pmfs:
-        c = pmf.sample_many(rng, size, out=np.empty(size, _count_dtype(pmf.max_degree)))
+        top = pmf.max_degree
+        c = pmf.sample_many(rng, size, out=np.empty(size, _count_dtype(top)))
         counts.append(c)
-        size = int(c.sum())
+        size = _generation_size(c, top)
         total += size
         sizes.append(size)
         if total > max_vertices:
@@ -416,6 +417,15 @@ def sample_inhomogeneous_bp(pmfs: list[OffspringPmf], rng: np.random.Generator,
     # the sizes are the counts' own sums, so Tree.from_offspring_counts'
     # checks are skipped
     return Tree(np.cumsum([0, *sizes]), _arena(counts, total))
+
+
+def _generation_size(counts: np.ndarray, top: int) -> int:
+    """The sum of child counts of at most ``top`` each.  One-byte counts are
+    summed as uint32 while they cannot wrap it, faster than numpy's default
+    sum of a uint8 array, which runs through uint64; otherwise as int64."""
+    if counts.dtype == np.uint8 and len(counts) * top < 1 << 32:
+        return int(counts.sum(dtype=np.uint32))
+    return int(counts.sum(dtype=np.int64))
 
 
 def _count_dtype(top: int) -> np.dtype:

@@ -46,10 +46,10 @@ RATIO_INTERVAL = (2.634736085279476, 3.7568764664108887)
 
 OUTPUT_DIGESTS = {
     "magnetization_direct_leaves_only": {
-        "magnetization.csv": "74d2bd00f7408f4340a6865e758bad2ba9c9f53160aa1c3796a4171a52d65bc1"
+        "magnetization.csv": "96340e66c6ffa08c2f591024c7021205e8cccbfb56d69d971e4801e5bdfff131"
     },
     "magnetization_direct_whole_tree": {
-        "magnetization.csv": "ade31531b42653058ab9a4892cf6d7199aa030a79002e09c77350196076b0536"
+        "magnetization.csv": "2f810daa39d5b302e91ffc217a38d10175c9287588bfe22abe046da292e60842"
     },
     "magnetization_pruned": {
         "magnetization.csv": "9f73fb1595689f0755ad7b085d74f1ac250cf81a067b861f6c9bfc593f77d4aa"
@@ -90,11 +90,11 @@ OUTPUT_DIGESTS = {
         "tv_summary.csv": "e10948c909b122455183d3fe2b305cc472c213273f5094b169f3544faf5ca95b"
     },
     "prune_demo": {
-        "overlay.dot": "1c28914686437aef79404137577aeb8d6e7dcdef0dd3b4d62f7e15b7a72f4909",
-        "pruned.json": "8c0b5d77a78f3c42b624f91cd875cf3329dfa91d64ecc239e8f794561ade3aea",
+        "overlay.dot": "5857fe91cd1e2e524e7e5f1dce01a70a5fe57886c766067a3e360f8e6244426a",
+        "pruned.json": "a0f6d851341c0bb394a9546ce39917a97cf2316bc626bef25e3aa775f92703c3",
         "tree.json": "955249e9e9b3fe5d290068bc961916a837489a2378ec12603e7c59458a09745f"
     },
     "validate": {
-        "validation.json": "18f2134e5c9cd5af1db2f20f0e6039ab1627ce6c463c470245895bb7ee9ca231"
+        "validation.json": "da94e04e3e6e5b3d5d11340a459785f92314b91f1bee0bfea3bdff9418be7e78"
     }
 }

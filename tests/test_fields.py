@@ -1,13 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from gwising import (FieldMode, Tree, gamma_profile, lyons_field,
                      plus_boundary_field, prune, sample_field, sample_gw,
                      survival)
-from gwising.fields import to_dot
+from gwising.fields import GAP_CHUNK, _gap_ids, to_dot
 from gwising.validate import gibbs_bruteforce
-
-from test_distributions import FixedUniforms
 
 
 def binary_tree(depth):
@@ -27,6 +28,94 @@ def test_leaves_only_support(rng):
     depths = np.repeat(np.arange(t.n + 1), t.generation_sizes())
     assert np.all(fld[depths == 3] == 1)
     assert not fld[depths < 3].any()
+
+
+class ZeroUniforms:
+    """A stand-in stream whose uniforms are all 0."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+class NoStream:
+    """A stand-in stream that must not be drawn from."""
+
+    def random(self, size):
+        raise AssertionError("the stream was drawn from")
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.018, 0.3, 0.5, 0.7, 0.97])
+@pytest.mark.parametrize("mode", [FieldMode.WHOLE_TREE, FieldMode.LEAVES_ONLY])
+def test_mark_count_is_binomial(p, mode):
+    # one draw over a star of 200,000 leaves: at p = 0.5 the gaps take two
+    # chunks or more; the root is in the whole tree's set only
+    t = Tree.from_offspring_counts([np.array([200_000])])
+    size = t.num_vertices if mode is FieldMode.WHOLE_TREE else 200_000
+    h = sample_field(t, mode, p, np.random.default_rng(31))
+    assert h.dtype == np.uint8 and not h.flags.writeable
+    assert set(np.unique(h).tolist()) <= {0, 1}
+    if mode is FieldMode.LEAVES_ONLY:
+        assert h[0] == 0
+    assert abs(int(h.sum()) - size * p) < 5 * np.sqrt(size * p * (1 - p))
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.7])
+def test_first_mark_is_geometric(p):
+    # the first mark of a leaves-only field on 200 leaves, over 10,000 draws,
+    # against P(first = k) = p (1 - p)^k; the last bin takes the rest
+    t = Tree.from_offspring_counts([np.array([200])])
+    rng = np.random.default_rng(37)
+    draws = 10_000
+    firsts = np.array([np.argmax(np.append(sample_field(t, FieldMode.LEAVES_ONLY, p, rng)[1:], 1))
+                       for _ in range(draws)])
+    probs = p * (1 - p) ** np.arange(200)
+    bins = int(np.sum(draws * probs >= 5))
+    observed = np.bincount(np.minimum(firsts, bins), minlength=bins + 1)
+    expected = draws * np.append(probs[:bins], 1 - probs[:bins].sum())
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("q", [1e-3, 0.3, 0.5])
+def test_gap_ids_are_sorted_distinct_and_in_range(q):
+    size = 300_000
+    chunks = list(_gap_ids(np.random.default_rng(41), size, q))
+    ids = np.concatenate(chunks)
+    assert ids.dtype == np.int64
+    assert np.all(np.diff(ids) > 0)
+    assert ids.size == 0 or (ids[0] >= 0 and ids[-1] < size)
+    if size * q > GAP_CHUNK:
+        assert len(chunks) > 1
+    # the field sets exactly these ids, or clears them on the complement
+    # route, which p = 1/2 does not take
+    t = Tree.from_offspring_counts([np.array([size - 1])])
+    for p, rare in ((q, 1), (1 - q, 0))[:1 + (q < 0.5)]:
+        h = sample_field(t, FieldMode.WHOLE_TREE, p, np.random.default_rng(41))
+        assert np.array_equal(np.flatnonzero(h == rare), ids)
+
+
+def test_zero_and_one_draw_nothing():
+    t = binary_tree(3)
+    for mode, size in ((FieldMode.WHOLE_TREE, 15), (FieldMode.LEAVES_ONLY, 8)):
+        assert not sample_field(t, mode, 0.0, NoStream()).any()
+        assert int(sample_field(t, mode, 1.0, NoStream()).sum()) == size
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1.0 - 2**-53])
+def test_extreme_probabilities_draw_without_warnings(p):
+    t = Tree.from_offspring_counts([np.array([1000])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode, size in ((FieldMode.WHOLE_TREE, 1001), (FieldMode.LEAVES_ONLY, 1000)):
+            h = sample_field(t, mode, p, np.random.default_rng(43))
+            assert int(h.sum()) == (size if p > 0.5 else 0)
+
+
+def test_a_uniform_of_zero_marks_nothing():
+    # U = 0 is an infinite gap, so no vertex is marked; a comparison u < p
+    # would mark every vertex of the set
+    t = binary_tree(3)
+    for mode in (FieldMode.WHOLE_TREE, FieldMode.LEAVES_ONLY):
+        assert not sample_field(t, mode, 1e-300, ZeroUniforms()).any()
 
 
 def test_plus_boundary_is_deterministic_ones_on_leaves():
@@ -139,16 +228,22 @@ def test_prune_rejects_a_mark_above_the_bottom():
 
 
 def test_whole_tree_draw_without_internal_marks_prunes_like_leaves_only(rng, half12):
-    # prune reads the bits, not the mode they were drawn in
+    # prune reads the bits, not the mode they were drawn in: a whole-tree
+    # draw that happens to mark no internal vertex prunes as the same bits
+    # laid out as a leaves-only field, and one that marks an internal vertex
+    # is refused
     p, kept = 0.3, 0
     for _ in range(40):
         t = sample_gw(half12, 4, rng)
         bottom = int(t.gen_offsets[t.n])
-        u = rng.random(t.num_vertices)
-        u[:bottom] = np.maximum(u[:bottom], p)  # no internal vertex is marked
-        whole = sample_field(t, FieldMode.WHOLE_TREE, p, FixedUniforms(u))
-        leaves = sample_field(t, FieldMode.LEAVES_ONLY, p, FixedUniforms(u[bottom:]))
-        assert whole.tobytes() == leaves.tobytes()
+        while True:
+            whole = sample_field(t, FieldMode.WHOLE_TREE, p, rng)
+            if not whole[:bottom].any():
+                break
+            with pytest.raises(ValueError, match="above the bottom"):
+                prune(t, whole)
+        leaves = np.zeros(t.num_vertices, dtype=np.uint8)
+        leaves[bottom:] = whole[bottom:]
         got, want = prune(t, whole), prune(t, leaves)
         if want is None:
             assert got is None

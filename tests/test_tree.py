@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gwising import OffspringPmf, PopulationCapError, Tree, sample_gw, sample_inhomogeneous_bp
 from gwising.distributions import PmfError
-from gwising.tree import GATHER_MIN_PARENTS, _sparse_sums, segment_sums
+from gwising.tree import GATHER_MIN_PARENTS, _generation_size, _sparse_sums, segment_sums
 from gwising.validate import (ExplosionGuardError, count_trees, enumerate_trees,
                               gw_probability, leaf_counts)
 
@@ -183,6 +183,15 @@ def test_sample_inhomogeneous_dies_early(rng):
     t = sample_inhomogeneous_bp(pmfs, rng)
     assert t.n == 1
     assert t.num_vertices == 3
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_generation_size_is_exact_at_the_uint32_wrap(extra):
+    # 16,843,009 one-byte counts of 255 sum to 2^32 - 1, the largest uint32;
+    # one more count passes it, where a uint32 sum wraps
+    counts = np.full((2**32 - 1) // 255 + extra, 255, dtype=np.uint8)
+    assert _generation_size(counts, 255) == 255 * len(counts)
+    assert (int(counts.sum(dtype=np.uint32)) == 255 * len(counts)) == (extra == 0)
 
 
 def test_leaves_under_examples():
