@@ -210,17 +210,17 @@ class OffspringPmf:
 
     def sample_many(self, rng: np.random.Generator, size: int,
                     out: np.ndarray | None = None) -> np.ndarray:
-        """``size`` i.i.d. draws by inversion with a sequential search: draw i
-        takes the degree whose index is the number of cut points
-        cum_0 <= ... <= cum_{m-2} at or below its uniform u_i.
+        """``size`` i.i.d. draws by inversion: draw i takes the degree whose
+        index is the number of cut points cum_0 <= ... <= cum_{m-2} at or
+        below its uniform u_i.
 
-        That is the index a binary search ``searchsorted(cum, u, side="right")``
-        finds, so the draws are the same; counting costs one pass over the
-        draws per cut point, which is cheaper on small supports.  Consumes
-        exactly ``size`` uniforms, one per draw, before anything else.  The
-        draws are a new int64 array, or are written into ``out``, an integer
-        array of ``size`` entries whose type holds the top degree, which is
-        returned.
+        Below 254 cut points that index is counted in one byte, one pass over
+        the draws per cut point, which is cheaper on small supports; from 254
+        on it is found by the binary search ``searchsorted(cum, u,
+        side="right")``.  The two give the same index.  Consumes exactly
+        ``size`` uniforms, one per draw, before anything else.  The draws are
+        a new int64 array, or are written into ``out``, an integer array of
+        ``size`` entries whose type holds the top degree, which is returned.
         """
         u = rng.random(size)
         if out is None:
@@ -229,17 +229,18 @@ class OffspringPmf:
         if not cuts:
             out.fill(self.degrees[0])
             return out
-        # a uint8 count, when it fits, keeps the temporaries small
-        small = len(cuts) < 254
-        idx = np.greater_equal(u, cuts[0])
-        idx = idx.view(np.uint8) if small else idx.astype(np.intp)
-        if len(cuts) > 1:
-            above = np.empty(size, dtype=bool)
-            for cut in cuts[1:]:
-                idx += np.greater_equal(u, cut, out=above)
-        if small and self.degrees[-1] - self.degrees[0] == len(cuts):
-            # consecutive degrees: degrees[idx] is degrees[0] + idx, one add
-            return np.add(idx, int(self.degrees[0]), out=out, dtype=out.dtype)
+        if len(cuts) < 254:
+            # a uint8 count keeps the temporaries small
+            idx = np.greater_equal(u, cuts[0]).view(np.uint8)
+            if len(cuts) > 1:
+                above = np.empty(size, dtype=bool)
+                for cut in cuts[1:]:
+                    idx += np.greater_equal(u, cut, out=above)
+            if self.degrees[-1] - self.degrees[0] == len(cuts):
+                # consecutive degrees: degrees[idx] is degrees[0] + idx, one add
+                return np.add(idx, int(self.degrees[0]), out=out, dtype=out.dtype)
+        else:
+            idx = np.searchsorted(cuts, u, side="right")
         # every index is in range, and with the degrees in ``out``'s type
         # "clip" writes straight into it, where "raise" copies
         return np.take(self.degrees.astype(out.dtype, copy=False), idx, out=out, mode="clip")

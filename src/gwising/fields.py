@@ -33,7 +33,6 @@ GAP_CHUNK = 1 << 16
 class FieldMode(enum.Enum):
     WHOLE_TREE = "whole_tree"
     LEAVES_ONLY = "leaves_only"
-    PLUS_BOUNDARY = "plus_boundary"
 
 
 def _checked_field(tree: Tree, h: np.ndarray) -> np.ndarray:
@@ -89,7 +88,7 @@ def _gap_ids(rng: np.random.Generator, size: int, q: float):
 
 
 def sample_field(tree: Tree, mode: FieldMode, p: float,
-                 rng: np.random.Generator | None = None) -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """The read-only field of independent Bernoulli(p) bits on the mode's
     vertex set, zeros elsewhere.
 
@@ -97,34 +96,32 @@ def sample_field(tree: Tree, mode: FieldMode, p: float,
     LEAVES_ONLY, in arena order.  The stream gives the positions of the
     set's rarer outcome by geometric gaps (``_gap_ids``): the marks when
     p <= 1/2, else the unmarked vertices, which costs about 13 ns per such
-    vertex.  At p = 0 or 1 it draws nothing.  PLUS_BOUNDARY is the
-    degenerate all-ones-on-leaves field; it ignores both ``p`` and the
-    stream.
+    vertex.  At p = 0 or 1 it draws nothing.  The plus boundary field is
+    ``plus_boundary_field``.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("field probability must lie in [0, 1]")
-    h = np.zeros(tree.num_vertices, dtype=np.uint8)
-    bottom = slice(int(tree.gen_offsets[tree.n]), int(tree.gen_offsets[tree.n + 1]))
-    if mode is FieldMode.PLUS_BOUNDARY:
-        h[bottom] = 1
-    elif rng is None:
-        raise ValueError("random field modes need a stream")
-    elif mode in (FieldMode.WHOLE_TREE, FieldMode.LEAVES_ONLY):
-        bits = h if mode is FieldMode.WHOLE_TREE else h[bottom]
-        rare = p <= 0.5
-        if not rare:
-            bits.fill(1)
-        if 0.0 < p < 1.0:
-            for ids in _gap_ids(rng, len(bits), min(p, 1.0 - p)):
-                bits[ids] = rare
-    else:
+    if mode not in (FieldMode.WHOLE_TREE, FieldMode.LEAVES_ONLY):
         raise ValueError(f"unknown field mode {mode!r}")
+    h = np.zeros(tree.num_vertices, dtype=np.uint8)
+    bits = h if mode is FieldMode.WHOLE_TREE else h[tree.gen_offsets[tree.n]:]
+    rare = p <= 0.5
+    if not rare:
+        bits.fill(1)
+    if 0.0 < p < 1.0:
+        for ids in _gap_ids(rng, len(bits), min(p, 1.0 - p)):
+            bits[ids] = rare
     h.setflags(write=False)
     return h
 
 
 def plus_boundary_field(tree: Tree) -> np.ndarray:
-    return sample_field(tree, FieldMode.PLUS_BOUNDARY, 1.0)
+    """The read-only plus boundary field: ones on generation n, zeros above.
+    It is the LEAVES_ONLY field at p = 1, and draws nothing."""
+    h = np.zeros(tree.num_vertices, dtype=np.uint8)
+    h[tree.gen_offsets[tree.n]:] = 1
+    h.setflags(write=False)
+    return h
 
 
 def survival(tree: Tree, h: np.ndarray) -> np.ndarray:

@@ -63,9 +63,10 @@ def g_beta(beta: float, x):
 
 
 def magnetization(r):
-    """Root magnetization m = tanh(r/2); maps inf to exactly 1."""
+    """Root magnetization m = tanh(r/2); maps inf to exactly 1, and nan to
+    nan and -inf to -1 as tanh does."""
     if np.ndim(r) == 0:
-        return 1.0 if not math.isfinite(r) else math.tanh(float(r) / 2.0)
+        return 1.0 if r == math.inf else math.tanh(float(r) / 2.0)
     return np.tanh(np.asarray(r, dtype=float) / 2.0)
 
 

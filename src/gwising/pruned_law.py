@@ -150,6 +150,8 @@ def gamma_profile(pmf: OffspringPmf, p_n: float, n: int) -> GammaProfile:
     """
     if not (0.0 < p_n <= 1.0):
         raise ValueError("leaf mark probability must lie in (0, 1]")
+    if n < 0:
+        raise ValueError(f"depth n must be nonnegative, got {n}")
     if not pmf.no_zero:
         raise PmfError("pruning a tree with internal extinction is not supported")
     nu = pmf.mean()

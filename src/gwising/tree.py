@@ -382,6 +382,8 @@ def sample_gw(pmf: OffspringPmf, n: int, rng: np.random.Generator,
     """
     if not pmf.no_zero:
         raise PmfError("offspring law must put no mass at 0")
+    if n < 0:
+        raise ValueError(f"depth n must be nonnegative, got {n}")
     return sample_inhomogeneous_bp([pmf] * n, rng, max_vertices, roots)
 
 

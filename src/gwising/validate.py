@@ -347,9 +347,10 @@ def suite_lyons_vs_bruteforce(instances: int, seed: int = 0) -> dict:
     for i in range(instances):
         tree = random_small_tree(rng)
         beta = SUITE_BETAS[i % len(SUITE_BETAS)]
-        mode = (FieldMode.WHOLE_TREE, FieldMode.LEAVES_ONLY,
-                FieldMode.PLUS_BOUNDARY)[(i // len(SUITE_BETAS)) % 3]
-        h = sample_field(tree, mode, float(rng.uniform(0.1, 0.9)), rng)
+        # None is the plus boundary slot, which draws p all the same
+        mode = (FieldMode.WHOLE_TREE, FieldMode.LEAVES_ONLY, None)[(i // len(SUITE_BETAS)) % 3]
+        p = float(rng.uniform(0.1, 0.9))
+        h = plus_boundary_field(tree) if mode is None else sample_field(tree, mode, p, rng)
         r_rec = float(ising.lyons_field(tree, h, beta)[0])
         m_brute, r_brute = gibbs_bruteforce(tree, h, beta)
         max_err = max(max_err, abs(r_rec - r_brute),

@@ -188,6 +188,19 @@ def test_bad_config_exits_2(tmp_path, capsys, command, overrides):
     assert not (tmp_path / "out").exists()
 
 
+def test_plus_boundary_field_mode_exits_2_naming_it(tmp_path, capsys):
+    # the plus boundary field is leaves_only under a constant c = 1 schedule;
+    # the removed value would ignore a direct scan's schedule
+    cfg = write_config(tmp_path / "c.json", field_mode="plus_boundary",
+                       p_schedule={"kind": "threshold", "c": 1.0})
+    code = parse_and_dispatch(["--quiet", "magnetization-scan", "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "field_mode" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_pmf_with_an_unknown_key_exits_2_naming_it(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json",
                        pmf={"entries": [[1, 0.5], [2, 0.5]], "bogus": 1})

@@ -145,12 +145,15 @@ def assert_draws_match_binary_search(pmf, seed):
         pmf, np.random.default_rng(seed).random(300)))
 
 
-@pytest.mark.parametrize("atoms", [254, 255, 256, 300])
+@pytest.mark.parametrize("atoms", [254, 255, 256, 300, 1000])
 def test_sample_many_matches_binary_search_on_wide_supports(atoms):
-    # past 254 atoms the count no longer fits the small index type
+    # from 254 cut points on, the index is found by a binary search
     weights = np.random.default_rng(atoms).random(atoms)
     pmf = OffspringPmf(np.arange(atoms), weights / weights.sum())
     assert_draws_match_binary_search(pmf, atoms)
+    got = pmf.sample_many(np.random.default_rng(atoms), 1)
+    assert np.array_equal(got, sample_many_by_binary_search(
+        pmf, np.random.default_rng(atoms).random(1)))
 
 
 @pytest.mark.parametrize("pmf", [

@@ -125,6 +125,19 @@ def test_plus_boundary_is_deterministic_ones_on_leaves():
     assert fld.dtype == np.uint8 and not fld.flags.writeable
 
 
+@pytest.mark.parametrize("counts", [
+    [[2], [2, 2]],
+    # childless vertices at depths 1 and 2 carry no bit
+    [[3], [0, 2, 1], [1, 0, 2]],
+])
+def test_plus_boundary_is_the_leaves_only_field_at_p_one(counts):
+    t = Tree.from_offspring_counts([np.array(c) for c in counts])
+    want = sample_field(t, FieldMode.LEAVES_ONLY, 1.0, NoStream())
+    got = plus_boundary_field(t)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
 def test_per_leaf_empirical_rate(rng):
     # fixed tree with 11 internal vertices over 100 leaves; each vertex the
     # mode covers (the leaves, or the whole tree) carries a Bernoulli(0.3)

@@ -29,6 +29,11 @@ def test_profile_rejects_degenerate_mark_probability(dirac2):
         gamma_profile(OffspringPmf.from_dict({0: 0.2, 2: 0.8}), 0.5, 5)
 
 
+def test_profile_rejects_a_negative_depth(half12):
+    with pytest.raises(ValueError, match="depth n must be nonnegative, got -3"):
+        gamma_profile(half12, 0.5, -3)
+
+
 def test_profile_p_one_prunes_nothing(half12):
     profile = gamma_profile(half12, 1.0, 6)
     assert np.all(profile.gamma == 0.0)

@@ -149,6 +149,11 @@ def test_sample_gw_rejects_extinction_mass(rng):
         sample_gw(OffspringPmf.from_dict({0: 0.5, 2: 0.5}), 3, rng)
 
 
+def test_sample_gw_rejects_a_negative_depth(rng):
+    with pytest.raises(ValueError, match="depth n must be nonnegative, got -2"):
+        sample_gw(OffspringPmf.from_dict({1: 0.5, 2: 0.5}), -2, rng)
+
+
 def test_sample_gw_population_cap(rng):
     with pytest.raises(PopulationCapError) as info:
         sample_gw(OffspringPmf.dirac(3), 20, rng, max_vertices=1000)
