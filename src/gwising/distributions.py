@@ -11,6 +11,7 @@ evaluated without truncation error.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -313,27 +314,58 @@ def _check_q(q: float) -> None:
         raise ValueError(f"fractional moment order must lie in (1, 2], got {q}")
 
 
-class LawTable(tuple):
-    """A tuple of laws on the degrees 1..m together with their mass matrix:
-    row i of ``masses`` holds law i's mass at degree d in column d - 1."""
+class LawTable(Sequence):
+    """Laws on the degrees 1..m, held as their checked, read-only mass matrix:
+    row i of ``masses`` holds law i's mass at degree d in column d - 1.
 
-    def __new__(cls, laws, masses: np.ndarray):
-        table = super().__new__(cls, laws)
-        table.masses, = _freeze(masses)  # read-only after unpickling too
-        return table
+    Row i becomes an ``OffspringPmf``, on the degrees where it has positive
+    mass, only when it is first read; it is kept, so ``table[i] is table[i]``.
+    Consumers that read the matrix (means, q-variances, distances) make no
+    row at all.  A slice is the list of its rows.
+    """
 
-    def __reduce__(self):
-        return LawTable, (tuple(self), self.masses)
+    __setstate__ = _setstate_frozen  # read-only after unpickling too
+
+    def __init__(self, masses: np.ndarray):
+        self.degrees, self.masses = _freeze(np.arange(1, masses.shape[1] + 1), masses)
+        self._rows = [None] * len(masses)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        law = self._rows[k]
+        if law is None:
+            row = self.masses[k]
+            keep = row > 0
+            # a whole row's arrays are views of the table's
+            law = (OffspringPmf._from_checked(self.degrees, row) if keep.all() else
+                   OffspringPmf._from_checked(*_freeze(self.degrees[keep], row[keep])))
+            self._rows[k] = law
+        return law
 
     def q_variances(self, q: float) -> np.ndarray:
-        """Each law's ``q_variance(q)``, bit for bit: the powers d^q are taken
-        once for the table, each law's moment is still its own ``np.dot``."""
+        """Each law's ``q_variance(q)``, bit for bit, without making a row.
+
+        E[D^q] and E[D] of every row are one ``np.vecdot`` each over the
+        full-width rows, which sums a row as a law's own ``np.dot`` does.  A
+        row that holds a zero mass is summed again over its positive degrees
+        alone, as its law would be, since the zeros change the summation
+        order.  E[D]^q is a Python float power, as in ``q_variance``.
+        """
         _check_q(q)
-        powers = np.power(np.arange(1.0, self.masses.shape[1] + 1), q)
-        return np.array([
-            float(np.dot(powers if law.degrees.size == powers.size
-                         else powers[law.degrees - 1], law.probs)) - law.mean() ** q
-            for law in self])
+        degrees = self.degrees.astype(float)
+        powers = np.power(degrees, q)
+        q_moments = np.vecdot(self.masses, powers).tolist()
+        means = np.vecdot(self.masses, degrees).tolist()
+        positive = self.masses > 0
+        for k in np.flatnonzero(~positive.all(axis=1)).tolist():
+            keep = positive[k]
+            q_moments[k] = float(np.dot(powers[keep], self.masses[k, keep]))
+            means[k] = float(np.dot(self.degrees[keep], self.masses[k, keep]))
+        return np.array([m - mean ** q for m, mean in zip(q_moments, means)])
 
 
 def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
@@ -350,11 +382,12 @@ def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
     survival-weighted mixture of ``zero_truncated_binomial(D, p)`` over
     D ~ ``pmf`` to ``MIXTURE_CONSISTENCY_TOL``.
 
-    A float ``p`` gives one law; a 1-d array gives a ``LawTable``, one law
+    A float ``p`` gives one law; a 1-d array gives a ``LawTable``, one row
     per entry, bit for bit equal to the float calls.  The powers are taken
     per entry on Python floats; numpy builds, normalises and checks the
     (entries x max_degree) mass matrix as one, each row in the order of the
-    float call.  A law keeps the degrees of its row with positive mass.
+    float call.  The table is that matrix: a row becomes a law, on the
+    degrees where it has positive mass, only when it is first read.
     """
     if not pmf.no_zero:
         raise PmfError("mixture requires a trial-count law with no mass at 0")
@@ -385,14 +418,8 @@ def ztb_mixture(pmf: OffspringPmf, p) -> OffspringPmf | LawTable:
         masses[:, :big_d] += term
     masses /= pmf.one_minus_gf_at_one_minus(rows)[:, None]  # 1 - G(1-p)
     masses /= masses.sum(axis=1, keepdims=True)
-    degrees = np.arange(1, dmax + 1)
-    _check_masses(degrees, masses)
-    positive = masses > 0
-    _freeze(degrees, masses)  # a whole row's arrays are views of these
-    laws = LawTable([OffspringPmf._from_checked(degrees, row) if whole else
-                     OffspringPmf._from_checked(*_freeze(degrees[keep], row[keep]))
-                     for whole, keep, row
-                     in zip(positive.all(axis=1).tolist(), positive, masses)], masses)
+    laws = LawTable(masses)
+    _check_masses(laws.degrees, laws.masses)
     return laws[0] if ps.ndim == 0 else laws
 
 

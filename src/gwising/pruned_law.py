@@ -8,7 +8,10 @@ fractional variances and growth factors, the transition generation k*, direct
 samplers, and total-variation diagnostics.
 
 A profile builds its laws mu*_0, ..., mu*_{n-1} once, in one array call of
-``ztb_mixture`` (``GammaProfile.laws``); every consumer reads that table.
+``ztb_mixture`` (``GammaProfile.laws``).  That table is their mass matrix, and
+a row becomes a law only when it is first read: the means, q-variances,
+distances and calibration read the matrix, so the exact scans make no row,
+and ``PrunedLawSampler`` makes every row once, when it is built.
 
 A profile iterates one recursion per generation from the leaves, on whichever
 of gamma_bar_k = gamma_{n-k} and 1 - gamma_bar_k is small, and takes the other
@@ -214,17 +217,19 @@ def moments(profile: GammaProfile, q: float) -> tuple[np.ndarray, np.ndarray]:
 
 class PrunedLawSampler:
     """Direct sampling of the pruned tree conditioned on survival, generation
-    k from mu*_k (``profile.laws``), so no draw is empty.  The tree is empty
-    with probability gamma_0, and there the root ratio and capacity are 0."""
+    k from mu*_k (``laws``, the rows of ``profile.laws``), so no draw is
+    empty.  The tree is empty with probability gamma_0, and there the root
+    ratio and capacity are 0."""
 
     def __init__(self, profile: GammaProfile):
         self.profile = profile
-        profile.laws  # built now, so forked scan workers inherit the table, not rebuild it
+        # every row made now, so forked scan workers inherit the laws, not remake them
+        self.laws = tuple(profile.laws)
 
     def sample(self, rng: np.random.Generator, roots: int = 1) -> Tree:
         """A forest of ``roots`` independent surviving pruned trees, one
         ``sample_many`` per generation for all of them; replica i is root i."""
-        return sample_inhomogeneous_bp(self.profile.laws, rng, roots=roots)
+        return sample_inhomogeneous_bp(self.laws, rng, roots=roots)
 
 
 def tv_profile(profile: GammaProfile) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -160,9 +161,19 @@ def zero_truncated_binomial(n: int, p: float) -> OffspringPmf:
         raise ValueError("success probability must lie in (0, 1]")
     # 1 - (1-p)^n without cancellation
     denom = -math.expm1(n * math.log1p(-p)) if p < 1.0 else 1.0
-    masses = [math.comb(n, n - d) * (1.0 - p) ** (n - d) * p**d / denom
+    masses = [_binomial_term(math.comb(n, n - d), n - d, d, p) / denom
               for d in range(1, n + 1)]
     return OffspringPmf(np.arange(1, n + 1), np.array(masses))
+
+
+def _binomial_term(comb: int, failures: int, successes: int, p: float) -> float:
+    """comb (1-p)^failures p^successes: a float product, or by logarithms
+    where the integer ``comb`` passes the double range (from n = 1,030)."""
+    if comb <= sys.float_info.max:
+        return comb * (1.0 - p) ** failures * p**successes
+    if p == 1.0:  # past the double range some trial fails, which p = 1 rules out
+        return 0.0
+    return math.exp(math.log(comb) + failures * math.log1p(-p) + successes * math.log(p))
 
 
 def ztb_mixture_by_truncated_binomials(pmf: OffspringPmf, p: float) -> np.ndarray:

@@ -10,7 +10,7 @@ from scipy import stats
 from scipy.special import comb, logsumexp
 
 from gwising import OffspringPmf, PmfError, distributions, ztb_mixture
-from gwising.distributions import MIXTURE_CONSISTENCY_TOL, logsumexp as gw_logsumexp
+from gwising.distributions import MIXTURE_CONSISTENCY_TOL, LawTable, logsumexp as gw_logsumexp
 from gwising.pruned_law import gamma_profile
 from gwising.validate import (tilde_mu0, zero_truncated_binomial,
                               ztb_mixture_by_truncated_binomials)
@@ -279,6 +279,17 @@ def test_ztb_mixture_of_a_degree_whose_binomials_pass_the_double_range():
     assert table[0] == ztb_mixture(pmf, 0.5)
 
 
+@pytest.mark.parametrize("p", [0.3, 1e-6])
+def test_ztb_mixture_matches_the_oracle_at_degree_five_thousand(p):
+    # the oracle forms a term by logarithms where C(D, d) passes the double range
+    pmf = OffspringPmf.from_dict({1: 0.5, 5000: 0.5})
+    law = ztb_mixture(pmf, p)
+    masses = np.zeros(5000)
+    masses[law.degrees - 1] = law.probs
+    oracle = ztb_mixture_by_truncated_binomials(pmf, p)
+    assert np.abs(masses - oracle).max() <= MIXTURE_CONSISTENCY_TOL
+
+
 @pytest.mark.parametrize("masses", [{1: 0.5, 3: 0.3, 40: 0.2}, {1: 0.5, 1029: 0.5},
                                     {2: 0.3, 1100: 0.7}])
 def test_ztb_mixture_binomial_rows_match_math_comb_bitwise(masses, monkeypatch):
@@ -446,7 +457,7 @@ def test_ztb_mixture_matches_scipy_comb_bitwise(masses, p, more_p):
     # the array form gives, entry by entry, the scalar call's law bit for bit
     ps = [p, *more_p]
     table = ztb_mixture(pmf, np.array(ps))
-    assert isinstance(table, tuple) and len(table) == len(ps)
+    assert isinstance(table, LawTable) and len(table) == len(ps)
     for s, row in zip(ps, table):
         scalar = ztb_mixture(pmf, s)
         assert np.array_equal(row.degrees, scalar.degrees)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import pickle
 import warnings
@@ -14,6 +15,7 @@ from gwising import (FieldMode, OffspringPmf, PmfError, Tree,
                      calibrate_constants, gamma_profile, moments, mu_star,
                      prune, sample_gw, sample_field, tv_profile,
                      ztb_mixture)
+from gwising.cli import parse_and_dispatch
 from gwising.pruned_law import (LINEAR_UNDERFLOW, PrunedLawSampler,
                                 fit_g_upper_constant, k1_bar_star, tv_crossing)
 from gwising.validate import enumerate_trees, pruned_tree_probability, tilde_mu0, tv_distance
@@ -299,6 +301,56 @@ def test_one_law_table_per_profile(masses, p_n):
     assert to_mu.tolist() == [tv_distance(law, pmf) for law in profile.laws]
     assert to_dirac.tolist() == [tv_distance(law, OffspringPmf.dirac(1))
                                  for law in profile.laws]
+
+
+def test_law_table_rows_are_made_only_when_read(half13, monkeypatch, tmp_path):
+    made = []
+    from_checked = OffspringPmf._from_checked.__func__
+
+    def counted(cls, degrees, probs):
+        made.append(degrees.size)
+        return from_checked(cls, degrees, probs)
+
+    monkeypatch.setattr(OffspringPmf, "_from_checked", classmethod(counted))
+    table = ztb_mixture(half13, np.array([0.3, 0.5, 1e-300]))
+    assert made == []
+    assert table[1] is table[1] and len(made) == 1
+    # the exact scans read the mass matrix alone
+    for command, mode in (("gamma-profile", "gamma"), ("tv-scan", "tv")):
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "pmf": {"entries": [[1, 0.5], [3, 0.5]]},
+            "beta": 0.9, "p_schedule": {"kind": "threshold", "c": 1.0},
+            "n_grid": [6, 40], "replicas": 1, "mode": mode}))
+        assert parse_and_dispatch(["--quiet", command, "--config", str(cfg),
+                                   "--out", str(tmp_path / mode)]) == 0
+    assert len(made) == 1
+    # the sampler makes every row once, before any worker forks; drawing makes none
+    sampler = PrunedLawSampler(gamma_profile(half13, 2.0**-10, 9))
+    assert len(made) == 10
+    sampler.sample(np.random.default_rng(0), roots=5)
+    assert len(made) == 10
+    assert all(a is b for a, b in zip(sampler.laws, sampler.profile.laws, strict=True))
+
+
+def test_q_variances_match_the_laws_on_rows_with_zero_masses():
+    # gapped laws whose rows near the leaves hold masses that underflow to 0:
+    # such a row's moments are summed over its positive degrees, as its law sums
+    rng = np.random.default_rng(39)
+    rows_with_zeros = 0
+    for _ in range(100):
+        width = int(rng.integers(9, 60))
+        inner = rng.choice(np.arange(1, width), size=int(rng.integers(1, 5)), replace=False)
+        degrees = np.sort(np.append(inner, width))
+        weights = rng.uniform(1e-3, 1.0, size=degrees.size)
+        pmf = OffspringPmf(degrees, weights / weights.sum())
+        profile = gamma_profile(pmf, float(10.0 ** rng.uniform(-40.0, -1.0)),
+                                int(rng.integers(1, 60)))
+        for q in (1.5, 2.0):
+            assert moments(profile, q)[0].tolist() == [
+                law.q_variance(q) for law in profile.laws]
+        rows_with_zeros += int((profile.laws.masses == 0).any(axis=1).sum())
+    assert rows_with_zeros > 0
 
 
 def test_mu_star_mean_matches_ratio_formula(half12):
