@@ -280,10 +280,11 @@ def json_number(kind: type, value):
 def logsumexp(values) -> float:
     """log sum_i exp(values[i]), shifted by the largest value so that no exp
     overflows; -inf for an empty input or when every value is -inf."""
-    top = np.max(values, initial=-math.inf)
+    arr = np.asarray(values, dtype=float)
+    top = arr.max(initial=-math.inf)
     if top == -math.inf:
         return -math.inf
-    return float(top + math.log(np.exp(np.subtract(values, top)).sum()))
+    return float(top + math.log(np.exp(arr - top).sum()))
 
 
 def _check_masses(degrees: np.ndarray, probs: np.ndarray) -> None:

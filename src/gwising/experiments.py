@@ -6,8 +6,12 @@ experiment id, depth index, block index), and swept once.  R(n) depends on
 the configuration alone, so results are bit-identical for a given
 configuration no matter how blocks are distributed over processes.  With
 ``workers`` above 1 the calling process runs a fixed share of the blocks and
-forks a child for each other share, which sends its blocks back through a
-pipe as one pickle.  Scans return tables as lists of segments (see
+hands each other share to a forked worker, as one pickle of its tasks through
+a pipe; the worker sends its blocks back the same way.  Workers are forked on
+first need and kept for the life of the process: between scans they wait on
+their task pipes, and each runs the code its process had when it forked.
+``close_pool`` reaps them, as it does at interpreter exit and after any scan
+that fails.  Scans return tables as lists of segments (see
 ``rows_to_csv``), one per depth for the per-replica and per-generation
 tables; CSV rendering lives here so that the byte output is deterministic
 too (17 significant digits for floats).
@@ -15,13 +19,14 @@ too (17 significant digits for floats).
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import math
 import os
 import pickle
 import sys
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -56,10 +61,15 @@ BOUND_REL_SLACK = 1e-9
 MAX_BETA = math.log(sys.float_info.max) / 2
 # the normal quantile of the 95% Wilson intervals of the magnetization scan
 WILSON_Z = 1.96
+# bytes of the length that leads every message through a worker's pipes
+MESSAGE_LENGTH_BYTES = 8
 
 
 # set once the malloc thresholds have been fixed in this process
 _malloc_fixed = False
+# the scan workers of this process, each as (pid, write end of its task
+# pipe, read end of its report pipe)
+_pool: list[tuple[int, BinaryIO, BinaryIO]] = []
 
 
 class ConfigError(ValueError):
@@ -264,7 +274,7 @@ def _sample_block(args) -> np.ndarray:
 def _shares(weights: list[float], processes: int) -> list[list[int]]:
     """Task indices per process, each share in task order: the heaviest task
     first, each to the lightest share so far.  The lightest share comes first,
-    for the calling process, which also forks the others and reads them."""
+    for the calling process, which also sends the others out and reads them."""
     shares = [[] for _ in range(processes)]
     loads = [0.0] * processes
     for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
@@ -287,83 +297,164 @@ def _reap(pid: int) -> None:
         pass
 
 
-def _run_child(tasks: list, share: list[int], pipe_fd: int) -> NoReturn:
-    """The body of a forked worker: runs ``share`` and writes one pickle,
-    ``(blocks, None)`` with its ``_sample_block`` results in share order, or
-    ``(None, (exception, formatted traceback))``.  Never returns: it ends
-    the process with ``os._exit``, so no handler or buffer of the caller runs twice."""
+def _send(pipe: BinaryIO, message: bytes) -> None:
+    """Write ``message`` to ``pipe`` after its length, in one write, and flush."""
+    pipe.write(len(message).to_bytes(MESSAGE_LENGTH_BYTES, "little") + message)
+    pipe.flush()
+
+
+def _receive(pipe: BinaryIO) -> bytes | None:
+    """The next message that ``_send`` wrote to ``pipe``, or None where the
+    pipe ends before the message does."""
+    head = pipe.read(MESSAGE_LENGTH_BYTES)
+    if len(head) < MESSAGE_LENGTH_BYTES:
+        return None
+    size = int.from_bytes(head, "little")
+    body = pipe.read(size)
+    return body if len(body) == size else None
+
+
+def _report(message: bytes) -> bytes:
+    """A worker's report on the share of tasks pickled in ``message``: a
+    pickle of ``(blocks, None)`` with their ``_sample_block`` results in
+    share order, or of ``(None, (exception, formatted traceback))``, the
+    exception replaced by a RuntimeError naming it where it does not pickle."""
+    try:
+        return pickle.dumps(([_sample_block(task) for task in pickle.loads(message)], None))
+    except Exception as exc:
+        # imported here, so a scan whose workers all succeed never loads it
+        import traceback
+        text = traceback.format_exc()
+        try:
+            report = pickle.dumps((None, (exc, text)))
+            pickle.loads(report)
+        except Exception:
+            error = RuntimeError(f"scan worker failed: {exc!r}")
+            report = pickle.dumps((None, (error, text)))
+        return report
+
+
+def _serve(task_fd: int, report_fd: int) -> NoReturn:
+    """The body of a forked worker: answers each share of tasks read from
+    ``task_fd`` with its ``_report`` on ``report_fd``, until the task pipe
+    ends.  Never returns: it ends the process with ``os._exit``, code 0 at
+    the end of the task pipe and 1 on an error of its own, so no handler or
+    buffer of the caller runs twice."""
     code = 1
     try:
-        try:
-            report = pickle.dumps(([_sample_block(tasks[i]) for i in share], None))
-        except Exception as exc:
-            # imported here, so a scan whose workers all succeed never loads it
-            import traceback
-            text = traceback.format_exc()
-            try:
-                report = pickle.dumps((None, (exc, text)))
-                pickle.loads(report)
-            except Exception:
-                error = RuntimeError(f"scan worker failed: {exc!r}")
-                report = pickle.dumps((None, (error, text)))
-        with open(pipe_fd, "wb") as pipe:
-            pipe.write(report)
+        with open(task_fd, "rb") as tasks, open(report_fd, "wb") as reports:
+            while (message := _receive(tasks)) is not None:
+                _send(reports, _report(message))
         code = 0
     finally:
         os._exit(code)
 
 
+def _close_ends(worker: tuple[int, BinaryIO, BinaryIO]) -> None:
+    """Close this process's ends of ``worker``'s two pipes."""
+    for pipe in worker[1:]:
+        try:
+            pipe.close()
+        except OSError:  # the flush of a task pipe whose worker has ended
+            pass
+
+
+def _fork_worker() -> tuple[int, BinaryIO, BinaryIO]:
+    """A newly forked worker, as (pid, write end of its task pipe, read end
+    of its report pipe).  The worker keeps its own two ends alone, closing
+    the caller's and those of every worker before it, so that the caller's
+    closing of its ends gives every worker the end of its task pipe."""
+    task_read, task_write = os.pipe()
+    report_read, report_write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (task_read, task_write, report_read, report_write):
+            os.close(fd)
+        raise
+    if pid == 0:
+        os.close(task_write)
+        os.close(report_read)
+        for worker in _pool:
+            _close_ends(worker)
+        _serve(task_read, report_write)
+    os.close(task_read)
+    os.close(report_write)
+    return pid, open(task_write, "wb"), open(report_read, "rb")
+
+
+def _workers(count: int) -> list[tuple[int, BinaryIO, BinaryIO]]:
+    """The first ``count`` workers of the pool, forking those it lacks.  A
+    pooled worker found ended is reaped and replaced, and so is one that is
+    no child of this process, inherited from the process that forked this
+    one: its pipe ends are closed here, and it is left alone."""
+    for worker in list(_pool):
+        try:
+            running = os.waitpid(worker[0], os.WNOHANG) == (0, 0)
+        except ChildProcessError:  # reaped by another wait, or not a child
+            running = False
+        if not running:
+            _close_ends(worker)
+            _pool.remove(worker)
+    while len(_pool) < count:
+        _pool.append(_fork_worker())
+    return _pool[:count]
+
+
+def close_pool() -> None:
+    """Close this process's ends of its scan workers' pipes, which ends each
+    idle worker, and reap every worker, killing it first if it still runs;
+    workers inherited from the process that forked this one are no children
+    of it, and are left alone.  Runs at interpreter exit too.  The next scan
+    that needs workers forks them afresh."""
+    workers = list(_pool)
+    _pool.clear()
+    for worker in workers:
+        _close_ends(worker)
+    for pid, _, _ in workers:
+        _reap(pid)
+
+
+atexit.register(close_pool)
+
+
 def _run_blocks(tasks: list, shares: list[list[int]]) -> list[np.ndarray]:
     """``_sample_block`` of every task, in task order.
 
-    ``shares[0]`` runs in this process.  Each other share runs in a child
-    forked for it, which inherits ``tasks`` and sends its blocks back through
-    a pipe as one pickle.  The children are read in order once this process
-    has run its own share.  An error in a child is raised here with its type;
-    a child that exits non-zero, or whose report does not load, raises
-    RuntimeError naming it by its number, this process being worker 1.  On
-    every path, every child is reaped, and killed first if it still runs."""
+    ``shares[0]`` runs in this process.  Each other share goes to a worker of
+    the pool (``_workers``) as one pickle of its tasks, and comes back as one
+    ``_report``; the reports are read in order once this process has run its
+    own share.  An error in a worker is raised here with its type; a worker
+    that ends before its full report raises RuntimeError naming it by its
+    number, this process being worker 1, and how it ended.  Workers outlive
+    the scan and serve the next one; a scan that fails on any path, an
+    interrupt included, kills and reaps every worker and empties the pool."""
     blocks = [None] * len(tasks)
-    children = []  # (pid, read end of its pipe, share)
     try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            pipe = open(read_fd, "rb")
+        workers = _workers(len(shares) - 1)
+        for (_, pipe, _), share in zip(workers, shares[1:]):
             try:
-                pid = os.fork()
-            except BaseException:
-                pipe.close()
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                pipe.close()
-                _run_child(tasks, share, write_fd)
-            # closed before the next fork, so that no later child holds it
-            # open and a dead child's pipe reads to its end
-            os.close(write_fd)
-            children.append((pid, pipe, share))
+                _send(pipe, pickle.dumps([tasks[i] for i in share]))
+            except BrokenPipeError:  # an ended worker shows when its report is read
+                pass
         for i in shares[0]:
             blocks[i] = _sample_block(tasks[i])
-        for number, (pid, pipe, share) in enumerate(children, start=2):
-            report = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            try:
-                done, failure = pickle.loads(report) if code == 0 else (None, None)
-            except (pickle.UnpicklingError, EOFError):  # a report cut short
-                done = failure = None
-            if failure is not None:
-                error, text = failure
-                raise error from RuntimeError(f"in scan worker {number}:\n{text}")
-            if done is None:
+        for number, ((pid, _, pipe), share) in enumerate(zip(workers, shares[1:]), start=2):
+            report = _receive(pipe)
+            if report is None:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 ending = f"exit code {code}" if code >= 0 else f"signal {-code}"
                 raise RuntimeError(f"scan worker {number} of {len(shares)} (pid {pid}) "
                                    f"ended with {ending} before a full report")
+            done, failure = pickle.loads(report)
+            if failure is not None:
+                error, text = failure
+                raise error from RuntimeError(f"in scan worker {number}:\n{text}")
             for i, block in zip(share, done):
                 blocks[i] = block
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            _reap(pid)
+    except BaseException:
+        close_pool()
+        raise
     return blocks
 
 

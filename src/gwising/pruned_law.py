@@ -205,14 +205,16 @@ def moments(profile: GammaProfile, q: float) -> tuple[np.ndarray, np.ndarray]:
     Since M*_{k,i} = nu*_k M*_{k+1,i}, v*_{k,n} = 1 + S_k with S_k =
     sigma*_{q,k} + nu*_k^{-(q-1)} S_{k+1} and S_n = 0.
     """
-    n = profile.n
     sigma = profile.laws.q_variances(q)
-    v_kn = np.empty(n)
+    # on Python floats: a float's power is numpy's scalar power bit for bit,
+    # where numpy's array power is not
+    nu, terms = profile.nu_star.tolist(), sigma.tolist()
+    v_kn = [0.0] * profile.n
     tail = 0.0
-    for k in range(n - 1, -1, -1):
-        tail = sigma[k] + profile.nu_star[k] ** (-(q - 1.0)) * tail
+    for k in range(profile.n - 1, -1, -1):
+        tail = terms[k] + nu[k] ** (-(q - 1.0)) * tail
         v_kn[k] = 1.0 + tail
-    return sigma, v_kn
+    return sigma, np.array(v_kn)
 
 
 class PrunedLawSampler:

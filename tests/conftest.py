@@ -9,6 +9,7 @@ from hypothesis import settings
 settings.register_profile("ci", derandomize=True)
 settings.load_profile("ci")
 
+import gwising.experiments
 from gwising import OffspringPmf
 
 
@@ -34,9 +35,12 @@ def half13():
 
 @pytest.fixture(autouse=True)
 def no_child_process_outlives_its_test():
-    """Fails a test that leaves a child process unreaped, running or ended:
-    a scan must reap every worker it forks, on every path."""
+    """Fails a test that leaves a child process unreaped, running or ended,
+    once the scan workers' pool is closed: closing it must reap every worker
+    a scan forked, and no worker forked under one test's patches serves the
+    next test."""
     yield
+    gwising.experiments.close_pool()
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:

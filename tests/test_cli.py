@@ -404,7 +404,9 @@ def assert_no_child_process():
 def test_a_forked_scan_writes_the_in_process_bytes(tmp_path, capsys, three_cpus):
     for workers in (1, 3):
         assert parse_and_dispatch(forked_scan_argv(tmp_path, workers)) == 0
-        assert_no_child_process()
+    # the workers outlive the scan, until the pool is closed
+    gwising.experiments.close_pool()
+    assert_no_child_process()
     assert ((tmp_path / "w1" / "magnetization.csv").read_bytes()
             == (tmp_path / "w3" / "magnetization.csv").read_bytes())
     assert capsys.readouterr().err == ""
@@ -457,7 +459,8 @@ def test_a_forked_worker_that_dies_exits_3_with_one_line(tmp_path, capsys, monke
 
 
 class ShortWriter:
-    """A file whose writes lose their last byte."""
+    """A file whose first write loses its last byte and ends the process
+    with exit code 0."""
 
     def __init__(self, file):
         self.file = file
@@ -469,18 +472,20 @@ class ShortWriter:
         self.file.close()
 
     def write(self, data):
-        return self.file.write(data[:-1])
+        self.file.write(data[:-1])
+        self.file.flush()
+        os._exit(0)
 
 
 def test_a_forked_report_cut_short_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
                                                          three_cpus):
     caller = os.getpid()
 
-    def cutting_open(file, *args, **kwargs):
-        opened = open(file, *args, **kwargs)
-        return opened if os.getpid() == caller else ShortWriter(opened)
+    def cutting_open(file, mode="r", *args, **kwargs):
+        opened = open(file, mode, *args, **kwargs)
+        return opened if os.getpid() == caller or "w" not in mode else ShortWriter(opened)
 
-    # each child still exits 0, having written all but the last byte
+    # each worker exits 0, having written all but the last byte of its report
     monkeypatch.setattr(gwising.experiments, "open", cutting_open, raising=False)
     assert parse_and_dispatch(forked_scan_argv(tmp_path, 3)) == 3
     err = capsys.readouterr().err
@@ -488,6 +493,37 @@ def test_a_forked_report_cut_short_exits_3_with_one_line(tmp_path, capsys, monke
     assert "scan worker 2 of 3" in err and "exit code 0" in err
     assert "pickl" not in err.lower()
     assert_no_child_process()
+
+
+def test_a_process_that_exits_leaves_no_worker_behind(tmp_path):
+    # two --workers 2 scans in a fresh interpreter, which forks one worker
+    # for both and reaps it at exit
+    src = os.path.dirname(os.path.dirname(gwising.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg = write_config(tmp_path / "c.json", n_grid=[3, 4, 5], replicas=4)
+    code = ("import os, sys\n"
+            "import gwising.cli as cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forked, fork = [], os.fork\n"
+            "def recording_fork():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        forked.append(pid)\n"
+            "    return pid\n"
+            "os.fork = recording_fork\n"
+            "for _ in range(2):\n"
+            "    assert cli.parse_and_dispatch(['--quiet', 'magnetization-scan', '--config',\n"
+            "                                   sys.argv[1], '--out', sys.argv[2],\n"
+            "                                   '--workers', '2']) == 0\n"
+            "print(forked)\n")
+    done = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    forked = json.loads(done.stdout)
+    assert len(forked) == 1
+    for pid in forked:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_gamma_profile_columns(tmp_path, capsys):

@@ -2,6 +2,7 @@ import errno
 import itertools
 import math
 import os
+import signal
 import time
 import types
 import warnings
@@ -354,6 +355,116 @@ def test_a_failed_fork_reaps_the_children_started_and_raises(monkeypatch, three_
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the workers forked in this test, in the order forked."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_are_forked_once_and_serve_every_later_scan(three_cpus, forked):
+    # 200 replicas make 2 pruned blocks at n = 18 and 3 at n = 20
+    cfg = base_config(mode="capacity", n_grid=(18, 20), replicas=200)
+    want = scan_bytes(cfg)
+    assert forked == []
+    for _ in range(3):
+        assert scan_bytes(replace(cfg, workers=3)) == want
+    assert len(forked) == 2
+
+
+@pytest.mark.parametrize("failure, raised", [
+    ("error", pytest.raises(ValueError, match="bad block")),
+    ("kill", pytest.raises(RuntimeError, match="scan worker 2 of 3 .* signal 9")),
+    ("interrupt", pytest.raises(KeyboardInterrupt)),
+])
+def test_a_failed_scan_reaps_every_worker_and_the_next_forks_afresh(monkeypatch, three_cpus,
+                                                                    forked, failure, raised):
+    cfg = base_config(n_grid=(3, 4, 5), replicas=4)
+    want = rows_to_csv(run_magnetization_scan(cfg))
+    caller = os.getpid()
+    real_block = gwising.experiments._sample_block
+
+    def failing_block(task):
+        if os.getpid() == caller:
+            if failure == "interrupt":
+                raise KeyboardInterrupt
+        elif failure == "error":
+            raise ValueError("bad block")
+        elif failure == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_block(task)
+
+    # the workers forked now run the failing blocks
+    monkeypatch.setattr(gwising.experiments, "_sample_block", failing_block)
+    with raised:
+        run_magnetization_scan(replace(cfg, workers=3))
+    assert len(forked) == 2
+    assert_no_child_process()
+    monkeypatch.setattr(gwising.experiments, "_sample_block", real_block)
+    assert rows_to_csv(run_magnetization_scan(replace(cfg, workers=3))) == want
+    assert len(forked) == 4
+
+
+def test_a_worker_killed_while_idle_is_replaced(three_cpus, forked):
+    cfg = base_config(n_grid=(3, 4, 5), replicas=4, workers=3)
+    want = rows_to_csv(run_magnetization_scan(replace(cfg, workers=1)))
+    assert rows_to_csv(run_magnetization_scan(cfg)) == want
+    os.kill(forked[0], signal.SIGKILL)
+    # ended, and left unreaped for the pool to find
+    os.waitid(os.P_PID, forked[0], os.WEXITED | os.WNOWAIT)
+    assert rows_to_csv(run_magnetization_scan(cfg)) == want
+    assert len(forked) == 3
+
+
+def test_closing_a_workers_task_pipe_ends_that_worker_alone(three_cpus, forked):
+    # no later worker holds the pipe ends of those before it, so each ends
+    # on its own task pipe's end, with exit code 0
+    cfg = base_config(n_grid=(3, 4, 5), replicas=4, workers=3)
+    want = rows_to_csv(run_magnetization_scan(cfg))
+    first, second = forked
+    [(pid, tasks, _), _] = gwising.experiments._pool
+    assert pid == first
+    tasks.close()
+    assert os.waitstatus_to_exitcode(os.waitpid(first, 0)[1]) == 0
+    assert os.waitpid(second, os.WNOHANG) == (0, 0)
+    # the ended worker is replaced, the other one kept
+    assert rows_to_csv(run_magnetization_scan(cfg)) == want
+    assert len(forked) == 3
+    assert [pid for pid, _, _ in gwising.experiments._pool] == [second, forked[2]]
+
+
+def test_a_process_forked_after_a_scan_forks_workers_of_its_own(three_cpus, forked):
+    cfg = base_config(n_grid=(3, 4, 5), replicas=4, workers=3)
+    want = rows_to_csv(run_magnetization_scan(cfg))
+    child = os.fork()
+    if child == 0:
+        code = 1
+        try:
+            # the caller's two workers are left to it, and two more forked here
+            if rows_to_csv(run_magnetization_scan(cfg)) == want and len(forked) == 4:
+                code = 0
+            gwising.experiments.close_pool()
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
+    assert rows_to_csv(run_magnetization_scan(cfg)) == want
+    assert len(forked) == 3
 
 
 class UnpicklableError(Exception):
